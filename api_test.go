@@ -1,12 +1,16 @@
 package plurality
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
+// ctx is the background context every API test runs under.
+var ctx = context.Background()
+
 func TestRunSynchronousAPI(t *testing.T) {
-	res, err := RunSynchronous(SyncConfig{N: 2000, K: 4, Alpha: 2, Seed: 1})
+	res, err := Run(ctx, "sync", Spec{N: 2000, K: 4, Alpha: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +29,8 @@ func TestRunSynchronousAPI(t *testing.T) {
 }
 
 func TestRunSynchronousTheoretical(t *testing.T) {
-	res, err := RunSynchronous(SyncConfig{
-		N: 2000, K: 2, Alpha: 2, Seed: 2, TheoreticalSchedule: true,
+	res, err := Run(ctx, "sync", Spec{
+		N: 2000, K: 2, Alpha: 2, Seed: 2, Sync: SyncOptions{TheoreticalSchedule: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +41,7 @@ func TestRunSynchronousTheoretical(t *testing.T) {
 }
 
 func TestRunSingleLeaderAPI(t *testing.T) {
-	res, err := RunSingleLeader(AsyncConfig{N: 800, K: 3, Alpha: 2.5, Seed: 3})
+	res, err := Run(ctx, "leader", Spec{N: 800, K: 3, Alpha: 2.5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +57,7 @@ func TestRunSingleLeaderAPI(t *testing.T) {
 }
 
 func TestRunDecentralizedAPI(t *testing.T) {
-	res, err := RunDecentralized(AsyncConfig{N: 1500, K: 2, Alpha: 3, Seed: 4})
+	res, err := Run(ctx, "decentralized", Spec{N: 1500, K: 2, Alpha: 3, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +74,7 @@ func TestRunDecentralizedAPI(t *testing.T) {
 
 func TestRunBaselineAPI(t *testing.T) {
 	for _, rule := range Baselines() {
-		res, err := RunBaseline(rule, BaselineConfig{N: 600, K: 2, Alpha: 3, Seed: 5})
+		res, err := Run(ctx, rule, Spec{N: 600, K: 2, Alpha: 3, Seed: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", rule, err)
 		}
@@ -78,14 +82,14 @@ func TestRunBaselineAPI(t *testing.T) {
 			t.Errorf("%s did not converge", rule)
 		}
 	}
-	if _, err := RunBaseline("bogus", BaselineConfig{N: 10, K: 2}); err == nil {
+	if _, err := Run(ctx, "bogus", Spec{N: 10, K: 2}); err == nil {
 		t.Error("unknown baseline accepted")
 	}
 }
 
 func TestRunBaselineSequential(t *testing.T) {
-	res, err := RunBaseline("3-majority", BaselineConfig{
-		N: 400, K: 2, Alpha: 3, Seed: 6, Sequential: true,
+	res, err := Run(ctx, "3-majority", Spec{
+		N: 400, K: 2, Alpha: 3, Seed: 6, Baseline: BaselineOptions{Sequential: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +111,7 @@ func TestCustomAssignmentRoundTrip(t *testing.T) {
 	if math.Abs(b-2) > 0.2 {
 		t.Errorf("bias %v, want ~2", b)
 	}
-	res, err := RunSynchronous(SyncConfig{N: 1000, K: 4, Assignment: assign, Seed: 8})
+	res, err := Run(ctx, "sync", Spec{N: 1000, K: 4, Assignment: assign, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +127,10 @@ func TestAssignmentValidation(t *testing.T) {
 	if _, err := PlantedBias(10, 2, 0.5, 1); err == nil {
 		t.Error("alpha<1 accepted")
 	}
-	if _, err := RunSynchronous(SyncConfig{N: 10, K: 2, Assignment: []int{5, 0, 0, 0, 0, 0, 0, 0, 0, 0}}); err == nil {
+	if _, err := Run(ctx, "sync", Spec{N: 10, K: 2, Assignment: []int{5, 0, 0, 0, 0, 0, 0, 0, 0, 0}}); err == nil {
 		t.Error("out-of-range assignment accepted")
 	}
-	if _, err := RunSynchronous(SyncConfig{N: 10, K: 2, Assignment: []int{0}}); err == nil {
+	if _, err := Run(ctx, "sync", Spec{N: 10, K: 2, Assignment: []int{0}}); err == nil {
 		t.Error("short assignment accepted")
 	}
 }
@@ -139,7 +143,7 @@ func TestLatencySpecs(t *testing.T) {
 		{Kind: "uniform", Mean: 1},
 		{Kind: "erlang", Mean: 1, Shape: 3},
 	} {
-		res, err := RunSingleLeader(AsyncConfig{
+		res, err := Run(ctx, "leader", Spec{
 			N: 400, K: 2, Alpha: 3, Seed: 9, Latency: spec,
 		})
 		if err != nil {
@@ -149,7 +153,7 @@ func TestLatencySpecs(t *testing.T) {
 			t.Errorf("latency %+v: no consensus", spec)
 		}
 	}
-	if _, err := RunSingleLeader(AsyncConfig{N: 400, K: 2, Latency: LatencySpec{Kind: "bogus"}}); err == nil {
+	if _, err := Run(ctx, "leader", Spec{N: 400, K: 2, Latency: LatencySpec{Kind: "bogus"}}); err == nil {
 		t.Error("unknown latency kind accepted")
 	}
 }
@@ -206,13 +210,13 @@ func TestMaxGenMonotoneAcrossProtocols(t *testing.T) {
 	// Protocol invariant: the maximum generation present never decreases.
 	runs := []func() (*Result, error){
 		func() (*Result, error) {
-			return RunSynchronous(SyncConfig{N: 2000, K: 4, Alpha: 2, Seed: 31})
+			return Run(ctx, "sync", Spec{N: 2000, K: 4, Alpha: 2, Seed: 31})
 		},
 		func() (*Result, error) {
-			return RunSingleLeader(AsyncConfig{N: 800, K: 4, Alpha: 2.5, Seed: 31})
+			return Run(ctx, "leader", Spec{N: 800, K: 4, Alpha: 2.5, Seed: 31})
 		},
 		func() (*Result, error) {
-			return RunDecentralized(AsyncConfig{N: 1200, K: 4, Alpha: 2.5, Seed: 31})
+			return Run(ctx, "decentralized", Spec{N: 1200, K: 4, Alpha: 2.5, Seed: 31})
 		},
 	}
 	for i, run := range runs {
@@ -242,12 +246,12 @@ func TestSchedulesAgreeOnWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := RunSynchronous(SyncConfig{N: 3000, K: 4, Assignment: assign, Seed: 33})
+	adaptive, err := Run(ctx, "sync", Spec{N: 3000, K: 4, Assignment: assign, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
-	theoretical, err := RunSynchronous(SyncConfig{
-		N: 3000, K: 4, Assignment: assign, Seed: 33, TheoreticalSchedule: true,
+	theoretical, err := Run(ctx, "sync", Spec{
+		N: 3000, K: 4, Assignment: assign, Seed: 33, Sync: SyncOptions{TheoreticalSchedule: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +266,7 @@ func TestSchedulesAgreeOnWinner(t *testing.T) {
 }
 
 func TestFinalCountsConserveNodes(t *testing.T) {
-	res, err := RunDecentralized(AsyncConfig{N: 1000, K: 3, Alpha: 3, Seed: 35})
+	res, err := Run(ctx, "decentralized", Spec{N: 1000, K: 3, Alpha: 3, Seed: 35})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +280,7 @@ func TestFinalCountsConserveNodes(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	res, err := RunSynchronous(SyncConfig{N: 500, K: 2, Alpha: 3, Seed: 10})
+	res, err := Run(ctx, "sync", Spec{N: 500, K: 2, Alpha: 3, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

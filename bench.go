@@ -52,10 +52,6 @@ type BenchReport struct {
 	// Workers how many the benchmark actually used (1 for a single run).
 	GoMaxProcs int `json:"gomaxprocs"`
 	Workers    int `json:"workers"`
-	// Shards is the sharded-execution degree of the run (Spec.Shards,
-	// minimum 1): how many parallel event ladders one run was split across.
-	// 1 is the serial kernel.
-	Shards int `json:"shards"`
 	// Reps is the number of replications a batch benchmark executed (1 for
 	// a single run).
 	Reps int `json:"reps"`
@@ -208,7 +204,6 @@ func benchRun(ctx context.Context, name string, spec Spec, reps, workers int,
 		PeakHeapBytes: peak,
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		Workers:       workers,
-		Shards:        max(1, spec.Shards),
 		Reps:          reps,
 	}
 	rep.BytesPerEvent = float64(rep.AllocBytes) / float64(events)

@@ -87,7 +87,7 @@ func BenchmarkAsyncShootout(b *testing.B) { benchExperiment(b, "asyncshootout") 
 // BenchmarkProtocolSync measures one full synchronous run at n=10k.
 func BenchmarkProtocolSync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunSynchronous(SyncConfig{N: 10000, K: 8, Alpha: 2, Seed: uint64(i)})
+		res, err := Run(context.Background(), "sync", Spec{N: 10000, K: 8, Alpha: 2, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func BenchmarkProtocolSync(b *testing.B) {
 // BenchmarkProtocolSingleLeader measures one full single-leader run at n=1k.
 func BenchmarkProtocolSingleLeader(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunSingleLeader(AsyncConfig{N: 1000, K: 4, Alpha: 2.5, Seed: uint64(i)}); err != nil {
+		if _, err := Run(context.Background(), "leader", Spec{N: 1000, K: 4, Alpha: 2.5, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func BenchmarkProtocolSingleLeader(b *testing.B) {
 // (clustering + consensus) at n=1.5k.
 func BenchmarkProtocolDecentralized(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunDecentralized(AsyncConfig{N: 1500, K: 4, Alpha: 2.5, Seed: uint64(i)}); err != nil {
+		if _, err := Run(context.Background(), "decentralized", Spec{N: 1500, K: 4, Alpha: 2.5, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func BenchmarkProtocolDecentralized(b *testing.B) {
 // BenchmarkProtocolThreeMajority measures one 3-majority run at n=10k.
 func BenchmarkProtocolThreeMajority(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunBaseline("3-majority", BaselineConfig{
+		if _, err := Run(context.Background(), "3-majority", Spec{
 			N: 10000, K: 8, Alpha: 2, Seed: uint64(i), RecordEvery: 8,
 		}); err != nil {
 			b.Fatal(err)

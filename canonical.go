@@ -41,19 +41,11 @@ const (
 //     MaxSteps/MaxTime horizons, RecordEvery) encode verbatim.
 //
 // Runtime-only fields (Observer, CheckpointSpec.Sink, internal batch
-// scratch) never enter the encoding, and neither does Shards: shard count
-// is deployment configuration (how much hardware one run uses), not
-// experiment identity, so a result cached at any shard count is served for
-// requests at every other. Serial runs (Shards <= 1) of equal encodings
-// produce byte-equal Results; sharded runs of the same spec are
-// deterministic per shard count but follow a different, statistically
-// equivalent sample path — callers that need the byte-exact serial
-// trajectory must run with Shards <= 1. Otherwise, equal encodings imply
-// equal Results for every registered protocol under the same protocol
-// name; the converse does not hold (two specs may differ only in a field
-// the chosen protocol ignores). The spec is validated first and invalid
-// specs return the validation error, so a cache key can only ever name a
-// runnable job.
+// scratch) never enter the encoding. Equal encodings imply equal Results
+// for every registered protocol under the same protocol name; the converse
+// does not hold (two specs may differ only in a field the chosen protocol
+// ignores). The spec is validated first and invalid specs return the
+// validation error, so a cache key can only ever name a runnable job.
 func (s Spec) CanonicalBytes() ([]byte, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -110,7 +102,6 @@ func (s Spec) normalizedForKey() (Spec, error) {
 	s.Observer = nil
 	s.scratch = nil
 	s.Checkpoint.Sink = nil
-	s.Shards = 0 // execution knob, not identity (see CanonicalBytes)
 	if s.Assignment != nil {
 		s.Alpha = 0 // an explicit assignment makes the planted bias moot
 	} else if s.Alpha == 0 {

@@ -225,33 +225,3 @@ func TestCanonicalKeyEqualImpliesDigestEqual(t *testing.T) {
 		})
 	}
 }
-
-// TestCanonicalBytesExcludesShards pins the execution-knob contract: shard
-// count is how much hardware one run uses, not which experiment it is, so
-// specs differing only in Shards share one canonical encoding (and therefore
-// one cache key in the serving layer).
-func TestCanonicalBytesExcludesShards(t *testing.T) {
-	base := Spec{N: 4000, K: 3, Alpha: 2, Seed: 7}
-	ref, err := base.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 8, 64} {
-		s := base
-		s.Shards = shards
-		b, err := s.CanonicalBytes()
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !bytes.Equal(b, ref) {
-			t.Fatalf("shards=%d changed the canonical encoding", shards)
-		}
-	}
-	// Invalid shard counts must still fail validation rather than silently
-	// normalize to the shared key.
-	s := base
-	s.Shards = -1
-	if _, err := s.CanonicalBytes(); err == nil {
-		t.Fatal("negative Shards produced a key, want validation error")
-	}
-}

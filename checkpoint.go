@@ -23,8 +23,10 @@ import (
 // substreams and parked-message arenas captured at a window barrier;
 // version 4 switched the synchronous engine's payload to the packed
 // word-per-node configuration, dropping the serialized tally matrix that
-// is now rebuilt at restore).
-const SnapshotFormatVersion = 4
+// is now rebuilt at restore; version 5 removed sharded execution, so a
+// version-4 blob that carries the per-shard section is rejected instead of
+// being misread as a serial payload — the serial layout is unchanged).
+const SnapshotFormatVersion = 5
 
 // snapshotMagic is the 8-byte blob signature.
 const snapshotMagic = "PLURSNAP"
@@ -46,11 +48,6 @@ var (
 	// ErrNoCheckpoint reports a checkpoint request against a protocol that
 	// does not support capture/resume (see ProtocolInfo.Checkpointable).
 	ErrNoCheckpoint = errors.New("plurality: protocol does not support checkpointing")
-	// ErrSnapshotShards reports a sharded blob resumed at a different shard
-	// count: a snapshot taken at Shards=S embeds S per-shard sections
-	// (ladder, clocks, RNG substreams) and resumes bit-exactly only at
-	// Shards=S. Re-run from scratch at the new count instead.
-	ErrSnapshotShards = errors.New("plurality: snapshot captured at a different shard count")
 )
 
 // CheckpointSpec configures mid-run snapshot capture; the zero value
@@ -284,8 +281,6 @@ func Resume(ctx context.Context, snapshot *Snapshot, opts *ResumeOptions) (*Resu
 // while leaving every other error (cancellation, validation) untouched.
 func mapRestoreErr(err error) error {
 	switch {
-	case errors.Is(err, snap.ErrShardCount):
-		return fmt.Errorf("%w: %v", ErrSnapshotShards, err)
 	case errors.Is(err, snap.ErrTruncated):
 		return fmt.Errorf("%w: %v", ErrSnapshotTruncated, err)
 	case errors.Is(err, snap.ErrCorrupt):

@@ -7,7 +7,6 @@
 //	plurality -list
 //	plurality -protocol sync -n 100000 -k 8 -alpha 1.5 -seed 1
 //	plurality -protocol leader -n 5000 -k 4 -alpha 2 -latency-mean 2
-//	plurality -protocol leader -n 1000000 -k 4 -alpha 2 -shards 4
 //	plurality -protocol decentralized -n 5000 -k 4 -alpha 2
 //	plurality -protocol 3-majority -n 10000 -k 8 -alpha 2 -sequential
 //	plurality -protocol sync -n 1000000 -k 8 -alpha 1.5 -stream
@@ -76,7 +75,6 @@ func main() {
 		latencyKind = flag.String("latency", "exp", "latency kind: exp | const | uniform | erlang")
 		latencyMean = flag.Float64("latency-mean", 1, "mean channel latency")
 		maxTime     = flag.Float64("max-time", 0, "abort horizon (async protocols)")
-		shards      = flag.Int("shards", 0, "split one run across this many parallel event ladders (asynchronous protocols: leader, decentralized); 0/1 = serial kernel, byte-identical output")
 		sequential  = flag.Bool("sequential", false, "population-protocol scheduler (baselines)")
 		trajectory  = flag.Bool("trajectory", false, "print the full trajectory")
 		stream      = flag.Bool("stream", false, "do not accumulate the trajectory (O(1) memory); without -json, print snapshots live")
@@ -141,7 +139,7 @@ func main() {
 	defer flushProfiles()
 
 	spec := plurality.Spec{
-		N: *n, K: *k, Alpha: *alpha, Seed: *seed, MaxTime: *maxTime, Shards: *shards,
+		N: *n, K: *k, Alpha: *alpha, Seed: *seed, MaxTime: *maxTime,
 		Latency:  plurality.LatencySpec{Kind: *latencyKind, Mean: *latencyMean},
 		Sync:     plurality.SyncOptions{Gamma: *gamma, TheoreticalSchedule: *theoretical},
 		Baseline: plurality.BaselineOptions{Sequential: *sequential},

@@ -63,7 +63,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "pluralityd: listening on %s (store: %s)\n", *addr, storeOrMemory(*storeDir))
@@ -95,6 +95,27 @@ func main() {
 	defer cancelHTTP()
 	if err := hs.Shutdown(httpCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "pluralityd: http shutdown: %v\n", err)
+	}
+}
+
+// Connection timeouts. Request bodies are small JSON specs, so a client
+// gets readHeaderTimeout to send its headers and readTimeout for the whole
+// request; idle keep-alive connections close after idleTimeout. There is
+// no write timeout: sweep streams stay open for as long as cells compute.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's http.Server with the timeouts above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

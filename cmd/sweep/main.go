@@ -47,7 +47,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker pool bound for the flattened cells-by-reps job list; 0 means GOMAXPROCS, 1 runs sequentially")
 		seed     = flag.Uint64("seed", 0, "seed offset")
 		latMean  = flag.Float64("latency-mean", 1, "mean channel latency (async)")
-		shards   = flag.Int("shards", 0, "split each run across this many parallel event ladders (leader only); 0/1 = serial kernel")
 		csvOut   = flag.Bool("csv", false, "emit CSV instead of an ASCII table")
 		topos    = flag.String("topology", "", "comma-separated topology factor (complete | ring | torus | random-regular | erdos-renyi); empty means the complete graph only")
 		width    = flag.Int("width", 0, "ring half-width for the ring topology; 0 means 1")
@@ -86,7 +85,6 @@ func main() {
 			Protocol: *protocol,
 			Base: plurality.Spec{
 				Seed:    *seed,
-				Shards:  *shards,
 				Latency: plurality.LatencySpec{Mean: *latMean},
 			},
 			Ns:          nList,
@@ -106,7 +104,6 @@ func main() {
 		Protocol: *protocol,
 		Base: plurality.Spec{
 			Seed:    *seed,
-			Shards:  *shards,
 			Latency: plurality.LatencySpec{Mean: *latMean},
 		},
 		Ns:          nList,

@@ -79,7 +79,7 @@
 // The determinism guarantee extends to every batch entry point. A single
 // run executes events in (virtual time, insertion sequence) order on a
 // single goroutine; all randomness derives from Spec.Seed through named
-// splittable RNG streams. RunMany, RunBatch and Sweep shard replications
+// splittable RNG streams. RunMany, RunBatch and Sweep spread replications
 // across a bounded worker pool, but each replication derives its own seed
 // (Seed + i for batches, a fixed per-replication offset for sweeps), owns
 // its entire simulator state, and writes an index-addressed result slot —

@@ -121,11 +121,6 @@ type State struct {
 
 	lieTarget int32
 
-	// keySeed and nodeCtr drive the node-keyed decision substreams of
-	// sharded runs (see sharded.go); serial runs never touch them.
-	keySeed uint64
-	nodeCtr []int32
-
 	// Counters tallies the actions applied so far.
 	Counters Counters
 }

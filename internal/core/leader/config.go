@@ -116,26 +116,8 @@ type Config struct {
 	DiscardTrajectory bool
 	// Scratch optionally supplies reusable batch-sampling buffers; nil
 	// allocates run-local ones. The public batch layer passes one per
-	// worker so replications sharing a worker share buffers. Sharded runs
-	// (Shards > 1) ignore it and use per-shard buffers.
+	// worker so replications sharing a worker share buffers.
 	Scratch *topo.Scratch
-	// Shards splits the node set across this many event ladders run in
-	// parallel and synchronized at ladder-window barriers (conservative
-	// PDES; see runSharded). 0 or 1 selects the serial kernel, whose
-	// output is byte-identical to every release since the ladder landed.
-	// For fixed Shards > 1 the result is a pure function of (config, seed,
-	// shards) — reproducible, but a different sample path than the serial
-	// kernel's. Sharded runs support adversaries (Adv; decisions are keyed
-	// by node id, see adversary.ShardView) and checkpointing (captured at a
-	// window barrier; a blob taken at Shards=S resumes only at Shards=S),
-	// but reject the legacy CrashFrac knob and skip CheckInvariants (remote
-	// leader-state reads are one window stale, so the §3.2 assertions do
-	// not apply verbatim).
-	Shards int
-	// ShardWorkers bounds the worker pool driving the shards; 0 means
-	// GOMAXPROCS. Any value produces identical results (worker-count
-	// invariance), it only changes how much hardware parallelism is used.
-	ShardWorkers int
 }
 
 func (cfg *Config) normalize() error {
@@ -189,18 +171,6 @@ func (cfg *Config) normalize() error {
 			return fmt.Errorf("leader: legacy CrashFrac and Adv are mutually exclusive")
 		}
 		cfg.Adv.N = cfg.N
-	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("leader: negative Shards %d", cfg.Shards)
-	}
-	if cfg.Shards > cfg.N {
-		return fmt.Errorf("leader: Shards %d exceeds N %d", cfg.Shards, cfg.N)
-	}
-	if cfg.Shards > 1 && cfg.CrashFrac > 0 {
-		// The legacy knob's bit-compat contract is defined against the serial
-		// kernel's "crash" substream; the sharded path runs the shared
-		// adversary layer instead. Use Adv with Kind Crash.
-		return fmt.Errorf("leader: sharded execution (Shards=%d) does not support the legacy CrashFrac; use Adv (Kind Crash) or run with Shards <= 1", cfg.Shards)
 	}
 	return nil
 }

@@ -174,15 +174,10 @@ type runState struct {
 	rec     *metrics.Recorder
 }
 
-// Run executes Algorithms 2 and 3 under cfg. With cfg.Shards > 1 the run
-// is handed to the sharded kernel (see runSharded); otherwise the serial
-// path below executes, byte-identical to every release since the ladder.
+// Run executes Algorithms 2 and 3 under cfg.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 1 {
-		return runSharded(cfg)
 	}
 	root := xrand.New(cfg.Seed)
 

@@ -95,27 +95,8 @@ type Config struct {
 	Ckpt *snap.Checkpoint
 	// Scratch optionally supplies reusable batch-sampling buffers; nil
 	// allocates run-local ones. The public batch layer passes one per
-	// worker so replications sharing a worker share buffers. Sharded runs
-	// (Shards > 1) ignore it and use per-shard buffers.
+	// worker so replications sharing a worker share buffers.
 	Scratch *topo.Scratch
-	// Shards splits the node set across this many event ladders run in
-	// parallel and synchronized at ladder-window barriers (conservative
-	// PDES; see runSharded). 0 or 1 selects the serial kernel, whose output
-	// is byte-identical to every release since the ladder landed. The
-	// partition is cluster-aligned (topo.PartitionAligned over the finished
-	// clustering's LeaderOf): a cluster never straddles shards, so every
-	// member-to-leader signal stays shard-local and the leader automata
-	// have a single writer each. For fixed Shards > 1 the result is a pure
-	// function of (config, seed, shards) — reproducible, but a different
-	// sample path than the serial kernel's. Sharded runs support
-	// adversaries (Adv; decisions are keyed by node id, see
-	// adversary.ShardView) and checkpointing (captured at a window barrier;
-	// a blob taken at Shards=S resumes only at Shards=S).
-	Shards int
-	// ShardWorkers bounds the worker pool driving the shards; 0 means
-	// GOMAXPROCS. Any value produces identical results (worker-count
-	// invariance), it only changes how much hardware parallelism is used.
-	ShardWorkers int
 }
 
 func (cfg *Config) normalize() error {
@@ -167,12 +148,6 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.Adv.Kind != adversary.None {
 		cfg.Adv.N = cfg.N
-	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("noleader: negative Shards %d", cfg.Shards)
-	}
-	if cfg.Shards > cfg.N {
-		return fmt.Errorf("noleader: Shards %d exceeds N %d", cfg.Shards, cfg.N)
 	}
 	return nil
 }

@@ -98,9 +98,6 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 1 {
-		return runSharded(cfg)
-	}
 	root := xrand.New(cfg.Seed)
 
 	// Phase 1: clustering. A restored run decodes the finished clustering

@@ -281,13 +281,6 @@ func (s *Server) compute(ctx context.Context, protocol string, spec plurality.Sp
 			segmented = false
 		}
 	}
-	if spec.Shards > 1 {
-		// Sharded runs reject checkpointing (the snapshot format assumes the
-		// serial kernel's single pending set), so they run in one piece; the
-		// cache key is shard-independent, so a completed result still serves
-		// every shard count.
-		segmented = false
-	}
 	var snap *plurality.Snapshot
 	if segmented {
 		if blob := s.store.LoadJobSnapshot(key); blob != nil {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -338,42 +340,58 @@ func TestSubmitAllBoundary(t *testing.T) {
 	close(release)
 }
 
-// TestRunCacheSharedAcrossShardCounts pins the serving-layer consequence of
-// Shards being an execution knob: a leader run computed at one shard count is
-// served from cache for requests at every other shard count (including
-// serial), byte for byte — the shard count names hardware, not an experiment.
-func TestRunCacheSharedAcrossShardCounts(t *testing.T) {
-	// CheckpointEvery matches the pluralityd binary's default mode: sharded
-	// jobs must bypass segmentation (they reject checkpoints) instead of
-	// failing with 400.
-	s := newTestServer(t, Config{Workers: 2, CheckpointEvery: 8, Dir: t.TempDir()})
-
-	first := do(t, s, http.MethodPost, "/v1/runs",
-		`{"protocol":"leader","spec":{"n":300,"k":3,"alpha":2,"seed":5,"shards":2}}`)
-	if first.Code != http.StatusOK {
-		t.Fatalf("sharded run: status %d: %s", first.Code, first.Body)
-	}
-	if got := first.Header().Get("X-Plurality-Cache"); got != "miss" {
-		t.Fatalf("sharded run cache header = %q, want miss", got)
-	}
-	before := s.Stats()
-
-	for _, spec := range []string{
-		`{"protocol":"leader","spec":{"n":300,"k":3,"alpha":2,"seed":5,"shards":4}}`,
-		`{"protocol":"leader","spec":{"n":300,"k":3,"alpha":2,"seed":5}}`,
+// TestShardsFieldRejected pins that the removed Spec.Shards field is an
+// unknown field on the wire: run and sweep submissions carrying it fail with
+// 400 instead of silently running serially.
+func TestShardsFieldRejected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/runs", `{"protocol":"leader","spec":{"n":300,"k":3,"alpha":2,"seed":5,"shards":2}}`},
+		{"/v1/sweeps", `{"protocol":"leader","base":{"n":300,"k":3,"alpha":2,"seed":5,"shards":2},"reps":2}`},
 	} {
-		w := do(t, s, http.MethodPost, "/v1/runs", spec)
-		if w.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", w.Code, w.Body)
+		w := do(t, s, http.MethodPost, c.path, c.body)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("POST %s with shards: status = %d, want 400", c.path, w.Code)
 		}
-		if got := w.Header().Get("X-Plurality-Cache"); got != "hit" {
-			t.Fatalf("spec %s cache header = %q, want hit", spec, got)
-		}
-		if !bytes.Equal(first.Body.Bytes(), w.Body.Bytes()) {
-			t.Fatalf("spec %s served different bytes than the sharded original", spec)
+		if !strings.Contains(w.Body.String(), "shards") {
+			t.Errorf("POST %s: error %q does not name the field", c.path, w.Body)
 		}
 	}
-	if after := s.Stats(); after.JobsComputed != before.JobsComputed {
-		t.Fatal("shard-count variants recomputed the job")
+}
+
+// TestManifestWithShardsResumes pins that manifests persisted while Spec
+// still had a Shards field keep decoding at boot: the stale field is ignored
+// and the sweep is recovered and completed like any other.
+func TestManifestWithShardsResumes(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "sweeps"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	manifest := `{"id":"stale","request":{"protocol":"sync","base":{"n":200,"k":3,"alpha":2,"seed":5,"shards":2},"reps":2},"done":false}`
+	if err := os.WriteFile(filepath.Join(dir, "sweeps", "stale.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Dir: dir, Workers: 2})
+	waitIdleAny(t, s)
+	if got := s.Stats().JobsComputed; got != 2 {
+		t.Fatalf("recovered sweep computed %d jobs, want 2", got)
+	}
+
+	// The same sweep submitted without the stale field joins the recovered
+	// one: same ID, every job already done, nothing recomputed.
+	w := do(t, s, http.MethodPost, "/v1/sweeps?async=1",
+		`{"protocol":"sync","base":{"n":200,"k":3,"alpha":2,"seed":5},"reps":2}`)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("resubmit: status %d: %s", w.Code, w.Body)
+	}
+	var st SweepStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != "done" || st.DoneJobs != 2 || st.CachedJobs != 0 {
+		t.Fatalf("resubmit status %+v, want the recovered sweep: done, 2 jobs computed, 0 cached", st)
+	}
+	if got := s.Stats().JobsComputed; got != 2 {
+		t.Fatalf("resubmission recomputed: %d jobs computed, want 2", got)
 	}
 }

@@ -24,13 +24,6 @@ type Clocks struct {
 	stopped []bool
 	ticks   uint64
 	started bool
-
-	// Subset form (NewClocksFor): nodes lists the global ids owned by this
-	// Clocks value in slab order, and local maps global id → slab index.
-	// Both are nil for the dense whole-population form, whose slab index is
-	// the node id itself.
-	nodes []int32
-	local []int32
 }
 
 // NewClocks derives n per-node clocks of the given rate from parent,
@@ -55,27 +48,6 @@ func NewClocks(s *Simulator, parent *xrand.RNG, n int, rate float64, kind int32)
 	return c
 }
 
-// NewClocksFor derives one clock per listed node from parent, in list
-// order, emitting Event{Kind: kind, Node: v} ticks with v the *global* node
-// id. local must map every listed global id to its position in nodes
-// (shared across shards, indexed by global id); entries for unlisted nodes
-// are never read. Sharded engines use this to give each shard a clock slab
-// over only the nodes it owns while events keep carrying global ids.
-func NewClocksFor(s *Simulator, parent *xrand.RNG, nodes []int32, local []int32, rate float64, kind int32) *Clocks {
-	c := NewClocks(s, parent, len(nodes), rate, kind)
-	c.nodes = nodes
-	c.local = local
-	return c
-}
-
-// slot maps a global node id to its index in the rngs/stopped slabs.
-func (c *Clocks) slot(v int32) int32 {
-	if c.local != nil {
-		return c.local[v]
-	}
-	return v
-}
-
 // StartAll schedules the first tick of every clock in node order, through
 // the kernel's bulk entry point (draw order and execution order are
 // identical to n sequential ScheduleAfter calls; with the event ladder
@@ -89,12 +61,8 @@ func (c *Clocks) StartAll() {
 	}
 	c.started = true
 	now := c.sim.Now()
-	c.sim.ScheduleBatch(len(c.rngs), func(i int) (float64, Event) {
-		v := int32(i)
-		if c.nodes != nil {
-			v = c.nodes[i]
-		}
-		return now + c.rngs[i].Exp(c.rate), Event{Kind: c.kind, Node: v}
+	c.sim.ScheduleBatch(len(c.rngs), func(v int) (float64, Event) {
+		return now + c.rngs[v].Exp(c.rate), Event{Kind: c.kind, Node: int32(v)}
 	})
 }
 
@@ -103,21 +71,20 @@ func (c *Clocks) StartAll() {
 // itself stopped the clock). Engines call it from their HandleEvent with a
 // method value stored once at setup, so the call allocates nothing.
 func (c *Clocks) Fire(v int32, tick func(int)) {
-	i := c.slot(v)
-	if c.stopped[i] {
+	if c.stopped[v] {
 		return
 	}
 	c.ticks++
 	tick(int(v))
-	if !c.stopped[i] {
-		c.sim.ScheduleAfter(c.rngs[i].Exp(c.rate), Event{Kind: c.kind, Node: v})
+	if !c.stopped[v] {
+		c.sim.ScheduleAfter(c.rngs[v].Exp(c.rate), Event{Kind: c.kind, Node: v})
 	}
 }
 
 // Stop permanently silences node v's clock; its pending tick becomes a
 // no-op when popped (lazy cancellation). Safe to call repeatedly and from
 // within the tick callback.
-func (c *Clocks) Stop(v int32) { c.stopped[c.slot(v)] = true }
+func (c *Clocks) Stop(v int32) { c.stopped[v] = true }
 
 // Ticks returns the total number of ticks fired across all clocks.
 func (c *Clocks) Ticks() uint64 { return c.ticks }

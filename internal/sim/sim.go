@@ -450,27 +450,6 @@ func (s *Simulator) RunUntil(t float64) bool {
 	return !s.stopped
 }
 
-// NextAt returns the scheduled time of the earliest pending event, or
-// false when nothing is pending. It does not execute anything, but it may
-// advance the ladder's internal window (a layout change invisible to the
-// (at, seq) pop order). Shard barriers use it to agree on the next window.
-func (s *Simulator) NextAt() (float64, bool) { return s.peekAt() }
-
-// WindowEnd returns the end of the ladder bucket containing t — the
-// smallest bucket boundary strictly greater than t. Conservative parallel
-// execution uses it as the lookahead horizon: events scheduled by a handler
-// running at time u land at or after u, so two shards processing disjoint
-// nodes inside the same bucket window [floor(t·1024)/1024, WindowEnd(t))
-// can only feed each other events for the next window, never the current
-// one, provided cross-shard sends add at least one bucket width of latency.
-// Times past maxLadderTime (never reached by real horizons) return +Inf.
-func WindowEnd(t float64) float64 {
-	if t >= maxLadderTime {
-		return math.Inf(1)
-	}
-	return (math.Floor(t*invLadderW) + 1) * ladderW
-}
-
 // Stop halts the simulation: no further events run. Pending events remain
 // queued so diagnostics can inspect them; Resume is intentionally absent —
 // a stopped run is finished.

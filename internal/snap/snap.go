@@ -34,13 +34,6 @@ var ErrTruncated = errors.New("snap: truncated input")
 // discriminants).
 var ErrCorrupt = errors.New("snap: corrupt input")
 
-// ErrShardCount reports a sharded snapshot resumed at a different shard
-// count than it was captured at. A sharded blob's per-shard sections
-// (ladders, clocks, RNG substreams, outbox arenas) only describe the shard
-// layout that produced them — re-sharding a run mid-flight is not a defined
-// operation, so engines reject the mismatch instead of guessing.
-var ErrShardCount = errors.New("snap: snapshot shard count mismatch")
-
 // Checkpoint is one engine's checkpoint request, threaded through the
 // engine Config by the public layer. A nil *Checkpoint (or a zero one)
 // disables checkpointing entirely; the hot path never consults it.

@@ -3,11 +3,9 @@ package topo
 // This file implements the locality-order API behind the synchronous
 // engine's cache-blocked traversal: BlockOrder groups a graph's nodes into
 // cache-sized blocks such that most partner gathers issued while a block is
-// being processed land on state that is already cache-resident. A block is
-// exactly a shard at degree 1 — the torus case tiles the grid and the CSR
-// case reuses the BFS-greedy partitioner — so the locality machinery stays
-// shared with the sharded kernel (Partition) instead of growing a parallel
-// implementation.
+// being processed land on state that is already cache-resident: the torus
+// case tiles the grid and the CSR case grows blocks breadth-first over the
+// adjacency (bfsBlocks).
 //
 // BlockOrder only reorders *memory access*, never sampling: callers draw
 // their random partners in canonical node-id order first and then walk the
@@ -26,10 +24,10 @@ package topo
 // id), so the blocks are the contiguous ranges [off[b], off[b+1]) and
 // callers can skip the permutation indirection entirely. Tori are tiled
 // into near-square sub-grids, and CSR graphs (random-regular, Erdős–Rényi)
-// group nodes by the BFS-greedy Partition with one shard per block.
+// group nodes into blocks grown breadth-first (bfsBlocks).
 //
-// The result is a pure function of (g, target) — like Partition, any
-// ambient source of order would break run reproducibility.
+// The result is a pure function of (g, target): any ambient source of
+// order (map iteration, goroutine timing) would break run reproducibility.
 func BlockOrder(g Sampler, target int) (perm []int32, off []int32) {
 	n := g.Size()
 	if target < 1 {
@@ -46,14 +44,14 @@ func BlockOrder(g Sampler, target int) (perm []int32, off []int32) {
 		if s <= 1 {
 			return nil, []int32{0, int32(n)}
 		}
-		return groupByOwner(bfsPartition(t, s), s)
+		return groupByOwner(bfsBlocks(t, s), s)
 	default:
 		return nil, contiguousBlocks(n, target)
 	}
 }
 
 // contiguousBlocks cuts [0, n) into ⌈n/target⌉ contiguous ranges of near-
-// equal size (they differ by at most one, like blockPartition).
+// equal size (they differ by at most one).
 func contiguousBlocks(n, target int) []int32 {
 	s := (n + target - 1) / target
 	off := make([]int32, s+1)
@@ -113,8 +111,8 @@ func tileOrder(t *Torus, target int) (perm []int32, off []int32) {
 	return perm, off
 }
 
-// groupByOwner turns a shard-owner array into a traversal order: nodes
-// grouped by owner (block = shard), ascending node id within each block —
+// groupByOwner turns a block-owner array into a traversal order: nodes
+// grouped by owner, ascending node id within each block —
 // a counting sort, so the order is deterministic and O(n + s).
 func groupByOwner(owner []int32, s int) (perm []int32, off []int32) {
 	n := len(owner)
@@ -134,4 +132,53 @@ func groupByOwner(owner []int32, s int) (perm []int32, off []int32) {
 		cursor[o]++
 	}
 	return perm, off
+}
+
+// bfsBlocks grows s blocks of near-equal size breadth-first over the
+// CSR adjacency and returns the owner array (owner[v] ∈ [0, s)): each block starts from the lowest-numbered unassigned
+// node and absorbs a BFS frontier until full, so most edges stay inside a
+// block on graphs with any neighborhood structure. The frontier queue
+// carries over across block boundaries — when a block fills mid-layer, the
+// next block continues from the same frontier, which keeps adjacent
+// regions in adjacent blocks. Deterministic: BFS order is fixed by the CSR
+// layout and node numbering.
+func bfsBlocks(g *AdjGraph, s int) []int32 {
+	n := g.Size()
+	owner := make([]int32, n)
+	for v := range owner {
+		owner[v] = -1
+	}
+	queue := make([]int32, 0, n)
+	qpos := 0
+	next := 0 // lowest node not yet assigned (scan cursor)
+
+	for b := 0; b < s; b++ {
+		size := n / s
+		if b < n%s {
+			size++
+		}
+		for taken := 0; taken < size; {
+			var v int32
+			if qpos < len(queue) {
+				v = queue[qpos]
+				qpos++
+				if owner[v] >= 0 {
+					continue
+				}
+			} else {
+				for owner[next] >= 0 {
+					next++
+				}
+				v = int32(next)
+			}
+			owner[v] = int32(b)
+			taken++
+			for _, w := range g.adj[g.off[v]:g.off[v+1]] {
+				if owner[w] < 0 {
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	return owner
 }

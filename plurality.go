@@ -1,151 +1,16 @@
 package plurality
 
 import (
-	"context"
 	"math"
 
 	"plurality/internal/baseline"
 	"plurality/internal/core/leader"
 )
 
-// This file keeps the pre-registry entry points alive as thin wrappers over
-// Run. New code should use Run(ctx, name, spec) with the unified Spec; the
-// wrappers exist so existing callers keep compiling and keep producing
-// byte-identical results for the same seed.
-
-// SyncConfig parametrizes the synchronous protocol (Algorithm 1).
-//
-// Deprecated: use Spec with SyncOptions and Run(ctx, "sync", spec).
-type SyncConfig struct {
-	// N is the number of nodes (>= 2) and K the number of opinions (>= 1).
-	N, K int
-	// Alpha is the planted initial bias used when Assignment is nil.
-	Alpha float64
-	// Assignment optionally fixes the initial opinions, values in [0, K).
-	Assignment []int
-	// Gamma is the generation-density threshold γ; default 0.5.
-	Gamma float64
-	// TheoreticalSchedule selects the paper's predefined two-choices times
-	// {t_i} instead of the adaptive density trigger.
-	TheoreticalSchedule bool
-	// MaxSteps bounds the run; 0 means an automatic generous horizon.
-	MaxSteps int
-	// Seed drives all randomness.
-	Seed uint64
-	// Eps defines ε-convergence reporting; 0 means 1/log² n.
-	Eps float64
-	// RecordEvery sets the snapshot interval in rounds; 0 means 1.
-	RecordEvery int
-}
-
-// RunSynchronous executes the synchronous generation protocol.
-//
-// Deprecated: use Run(ctx, "sync", spec).
-func RunSynchronous(cfg SyncConfig) (*Result, error) {
-	return Run(context.Background(), "sync", Spec{
-		N: cfg.N, K: cfg.K, Alpha: cfg.Alpha, Assignment: cfg.Assignment,
-		Seed: cfg.Seed, Eps: cfg.Eps, MaxSteps: cfg.MaxSteps,
-		RecordEvery: float64(cfg.RecordEvery),
-		Sync: SyncOptions{
-			Gamma:               cfg.Gamma,
-			TheoreticalSchedule: cfg.TheoreticalSchedule,
-		},
-	})
-}
-
-// AsyncConfig parametrizes the asynchronous protocols (single-leader and
-// decentralized).
-//
-// Deprecated: use Spec with AsyncOptions and Run(ctx, "leader", spec) or
-// Run(ctx, "decentralized", spec).
-type AsyncConfig struct {
-	// N is the number of nodes and K the number of opinions.
-	N, K int
-	// Alpha is the planted initial bias used when Assignment is nil.
-	Alpha float64
-	// Assignment optionally fixes the initial opinions, values in [0, K).
-	Assignment []int
-	// Latency describes the channel-establishment distribution T2.
-	Latency LatencySpec
-	// MaxTime bounds the run in virtual time steps; 0 means automatic.
-	MaxTime float64
-	// Seed drives all randomness.
-	Seed uint64
-	// Eps defines ε-convergence reporting; 0 means 1/log² n.
-	Eps float64
-	// RecordEvery sets the snapshot interval in time steps; 0 means one
-	// snapshot per time unit.
-	RecordEvery float64
-	// ClusterTargetSize overrides the decentralized protocol's cluster
-	// size knob (ignored by RunSingleLeader); 0 means automatic.
-	ClusterTargetSize int
-}
-
-// spec converts the legacy async config to the unified Spec.
-func (cfg AsyncConfig) spec() Spec {
-	return Spec{
-		N: cfg.N, K: cfg.K, Alpha: cfg.Alpha, Assignment: cfg.Assignment,
-		Seed: cfg.Seed, Eps: cfg.Eps, MaxTime: cfg.MaxTime,
-		RecordEvery: cfg.RecordEvery, Latency: cfg.Latency,
-		Async: AsyncOptions{ClusterTargetSize: cfg.ClusterTargetSize},
-	}
-}
-
-// RunSingleLeader executes the asynchronous protocol with a designated
-// leader (Algorithms 2 and 3).
-//
-// Deprecated: use Run(ctx, "leader", spec).
-func RunSingleLeader(cfg AsyncConfig) (*Result, error) {
-	return Run(context.Background(), "leader", cfg.spec())
-}
-
-// RunDecentralized executes the fully decentralized protocol: clustering
-// (§4.1), then consensus coordinated by the cluster leaders (Algorithms 4
-// and 5). The reported times cover the consensus phase; the clustering time
-// is in Stats["clustering_time"].
-//
-// Deprecated: use Run(ctx, "decentralized", spec).
-func RunDecentralized(cfg AsyncConfig) (*Result, error) {
-	return Run(context.Background(), "decentralized", cfg.spec())
-}
-
-// BaselineConfig parametrizes a baseline dynamics run.
-//
-// Deprecated: use Spec with BaselineOptions and Run(ctx, rule, spec).
-type BaselineConfig struct {
-	// N, K, Alpha, Assignment, Seed, Eps as in SyncConfig.
-	N, K       int
-	Alpha      float64
-	Assignment []int
-	Seed       uint64
-	Eps        float64
-	// MaxRounds bounds the run; 0 means automatic.
-	MaxRounds int
-	// Sequential uses the population-protocol scheduler (one interaction
-	// at a time, time in parallel rounds) instead of synchronous rounds.
-	Sequential bool
-	// RecordEvery sets the snapshot interval in rounds; 0 means 1.
-	RecordEvery int
-}
-
 // Baselines lists the available baseline rules: "pull-voting",
 // "two-choices", "3-majority", "undecided-state". Each is also a registered
 // protocol name accepted by Run.
 func Baselines() []string { return baseline.RuleNames() }
-
-// RunBaseline executes one of the classical dynamics from the paper's
-// related-work section under the given configuration.
-//
-// Deprecated: use Run(ctx, rule, spec); every baseline rule is a registered
-// protocol.
-func RunBaseline(rule string, cfg BaselineConfig) (*Result, error) {
-	return Run(context.Background(), rule, Spec{
-		N: cfg.N, K: cfg.K, Alpha: cfg.Alpha, Assignment: cfg.Assignment,
-		Seed: cfg.Seed, Eps: cfg.Eps, MaxSteps: cfg.MaxRounds,
-		RecordEvery: float64(cfg.RecordEvery),
-		Baseline:    BaselineOptions{Sequential: cfg.Sequential},
-	})
-}
 
 // MinTheoremBias returns the smallest initial bias Theorem 1 admits for n
 // nodes and k opinions: 1 + (k·log₂ n/√n)·log₂ k.

@@ -96,9 +96,6 @@ func (syncProtocol) run(ctx context.Context, spec Spec, restore []byte, perturb 
 	if spec.Adversary.Kind == AdversaryDelay {
 		return nil, fmt.Errorf("plurality: protocol %q is round-based; the delay adversary needs message latency (try crash, drop or byzantine)", "sync")
 	}
-	if spec.Shards > 1 {
-		return nil, fmt.Errorf("plurality: protocol %q is round-based; sharded execution needs the event ladder (only %q and %q support Shards > 1)", "sync", "leader", "decentralized")
-	}
 	assign, err := toInternalAssignment(spec.Assignment, spec.N, spec.K)
 	if err != nil {
 		return nil, err
@@ -177,7 +174,7 @@ func (leaderProtocol) run(ctx context.Context, spec Spec, restore []byte, pertur
 	res, err := leader.Run(leader.Config{
 		N: spec.N, K: spec.K, Alpha: spec.Alpha, Assignment: assign,
 		Latency: lat, Topo: tp, Scratch: spec.scratch, MaxTime: spec.MaxTime, Seed: spec.Seed,
-		Eps: spec.Eps, RecordEvery: spec.RecordEvery, Shards: spec.Shards,
+		Eps: spec.Eps, RecordEvery: spec.RecordEvery,
 		Adv: spec.Adversary.resolveFor(spec.N, spec.Seed),
 		Ctx: ctx, Observe: spec.observe(), DiscardTrajectory: spec.DiscardTrajectory,
 		Ckpt: engineCheckpoint("leader", spec, restore, perturb, &captured),
@@ -190,9 +187,6 @@ func (leaderProtocol) run(ctx context.Context, spec Spec, restore []byte, pertur
 		"events": float64(res.Events),
 		"gstar":  float64(res.GStar),
 		"phases": float64(len(res.PhaseLog)),
-	}
-	if spec.Shards > 1 {
-		extra["shards"] = float64(spec.Shards)
 	}
 	spec.Topology.topoStats(tp, extra)
 	spec.Adversary.advStats(res.AdvCounters, extra)
@@ -244,7 +238,7 @@ func (decentralizedProtocol) run(ctx context.Context, spec Spec, restore []byte,
 	c := noleader.Config{
 		N: spec.N, K: spec.K, Alpha: spec.Alpha, Assignment: assign,
 		Latency: lat, Topo: tp, Scratch: spec.scratch, MaxTime: spec.MaxTime, Seed: spec.Seed,
-		Eps: spec.Eps, RecordEvery: spec.RecordEvery, Shards: spec.Shards,
+		Eps: spec.Eps, RecordEvery: spec.RecordEvery,
 		Adv: spec.Adversary.resolveFor(spec.N, spec.Seed),
 		Ctx: ctx, Observe: spec.observe(), DiscardTrajectory: spec.DiscardTrajectory,
 		Ckpt: engineCheckpoint("decentralized", spec, restore, perturb, &captured),
@@ -261,9 +255,6 @@ func (decentralizedProtocol) run(ctx context.Context, spec Spec, restore []byte,
 		"clustering_time":    res.ClusteringTime,
 		"participating_frac": res.Clustering.ParticipatingFrac(),
 		"leaders":            float64(len(res.Clustering.ParticipatingLeaders())),
-	}
-	if spec.Shards > 1 {
-		extra["shards"] = float64(spec.Shards)
 	}
 	spec.Topology.topoStats(tp, extra)
 	spec.Adversary.advStats(res.AdvCounters, extra)
@@ -301,9 +292,6 @@ func (p baselineProtocol) ResumeRun(ctx context.Context, spec Spec, state []byte
 func (p baselineProtocol) run(ctx context.Context, spec Spec, restore []byte, perturb uint64) (*Result, error) {
 	if spec.Adversary.Kind == AdversaryDelay {
 		return nil, fmt.Errorf("plurality: protocol %q is round-based; the delay adversary needs message latency (try crash, drop or byzantine)", p.rule)
-	}
-	if spec.Shards > 1 {
-		return nil, fmt.Errorf("plurality: protocol %q is round-based; sharded execution needs the event ladder (only %q and %q support Shards > 1)", p.rule, "leader", "decentralized")
 	}
 	assign, err := toInternalAssignment(spec.Assignment, spec.N, spec.K)
 	if err != nil {

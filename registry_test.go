@@ -47,63 +47,6 @@ func TestRunUnknownProtocol(t *testing.T) {
 	}
 }
 
-// TestRunMatchesLegacyWrappers is the API-redesign acceptance check: the
-// registry entry point must reproduce the deprecated Run* wrappers
-// byte-identically for the same seed.
-func TestRunMatchesLegacyWrappers(t *testing.T) {
-	ctx := context.Background()
-
-	legacySync, err := RunSynchronous(SyncConfig{N: 2000, K: 4, Alpha: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSync, err := Run(ctx, "sync", Spec{N: 2000, K: 4, Alpha: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacySync, newSync) {
-		t.Error("sync: registry result differs from RunSynchronous")
-	}
-
-	legacyLeader, err := RunSingleLeader(AsyncConfig{N: 800, K: 3, Alpha: 2.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newLeader, err := Run(ctx, "leader", Spec{N: 800, K: 3, Alpha: 2.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyLeader, newLeader) {
-		t.Error("leader: registry result differs from RunSingleLeader")
-	}
-
-	legacyDec, err := RunDecentralized(AsyncConfig{N: 1500, K: 2, Alpha: 3, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newDec, err := Run(ctx, "decentralized", Spec{N: 1500, K: 2, Alpha: 3, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyDec, newDec) {
-		t.Error("decentralized: registry result differs from RunDecentralized")
-	}
-
-	for _, rule := range Baselines() {
-		legacy, err := RunBaseline(rule, BaselineConfig{N: 600, K: 2, Alpha: 3, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := Run(ctx, rule, Spec{N: 600, K: 2, Alpha: 3, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(legacy, fresh) {
-			t.Errorf("%s: registry result differs from RunBaseline", rule)
-		}
-	}
-}
-
 // TestRunDeterminism: the same (protocol, Spec, Seed) must yield a
 // byte-identical Result — winner, counts, trajectory, stats — across runs,
 // for one representative of each protocol family.

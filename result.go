@@ -8,9 +8,9 @@ import (
 )
 
 // TrajectoryPoint is one recorded snapshot of a run. Time is measured in
-// synchronous rounds for RunSynchronous and RunBaseline, and in virtual time
-// steps (one expected Poisson tick per node per step) for the asynchronous
-// protocols.
+// synchronous rounds for the round-based protocols ("sync" and the baseline
+// rules), and in virtual time steps (one expected Poisson tick per node per
+// step) for the asynchronous ones.
 type TrajectoryPoint struct {
 	Time          float64
 	TopFrac       float64

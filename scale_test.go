@@ -39,40 +39,6 @@ func TestMillionNodeAsyncRun(t *testing.T) {
 	}
 }
 
-// TestMillionNodeShardedRun drives the same n = 10⁶ window through the
-// sharded kernel with a multi-worker pool — the configuration the tentpole
-// exists for, and (under the CI race build's plain-mode run) the test that
-// puts the barrier loop, the exchange buffers and the published-state
-// snapshots in front of the race detector at full scale. Skipped under
-// -short like its serial sibling.
-func TestMillionNodeShardedRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("million-node sharded run skipped in -short mode")
-	}
-	spec := Spec{
-		N: 1_000_000, K: 4, Alpha: 2, Seed: 1,
-		MaxTime: 2, DiscardTrajectory: true, Shards: 4,
-	}
-	res, err := Run(context.Background(), "leader", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := res.Stats["events"]
-	if events < 2_000_000 {
-		t.Fatalf("sharded n=10⁶ run processed only %.0f events", events)
-	}
-	if res.Stats["shards"] != 4 {
-		t.Fatalf("shards stat = %v, want 4", res.Stats["shards"])
-	}
-	total := 0
-	for _, c := range res.FinalCounts {
-		total += c
-	}
-	if total != spec.N {
-		t.Fatalf("final counts sum to %d, want %d", total, spec.N)
-	}
-}
-
 // TestRunBatchWorkerInvariance pins the batch layer's determinism contract:
 // the result slice is bit-identical for every worker count — sequential,
 // bounded, and GOMAXPROCS-wide — because each replication owns a seeded

@@ -30,19 +30,22 @@ func captureSnapshot(t *testing.T, name string, spec Spec) (*Snapshot, string) {
 
 func snapshotSpec() Spec { return Spec{N: 300, K: 3, Alpha: 2, Seed: 42} }
 
-// TestSnapshotVersionRejected pins that a blob recorded under a bumped
-// format version fails with ErrSnapshotVersion, not a misparse.
+// TestSnapshotVersionRejected pins that a blob recorded under any other
+// format version fails with ErrSnapshotVersion, not a misparse: a newer one,
+// and version 4, whose leader and decentralized blobs could carry a
+// per-shard payload section that the current engines no longer read.
 func TestSnapshotVersionRejected(t *testing.T) {
 	sn, _ := captureSnapshot(t, "leader", snapshotSpec())
-	bumped := *sn
-	bumped.meta.FormatVersion = SnapshotFormatVersion + 1
-	blob, err := bumped.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeSnapshot(blob); !errors.Is(err, ErrSnapshotVersion) {
-		t.Errorf("decode of version-%d blob: got %v, want ErrSnapshotVersion",
-			SnapshotFormatVersion+1, err)
+	for _, v := range []int{4, SnapshotFormatVersion + 1} {
+		other := *sn
+		other.meta.FormatVersion = v
+		blob, err := other.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(blob); !errors.Is(err, ErrSnapshotVersion) {
+			t.Errorf("decode of version-%d blob: got %v, want ErrSnapshotVersion", v, err)
+		}
 	}
 }
 
@@ -340,22 +343,22 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			f.Add(blob[:len(blob)-3])
 		}
 	}
-	// A sharded (v3) blob rounds out the corpus: its payload leads with the
-	// shard count and carries per-shard ladder/clock/RNG sections plus the
-	// delay adversary's parked-message arenas.
-	sspec := Spec{N: 64, K: 2, Alpha: 2, Seed: 1, Shards: 3,
-		Adversary: AdversarySpec{Kind: AdversaryDelay, Fraction: 0.3, Rate: 2}}
-	splain, err := Run(ctx, "leader", sspec)
+	// An event-ladder blob rounds out the corpus: the leader engine's
+	// payload carries the ladder, the Poisson clocks and the delay
+	// adversary's parked-message arena.
+	lspec := spec
+	lspec.Adversary = AdversarySpec{Kind: AdversaryDelay, Fraction: 0.3, Rate: 2}
+	lplain, err := Run(ctx, "leader", lspec)
 	if err != nil {
 		f.Fatal(err)
 	}
-	sspec.Checkpoint = CheckpointSpec{SnapshotAt: splain.Duration / 2, Halt: true}
-	shalf, err := Run(ctx, "leader", sspec)
+	lspec.Checkpoint = CheckpointSpec{SnapshotAt: lplain.Duration / 2, Halt: true}
+	lhalf, err := Run(ctx, "leader", lspec)
 	if err != nil {
 		f.Fatal(err)
 	}
-	if shalf.Snapshot != nil {
-		if blob, err := shalf.Snapshot.Encode(); err == nil {
+	if lhalf.Snapshot != nil {
+		if blob, err := lhalf.Snapshot.Encode(); err == nil {
 			f.Add(blob)
 			f.Add(blob[:len(blob)-7])
 		}

@@ -87,20 +87,6 @@ type Spec struct {
 	// state and resume bit-exactly through Resume. Only checkpointable
 	// protocols accept it (ProtocolInfo.Checkpointable; all built-ins are).
 	Checkpoint CheckpointSpec `json:"checkpoint,omitzero"`
-	// Shards splits one asynchronous run's node set across this many
-	// parallel event ladders synchronized at ladder-window barriers
-	// (conservative PDES). 0 or 1 selects the serial kernel, whose output
-	// is byte-identical to previous releases; for a fixed value > 1 the
-	// result is a deterministic function of (spec, seed, shards) but a
-	// different sample path than the serial kernel's — statistically
-	// equivalent, not byte-equal. Shards is an execution knob, not a model
-	// parameter: it does not enter CanonicalBytes, so cached results are
-	// shared across shard counts. The asynchronous protocols ("leader" and
-	// "decentralized") support > 1, adversaries and checkpoints included —
-	// a snapshot taken at Shards=S resumes only at Shards=S
-	// (ErrSnapshotShards otherwise). The round-based protocols reject > 1:
-	// they have no event ladder to shard.
-	Shards int `json:"shards,omitempty"`
 	// Sync holds the synchronous protocol's knobs.
 	Sync SyncOptions `json:"sync,omitzero"`
 	// Async holds the asynchronous protocols' knobs.
@@ -216,12 +202,6 @@ func (s *Spec) validate() error {
 	}
 	if s.Async.ClusterTargetSize < 0 {
 		return fmt.Errorf("plurality: negative Async.ClusterTargetSize %d", s.Async.ClusterTargetSize)
-	}
-	if s.Shards < 0 {
-		return fmt.Errorf("plurality: negative Shards %d", s.Shards)
-	}
-	if s.Shards > s.N {
-		return fmt.Errorf("plurality: Shards %d exceeds N %d", s.Shards, s.N)
 	}
 	return nil
 }

@@ -22,7 +22,7 @@ func RunMany(ctx context.Context, name string, spec Spec, reps int) ([]*Result, 
 }
 
 // RunBatch is RunMany with an explicit worker bound. Replications are
-// sharded across a pool of `workers` goroutines (<= 0 means GOMAXPROCS, 1
+// spread across a pool of `workers` goroutines (<= 0 means GOMAXPROCS, 1
 // runs sequentially — each in-flight replication owns a full simulator, so
 // the bound also caps peak memory). Every replication derives its own RNG
 // stream from spec.Seed + i, and results are index-addressed, so the
@@ -428,7 +428,7 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 	}
 	reps = plan.Reps
 
-	// Pass 2: flatten cells × replications into one job list sharded over a
+	// Pass 2: flatten cells × replications into one job list spread over a
 	// single worker pool, so a slow cell no longer serializes the grid.
 	// Each job writes its own slot; aggregation below walks the slots in
 	// (cell, rep) order, making the output independent of goroutine
