@@ -225,3 +225,25 @@ func TestCanonicalKeyEqualImpliesDigestEqual(t *testing.T) {
 		})
 	}
 }
+
+// TestCanonicalBytesExcludesShards pins that a shard count stored with a
+// spec (manifests and snapshot metadata written while Spec had a Shards
+// field) never reaches the canonical encoding: whatever its value, the spec
+// decodes to the same key as the spec without it, so such records share
+// cache entries with current requests.
+func TestCanonicalBytesExcludesShards(t *testing.T) {
+	base := Spec{N: 4000, K: 3, Alpha: 2, Seed: 7}
+	ref, err := base.CanonicalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{-1, 1, 2, 8, 64} {
+		b, err := withStaleShards(t, base, shards).CanonicalBytes()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if !bytes.Equal(b, ref) {
+			t.Fatalf("shards=%d changed the canonical encoding", shards)
+		}
+	}
+}

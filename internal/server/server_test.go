@@ -395,3 +395,43 @@ func TestManifestWithShardsResumes(t *testing.T) {
 		t.Fatalf("resubmission recomputed: %d jobs computed, want 2", got)
 	}
 }
+
+// TestRunCacheSharedAcrossShardCounts pins that a stale shard count never
+// splits the job cache: manifests persisted at different shard counts for
+// the same experiment recover into one sweep whose jobs are computed once,
+// and a submission without the field is served from those same entries.
+func TestRunCacheSharedAcrossShardCounts(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "sweeps"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 4} {
+		manifest := `{"id":"stale-` + strconv.Itoa(shards) + `","request":{"protocol":"leader","base":{"n":300,"k":3,"alpha":2,"seed":5,"shards":` +
+			strconv.Itoa(shards) + `},"reps":2},"done":false}`
+		name := filepath.Join(dir, "sweeps", "stale-"+strconv.Itoa(shards)+".json")
+		if err := os.WriteFile(name, []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newTestServer(t, Config{Dir: dir, Workers: 2, CheckpointEvery: 8})
+	waitIdleAny(t, s)
+	if got := s.Stats().JobsComputed; got != 2 {
+		t.Fatalf("two manifests differing only in shards computed %d jobs, want 2", got)
+	}
+
+	w := do(t, s, http.MethodPost, "/v1/sweeps?async=1",
+		`{"protocol":"leader","base":{"n":300,"k":3,"alpha":2,"seed":5},"reps":2}`)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("resubmit: status %d: %s", w.Code, w.Body)
+	}
+	var st SweepStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != "done" || st.DoneJobs != 2 {
+		t.Fatalf("resubmit status %+v, want the recovered sweep done with 2 jobs", st)
+	}
+	if got := s.Stats().JobsComputed; got != 2 {
+		t.Fatalf("resubmission recomputed: %d jobs computed, want 2", got)
+	}
+}

@@ -114,65 +114,6 @@ func TestBlockOrderCSRMatchesPartition(t *testing.T) {
 	}
 }
 
-// cutFraction reports the fraction of g's directed edges whose endpoints
-// lie in different blocks under owner.
-func cutFraction(g *AdjGraph, owner []int32) float64 {
-	cut := 0
-	for v := 0; v < g.Size(); v++ {
-		for _, w := range g.adj[g.off[v]:g.off[v+1]] {
-			if owner[v] != owner[w] {
-				cut++
-			}
-		}
-	}
-	return float64(cut) / float64(len(g.adj))
-}
-
-// TestBlockOrderCSRLocality checks that BFS-grown blocks keep partners
-// together: on a torus expressed as a CSR graph (strong locality) the cut
-// must be well under striping's, and on a random 4-regular graph (weak
-// locality) no worse than striping's.
-func TestBlockOrderCSRLocality(t *testing.T) {
-	const rows, cols = 64, 64
-	var edges [][2]int32
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			v := int32(r*cols + c)
-			right := int32(r*cols + (c+1)%cols)
-			down := int32(((r+1)%rows)*cols + c)
-			edges = append(edges, [2]int32{v, right}, [2]int32{v, down})
-		}
-	}
-	torus := newCSR("torus-csr", rows*cols, edges)
-	rr, err := NewRandomRegular(4000, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		g   *AdjGraph
-		max float64 // allowed cut as a fraction of striping's
-	}{{torus, 0.5}, {rr, 1}} {
-		perm, off := checkBlockOrder(t, tc.g, (tc.g.Size()+7)/8)
-		s := len(off) - 1
-		owner := make([]int32, tc.g.Size())
-		striped := make([]int32, tc.g.Size())
-		for b := 0; b < s; b++ {
-			for _, v := range perm[off[b]:off[b+1]] {
-				owner[v] = int32(b)
-			}
-		}
-		for v := range striped {
-			striped[v] = int32(v % s)
-		}
-		// Measured on the torus: BFS ≈ 0.16 vs striped 0.50 (the ideal
-		// rectangular band is 0.125; BFS frontiers are ragged).
-		bfsCut, stripedCut := cutFraction(tc.g, owner), cutFraction(tc.g, striped)
-		if bfsCut > tc.max*stripedCut {
-			t.Fatalf("%s: BFS cut %.3f, want <= %.3f (striped %.3f)", tc.g, bfsCut, tc.max*stripedCut, stripedCut)
-		}
-	}
-}
-
 func TestBlockOrderDeterministic(t *testing.T) {
 	g, err := NewRandomRegular(400, 4, 5)
 	if err != nil {

@@ -2,6 +2,10 @@ package topo
 
 import "testing"
 
+// This file checks the block partitions BlockOrder is built from: the
+// contiguous ranges it cuts for complete graphs and rings, and the blocks
+// bfsBlocks grows over CSR adjacency.
+
 // checkPartition validates the structural contract: every node owned, owner
 // ids in [0, s), block sizes within one of each other.
 func checkPartition(t *testing.T, owner []int32, s int) {
@@ -27,29 +31,80 @@ func checkPartition(t *testing.T, owner []int32, s int) {
 	}
 }
 
+// blockOwner turns a BlockOrder result into an owner array (owner[v] is the
+// index of the block holding v); a nil perm is the identity order.
+func blockOwner(n int, perm, off []int32) []int32 {
+	owner := make([]int32, n)
+	for b := 0; b+1 < len(off); b++ {
+		for i := off[b]; i < off[b+1]; i++ {
+			v := i
+			if perm != nil {
+				v = perm[i]
+			}
+			owner[v] = int32(b)
+		}
+	}
+	return owner
+}
+
+// cutFraction reports the fraction of g's directed edges whose endpoints
+// lie in different blocks under owner.
+func cutFraction(g *AdjGraph, owner []int32) float64 {
+	cut := 0
+	for v := 0; v < g.Size(); v++ {
+		for _, w := range g.adj[g.off[v]:g.off[v+1]] {
+			if owner[v] != owner[w] {
+				cut++
+			}
+		}
+	}
+	return float64(cut) / float64(len(g.adj))
+}
+
+// cycleCSR builds the n-cycle as a CSR graph (a single edge for n = 2).
+func cycleCSR(n int) *AdjGraph {
+	if n == 2 {
+		return newCSR("cycle-csr", 2, [][2]int32{{0, 1}})
+	}
+	edges := make([][2]int32, n)
+	for v := range edges {
+		edges[v] = [2]int32{int32(v), int32((v + 1) % n)}
+	}
+	return newCSR("cycle-csr", n, edges)
+}
+
+// TestPartitionBalancedBlocks checks that both block builders balance: the
+// contiguous ranges BlockOrder cuts for a complete graph, and the
+// breadth-first blocks it grows for a CSR graph, differ in size by at most
+// one node for every (n, block count), including more blocks than nodes.
 func TestPartitionBalancedBlocks(t *testing.T) {
 	for _, n := range []int{2, 7, 100, 1000} {
 		for _, s := range []int{1, 2, 3, 8, 1000, 2000} {
-			g := NewComplete(n)
-			owner := Partition(g, s)
 			eff := s
 			if eff > n {
 				eff = n
 			}
-			if eff < 1 {
-				eff = 1
-			}
-			checkPartition(t, owner, eff)
+			target := (n + eff - 1) / eff
+			perm, off := BlockOrder(NewComplete(n), target)
+			checkPartition(t, blockOwner(n, perm, off), len(off)-1)
+			checkPartition(t, bfsBlocks(cycleCSR(n), eff), eff)
 		}
 	}
 }
 
+// TestPartitionContiguousForBlockTopologies checks that a ring keeps the
+// identity order with contiguous blocks, so a 4-block cut of a width-2 ring
+// severs only the edges at the 4 seams.
 func TestPartitionContiguousForBlockTopologies(t *testing.T) {
 	ring, err := NewRing(1000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := Partition(ring, 4)
+	perm, off := BlockOrder(ring, 250)
+	if perm != nil {
+		t.Fatal("ring should keep the identity order")
+	}
+	owner := blockOwner(1000, perm, off)
 	checkPartition(t, owner, 4)
 	for v := 1; v < len(owner); v++ {
 		if owner[v] < owner[v-1] {
@@ -82,7 +137,11 @@ func TestPartitionBFSBeatsStriping(t *testing.T) {
 		t.Fatal(err)
 	}
 	const s = 8
-	owner := Partition(g, s)
+	perm, off := BlockOrder(g, g.Size()/s)
+	if len(off)-1 != s {
+		t.Fatalf("BlockOrder cut %d blocks, want %d", len(off)-1, s)
+	}
+	owner := blockOwner(g.Size(), perm, off)
 	checkPartition(t, owner, s)
 
 	// Striped assignment v % s: expected cut fraction (s-1)/s ≈ 0.875 on a
@@ -93,13 +152,13 @@ func TestPartitionBFSBeatsStriping(t *testing.T) {
 	for v := range striped {
 		striped[v] = int32(v % s)
 	}
-	bfsCut, stripedCut := CutFraction(g, owner), CutFraction(g, striped)
+	bfsCut, stripedCut := cutFraction(g, owner), cutFraction(g, striped)
 	if bfsCut > stripedCut {
 		t.Fatalf("BFS cut %.3f worse than striped %.3f", bfsCut, stripedCut)
 	}
 
 	// Determinism: same graph, same s, same assignment.
-	again := Partition(g, s)
+	again := bfsBlocks(g, s)
 	for v := range owner {
 		if owner[v] != again[v] {
 			t.Fatalf("partition not deterministic at node %d", v)
@@ -122,70 +181,20 @@ func TestPartitionBFSLocalityOnTorusCSR(t *testing.T) {
 	}
 	g := newCSR("torus-csr", rows*cols, edges)
 	const s = 8
-	owner := Partition(g, s)
+	perm, off := BlockOrder(g, g.Size()/s)
+	if len(off)-1 != s {
+		t.Fatalf("BlockOrder cut %d blocks, want %d", len(off)-1, s)
+	}
+	owner := blockOwner(g.Size(), perm, off)
 	checkPartition(t, owner, s)
 	striped := make([]int32, g.Size())
 	for v := range striped {
 		striped[v] = int32(v % s)
 	}
-	bfsCut, stripedCut := CutFraction(g, owner), CutFraction(g, striped)
+	bfsCut, stripedCut := cutFraction(g, owner), cutFraction(g, striped)
 	// Measured: BFS ≈ 0.16 vs striped 0.50 (the ideal rectangular band is
 	// 0.125; BFS frontiers are ragged). Require at least a 2× win.
 	if bfsCut > stripedCut/2 {
 		t.Fatalf("BFS cut %.3f on torus CSR, want < %.3f (striped/2, striped=%.3f)", bfsCut, stripedCut/2, stripedCut)
 	}
-}
-
-// TestPartitionAligned pins the cluster-alignment contract the decentralized
-// sharded engine relies on: no group straddles shards, singletons (< 0
-// entries) spread for balance, and the assignment is deterministic.
-func TestPartitionAligned(t *testing.T) {
-	// 40 nodes: four groups of 8 rooted at 0, 8, 16, 24, plus 8 singletons.
-	group := make([]int32, 40)
-	for v := range group {
-		if v < 32 {
-			group[v] = int32(v / 8 * 8)
-		} else {
-			group[v] = -1
-		}
-	}
-	for _, s := range []int{1, 2, 3, 5} {
-		owner := PartitionAligned(group, s)
-		if len(owner) != len(group) {
-			t.Fatalf("s=%d: owner length %d, want %d", s, len(owner), len(group))
-		}
-		for v, g := range group {
-			if owner[v] < 0 || int(owner[v]) >= s {
-				t.Fatalf("s=%d: node %d has owner %d outside [0, %d)", s, v, owner[v], s)
-			}
-			if g >= 0 && owner[v] != owner[g] {
-				t.Fatalf("s=%d: node %d (group %d) on shard %d, group root on %d — group straddles shards", s, v, g, owner[v], owner[g])
-			}
-		}
-		again := PartitionAligned(group, s)
-		for v := range owner {
-			if owner[v] != again[v] {
-				t.Fatalf("s=%d: PartitionAligned not deterministic at node %d", s, v)
-			}
-		}
-	}
-	// Greedy least-loaded placement keeps shard loads within one group size.
-	owner := PartitionAligned(group, 2)
-	load := make([]int, 2)
-	for _, b := range owner {
-		load[b]++
-	}
-	if diff := load[0] - load[1]; diff < -8 || diff > 8 {
-		t.Fatalf("shard loads %v differ by more than one group", load)
-	}
-}
-
-// TestPartitionAlignedAllSingletons checks the degenerate all-singleton
-// input balances like a plain partition.
-func TestPartitionAlignedAllSingletons(t *testing.T) {
-	group := make([]int32, 17)
-	for v := range group {
-		group[v] = -1
-	}
-	checkPartition(t, PartitionAligned(group, 4), 4)
 }
