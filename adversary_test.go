@@ -90,6 +90,7 @@ func adversaryGoldenMatrix() []struct {
 	adv      AdversarySpec
 } {
 	crash := AdversarySpec{Kind: AdversaryCrash, Fraction: 0.2, Rate: 1, At: 2}
+	oneShot := AdversarySpec{Kind: AdversaryCrash, Fraction: 0.2, At: 2}
 	drop := AdversarySpec{Kind: AdversaryDrop, Fraction: 0.3}
 	byz := AdversarySpec{Kind: AdversaryByzantine, Fraction: 0.15}
 	delay := AdversarySpec{Kind: AdversaryDelay, Fraction: 0.5, Rate: 2}
@@ -98,7 +99,7 @@ func adversaryGoldenMatrix() []struct {
 		adv      AdversarySpec
 	}
 	for _, p := range []string{"leader", "decentralized", "sync", "3-majority"} {
-		kinds := []AdversarySpec{crash, drop, byz}
+		kinds := []AdversarySpec{crash, oneShot, drop, byz}
 		if p == "leader" || p == "decentralized" {
 			kinds = append(kinds, delay)
 		}
@@ -123,17 +124,21 @@ func adversaryGoldenSpec(adv AdversarySpec) Spec {
 //	PLURALITY_GOLDEN_RECORD=1 go test -run TestAdversaryGolden -v .
 var adversaryGolden = map[string]string{
 	"3-majority/byzantine(f=0.15)":    "b629ee7d5e23a884d573179db02870113219077cde33e8bfbeffa6ae488f8597",
+	"3-majority/crash(f=0.2)":         "b0093e79a654fa1743e3b4a75667d14a06cc6955b692f0c325170dd78a2afff8",
 	"3-majority/crash(f=0.2,r=1)":     "e6bfb542fe0d8d10c784900f9b637368c4fa9edc388191c6b64730c19e5acd34",
 	"3-majority/drop(f=0.3)":          "2254253292e3586ca390c00cb506c48e80f230f55d6fd0cc864f3f13808092a4",
 	"decentralized/byzantine(f=0.15)": "b3415ee9b8f293543863f85134da2379032e9813a1ebe3ccc4f5238f5d2cf8a4",
+	"decentralized/crash(f=0.2)":      "f3a7a97461222fd3472fffea0183ff20ed2ca6a76377d4fc979b559c92c1b3b4",
 	"decentralized/crash(f=0.2,r=1)":  "8fef3d64cb7a1d13f5466462139040f462bc7686d907a5f5a894bd9db49ad481",
 	"decentralized/delay(f=0.5,x2)":   "6a2f17f22e979c2d7c22a15e25e542cf54ca9b83c8baeaf74a2b0acc5dda00e4",
 	"decentralized/drop(f=0.3)":       "a941935e723102e7667908088992d5d0cdc8eed1bce9d555b4bef44237b6c95e",
 	"leader/byzantine(f=0.15)":        "47daa6b5011229b4dc6a869f17a771cd2cc63e588abe74cc5e403ef878c6506b",
+	"leader/crash(f=0.2)":             "b68d3a7c2e3a50c794eb54a6390af4f56fe2c2445e98494514e1f595f9c39e21",
 	"leader/crash(f=0.2,r=1)":         "16ca3e32df4b3ae579f762f19f5bc25a42c79895cd93f2ba2639086f7517ff8b",
 	"leader/delay(f=0.5,x2)":          "cdd589fbbd7a05b06f03d11351edba38e4f84087c1cfacc1dc83a7ed92054a45",
 	"leader/drop(f=0.3)":              "f72e0e61d6e63977d0bc82cbcb01f6141ef76a62ad859c24e56a6b07f8f71105",
 	"sync/byzantine(f=0.15)":          "3e167fda88ed589bab65006f01ff8a80666028ef8e4926a7d5b879f2426b781b",
+	"sync/crash(f=0.2)":               "aca483ac065d050cd0a3a96751e7ecb8129650e4e52e40af609d125bdd875d31",
 	"sync/crash(f=0.2,r=1)":           "9469d6ed882c14e57aca59ea2bd091dec8eaa98300b96e365e765d5d1ad76c9f",
 	"sync/drop(f=0.3)":                "ab21dc27c3d8c9758f1396f05c781178c2e290ec9d579c966d0fe629c4930131",
 }
