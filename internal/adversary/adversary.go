@@ -172,18 +172,18 @@ func (s *State) Victims() []int { return s.victims }
 func (s *State) Churning() bool { return s.cfg.Kind == Crash && s.cfg.Rate > 0 }
 
 // NextCrashAt returns the time of the next crash/churn action, or -1 when
-// the adversary has none pending (non-crash kinds, or an empty pool).
+// the adversary has none pending (non-crash kinds, an empty pool, or a
+// one-shot crash that has already fired).
 func (s *State) NextCrashAt() float64 {
-	if s.cfg.Kind != Crash || len(s.victims) == 0 {
+	if s.cfg.Kind != Crash || len(s.victims) == 0 || (!s.Churning() && s.Counters.Crashes > 0) {
 		return -1
 	}
 	return s.nextAt
 }
 
 // NextVictim returns the victim of the current churn toggle and advances the
-// churn cursor and next-toggle time (Exp(Rate) gap). The engine decides the
-// toggle's direction — crash if alive, recover if crashed — and reports it
-// back through NoteCrash/NoteRecovery.
+// churn cursor and next-toggle time (Exp(Rate) gap). The toggle crashes the
+// victim if it is up and recovers it otherwise (see Crashes.Apply).
 func (s *State) NextVictim() int {
 	v := s.victims[s.cursor]
 	s.cursor = (s.cursor + 1) % len(s.victims)
@@ -229,11 +229,6 @@ func (s *State) Lie(node int, col int32) int32 {
 	s.Counters.Lies++
 	return s.lieTarget
 }
-
-// NoteCrash and NoteRecovery record the direction the engine resolved a
-// churn toggle (or one-shot crash) to.
-func (s *State) NoteCrash()    { s.Counters.Crashes++ }
-func (s *State) NoteRecovery() { s.Counters.Recoveries++ }
 
 // EncodeState serializes the mutable adversary state — generator words,
 // churn cursor and next-toggle time, lie target, counters — into w. The

@@ -5,7 +5,6 @@ import (
 
 	"plurality/internal/adversary"
 	"plurality/internal/opinion"
-	"plurality/internal/xrand"
 )
 
 // This file is the baseline runners' adversary support (crash/churn, drop,
@@ -13,138 +12,58 @@ import (
 // complete sample vector, so a contact that fails — the partner crashed or
 // the reply was dropped — aborts the node's update for that activation: no
 // information means no move. Byzantine liars misreport their color in the
-// sample vector. Crash state (flags, alive count) belongs to the runner; the
-// adversary only decides which node toggles when. Honest runs carry a nil
-// *advState and are byte-untouched.
+// sample vector. The crash set and its churn schedule live in
+// internal/adversary. Honest runs carry a nil adversary and are
+// byte-untouched.
 
-// advState bundles the runner-owned crash bookkeeping with the adversary.
-type advState struct {
-	adv     *adversary.State
-	crashed []bool
-	aliveN  int
-}
-
-// newAdversary constructs the run's adversary, or nil when the config
-// disables it. The adversary draws from a private generator seeded
-// independently of the run's root stream, so honest draws are untouched.
-func newAdversary(cfg *Config, cols []opinion.Opinion) (*advState, error) {
-	if cfg.Adv.Kind == adversary.None {
-		return nil, nil
-	}
-	adv, err := adversary.New(cfg.Adv, xrand.New(cfg.Adv.Seed))
+// startAdversary builds a round-based run's adversary and, when there is
+// one, its crash set.
+func startAdversary(cfg *Config, cols []opinion.Opinion) (*adversary.State, adversary.Crashes, error) {
+	adv, err := adversary.Start(cfg.Adv, cfg.N, opinion.CountOf(cols, cfg.K), false)
 	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
+		return nil, adversary.Crashes{}, fmt.Errorf("baseline: %w", err)
 	}
-	if _, second := opinion.CountOf(cols, cfg.K).TopTwo(); second >= 0 {
-		adv.SetLieTarget(int32(second))
+	if adv == nil {
+		return nil, adversary.Crashes{}, nil
 	}
-	return &advState{adv: adv, crashed: make([]bool, cfg.N), aliveN: cfg.N}, nil
-}
-
-// applyCrash runs every crash action due at or before round `now`: the
-// one-shot fail-stop of the pool, or all pending churn toggles. Rounds are
-// the runners' clock, so At/Exp(Rate) gaps are measured in rounds here.
-func (ad *advState) applyCrash(now float64) {
-	adv := ad.adv
-	if adv.Kind() != adversary.Crash {
-		return
-	}
-	if !adv.Churning() {
-		if c := adv.Counters; c.Crashes == 0 && now >= adv.NextCrashAt() {
-			for _, v := range adv.Victims() {
-				ad.crashNode(v)
-			}
-		}
-		return
-	}
-	for {
-		at := adv.NextCrashAt()
-		if at < 0 || at > now {
-			return
-		}
-		v := adv.NextVictim()
-		if ad.crashed[v] {
-			ad.crashed[v] = false
-			ad.aliveN++
-			adv.NoteRecovery()
-		} else {
-			ad.crashNode(v)
-		}
-	}
-}
-
-func (ad *advState) crashNode(v int) {
-	if ad.crashed[v] {
-		return
-	}
-	ad.crashed[v] = true
-	ad.aliveN--
-	ad.adv.NoteCrash()
+	return adv, adversary.NewCrashes(cfg.N), nil
 }
 
 // observe fills the sample vector with the adversary's view of node v's
 // drawn partners and reports whether the activation may proceed. A crashed
 // activator keeps its state, and a single failed contact — crashed partner
 // or dropped reply — aborts the whole update: no information means no move.
-func (ad *advState) observe(cols []opinion.Opinion, v int,
+func observe(adv *adversary.State, down []bool, cols []opinion.Opinion, v int,
 	out []int32, samples []opinion.Opinion) bool {
-	if ad.crashed[v] {
+	if down[v] {
 		return false
 	}
 	for i := range samples {
 		u := int(out[i])
-		if ad.crashed[u] || ad.adv.DropMessage() {
+		if down[u] || adv.DropMessage() {
 			return false
 		}
-		samples[i] = opinion.Opinion(ad.adv.Lie(u, int32(cols[u])))
+		samples[i] = opinion.Opinion(adv.Lie(u, int32(cols[u])))
 	}
 	return true
 }
 
-// monochromaticAlive reports whether all non-crashed nodes share one decided
-// color; with a crash adversary consensus is evaluated over the survivors.
-func (ad *advState) monochromaticAlive(cols []opinion.Opinion) bool {
-	var seen opinion.Opinion = opinion.None
-	for v, c := range cols {
-		if ad.crashed[v] {
-			continue
-		}
-		if c == opinion.None {
-			return false
-		}
-		if seen == opinion.None {
-			seen = c
-		} else if c != seen {
-			return false
-		}
-	}
-	return true
-}
-
-// done evaluates the runners' termination test: survivor consensus under a
-// crash adversary, plain consensus otherwise. ad may be nil.
-func (ad *advState) done(cols []opinion.Opinion, k int) bool {
-	if ad == nil {
+// settled is the runners' termination test: consensus among the survivors,
+// which is every node in an honest run (adv nil).
+func settled(cols []opinion.Opinion, k int, adv *adversary.State, crash *adversary.Crashes) bool {
+	if adv == nil {
 		return monochromatic(cols, k)
 	}
-	return ad.aliveN > 0 && ad.monochromaticAlive(cols)
+	_, ok := crash.Winner(func(v int) opinion.Opinion { return cols[v] })
+	return ok
 }
 
-// patchOutcome rewrites the count-based Outcome for survivor consensus:
-// crashed nodes hold stale colors, so the recorder cannot see the winner.
-func (ad *advState) patchOutcome(res *Result, cols []opinion.Opinion, plurality opinion.Opinion) {
-	res.AdvCounters = ad.adv.Counters
-	if ad.adv.Kind() != adversary.Crash || res.Outcome.FullConsensus ||
-		ad.aliveN <= 0 || !ad.monochromaticAlive(cols) {
-		return
-	}
-	for v, c := range cols {
-		if !ad.crashed[v] {
-			res.Outcome.Winner = c
-			break
-		}
-	}
-	res.Outcome.FullConsensus = true
-	res.Outcome.ConsensusTime = float64(res.Rounds)
-	res.Outcome.PluralityWon = res.Outcome.Winner == plurality
+// finishAdversarial records the adversary's counters and patches the outcome
+// for consensus among the survivors, which the count-based outcome cannot
+// see because crashed nodes keep stale colors.
+func finishAdversarial(res *Result, adv *adversary.State, crash *adversary.Crashes,
+	cols []opinion.Opinion, plurality opinion.Opinion) {
+	res.AdvCounters = adv.Counters
+	crash.SurvivorConsensus(&res.Outcome, func(v int) opinion.Opinion { return cols[v] },
+		float64(res.Rounds), plurality)
 }

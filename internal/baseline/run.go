@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"plurality/internal/adversary"
@@ -128,12 +127,6 @@ func (cfg *Config) normalize() error {
 		return fmt.Errorf("baseline: %w", err)
 	}
 	cfg.Topo = tp
-	if cfg.Adv.Kind == adversary.Delay {
-		return errors.New("baseline: the delay adversary needs message latency; round-based runners reject it")
-	}
-	if cfg.Adv.Kind != adversary.None {
-		cfg.Adv.N = cfg.N
-	}
 	return nil
 }
 
@@ -173,7 +166,7 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 	}
 	rng := xrand.New(cfg.Seed)
 	cols, plurality := initialState(&cfg, rng)
-	ad, err := newAdversary(&cfg, cols)
+	adv, crash, err := startAdversary(&cfg, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +179,7 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 	stepRNG := rng.SplitNamed("steps")
 	startRound := 1
 	if ck := cfg.Ckpt; ck.Restoring() {
-		st := &roundsState{cols: cols, stepRNG: stepRNG, rule: rule, rec: rec, ad: ad}
+		st := &roundsState{cols: cols, stepRNG: stepRNG, rule: rule, rec: rec, adv: adv, crash: &crash}
 		round, rounds, err := restoreRounds(ck.Restore, st, cfg.K, ck.Perturb)
 		if err != nil {
 			return nil, err
@@ -212,8 +205,8 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 		if cfg.cancelled() {
 			return nil, cfg.Ctx.Err()
 		}
-		if ad != nil {
-			ad.applyCrash(float64(round))
+		if adv != nil {
+			crash.Apply(adv, float64(round), nil)
 		}
 		for base := 0; base < cfg.N; base += chunk {
 			m := chunk
@@ -229,9 +222,9 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 			bs.SampleNeighbors(stepRNG, vs, out)
 			for i := 0; i < m; i++ {
 				v := base + i
-				if ad != nil {
+				if adv != nil {
 					next[v] = cols[v]
-					if ad.observe(cols, v, out[i*nSamples:(i+1)*nSamples], samples) {
+					if observe(adv, crash.Down, cols, v, out[i*nSamples:(i+1)*nSamples], samples) {
 						next[v] = rule.Update(cols[v], samples)
 					}
 					continue
@@ -244,13 +237,13 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 		}
 		cols, next = next, cols
 		res.Rounds = round
-		done := ad.done(cols, cfg.K)
+		done := settled(cols, cfg.K, adv, &crash)
 		if round%cfg.RecordEvery == 0 || done {
 			record(round)
 		}
 		if ck := cfg.Ckpt; ck.Capturing() && !captured && !done && float64(round) >= ck.At {
 			st := &roundsState{tick: round, rounds: res.Rounds, cols: cols,
-				stepRNG: stepRNG, rule: rule, rec: rec, ad: ad}
+				stepRNG: stepRNG, rule: rule, rec: rec, adv: adv, crash: &crash}
 			ck.Sink(captureRounds(st), float64(round), 0)
 			captured = true
 			if ck.Halt {
@@ -264,8 +257,8 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 	res.FinalCounts = opinion.CountOf(cols, cfg.K)
 	res.Trajectory = rec.Trajectory()
 	res.Outcome = rec.Outcome(res.FinalCounts, plurality)
-	if ad != nil {
-		ad.patchOutcome(res, cols, plurality)
+	if adv != nil {
+		finishAdversarial(res, adv, &crash, cols, plurality)
 	}
 	return res, nil
 }
@@ -280,7 +273,7 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 	}
 	rng := xrand.New(cfg.Seed)
 	cols, plurality := initialState(&cfg, rng)
-	ad, err := newAdversary(&cfg, cols)
+	adv, crash, err := startAdversary(&cfg, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +285,7 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 	stepRNG := rng.SplitNamed("steps")
 	startIt := 1
 	if ck := cfg.Ckpt; ck.Restoring() {
-		st := &roundsState{cols: cols, stepRNG: stepRNG, rule: rule, rec: rec, ad: ad}
+		st := &roundsState{cols: cols, stepRNG: stepRNG, rule: rule, rec: rec, adv: adv, crash: &crash}
 		it, rounds, err := restoreRounds(ck.Restore, st, cfg.K, ck.Perturb)
 		if err != nil {
 			return nil, err
@@ -315,8 +308,8 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 		// The activated node's draw and its own update feed the next
 		// interaction's reads, so batching stops at the interaction
 		// boundary: one bulk call for the S sample draws.
-		if ad != nil {
-			ad.applyCrash(float64(it) / float64(cfg.N))
+		if adv != nil {
+			crash.Apply(adv, float64(it)/float64(cfg.N), nil)
 		}
 		v := stepRNG.Intn(cfg.N)
 		vs, out := sc.Buffers(nSamples)
@@ -324,8 +317,8 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 			vs[i] = int32(v)
 		}
 		bs.SampleNeighbors(stepRNG, vs, out)
-		if ad != nil {
-			if ad.observe(cols, v, out, samples) {
+		if adv != nil {
+			if observe(adv, crash.Down, cols, v, out, samples) {
 				cols[v] = rule.Update(cols[v], samples)
 			}
 		} else {
@@ -339,12 +332,12 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 			round := float64(it) / float64(cfg.N)
 			res.Rounds = int(round)
 			record(round)
-			done = ad.done(cols, cfg.K)
+			done = settled(cols, cfg.K, adv, &crash)
 		}
 		if ck := cfg.Ckpt; ck.Capturing() && !captured && !done &&
 			float64(it) >= ck.At*float64(cfg.N) {
 			st := &roundsState{tick: it, rounds: res.Rounds, cols: cols,
-				stepRNG: stepRNG, rule: rule, rec: rec, ad: ad}
+				stepRNG: stepRNG, rule: rule, rec: rec, adv: adv, crash: &crash}
 			ck.Sink(captureRounds(st), float64(it)/float64(cfg.N), 0)
 			captured = true
 			if ck.Halt {
@@ -358,8 +351,8 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 	res.FinalCounts = opinion.CountOf(cols, cfg.K)
 	res.Trajectory = rec.Trajectory()
 	res.Outcome = rec.Outcome(res.FinalCounts, plurality)
-	if ad != nil {
-		ad.patchOutcome(res, cols, plurality)
+	if adv != nil {
+		finishAdversarial(res, adv, &crash, cols, plurality)
 	}
 	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"plurality/internal/adversary"
 	"plurality/internal/metrics"
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
@@ -61,7 +62,8 @@ type roundsState struct {
 	stepRNG *xrand.RNG
 	rule    Rule
 	rec     *metrics.Recorder
-	ad      *advState // nil for honest runs
+	adv     *adversary.State // nil for honest runs
+	crash   *adversary.Crashes
 }
 
 // captureRounds serializes a round-based run at a scheduler boundary.
@@ -76,10 +78,9 @@ func captureRounds(st *roundsState) []byte {
 	// Adversarial runs append the crash flags and the adversary state; the
 	// suffix's presence is a pure function of the Config, so capture and
 	// restore agree on it and honest blobs decode unchanged.
-	if st.ad != nil {
-		w.Bools(st.ad.crashed)
-		w.Int(st.ad.aliveN)
-		st.ad.adv.EncodeState(w)
+	if st.adv != nil {
+		st.crash.Encode(w)
+		st.adv.EncodeState(w)
 	}
 	return w.Bytes()
 }
@@ -104,19 +105,12 @@ func restoreRounds(state []byte, st *roundsState, k int, perturb uint64) (tick, 
 	if err := metrics.DecodeRecorder(r, st.rec); err != nil {
 		return 0, 0, fmt.Errorf("baseline: recorder: %w", err)
 	}
-	var crashed []bool
-	aliveN := len(st.cols)
-	if st.ad != nil {
-		crashed = r.Bools()
-		aliveN = r.Int()
-		if err := st.ad.adv.DecodeState(r); err != nil {
+	if st.adv != nil {
+		if err := st.crash.Decode(r); err != nil {
+			return 0, 0, fmt.Errorf("baseline: crash set: %w", err)
+		}
+		if err := st.adv.DecodeState(r); err != nil {
 			return 0, 0, fmt.Errorf("baseline: adversary state: %w", err)
-		}
-		if len(crashed) != len(st.cols) && r.Err() == nil {
-			return 0, 0, fmt.Errorf("baseline: %w: crash-flag length mismatch", snap.ErrCorrupt)
-		}
-		if aliveN < 0 || aliveN > len(st.cols) {
-			return 0, 0, fmt.Errorf("baseline: %w: alive count %d outside [0, %d]", snap.ErrCorrupt, aliveN, len(st.cols))
 		}
 	}
 	if err := r.Finish(); err != nil {
@@ -129,17 +123,13 @@ func restoreRounds(state []byte, st *roundsState, k int, perturb uint64) (tick, 
 		return 0, 0, fmt.Errorf("baseline: %w: negative scheduler position", snap.ErrCorrupt)
 	}
 	copy(st.cols, cols)
-	if st.ad != nil {
-		copy(st.ad.crashed, crashed)
-		st.ad.aliveN = aliveN
-	}
 	if perturb != 0 {
 		st.stepRNG.Perturb(perturb)
 		if s := ruleStream(st.rule); s != nil {
 			s.Perturb(perturb)
 		}
-		if st.ad != nil {
-			st.ad.adv.Perturb(perturb)
+		if st.adv != nil {
+			st.adv.Perturb(perturb)
 		}
 	}
 	return tick, rounds, nil

@@ -25,6 +25,7 @@ import (
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
 	"plurality/internal/snap"
+	"plurality/internal/stats"
 	"plurality/internal/topo"
 	"plurality/internal/xrand"
 )
@@ -84,18 +85,6 @@ type Config struct {
 	// population estimate then run slow, which stretches phases but must
 	// not break correctness. Must lie in [0, 1).
 	SignalLoss float64
-	// CrashFrac is the fraction of non-leader nodes that fail-stop at
-	// CrashTime — another robustness extension (the paper's §4 motivates
-	// decentralization by resilience but does not model failures). Crashed
-	// nodes stop ticking and become unreadable when sampled. With
-	// CrashFrac > 0, FullConsensus and ConsensusTime in the result refer
-	// to the surviving nodes. Must lie in [0, 1). This is the legacy knob:
-	// it now runs on the shared adversary subsystem (the victim set and its
-	// substream are unchanged, so legacy runs are bit-identical) and is
-	// mutually exclusive with Adv.
-	CrashFrac float64
-	// CrashTime is the virtual time of the crash event (>= 0).
-	CrashTime float64
 	// Adv configures the shared adversary layer (crash/churn, message
 	// delay/drop, Byzantine lying; see internal/adversary). The zero value
 	// disables it; the adversary draws from its own generator, so honest
@@ -160,18 +149,6 @@ func (cfg *Config) normalize() error {
 	if cfg.SignalLoss < 0 || cfg.SignalLoss >= 1 {
 		return fmt.Errorf("leader: SignalLoss %v outside [0,1)", cfg.SignalLoss)
 	}
-	if cfg.CrashFrac < 0 || cfg.CrashFrac >= 1 {
-		return fmt.Errorf("leader: CrashFrac %v outside [0,1)", cfg.CrashFrac)
-	}
-	if cfg.CrashTime < 0 {
-		return fmt.Errorf("leader: negative CrashTime %v", cfg.CrashTime)
-	}
-	if cfg.Adv.Kind != adversary.None {
-		if cfg.CrashFrac > 0 {
-			return fmt.Errorf("leader: legacy CrashFrac and Adv are mutually exclusive")
-		}
-		cfg.Adv.N = cfg.N
-	}
 	return nil
 }
 
@@ -188,9 +165,7 @@ func EstimateC1(lat sim.Latency, seed uint64) float64 {
 	for i := range xs {
 		xs[i] = sampleT3(r, lat)
 	}
-	// 0.9-quantile by partial sort: simple nth-element via full sort is
-	// fine at this size but avoid the dependency by counting.
-	return quantile09(xs)
+	return stats.Select(xs, int(0.9*float64(samples)))
 }
 
 // sampleT3 draws one waiting time between two completed operations: the
@@ -201,57 +176,4 @@ func sampleT3(r *xrand.RNG, lat sim.Latency) float64 {
 		return math.Max(lat.Sample(r), lat.Sample(r)) + lat.Sample(r)
 	}
 	return acc() + r.Exp(1) + acc()
-}
-
-func quantile09(xs []float64) float64 {
-	// Selection by repeated partitioning would be overkill; a simple
-	// insertion into a bounded max-heap of the top 10% keeps this O(n log n)
-	// worst case with tiny constants. Use sort-free quickselect.
-	k := int(0.9 * float64(len(xs)))
-	return quickselect(xs, k)
-}
-
-// quickselect returns the k-th smallest element (0-based) of xs, reordering
-// xs in place.
-func quickselect(xs []float64, k int) float64 {
-	lo, hi := 0, len(xs)-1
-	for {
-		if lo == hi {
-			return xs[lo]
-		}
-		// Median-of-three pivot for robustness on sorted inputs.
-		mid := (lo + hi) / 2
-		if xs[mid] < xs[lo] {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
-		}
-		if xs[hi] < xs[lo] {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if xs[hi] < xs[mid] {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		pivot := xs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return xs[k]
-		}
-	}
 }

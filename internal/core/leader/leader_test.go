@@ -2,9 +2,9 @@ package leader
 
 import (
 	"math"
-	"sort"
 	"testing"
 
+	"plurality/internal/adversary"
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
 	"plurality/internal/xrand"
@@ -245,25 +245,6 @@ func TestEstimateC1Deterministic(t *testing.T) {
 	}
 }
 
-func TestQuickselect(t *testing.T) {
-	r := xrand.New(17)
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(200)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Float64()
-		}
-		k := r.Intn(n)
-		cp := make([]float64, n)
-		copy(cp, xs)
-		got := quickselect(xs, k)
-		sort.Float64s(cp)
-		if got != cp[k] {
-			t.Fatalf("quickselect(k=%d) = %v, want %v", k, got, cp[k])
-		}
-	}
-}
-
 func TestLeaderLoadAccounting(t *testing.T) {
 	// §4.5: the designated leader serves Θ(n) requests per time unit —
 	// every node's tick produces a 0-signal plus, per completed operation,
@@ -297,13 +278,16 @@ func TestSignalLossTolerated(t *testing.T) {
 func TestCrashFaultTolerance(t *testing.T) {
 	// 30% of nodes fail-stop mid-run; the survivors must still reach
 	// unanimity on the plurality opinion (consensus semantics are
-	// survivor-relative with CrashFrac > 0).
+	// survivor-relative under the crash adversary).
 	res, err := Run(Config{
 		N: 1000, K: 3, Alpha: 3, Seed: 25,
-		CrashFrac: 0.3, CrashTime: 20,
+		Adv: adversary.Config{Kind: adversary.Crash, Fraction: 0.3, At: 20, Seed: 25},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.AdvCounters.Crashes != 300 {
+		t.Fatalf("%d crashes, want 300", res.AdvCounters.Crashes)
 	}
 	if !res.Outcome.FullConsensus {
 		t.Fatalf("survivors did not converge (timed out %v)", res.TimedOut)
@@ -319,11 +303,14 @@ func TestCrashFaultTolerance(t *testing.T) {
 }
 
 func TestCrashValidation(t *testing.T) {
-	if _, err := Run(Config{N: 100, K: 2, CrashFrac: 1}); err == nil {
-		t.Error("CrashFrac=1 accepted")
+	crash := func(frac, at float64) Config {
+		return Config{N: 100, K: 2, Adv: adversary.Config{Kind: adversary.Crash, Fraction: frac, At: at}}
 	}
-	if _, err := Run(Config{N: 100, K: 2, CrashFrac: 0.1, CrashTime: -1}); err == nil {
-		t.Error("negative CrashTime accepted")
+	if _, err := Run(crash(1, 0)); err == nil {
+		t.Error("crash fraction 1 accepted")
+	}
+	if _, err := Run(crash(0.1, -1)); err == nil {
+		t.Error("negative crash time accepted")
 	}
 }
 

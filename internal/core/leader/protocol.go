@@ -99,9 +99,9 @@ const (
 	// evDeadline is the hard MaxTime watchdog, independent of the recorder
 	// cadence.
 	evDeadline
-	// evCrash is one crash-adversary action: a one-shot fail-stop of the
-	// victim pool, or one churn toggle (see internal/adversary). The legacy
-	// CrashFrac knob schedules the same event, keeping its value stable.
+	// evCrash applies the crash-adversary actions due now: a one-shot
+	// fail-stop of the victim pool, or one churn toggle (see
+	// internal/adversary).
 	evCrash
 	// evAdvDeliver delivers a message the delay adversary held back: A is
 	// the payload-arena slot holding the original event.
@@ -155,11 +155,9 @@ type runState struct {
 	monoAt     float64
 	totalTicks uint64
 
-	// crashed marks fail-stopped nodes; aliveN is the survivor count
-	// against which consensus is detected. The engine owns both — the
-	// adversary only decides which node toggles when (see advCrash).
-	crashed []bool
-	aliveN  int
+	// crash is the run's crash set; consensus is detected against its
+	// survivor count. Honest runs keep every node up.
+	crash adversary.Crashes
 
 	// adv is the run's adversary (nil for honest runs — the nil check is
 	// the only cost the hot path pays) and payload the side-arena delayed
@@ -237,42 +235,19 @@ func Run(cfg Config) (*Result, error) {
 		},
 	}
 	rs.genCount[0] = cfg.N
-	rs.aliveN = cfg.N
 	rs.maxTime = maxTime
-	rs.crashed = make([]bool, cfg.N)
+	rs.crash = adversary.NewCrashes(cfg.N)
 	rs.res.PhaseLog = append(rs.res.PhaseLog,
 		PhaseEvent{Time: 0, Gen: 1, Phase: PhaseTwoChoices})
 	restoring := cfg.Ckpt.Restoring()
-	if cfg.CrashFrac > 0 {
-		// Legacy crash knob, re-expressed on the shared adversary: the
-		// construction generator is the same root substream at the same
-		// position and the victim pool the same Perm prefix, so legacy runs
-		// stay bit-identical (pinned by TestLegacyCrashDigest). The pool is
-		// a deterministic function of the seed, so a restored run recomputes
-		// it instead of carrying it in the blob.
-		adv, err := adversary.New(adversary.Config{
-			Kind: adversary.Crash, Fraction: cfg.CrashFrac,
-			At: cfg.CrashTime, N: cfg.N,
-		}, root.SplitNamed("crash"))
-		if err != nil {
-			return nil, fmt.Errorf("leader: %w", err)
-		}
-		rs.adv = adv
-	} else if cfg.Adv.Kind != adversary.None {
-		// Standalone adversary: a private generator seeded independently of
-		// the root stream, so the honest engine streams are untouched.
-		adv, err := adversary.New(cfg.Adv, xrand.New(cfg.Adv.Seed))
-		if err != nil {
-			return nil, fmt.Errorf("leader: %w", err)
-		}
-		rs.adv = adv
-		if _, second := initCounts.TopTwo(); second >= 0 {
-			adv.SetLieTarget(int32(second))
-		}
+	adv, err := adversary.Start(cfg.Adv, cfg.N, initCounts, true)
+	if err != nil {
+		return nil, fmt.Errorf("leader: %w", err)
 	}
-	if rs.adv != nil {
+	if adv != nil {
+		rs.adv = adv
 		rs.payload = &sim.PayloadArena{}
-		if at := rs.adv.NextCrashAt(); at >= 0 && !restoring {
+		if at := adv.NextCrashAt(); at >= 0 && !restoring {
 			rs.sm.Schedule(at, sim.Event{Kind: evCrash})
 		}
 	}
@@ -367,7 +342,16 @@ func (rs *runState) HandleEvent(ev sim.Event) {
 			rs.sm.Stop()
 		}
 	case evCrash:
-		rs.advCrash()
+		if next := rs.crash.Apply(rs.adv, rs.sm.Now(), rs.noteCrash); next >= 0 {
+			rs.sm.Schedule(next, sim.Event{Kind: evCrash})
+		}
+		// Survivors may already be unanimous.
+		for _, cnt := range rs.colorCount {
+			if cnt == rs.crash.Alive && rs.crash.Alive > 0 && !rs.mono {
+				rs.mono = true
+				rs.monoAt = rs.sm.Now()
+			}
+		}
 	case evAdvDeliver:
 		rs.HandleEvent(rs.payload.Take(ev.A))
 	}
@@ -381,50 +365,14 @@ func (rs *runState) record() {
 	rs.rec.Append(p)
 }
 
-// advCrash applies one crash-adversary action: the one-shot fail-stop of the
-// whole victim pool, or — under churn — one crash/recover toggle followed by
-// scheduling the next one.
-func (rs *runState) advCrash() {
-	if rs.adv.Churning() {
-		v := rs.adv.NextVictim()
-		if rs.crashed[v] {
-			rs.recoverNode(v)
-		} else {
-			rs.crashNode(v)
-		}
-		rs.sm.Schedule(rs.adv.NextCrashAt(), sim.Event{Kind: evCrash})
+// noteCrash moves a crashed (down) or recovered node's color out of or
+// back into the survivor tallies.
+func (rs *runState) noteCrash(v int, down bool) {
+	if down {
+		rs.colorCount[rs.cols[v]]--
 	} else {
-		for _, v := range rs.adv.Victims() {
-			rs.crashNode(v)
-		}
+		rs.colorCount[rs.cols[v]]++
 	}
-	// Survivors may already be unanimous.
-	for _, cnt := range rs.colorCount {
-		if cnt == rs.aliveN && rs.aliveN > 0 && !rs.mono {
-			rs.mono = true
-			rs.monoAt = rs.sm.Now()
-		}
-	}
-}
-
-// crashNode fail-stops node v: it stops acting on ticks and becomes
-// unreadable when sampled, and leaves the survivor tallies.
-func (rs *runState) crashNode(v int) {
-	if rs.crashed[v] {
-		return
-	}
-	rs.crashed[v] = true
-	rs.aliveN--
-	rs.colorCount[rs.cols[v]]--
-	rs.adv.NoteCrash()
-}
-
-// recoverNode rejoins a crashed node with the state it crashed with.
-func (rs *runState) recoverNode(v int) {
-	rs.crashed[v] = false
-	rs.aliveN++
-	rs.colorCount[rs.cols[v]]++
-	rs.adv.NoteRecovery()
 }
 
 // sendMsg schedules a protocol message, giving the delay adversary a chance
@@ -443,7 +391,7 @@ func (rs *runState) sendMsg(d float64, ev sim.Event) {
 
 // tick handles one Poisson tick of node v (Algorithm 2 lines 1-3).
 func (rs *runState) tick(v int) {
-	if rs.mono || rs.crashed[v] {
+	if rs.mono || rs.crash.Down[v] {
 		return
 	}
 	rs.totalTicks++
@@ -474,7 +422,7 @@ func (rs *runState) complete(v, a, b int) {
 	// The event runs atomically, so the lock can drop on entry: it only
 	// gates future tick events.
 	rs.locked[v] = false
-	if rs.mono || rs.crashed[v] {
+	if rs.mono || rs.crash.Down[v] {
 		return
 	}
 	// Reading (gen, prop) is one more request the leader serves.
@@ -483,7 +431,7 @@ func (rs *runState) complete(v, a, b int) {
 	// usable state from them. The drop adversary loses replies the same
 	// way, and Byzantine liars answer with the lie target instead of their
 	// true opinion.
-	aUp, bUp := !rs.crashed[a], !rs.crashed[b]
+	aUp, bUp := !rs.crash.Down[a], !rs.crash.Down[b]
 	colA, colB := rs.cols[a], rs.cols[b]
 	if rs.adv != nil {
 		aUp = aUp && !rs.adv.DropMessage()
@@ -546,7 +494,7 @@ func (rs *runState) setNode(v int, col opinion.Opinion, gen int32) {
 	if old != col {
 		rs.colorCount[old]--
 		rs.colorCount[col]++
-		if rs.colorCount[col] == rs.aliveN && !rs.mono {
+		if rs.colorCount[col] == rs.crash.Alive && !rs.mono {
 			rs.mono = true
 			rs.monoAt = rs.sm.Now()
 		}

@@ -54,8 +54,7 @@ func (rs *runState) capture() ([]byte, error) {
 	w.Bool(rs.mono)
 	w.F64(rs.monoAt)
 	w.U64(rs.totalTicks)
-	w.Bools(rs.crashed)
-	w.Int(rs.aliveN)
+	rs.crash.Encode(w)
 	w.U64(rs.res.TotalLeaderMessages)
 	w.Bool(rs.res.TimedOut)
 	w.Len32(len(rs.res.PhaseLog))
@@ -119,8 +118,9 @@ func (rs *runState) restore(state []byte, perturb uint64) error {
 	mono := r.Bool()
 	monoAt := r.F64()
 	totalTicks := r.U64()
-	crashed := r.Bools()
-	aliveN := r.Int()
+	if err := rs.crash.Decode(r); err != nil {
+		return fmt.Errorf("leader: crash set: %w", err)
+	}
 	leaderMsgs := r.U64()
 	timedOut := r.Bool()
 	nPhases := r.Len32(24)
@@ -147,7 +147,7 @@ func (rs *runState) restore(state []byte, perturb uint64) error {
 	}
 	n := rs.cfg.N
 	if len(cols) != n || len(gens) != n || len(locked) != n || len(seenG) != n ||
-		len(seenP) != n || len(crashed) != n {
+		len(seenP) != n {
 		return fmt.Errorf("leader: %w: node-state length mismatch (blob for a different N?)", snap.ErrCorrupt)
 	}
 	if len(genCount) != len(rs.genCount) || len(propSeen) != len(rs.propSeen) {
@@ -175,8 +175,6 @@ func (rs *runState) restore(state []byte, perturb uint64) error {
 	rs.mono = mono
 	rs.monoAt = monoAt
 	rs.totalTicks = totalTicks
-	rs.crashed = crashed
-	rs.aliveN = aliveN
 	rs.res.TotalLeaderMessages = leaderMsgs
 	rs.res.TimedOut = timedOut
 	rs.res.PhaseLog = phaseLog

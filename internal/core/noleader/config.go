@@ -25,6 +25,7 @@ import (
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
 	"plurality/internal/snap"
+	"plurality/internal/stats"
 	"plurality/internal/topo"
 	"plurality/internal/xrand"
 )
@@ -146,9 +147,6 @@ func (cfg *Config) normalize() error {
 		l := math.Log2(float64(cfg.N))
 		cfg.Eps = 1 / (l * l)
 	}
-	if cfg.Adv.Kind != adversary.None {
-		cfg.Adv.N = cfg.N
-	}
 	return nil
 }
 
@@ -167,53 +165,5 @@ func EstimateC1(lat sim.Latency, seed uint64) float64 {
 	for i := range xs {
 		xs[i] = acc() + r.Exp(1) + acc()
 	}
-	return quantile09(xs)
-}
-
-func quantile09(xs []float64) float64 {
-	k := int(0.9 * float64(len(xs)))
-	return quickselect(xs, k)
-}
-
-// quickselect returns the k-th smallest element (0-based), reordering xs.
-func quickselect(xs []float64, k int) float64 {
-	lo, hi := 0, len(xs)-1
-	for {
-		if lo == hi {
-			return xs[lo]
-		}
-		mid := (lo + hi) / 2
-		if xs[mid] < xs[lo] {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
-		}
-		if xs[hi] < xs[lo] {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if xs[hi] < xs[mid] {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		pivot := xs[mid]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return xs[k]
-		}
-	}
+	return stats.Select(xs, int(0.9*float64(samples)))
 }

@@ -237,24 +237,6 @@ func TestEstimateC1MultiAboveSingle(t *testing.T) {
 	}
 }
 
-func TestQuickselectAgainstSort(t *testing.T) {
-	r := xrand.New(3)
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + r.Intn(100)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Norm()
-		}
-		cp := make([]float64, n)
-		copy(cp, xs)
-		sort.Float64s(cp)
-		k := r.Intn(n)
-		if got := quickselect(xs, k); got != cp[k] {
-			t.Fatalf("quickselect(k=%d) = %v, want %v", k, got, cp[k])
-		}
-	}
-}
-
 func BenchmarkRunN1500(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(Config{N: 1500, K: 3, Alpha: 2.5, Seed: uint64(i)}); err != nil {

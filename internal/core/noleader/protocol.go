@@ -174,8 +174,7 @@ func Run(cfg Config) (*Result, error) {
 		tmpGen:    make([]int32, cfg.N),
 		tmpState:  make([]int8, cfg.N),
 		counts:    initCounts,
-		crashed:   make([]bool, cfg.N),
-		aliveN:    cfg.N,
+		crash:     adversary.NewCrashes(cfg.N),
 		leaderIdx: make([]int32, cfg.N),
 		gStar:     gStar,
 		plurality: opinion.Opinion(pl),
@@ -218,18 +217,13 @@ func Run(cfg Config) (*Result, error) {
 		return rs.res, nil
 	}
 
-	if cfg.Adv.Kind != adversary.None {
-		// The adversary draws from a private generator seeded independently
-		// of the root stream, so the honest engine streams are untouched.
-		adv, err := adversary.New(cfg.Adv, xrand.New(cfg.Adv.Seed))
-		if err != nil {
-			return nil, fmt.Errorf("noleader: %w", err)
-		}
+	adv, err := adversary.Start(cfg.Adv, cfg.N, initCounts, true)
+	if err != nil {
+		return nil, fmt.Errorf("noleader: %w", err)
+	}
+	if adv != nil {
 		rs.adv = adv
 		rs.payload = &sim.PayloadArena{}
-		if _, second := initCounts.TopTwo(); second >= 0 {
-			adv.SetLieTarget(int32(second))
-		}
 		if at := adv.NextCrashAt(); at >= 0 && restoreR == nil {
 			rs.sm.Schedule(at, sim.Event{Kind: evCrash})
 		}
@@ -282,16 +276,11 @@ func Run(cfg Config) (*Result, error) {
 	if rs.mono {
 		rs.res.Outcome.FullConsensus = true
 		rs.res.Outcome.ConsensusTime = rs.monoAt
-		if rs.aliveN < cfg.N && rs.aliveN > 0 {
+		if rs.crash.Alive < cfg.N && rs.crash.Alive > 0 {
 			// Survivor consensus: crashed nodes hold stale colors, so the
 			// count-based Outcome cannot see the winner; read it off the
 			// first survivor instead.
-			for v := 0; v < cfg.N; v++ {
-				if !rs.crashed[v] {
-					rs.res.Outcome.Winner = rs.cols[v]
-					break
-				}
-			}
+			rs.res.Outcome.Winner, _ = rs.crash.Winner(func(v int) opinion.Opinion { return rs.cols[v] })
 			rs.res.Outcome.PluralityWon = rs.res.Outcome.Winner == rs.plurality
 		}
 	}

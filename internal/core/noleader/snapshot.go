@@ -84,8 +84,7 @@ func (rs *consensusState) capture() ([]byte, error) {
 	// the Config, so capture and restore agree on it and honest blobs
 	// decode unchanged.
 	if rs.adv != nil {
-		w.Bools(rs.crashed)
-		w.Int(rs.aliveN)
+		rs.crash.Encode(w)
 		rs.adv.EncodeState(w)
 		rs.payload.EncodeState(w)
 	}
@@ -159,22 +158,15 @@ func (rs *consensusState) restore(r *snap.Reader, perturb uint64) error {
 	if err := metrics.DecodeRecorder(r, rs.rec); err != nil {
 		return fmt.Errorf("noleader: recorder: %w", err)
 	}
-	var crashed []bool
-	aliveN := rs.cfg.N
 	if rs.adv != nil {
-		crashed = r.Bools()
-		aliveN = r.Int()
+		if err := rs.crash.Decode(r); err != nil {
+			return fmt.Errorf("noleader: crash set: %w", err)
+		}
 		if err := rs.adv.DecodeState(r); err != nil {
 			return fmt.Errorf("noleader: adversary state: %w", err)
 		}
 		if err := rs.payload.DecodeState(r); err != nil {
 			return fmt.Errorf("noleader: delayed messages: %w", err)
-		}
-		if len(crashed) != rs.cfg.N && r.Err() == nil {
-			return fmt.Errorf("noleader: %w: crash-flag length mismatch", snap.ErrCorrupt)
-		}
-		if aliveN < 0 || aliveN > rs.cfg.N {
-			return fmt.Errorf("noleader: %w: alive count %d outside [0, %d]", snap.ErrCorrupt, aliveN, rs.cfg.N)
 		}
 	}
 	if err := r.Finish(); err != nil {
@@ -210,10 +202,6 @@ func (rs *consensusState) restore(r *snap.Reader, perturb uint64) error {
 	rs.phase = phase
 	rs.res.TotalLeaderMessages = leaderMsgs
 	rs.res.TimedOut = timedOut
-	if rs.adv != nil {
-		copy(rs.crashed, crashed)
-		rs.aliveN = aliveN
-	}
 	if perturb != 0 {
 		rs.smp.Perturb(perturb)
 		rs.latR.Perturb(perturb)

@@ -88,12 +88,9 @@ type consensusState struct {
 	mono      bool
 	monoAt    float64
 
-	// crashed marks fail-stopped nodes; aliveN is the survivor count
-	// against which consensus is detected. The engine owns both — the
-	// adversary only decides which node toggles when (see advCrash).
-	// Honest runs keep every flag false and aliveN == N.
-	crashed []bool
-	aliveN  int
+	// crash is the run's crash set; consensus is detected against its
+	// survivor count. Honest runs keep every node up.
+	crash adversary.Crashes
 
 	// adv is the run's adversary (nil for honest runs — the nil check is
 	// the only cost the hot path pays) and payload the side-arena delayed
@@ -152,57 +149,31 @@ func (rs *consensusState) HandleEvent(ev sim.Event) {
 			rs.sm.Stop()
 		}
 	case evCrash:
-		rs.advCrash()
+		if next := rs.crash.Apply(rs.adv, rs.sm.Now(), rs.noteCrash); next >= 0 {
+			rs.sm.Schedule(next, sim.Event{Kind: evCrash})
+		}
+		// Survivors may already be unanimous.
+		for _, cnt := range rs.counts {
+			if cnt == rs.crash.Alive && rs.crash.Alive > 0 && !rs.mono {
+				rs.mono = true
+				rs.monoAt = rs.sm.Now()
+			}
+		}
 	case evAdvDeliver:
 		rs.HandleEvent(rs.payload.Take(ev.A))
 	}
 }
 
-// advCrash applies one crash-adversary action: the one-shot fail-stop of the
-// whole victim pool, or — under churn — one crash/recover toggle followed by
-// scheduling the next one.
-func (rs *consensusState) advCrash() {
-	if rs.adv.Churning() {
-		v := rs.adv.NextVictim()
-		if rs.crashed[v] {
-			rs.recoverNode(v)
-		} else {
-			rs.crashNode(v)
-		}
-		rs.sm.Schedule(rs.adv.NextCrashAt(), sim.Event{Kind: evCrash})
+// noteCrash moves a crashed (down) or recovered node's color out of or
+// back into the survivor tally. A crashed node also stops acting on ticks,
+// cannot be read when sampled and, if it is a cluster leader, stops
+// serving signals until it recovers.
+func (rs *consensusState) noteCrash(v int, down bool) {
+	if down {
+		rs.counts[rs.cols[v]]--
 	} else {
-		for _, v := range rs.adv.Victims() {
-			rs.crashNode(v)
-		}
+		rs.counts[rs.cols[v]]++
 	}
-	// Survivors may already be unanimous.
-	for _, cnt := range rs.counts {
-		if cnt == rs.aliveN && rs.aliveN > 0 && !rs.mono {
-			rs.mono = true
-			rs.monoAt = rs.sm.Now()
-		}
-	}
-}
-
-// crashNode fail-stops node v: it stops acting on ticks, becomes unreadable
-// when sampled and — if it is a cluster leader — stops serving signals; its
-// color leaves the survivor tally.
-func (rs *consensusState) crashNode(v int) {
-	if rs.crashed[v] {
-		return
-	}
-	rs.crashed[v] = true
-	rs.aliveN--
-	rs.counts[rs.cols[v]]--
-	rs.adv.NoteCrash()
-}
-
-// recoverNode rejoins a crashed node with the state it crashed with.
-func (rs *consensusState) recoverNode(v int) {
-	rs.crashed[v] = false
-	rs.aliveN++
-	rs.counts[rs.cols[v]]++
-	rs.adv.NoteRecovery()
 }
 
 // sendMsg schedules a protocol message, giving the delay adversary a chance
@@ -284,7 +255,7 @@ func (rs *consensusState) leaderMessage(li int32) {
 // (Algorithm 5).
 func (rs *consensusState) signal(l int, i int, s LeaderStateKind, hasChanged bool) {
 	li := rs.leaderIdx[l]
-	if li < 0 || rs.crashed[l] {
+	if li < 0 || rs.crash.Down[l] {
 		return // crashed leaders serve nothing until they recover
 	}
 	rs.leaderMessage(li)
@@ -356,10 +327,10 @@ func (rs *consensusState) setNode(v int, col opinion.Opinion, gen int32) {
 	if old != col {
 		rs.counts[old]--
 		rs.counts[col]++
-		// counts tallies survivors only (crashNode removes a victim's
+		// counts tallies survivors only (noteCrash removes a victim's
 		// color), so unanimity is detected against aliveN; honest runs
 		// have aliveN == N and behave exactly as before.
-		if rs.counts[col] == rs.aliveN && rs.aliveN > 0 && !rs.mono {
+		if rs.counts[col] == rs.crash.Alive && rs.crash.Alive > 0 && !rs.mono {
 			rs.mono = true
 			rs.monoAt = rs.sm.Now()
 		}
@@ -368,7 +339,7 @@ func (rs *consensusState) setNode(v int, col opinion.Opinion, gen int32) {
 
 // tick handles one Poisson tick of node v (Algorithm 4).
 func (rs *consensusState) tick(v int) {
-	if rs.mono || rs.crashed[v] {
+	if rs.mono || rs.crash.Down[v] {
 		return
 	}
 	myLeader := int(rs.cl.LeaderOf[v])
@@ -403,7 +374,7 @@ func (rs *consensusState) complete(v, v1, v2, v3, myLeader int, participates boo
 	// The event runs atomically, so the lock can drop on entry: it only
 	// gates future tick events.
 	rs.locked[v] = false
-	if rs.mono || rs.crashed[v] {
+	if rs.mono || rs.crash.Down[v] {
 		return
 	}
 	// Adversary view of the three sampled partners: a crashed or dropped
@@ -411,7 +382,7 @@ func (rs *consensusState) complete(v, v1, v2, v3, myLeader int, participates boo
 	// their color (generations stay truthful — lying about freshness is a
 	// different adversary). Honest runs see every partner up with its true
 	// color.
-	u1Up, u2Up, u3Up := !rs.crashed[v1], !rs.crashed[v2], !rs.crashed[v3]
+	u1Up, u2Up, u3Up := !rs.crash.Down[v1], !rs.crash.Down[v2], !rs.crash.Down[v3]
 	col1, col2, col3 := rs.cols[v1], rs.cols[v2], rs.cols[v3]
 	if rs.adv != nil {
 		u1Up = u1Up && !rs.adv.DropMessage()
@@ -468,7 +439,7 @@ func (rs *consensusState) complete(v, v1, v2, v3, myLeader int, participates boo
 	}
 	l := int(rs.cl.LeaderOf[v3])
 	var li int32 = -1
-	if l >= 0 && !rs.crashed[l] {
+	if l >= 0 && !rs.crash.Down[l] {
 		li = rs.leaderIdx[l]
 	}
 	if li < 0 {
@@ -527,7 +498,7 @@ func (rs *consensusState) complete(v, v1, v2, v3, myLeader int, participates boo
 		rs.sendSignal(myLeader, lGen, lState, false)
 	}
 	// Line 19: refresh the stored leader view from the own leader.
-	if ownLi := rs.leaderIdx[myLeader]; ownLi >= 0 && !rs.crashed[myLeader] {
+	if ownLi := rs.leaderIdx[myLeader]; ownLi >= 0 && !rs.crash.Down[myLeader] {
 		rs.leaderMessage(ownLi)
 		rs.tmpGen[v] = rs.lGen[ownLi]
 		rs.tmpState[v] = rs.lState[ownLi]

@@ -1,7 +1,6 @@
 package syncgen
 
 import (
-	"plurality/internal/adversary"
 	"plurality/internal/topo"
 	"plurality/internal/xrand"
 )
@@ -9,57 +8,8 @@ import (
 // This file is the synchronous engine's adversary support. The honest step
 // loop (state.step) is byte-untouched: adversarial runs execute the separate
 // stepAdversarial variant below, so the honest RNG draw order and branch
-// structure never change. Crash state (crashed flags, alive count) belongs
-// to the engine; the adversary only decides which node toggles when.
-
-// attachAdversary wires a constructed adversary into the state.
-func (st *state) attachAdversary(adv *adversary.State) {
-	st.adv = adv
-	st.crashed = make([]bool, st.n)
-	st.aliveN = st.n
-}
-
-// applyCrash runs every crash action due at or before the given step: the
-// one-shot fail-stop of the pool once step reaches At, or all pending churn
-// toggles. Rounds are the synchronous engine's clock, so At/Exp(Rate) gaps
-// are measured in rounds here.
-func (st *state) applyCrash(step int) {
-	adv := st.adv
-	if adv == nil || adv.Kind() != adversary.Crash {
-		return
-	}
-	if !adv.Churning() {
-		if c := adv.Counters; c.Crashes == 0 && float64(step) >= adv.NextCrashAt() {
-			for _, v := range adv.Victims() {
-				st.crashNode(v)
-			}
-		}
-		return
-	}
-	for {
-		at := adv.NextCrashAt()
-		if at < 0 || at > float64(step) {
-			return
-		}
-		v := adv.NextVictim()
-		if st.crashed[v] {
-			st.crashed[v] = false
-			st.aliveN++
-			adv.NoteRecovery()
-		} else {
-			st.crashNode(v)
-		}
-	}
-}
-
-func (st *state) crashNode(v int) {
-	if st.crashed[v] {
-		return
-	}
-	st.crashed[v] = true
-	st.aliveN--
-	st.adv.NoteCrash()
-}
+// structure never change. The crash set and its churn schedule live in
+// internal/adversary; Run applies the actions due before each step.
 
 // stepAdversarial is state.step with the adversary consulted at the apply
 // stage: crashed nodes keep their state and are unreadable when sampled, the
@@ -72,17 +22,17 @@ func (st *state) crashNode(v int) {
 func (st *state) stepAdversarial(r *xrand.RNG, tp topo.BatchSampler, twoChoices bool) {
 	st.drawPartners(r, tp)
 	n := st.n
-	adv := st.adv
+	adv, down := st.adv, st.crash.Down
 	gCap := uint32(st.gCap)
 	for v := 0; v < n; v++ {
 		w := st.packed[v]
 		st.next[v] = w
-		if st.crashed[v] {
+		if down[v] {
 			continue
 		}
 		a, b := int(st.partners[2*v]), int(st.partners[2*v+1])
-		aUp := !st.crashed[a] && !adv.DropMessage()
-		bUp := !st.crashed[b] && !adv.DropMessage()
+		aUp := !down[a] && !adv.DropMessage()
+		bUp := !down[b] && !adv.DropMessage()
 		wa, wb := st.packed[a], st.packed[b]
 		ga, gb := wa>>genShift, wb>>genShift
 		ca := uint32(adv.Lie(a, int32(wa&colMask)))
@@ -111,23 +61,4 @@ func (st *state) stepAdversarial(r *xrand.RNG, tp topo.BatchSampler, twoChoices 
 		}
 	}
 	st.packed, st.next = st.next, st.packed
-}
-
-// monochromaticAlive reports whether all non-crashed nodes share one color;
-// with a crash adversary consensus is evaluated over the survivors, exactly
-// like the asynchronous engines.
-func (st *state) monochromaticAlive() bool {
-	col := int64(-1)
-	for v := 0; v < st.n; v++ {
-		if st.crashed[v] {
-			continue
-		}
-		c := int64(st.packed[v] & colMask)
-		if col < 0 {
-			col = c
-		} else if c != col {
-			return false
-		}
-	}
-	return true
 }

@@ -201,19 +201,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	st := newState(cols, cfg.K, gStar, cfg.Topo, cfg.Scratch)
-	if cfg.Adv.Kind != adversary.None {
-		if cfg.Adv.Kind == adversary.Delay {
-			return nil, errors.New("syncgen: the delay adversary needs message latency; round-based engines reject it")
-		}
-		cfg.Adv.N = cfg.N
-		adv, err := adversary.New(cfg.Adv, xrand.New(cfg.Adv.Seed))
-		if err != nil {
-			return nil, fmt.Errorf("syncgen: %w", err)
-		}
-		if _, second := initCounts.TopTwo(); second >= 0 {
-			adv.SetLieTarget(int32(second))
-		}
-		st.attachAdversary(adv)
+	if st.adv, err = adversary.Start(cfg.Adv, cfg.N, initCounts, false); err != nil {
+		return nil, fmt.Errorf("syncgen: %w", err)
+	}
+	if st.adv != nil {
+		st.crash = adversary.NewCrashes(cfg.N)
 	}
 	bs := topo.Batch(cfg.Topo)
 	res := &Result{InitialPlurality: opinion.Opinion(plurality)}
@@ -267,10 +259,10 @@ func Run(cfg Config) (*Result, error) {
 		}
 		var done bool
 		if st.adv != nil {
-			st.applyCrash(step)
+			st.crash.Apply(st.adv, float64(step), nil)
 			st.stepAdversarial(stepRNG, bs, twoChoices)
 			st.noteGenerations(step, cfg.Gamma, res)
-			done = st.monochromaticAlive()
+			_, done = st.crash.Winner(st.colOf)
 		} else {
 			st.step(stepRNG, bs, twoChoices)
 			st.noteGenerations(step, cfg.Gamma, res)
@@ -300,21 +292,7 @@ func Run(cfg Config) (*Result, error) {
 	res.Outcome = rec.Outcome(res.FinalCounts, opinion.Opinion(plurality))
 	if st.adv != nil {
 		res.AdvCounters = st.adv.Counters
-		if st.adv.Kind() == adversary.Crash && !res.Outcome.FullConsensus &&
-			st.aliveN > 0 && st.monochromaticAlive() {
-			// Survivor consensus: crashed nodes hold stale colors, so the
-			// count-based outcome cannot see it; patch it here (mirroring
-			// the asynchronous engines' aliveN-based detection).
-			for v := 0; v < st.n; v++ {
-				if !st.crashed[v] {
-					res.Outcome.Winner = st.colOf(v)
-					break
-				}
-			}
-			res.Outcome.FullConsensus = true
-			res.Outcome.ConsensusTime = float64(res.Steps)
-			res.Outcome.PluralityWon = res.Outcome.Winner == opinion.Opinion(plurality)
-		}
+		st.crash.SurvivorConsensus(&res.Outcome, st.colOf, float64(res.Steps), opinion.Opinion(plurality))
 	}
 	return res, nil
 }

@@ -40,8 +40,7 @@ func (st *state) capture(step, nextTheoretical int, stepRNG *xrand.RNG,
 	// suffix's presence is a pure function of the Config, so capture and
 	// restore agree on it and honest blobs decode unchanged.
 	if st.adv != nil {
-		w.Bools(st.crashed)
-		w.Int(st.aliveN)
+		st.crash.Encode(w)
 		st.adv.EncodeState(w)
 	}
 	return w.Bytes()
@@ -79,19 +78,12 @@ func (st *state) restore(stateBytes []byte, stepRNG *xrand.RNG,
 	if err := metrics.DecodeRecorder(r, rec); err != nil {
 		return 0, 0, fmt.Errorf("syncgen: recorder: %w", err)
 	}
-	var crashed []bool
-	aliveN := st.n
 	if st.adv != nil {
-		crashed = r.Bools()
-		aliveN = r.Int()
+		if err := st.crash.Decode(r); err != nil {
+			return 0, 0, fmt.Errorf("syncgen: crash set: %w", err)
+		}
 		if err := st.adv.DecodeState(r); err != nil {
 			return 0, 0, fmt.Errorf("syncgen: adversary state: %w", err)
-		}
-		if len(crashed) != st.n && r.Err() == nil {
-			return 0, 0, fmt.Errorf("syncgen: %w: crash-flag length mismatch", snap.ErrCorrupt)
-		}
-		if aliveN < 0 || aliveN > st.n {
-			return 0, 0, fmt.Errorf("syncgen: %w: alive count %d outside [0, %d]", snap.ErrCorrupt, aliveN, st.n)
 		}
 	}
 	if err := r.Finish(); err != nil {
@@ -106,10 +98,6 @@ func (st *state) restore(stateBytes []byte, stepRNG *xrand.RNG,
 	copy(st.packed, packed)
 	if err := st.tally.rebuild(st.packed); err != nil {
 		return 0, 0, fmt.Errorf("syncgen: %w (blob for a different K or G*?)", err)
-	}
-	if st.adv != nil {
-		copy(st.crashed, crashed)
-		st.aliveN = aliveN
 	}
 	res.Steps = step
 	res.TwoChoicesSteps = twoChoices

@@ -56,9 +56,8 @@ type state struct {
 	scratch  *topo.Scratch // batch-sampling buffers (per-worker under RunBatch)
 
 	// Adversary support (nil/empty for honest runs; see adversary.go).
-	adv     *adversary.State
-	crashed []bool
-	aliveN  int
+	adv   *adversary.State
+	crash adversary.Crashes
 }
 
 // newState packs the initial assignment (generation 0 throughout) and

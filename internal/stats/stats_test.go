@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -104,6 +105,32 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	Quantile(xs, 0.5)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Error("Quantile mutated input")
+	}
+}
+
+// TestSelect checks quickselect against a full sort on random samples,
+// uniform and normal, including ties from rounding.
+func TestSelect(t *testing.T) {
+	r := xrand.New(17)
+	for trial := 0; trial < 80; trial++ {
+		n := 1 + r.Intn(200)
+		xs := make([]float64, n)
+		for i := range xs {
+			switch trial % 3 {
+			case 0:
+				xs[i] = r.Float64()
+			case 1:
+				xs[i] = r.Norm()
+			default:
+				xs[i] = math.Round(4 * r.Float64())
+			}
+		}
+		k := r.Intn(n)
+		want := append([]float64(nil), xs...)
+		sort.Float64s(want)
+		if got := Select(xs, k); got != want[k] {
+			t.Fatalf("Select(k=%d of %d) = %v, want %v", k, n, got, want[k])
+		}
 	}
 }
 
