@@ -1,8 +1,11 @@
 // Package adversary is the pluggable fault layer shared by every engine: it
-// owns the adversarial randomness, the deterministic victim pools, and the
+// owns the adversarial randomness, the deterministic victim pools, the
 // per-kind decision hooks (crash/recovery churn, message delay, message
-// drop, Byzantine opinion lying), while the engines keep owning the state
-// the decisions act on (crashed flags, alive counts, event scheduling).
+// drop, Byzantine opinion lying) and the crash set those decisions act on
+// (Crashes: crashed flags and alive count, its snapshot section and the
+// survivor-consensus test). The engines own their colour tallies, which
+// Crashes.Apply keeps current through a callback, and their event
+// scheduling.
 //
 // The split is deliberate. Engine hot paths stay byte-identical when no
 // adversary is configured — every hook is behind a nil check and the
@@ -70,7 +73,7 @@ func (k Kind) String() string {
 }
 
 // Config parametrizes one adversary instance. Engines construct the State
-// themselves (see New) so restore paths rebuild it deterministically.
+// themselves (see Start) so restore paths rebuild it deterministically.
 type Config struct {
 	// Kind selects the behavior; None disables everything.
 	Kind Kind
@@ -82,12 +85,12 @@ type Config struct {
 	Rate float64
 	// At is the virtual time (or round) the Crash adversary first acts.
 	At float64
-	// N is the node count the victim pools are drawn over.
+	// N is the node count the victim pools are drawn over; Start fills it in
+	// from the engine's node count.
 	N int
 	// Seed seeds the adversary's private generator. New does not read it —
-	// the caller builds the generator (xrand.New(Seed) for the standalone
-	// kinds, a named engine substream for the legacy crash mapping) — but
-	// carrying it here keeps engine configs to a single adversary field.
+	// Start builds the generator as xrand.New(Seed) — but carrying it here
+	// keeps engine configs to a single adversary field.
 	Seed uint64
 }
 
@@ -159,9 +162,6 @@ func New(cfg Config, rng *xrand.RNG) (*State, error) {
 	}
 	return s, nil
 }
-
-// Kind returns the configured behavior.
-func (s *State) Kind() Kind { return s.cfg.Kind }
 
 // Victims returns the deterministic victim pool (crash victims or Byzantine
 // liars). Callers must not mutate it.

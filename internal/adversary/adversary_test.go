@@ -1,8 +1,10 @@
 package adversary
 
 import (
+	"errors"
 	"testing"
 
+	"plurality/internal/opinion"
 	"plurality/internal/sim"
 	"plurality/internal/snap"
 	"plurality/internal/xrand"
@@ -172,5 +174,91 @@ func TestDelayBounded(t *testing.T) {
 	}
 	if s.Counters.Delayed != 50 {
 		t.Errorf("Delayed counter %d, want 50", s.Counters.Delayed)
+	}
+}
+
+// TestCrashesApply pins the crash set's two schedules: the one-shot crash
+// fires once, at At, and stops scheduling; churn applies every toggle due
+// and keeps Alive equal to the unset flags, with each flip reported.
+func TestCrashesApply(t *testing.T) {
+	oneShot, err := New(Config{Kind: Crash, Fraction: 0.3, At: 5, N: 20}, xrand.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCrashes(20)
+	flips := 0
+	note := func(int, bool) { flips++ }
+	if next := c.Apply(oneShot, 4, note); next != 5 || flips != 0 {
+		t.Fatalf("before At: next %g, %d flips; want 5, 0", next, flips)
+	}
+	if next := c.Apply(oneShot, 5, note); next != -1 || flips != 6 || c.Alive != 14 {
+		t.Fatalf("at At: next %g, %d flips, %d alive; want -1, 6, 14", next, flips, c.Alive)
+	}
+	if c.Apply(oneShot, 100, note); flips != 6 || oneShot.Counters.Crashes != 6 {
+		t.Fatalf("one-shot crash fired again: %d flips, %d crashes", flips, oneShot.Counters.Crashes)
+	}
+
+	churn, err := New(Config{Kind: Crash, Fraction: 0.3, Rate: 2, At: 1, N: 20}, xrand.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, flips = NewCrashes(20), 0
+	next := c.Apply(churn, 10, note)
+	up := 0
+	for _, d := range c.Down {
+		if !d {
+			up++
+		}
+	}
+	cnt := churn.Counters
+	if next <= 10 || up != c.Alive || flips != int(cnt.Crashes+cnt.Recoveries) ||
+		int(cnt.Crashes-cnt.Recoveries) != 20-c.Alive {
+		t.Fatalf("churn to t=10: next %g, alive %d of %d up, %d flips, counters %+v",
+			next, c.Alive, up, flips, cnt)
+	}
+}
+
+// TestCrashesDecodeRejectsInconsistentSection pins the crash-section codec:
+// a roundtrip restores the set, and a flag vector of another length or an
+// alive count that disagrees with the flags fails with snap.ErrCorrupt.
+func TestCrashesDecodeRejectsInconsistentSection(t *testing.T) {
+	c := NewCrashes(4)
+	c.Down[1], c.Alive = true, 3
+	decode := func(down []bool, alive int) (Crashes, error) {
+		w := &snap.Writer{}
+		w.Bools(down)
+		w.Int(alive)
+		got := NewCrashes(4)
+		return got, got.Decode(snap.NewReader(w.Bytes()))
+	}
+	got, err := decode(c.Down, c.Alive)
+	if err != nil || got.Alive != 3 || !got.Down[1] {
+		t.Fatalf("roundtrip: %+v, %v", got, err)
+	}
+	if _, err := decode(c.Down, 4); !errors.Is(err, snap.ErrCorrupt) {
+		t.Errorf("alive count 4 with one node down: got %v, want ErrCorrupt", err)
+	}
+	if _, err := decode(make([]bool, 5), 5); !errors.Is(err, snap.ErrCorrupt) {
+		t.Errorf("5 flags for 4 nodes: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCrashesWinner pins survivor consensus: crashed nodes are ignored, a
+// disagreeing or undecided survivor is no consensus, and the lowest
+// survivor's opinion is reported either way.
+func TestCrashesWinner(t *testing.T) {
+	c := NewCrashes(3)
+	cols := []opinion.Opinion{2, 1, 1}
+	col := func(v int) opinion.Opinion { return cols[v] }
+	if w, ok := c.Winner(col); ok || w != 2 {
+		t.Errorf("disagreeing survivors: got (%d, %v), want (2, false)", w, ok)
+	}
+	c.Down[0], c.Alive = true, 2
+	if w, ok := c.Winner(col); !ok || w != 1 {
+		t.Errorf("agreeing survivors: got (%d, %v), want (1, true)", w, ok)
+	}
+	cols[1], cols[2] = opinion.None, opinion.None
+	if _, ok := c.Winner(col); ok {
+		t.Error("undecided survivors reported as consensus")
 	}
 }

@@ -52,14 +52,11 @@ func NewCrashes(n int) Crashes {
 
 // Apply runs every crash action s has due at or before now — the one-shot
 // fail-stop of the whole victim pool, or each pending churn toggle in turn
-// — and reports each flip to note (down: the node crashed; otherwise it
-// recovered with the state it crashed with), so the engine can move the
-// node in or out of its survivor tallies. It returns the time of the next
-// pending action, or -1 when none is left. s may be nil.
+// — and reports each flip to note, if non-nil (down: the node crashed;
+// otherwise it recovered with the state it crashed with), so the engine
+// can move the node in or out of its survivor tallies. It returns the time
+// of the next pending action, or -1 when none is left.
 func (c *Crashes) Apply(s *State, now float64, note func(v int, down bool)) float64 {
-	if s == nil {
-		return -1
-	}
 	for at := s.NextCrashAt(); at >= 0 && at <= now; at = s.NextCrashAt() {
 		if s.Churning() {
 			c.flip(s, s.NextVictim(), note)

@@ -1,9 +1,12 @@
 package plurality
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
+
+	"plurality/internal/snap"
 )
 
 // captureSnapshot runs the named protocol with a halting checkpoint at half
@@ -108,6 +111,42 @@ func TestResumeTruncatedPayload(t *testing.T) {
 		if !errors.Is(err, ErrSnapshotTruncated) && !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("resume with %d/%d payload bytes: untyped error %v", cut, len(sn.payload), err)
 		}
+	}
+}
+
+// TestResumeRejectsInconsistentAliveCount pins that every engine checks
+// its crash section on restore: a payload whose stored alive count
+// disagrees with the crash flags fails with ErrSnapshotCorrupt instead of
+// resuming with a wrong survivor count. The leader stores the section in
+// every run, the other engines only in adversarial ones; no node crashes
+// under these adversaries, so the section is N unset flags followed by N.
+func TestResumeRejectsInconsistentAliveCount(t *testing.T) {
+	drop := AdversarySpec{Kind: AdversaryDrop, Fraction: 0.1}
+	for _, tc := range []struct {
+		protocol string
+		adv      AdversarySpec
+	}{{"leader", AdversarySpec{}}, {"decentralized", drop}, {"sync", drop}, {"3-majority", drop}} {
+		t.Run(tc.protocol, func(t *testing.T) {
+			spec := snapshotSpec()
+			spec.Adversary = tc.adv
+			sn, _ := captureSnapshot(t, tc.protocol, spec)
+			w := &snap.Writer{}
+			w.Bools(make([]bool, spec.N))
+			flags := w.Len()
+			w.Int(spec.N)
+			if n := bytes.Count(sn.payload, w.Bytes()); n != 1 {
+				t.Fatalf("crash section found %d times in the payload, want once", n)
+			}
+			at := bytes.Index(sn.payload, w.Bytes()) + flags
+			payload := append([]byte(nil), sn.payload...)
+			alive := &snap.Writer{}
+			alive.Int(spec.N - 1)
+			copy(payload[at:], alive.Bytes())
+			_, err := Resume(context.Background(), &Snapshot{meta: sn.meta, payload: payload}, nil)
+			if !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("resume with alive count N-1 and no crashed node: got %v, want ErrSnapshotCorrupt", err)
+			}
+		})
 	}
 }
 
