@@ -2,11 +2,13 @@ package leader
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"plurality/internal/adversary"
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
+	"plurality/internal/stats"
 	"plurality/internal/xrand"
 )
 
@@ -242,6 +244,27 @@ func TestEstimateC1Deterministic(t *testing.T) {
 	b := EstimateC1(sim.ExpLatency{Rate: 1}, 7)
 	if a != b {
 		t.Fatalf("EstimateC1 not deterministic: %v vs %v", a, b)
+	}
+}
+
+// TestQuickselect checks the selection EstimateC1 takes its quantile with
+// against a full sort.
+func TestQuickselect(t *testing.T) {
+	r := xrand.New(17)
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + r.Intn(200)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.Float64()
+		}
+		k := r.Intn(n)
+		cp := make([]float64, n)
+		copy(cp, xs)
+		got := stats.Select(xs, k)
+		sort.Float64s(cp)
+		if got != cp[k] {
+			t.Fatalf("stats.Select(k=%d) = %v, want %v", k, got, cp[k])
+		}
 	}
 }
 

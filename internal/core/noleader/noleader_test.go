@@ -6,6 +6,7 @@ import (
 
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
+	"plurality/internal/stats"
 	"plurality/internal/xrand"
 )
 
@@ -234,6 +235,26 @@ func TestEstimateC1MultiAboveSingle(t *testing.T) {
 	single := xs[int(0.9*float64(samples))]
 	if multi < single*0.9 {
 		t.Errorf("multi-leader C1 %v implausibly below single-leader %v", multi, single)
+	}
+}
+
+// TestQuickselectAgainstSort checks the selection EstimateC1 takes its
+// quantile with against a full sort on normal samples.
+func TestQuickselectAgainstSort(t *testing.T) {
+	r := xrand.New(3)
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + r.Intn(100)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.Norm()
+		}
+		cp := make([]float64, n)
+		copy(cp, xs)
+		sort.Float64s(cp)
+		k := r.Intn(n)
+		if got := stats.Select(xs, k); got != cp[k] {
+			t.Fatalf("stats.Select(k=%d) = %v, want %v", k, got, cp[k])
+		}
 	}
 }
 
