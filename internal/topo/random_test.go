@@ -70,3 +70,14 @@ func TestRandomRegularGolden(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRandomRegularBuild times one construction of the served sparse
+// graph (n = 10⁴, d = 8). CI's bench-smoke job caps its allocs/op.
+func BenchmarkRandomRegularBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewRandomRegular(10_000, 8, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
