@@ -10,6 +10,7 @@ import (
 
 	"plurality/internal/harness"
 	"plurality/internal/snap"
+	"plurality/internal/topo"
 )
 
 // SnapshotFormatVersion is the current snapshot blob format. Decoding a
@@ -97,10 +98,17 @@ type SnapshotMeta struct {
 // the engine's opaque binary payload. Encode/DecodeSnapshot convert it to
 // and from a single self-contained blob; Resume continues the run.
 // Snapshots are deterministic: capturing the same (protocol, Spec,
-// SnapshotAt) twice yields byte-identical blobs.
+// SnapshotAt) twice yields byte-identical blobs. A snapshot taken in this
+// process also holds the run's interaction graph in memory, so resuming it
+// skips the graph build; a decoded blob rebuilds the graph from its spec,
+// which yields the identical graph.
 type Snapshot struct {
 	meta    SnapshotMeta
 	payload []byte
+	// graph is the captured run's topology sampler. Memory-only: Encode
+	// never writes it, DecodeSnapshot leaves it nil, and meta.Spec never
+	// carries it.
+	graph topo.Sampler
 }
 
 // Meta returns the snapshot's descriptive header.
@@ -267,10 +275,11 @@ func Resume(ctx context.Context, snapshot *Snapshot, opts *ResumeOptions) (*Resu
 		spec.Checkpoint = opts.Checkpoint
 		perturb = opts.Perturb
 	}
-	if err := spec.validate(); err != nil {
+	tp, err := spec.check(snapshot.graph)
+	if err != nil {
 		return nil, fmt.Errorf("%w: captured spec invalid: %v", ErrSnapshotCorrupt, err)
 	}
-	res, err := rp.ResumeRun(ctx, spec, snapshot.payload, perturb)
+	res, err := rp.ResumeRun(ctx, withGraph(p, spec, tp), snapshot.payload, perturb)
 	if err != nil {
 		return nil, mapRestoreErr(err)
 	}
@@ -303,6 +312,7 @@ func RunBatchFrom(ctx context.Context, snapshot *Snapshot, reps, workers int) ([
 	if snapshot == nil {
 		return nil, fmt.Errorf("%w: nil snapshot", ErrSnapshotCorrupt)
 	}
+	snapshot = snapshot.sharedGraph()
 	results := make([]*Result, reps)
 	err := harness.ForEachWorkers(ctx, reps, workers, func(ctx context.Context, i int) error {
 		res, err := Resume(ctx, snapshot, &ResumeOptions{Perturb: uint64(i)})
@@ -316,4 +326,23 @@ func RunBatchFrom(ctx context.Context, snapshot *Snapshot, reps, workers int) ([
 		return nil, err
 	}
 	return results, nil
+}
+
+// sharedGraph returns s when it holds its graph, else a copy holding the
+// graph built once from its spec, so the replications resuming it share one
+// read-only sampler (Sampler values are safe for concurrent readers)
+// instead of each rebuilding it. A spec that fails validation returns s
+// unchanged and Resume reports the failure.
+func (s *Snapshot) sharedGraph() *Snapshot {
+	if s.graph != nil {
+		return s
+	}
+	spec := s.meta.Spec
+	tp, err := spec.check(nil)
+	if err != nil {
+		return s
+	}
+	c := *s
+	c.graph = tp
+	return &c
 }

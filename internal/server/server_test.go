@@ -132,6 +132,9 @@ func TestRunBadRequests(t *testing.T) {
 		{"invalid json", `{"protocol":`},
 		{"unknown field", `{"protocol":"sync","spec":{"n":100,"k":2,"seed":1,"typo_field":3}}`},
 		{"invalid spec", `{"protocol":"sync","spec":{"n":-5,"k":2,"seed":1}}`},
+		// p far below ln(n)/n ≈ 0.0038: validation's graph build must
+		// still reject the key before any job is queued.
+		{"disconnected graph", `{"protocol":"3-majority","spec":{"n":2000,"k":2,"seed":1,"topology":{"kind":"erdos-renyi","p":0.0005}}}`},
 	}
 	for _, c := range cases {
 		if w := do(t, s, http.MethodPost, "/v1/runs", c.body); w.Code != http.StatusBadRequest {
@@ -224,12 +227,18 @@ func waitIdle(t *testing.T, s *Server) {
 // persisted snapshot — produces a Result deeply equal to one uninterrupted
 // run.
 func TestSegmentedComputeMatchesUninterrupted(t *testing.T) {
+	// The sparse-graph row resumes its first segment from the stored blob,
+	// which rebuilds the graph from the spec, and runs the later segments
+	// from in-memory snapshots, which carry the graph along; both paths
+	// must reproduce the uninterrupted run.
 	specs := []struct {
 		protocol string
 		spec     plurality.Spec
 	}{
 		{"sync", plurality.Spec{N: 300, K: 3, Seed: 5, DiscardTrajectory: true}},
 		{"leader", plurality.Spec{N: 200, K: 3, Alpha: 2, Seed: 7, DiscardTrajectory: true}},
+		{"3-majority", plurality.Spec{N: 400, K: 3, Alpha: 1.5, Seed: 9, DiscardTrajectory: true,
+			Topology: plurality.TopologySpec{Kind: plurality.TopologyRandomRegular, Degree: 8}}},
 	}
 	for _, c := range specs {
 		t.Run(c.protocol, func(t *testing.T) {
@@ -264,6 +273,9 @@ func TestSegmentedComputeMatchesUninterrupted(t *testing.T) {
 			}
 			if !reflect.DeepEqual(res, plain) {
 				t.Fatalf("segmented result differs from uninterrupted run:\nsegmented:     %+v\nuninterrupted: %+v", res, plain)
+			}
+			if got := s.segmentsRun.Load(); got < 3 {
+				t.Fatalf("ran %d segments, want >= 3 (one before the suspend, one resumed from the blob, one from memory)", got)
 			}
 			if s.store.LoadJobSnapshot(key) != nil {
 				t.Fatal("completed job left its snapshot behind")

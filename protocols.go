@@ -49,8 +49,9 @@ func (s *Spec) observe() func(metrics.Point) {
 // resume payload) into the engines' internal form, wiring the capture sink
 // so engine payloads come back wrapped as public Snapshots. captured
 // receives the snapshot taken during the run, if any; the stored spec has
-// its runtime-only fields (Observer, Checkpoint) cleared.
-func engineCheckpoint(name string, spec Spec, restore []byte, perturb uint64, captured **Snapshot) *snap.Checkpoint {
+// its runtime-only fields (Observer, Checkpoint, scratch, graph) cleared,
+// and the run's sampler tp rides along on the Snapshot in memory only.
+func engineCheckpoint(name string, spec Spec, tp topo.Sampler, restore []byte, perturb uint64, captured **Snapshot) *snap.Checkpoint {
 	cs := spec.Checkpoint
 	if cs.SnapshotAt <= 0 && restore == nil {
 		return nil
@@ -60,6 +61,8 @@ func engineCheckpoint(name string, spec Spec, restore []byte, perturb uint64, ca
 		metaSpec := spec
 		metaSpec.Observer = nil
 		metaSpec.Checkpoint = CheckpointSpec{}
+		metaSpec.scratch = nil
+		metaSpec.graph = nil
 		ck.At = cs.SnapshotAt
 		ck.Halt = cs.Halt
 		out := captured
@@ -71,7 +74,7 @@ func engineCheckpoint(name string, spec Spec, restore []byte, perturb uint64, ca
 				Time:          at,
 				Events:        events,
 				Spec:          metaSpec,
-			}, payload: state}
+			}, payload: state, graph: tp}
 			*out = sn
 			if sink != nil {
 				sink(sn)
@@ -145,15 +148,17 @@ func (b builtin) run(ctx context.Context, spec Spec, restore []byte, perturb uin
 			return nil, err
 		}
 	}
-	tp, err := spec.Topology.build(spec.N, spec.Seed)
-	if err != nil {
-		return nil, err
+	tp := spec.graph
+	if tp == nil { // not handed over by Run or Resume, e.g. under RunBatch
+		if tp, err = spec.Topology.build(spec.N, spec.Seed); err != nil {
+			return nil, err
+		}
 	}
 	var captured *Snapshot
 	er, err := b.engine(ctx, spec, engineInput{
 		assign: assign, topo: tp, lat: lat,
 		adv:  spec.Adversary.resolveFor(spec.N, spec.Seed),
-		ckpt: engineCheckpoint(name, spec, restore, perturb, &captured),
+		ckpt: engineCheckpoint(name, spec, tp, restore, perturb, &captured),
 	})
 	if err != nil {
 		return nil, err

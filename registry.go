@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"plurality/internal/topo"
 )
 
 // ErrUnknownProtocol is wrapped by Run and Lookup when no protocol is
@@ -123,11 +125,22 @@ func Run(ctx context.Context, name string, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := spec.validate(); err != nil {
+	tp, err := spec.check(nil)
+	if err != nil {
 		return nil, err
 	}
 	if spec.Checkpoint.SnapshotAt > 0 && !p.Info().Checkpointable {
 		return nil, fmt.Errorf("%w: %q", ErrNoCheckpoint, name)
 	}
-	return p.Run(ctx, spec)
+	return p.Run(ctx, withGraph(p, spec, tp))
+}
+
+// withGraph hands the sampler validation built to p's run when p is a
+// built-in protocol, whose prologue then skips the rebuild. Other protocols
+// get spec unchanged (see Spec.graph).
+func withGraph(p Protocol, spec Spec, tp topo.Sampler) Spec {
+	if _, ok := p.(builtin); ok {
+		spec.graph = tp
+	}
+	return spec
 }

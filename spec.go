@@ -100,6 +100,12 @@ type Spec struct {
 	// reallocating them; buffer contents never influence results, keeping
 	// the batch layer's worker-count invariance intact.
 	scratch *topo.Scratch
+	// graph is the sampler validation built for Topology, handed to the
+	// built-in prologue so a run builds its graph once. Runtime-only and
+	// internal: Run and Resume set it on their local copy, and only for
+	// built-in protocols, so a Spec carrying a graph never reaches caller
+	// code, where a changed Seed, N or Topology would leave it stale.
+	graph topo.Sampler
 }
 
 // SyncOptions are the knobs specific to the synchronous protocol ("sync").
@@ -143,67 +149,78 @@ func (f ObserverFunc) Observe(p TrajectoryPoint) { f(p) }
 // packages keep their own protocol-specific constraints (e.g. the
 // decentralized protocol's N >= 8) on top of these.
 func (s *Spec) validate() error {
+	_, err := s.check(nil)
+	return err
+}
+
+// check is validate that also returns the topology sampler it checked, so
+// the run can use it instead of building the graph again. A non-nil tp is a
+// sampler already built from this spec (an in-memory snapshot's graph) and
+// is returned as is.
+func (s *Spec) check(tp topo.Sampler) (topo.Sampler, error) {
 	if s.N < 2 {
-		return fmt.Errorf("plurality: need N >= 2, got %d", s.N)
+		return nil, fmt.Errorf("plurality: need N >= 2, got %d", s.N)
 	}
 	if s.N > MaxNodes {
-		return fmt.Errorf("plurality: N %d exceeds MaxNodes %d (the kernel addresses nodes as int32)", s.N, MaxNodes)
+		return nil, fmt.Errorf("plurality: N %d exceeds MaxNodes %d (the kernel addresses nodes as int32)", s.N, MaxNodes)
 	}
 	if s.K < 1 {
-		return fmt.Errorf("plurality: need K >= 1, got %d", s.K)
+		return nil, fmt.Errorf("plurality: need K >= 1, got %d", s.K)
 	}
 	if s.K > MaxOpinions {
-		return fmt.Errorf("plurality: K %d exceeds MaxOpinions %d (opinions pack into 24 bits of the per-node state word)", s.K, MaxOpinions)
+		return nil, fmt.Errorf("plurality: K %d exceeds MaxOpinions %d (opinions pack into 24 bits of the per-node state word)", s.K, MaxOpinions)
 	}
 	if s.Assignment == nil {
 		if math.IsNaN(s.Alpha) || math.IsInf(s.Alpha, 0) || (s.Alpha != 0 && s.Alpha < 1) {
-			return fmt.Errorf("plurality: planted bias Alpha %v must be finite and >= 1 (or 0 for the unbiased default)", s.Alpha)
+			return nil, fmt.Errorf("plurality: planted bias Alpha %v must be finite and >= 1 (or 0 for the unbiased default)", s.Alpha)
 		}
 	} else {
 		if len(s.Assignment) != s.N {
-			return fmt.Errorf("plurality: assignment length %d != N %d", len(s.Assignment), s.N)
+			return nil, fmt.Errorf("plurality: assignment length %d != N %d", len(s.Assignment), s.N)
 		}
 		for i, v := range s.Assignment {
 			if v < 0 || v >= s.K {
-				return fmt.Errorf("plurality: assignment[%d] = %d outside [0, %d)", i, v, s.K)
+				return nil, fmt.Errorf("plurality: assignment[%d] = %d outside [0, %d)", i, v, s.K)
 			}
 		}
 	}
 	if s.Eps < 0 || s.Eps >= 1 || math.IsNaN(s.Eps) {
-		return fmt.Errorf("plurality: Eps %v outside [0, 1)", s.Eps)
+		return nil, fmt.Errorf("plurality: Eps %v outside [0, 1)", s.Eps)
 	}
 	if s.MaxSteps < 0 {
-		return fmt.Errorf("plurality: negative MaxSteps %d", s.MaxSteps)
+		return nil, fmt.Errorf("plurality: negative MaxSteps %d", s.MaxSteps)
 	}
 	if s.MaxTime < 0 || math.IsNaN(s.MaxTime) || math.IsInf(s.MaxTime, 0) {
-		return fmt.Errorf("plurality: invalid MaxTime %v", s.MaxTime)
+		return nil, fmt.Errorf("plurality: invalid MaxTime %v", s.MaxTime)
 	}
 	if s.RecordEvery < 0 || math.IsNaN(s.RecordEvery) || math.IsInf(s.RecordEvery, 0) {
-		return fmt.Errorf("plurality: invalid RecordEvery %v", s.RecordEvery)
+		return nil, fmt.Errorf("plurality: invalid RecordEvery %v", s.RecordEvery)
 	}
 	if _, err := s.Latency.build(); err != nil {
-		return err
+		return nil, err
 	}
 	// Topology constraints (grid dims divide N, rings fit, random graphs
-	// connected) are checked by constructing the sampler, exactly as the
-	// adapters will; the random kinds are cheap enough (O(N + edges)) that
-	// failing here, before any replication starts, is worth the rebuild.
-	if _, err := s.Topology.build(s.N, s.Seed); err != nil {
-		return err
+	// connected) are checked by constructing the sampler the run will use,
+	// so a bad graph fails here, before any replication starts.
+	if tp == nil {
+		var err error
+		if tp, err = s.Topology.build(s.N, s.Seed); err != nil {
+			return nil, err
+		}
 	}
 	if err := s.Adversary.validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if at := s.Checkpoint.SnapshotAt; at < 0 || math.IsNaN(at) || math.IsInf(at, 0) {
-		return fmt.Errorf("plurality: invalid Checkpoint.SnapshotAt %v", at)
+		return nil, fmt.Errorf("plurality: invalid Checkpoint.SnapshotAt %v", at)
 	}
 	if g := s.Sync.Gamma; g != 0 && (g <= 0 || g >= 1 || math.IsNaN(g)) {
-		return fmt.Errorf("plurality: Sync.Gamma %v outside (0, 1)", g)
+		return nil, fmt.Errorf("plurality: Sync.Gamma %v outside (0, 1)", g)
 	}
 	if s.Async.ClusterTargetSize < 0 {
-		return fmt.Errorf("plurality: negative Async.ClusterTargetSize %d", s.Async.ClusterTargetSize)
+		return nil, fmt.Errorf("plurality: negative Async.ClusterTargetSize %d", s.Async.ClusterTargetSize)
 	}
-	return nil
+	return tp, nil
 }
 
 // recordEveryRounds converts the continuous RecordEvery knob to the

@@ -347,10 +347,11 @@ func sweepWarmStart(ctx context.Context, cfg SweepConfig, metricFn func(*Result)
 		return nil, fmt.Errorf("plurality: sweep protocol %q != snapshot protocol %q", cfg.Protocol, meta.Protocol)
 	}
 	spec := meta.Spec
+	warm := cfg.WarmStart.sharedGraph()
 	measurements := make([]map[string]float64, reps)
 	err := harness.ForEachWorkers(ctx, reps, cfg.Workers,
 		func(rctx context.Context, rep int) error {
-			res, err := Resume(rctx, cfg.WarmStart, &ResumeOptions{Perturb: uint64(rep)})
+			res, err := Resume(rctx, warm, &ResumeOptions{Perturb: uint64(rep)})
 			if err != nil {
 				return err
 			}

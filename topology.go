@@ -163,9 +163,10 @@ func (t TopologySpec) Resolve(n int) (TopologySpec, error) {
 // build constructs the sampler for n nodes. The random graph kinds derive
 // their construction seed from runSeed unless GraphSeed pins it; the
 // derivation uses a dedicated substream so engine randomness is untouched.
-// Connectivity of the random kinds is checked here — and therefore at
-// validation time, since Spec.validate builds and discards the sampler the
-// same way it builds the latency distribution.
+// Connectivity of the random kinds is checked here, and therefore at
+// validation time: Spec.check builds the sampler and hands it to the run.
+// The only other caller is the run prologue, for a spec no validation
+// handed a sampler for (RunBatch and Sweep replications).
 func (t TopologySpec) build(n int, runSeed uint64) (topo.Sampler, error) {
 	t, err := t.Resolve(n)
 	if err != nil {
