@@ -115,7 +115,9 @@ func TestSnapshotMetaSpecCarriesNoGraph(t *testing.T) {
 // TestRunBatchFromSharedGraph pins warm-start batches on a random graph,
 // where every replication reads one shared sampler: results are identical
 // at 1 and 3 workers (CI runs this under -race) and match for the
-// in-memory snapshot and its decoded copy.
+// in-memory snapshot, its decoded copy, and the same capture taken inside
+// RunBatch, whose stored spec must not hand the capturing worker's scratch
+// buffers to the concurrent resumes.
 func TestRunBatchFromSharedGraph(t *testing.T) {
 	c := sparseSnapshotCases()[0]
 	sn, want := captureSnapshot(t, c.name, c.spec)
@@ -128,11 +130,17 @@ func TestRunBatchFromSharedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	bspec := c.spec
+	bspec.Checkpoint = CheckpointSpec{SnapshotAt: sn.Meta().Time, Halt: true}
+	batch, err := RunBatch(ctx, c.name, bspec, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var runs [][]*Result
 	for _, w := range []struct {
 		sn      *Snapshot
 		workers int
-	}{{sn, 1}, {sn, 3}, {dec, 3}} {
+	}{{sn, 1}, {sn, 3}, {dec, 3}, {batch[0].Snapshot, 3}} {
 		res, err := RunBatchFrom(ctx, w.sn, 4, w.workers)
 		if err != nil {
 			t.Fatal(err)
