@@ -142,11 +142,9 @@ func (ps *poissonState) runSim(ctx context.Context) error {
 }
 
 // capture serializes a Poisson-scheduler run's mutable state.
-func (ps *poissonState) capture() ([]byte, error) {
+func (ps *poissonState) capture() []byte {
 	w := &snap.Writer{}
-	if err := ps.sm.EncodeState(w); err != nil {
-		return nil, err
-	}
+	ps.sm.EncodeState(w)
 	ps.clocks.EncodeState(w)
 	w.RNG(ps.smp)
 	w.RNG(ps.latR)
@@ -158,7 +156,7 @@ func (ps *poissonState) capture() ([]byte, error) {
 	w.Bool(ps.mono)
 	w.F64(ps.monoAt)
 	metrics.EncodeRecorder(w, ps.rec)
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // restore overwrites a Poisson-scheduler run's mutable state from a

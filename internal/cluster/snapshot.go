@@ -108,11 +108,9 @@ func (bs *bcastState) runSim(ck *snap.Checkpoint) error {
 
 // capture serializes a broadcast run's mutable state; the participating set
 // is derived from the clustering and not stored.
-func (bs *bcastState) capture() ([]byte, error) {
+func (bs *bcastState) capture() []byte {
 	w := &snap.Writer{}
-	if err := bs.sm.EncodeState(w); err != nil {
-		return nil, err
-	}
+	bs.sm.EncodeState(w)
 	bs.clocks.EncodeState(w)
 	w.RNG(bs.smp)
 	w.RNG(bs.latR)
@@ -135,7 +133,7 @@ func (bs *bcastState) capture() ([]byte, error) {
 		bs.adv.EncodeState(w)
 		bs.payload.EncodeState(w)
 	}
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // restore overwrites a broadcast run's mutable state from a captured
@@ -212,11 +210,9 @@ func (fs *formState) runSim(ctx context.Context) error {
 }
 
 // capture serializes a formation run's mutable state.
-func (fs *formState) capture() ([]byte, error) {
+func (fs *formState) capture() []byte {
 	w := &snap.Writer{}
-	if err := fs.sm.EncodeState(w); err != nil {
-		return nil, err
-	}
+	fs.sm.EncodeState(w)
 	fs.clocks.EncodeState(w)
 	w.RNG(fs.smp)
 	w.RNG(fs.latR)
@@ -241,7 +237,7 @@ func (fs *formState) capture() ([]byte, error) {
 		w.F64(p.ClusteredFrac)
 		w.F64(p.BigClusterFrac)
 	}
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // restore overwrites a formation run's mutable state from a captured

@@ -81,9 +81,9 @@ type Result struct {
 
 // Typed event kinds of the single-leader engine (see HandleEvent). All
 // scheduler state of a run is typed — the cold-path actions (periodic
-// recorder, deadline watchdog, crash injection) are events too, not
-// closures — which is what makes the pending event queue plain data and a
-// run checkpointable mid-flight.
+// recorder, deadline watchdog, crash injection) are events too — which is
+// what makes the pending event queue plain data and a run checkpointable
+// mid-flight.
 const (
 	// evTick is one Poisson tick of node ev.Node.
 	evTick int32 = iota

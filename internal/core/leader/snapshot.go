@@ -27,11 +27,9 @@ func (rs *runState) runSim(ctx context.Context) error {
 }
 
 // capture serializes the run's mutable state.
-func (rs *runState) capture() ([]byte, error) {
+func (rs *runState) capture() []byte {
 	w := &snap.Writer{}
-	if err := rs.sm.EncodeState(w); err != nil {
-		return nil, err
-	}
+	rs.sm.EncodeState(w)
 	rs.clocks.EncodeState(w)
 	w.RNG(rs.tickR)
 	w.RNG(rs.latR)
@@ -72,7 +70,7 @@ func (rs *runState) capture() ([]byte, error) {
 		rs.adv.EncodeState(w)
 		rs.payload.EncodeState(w)
 	}
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // restore overwrites the run's mutable state from a captured payload and

@@ -28,12 +28,10 @@ func (rs *consensusState) runSim(ctx context.Context) error {
 
 // capture serializes the clustering and the consensus phase's mutable
 // state.
-func (rs *consensusState) capture() ([]byte, error) {
+func (rs *consensusState) capture() []byte {
 	w := &snap.Writer{}
 	cluster.EncodeClustering(w, rs.cl)
-	if err := rs.sm.EncodeState(w); err != nil {
-		return nil, err
-	}
+	rs.sm.EncodeState(w)
 	rs.clocks.EncodeState(w)
 	w.RNG(rs.smp)
 	w.RNG(rs.latR)
@@ -88,7 +86,7 @@ func (rs *consensusState) capture() ([]byte, error) {
 		rs.adv.EncodeState(w)
 		rs.payload.EncodeState(w)
 	}
-	return w.Bytes(), nil
+	return w.Bytes()
 }
 
 // restore overwrites the consensus phase's mutable state from a captured

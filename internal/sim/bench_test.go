@@ -43,25 +43,6 @@ func BenchmarkEventScheduling(b *testing.B) {
 	}
 }
 
-// BenchmarkClosureScheduling measures the cold-path closure events: the
-// arena reuses slots, so rescheduling one function value stays allocation
-// free after the first occupancy.
-func BenchmarkClosureScheduling(b *testing.B) {
-	s := New()
-	rng := xrand.New(2)
-	var fn Handler
-	fn = func() { s.After(rng.Exp(1), fn) }
-	s.After(rng.Exp(1), fn)
-	for i := 0; i < 64; i++ {
-		s.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
 // BenchmarkClocksTick measures the full per-node Poisson clock cycle
 // (dispatch, Fire, Exp draw, reschedule) on a million clocks.
 func BenchmarkClocksTick(b *testing.B) {

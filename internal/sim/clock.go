@@ -6,12 +6,12 @@ import (
 	"plurality/internal/xrand"
 )
 
-// Clocks is the struct-of-arrays form of n Poisson clocks, one per node,
-// firing typed events instead of closures: per-node generator state lives
-// in one flat []xrand.RNG slice and every tick is a {kind, node} Event, so
-// a million clocks cost two slices instead of a million clock objects and
-// the steady-state tick path performs zero allocations. This matches the
-// paper's per-node "random Poisson clock that ticks at constant rate".
+// Clocks is the struct-of-arrays form of n Poisson clocks, one per node:
+// per-node generator state lives in one flat []xrand.RNG slice and every
+// tick is a {kind, node} Event, so a million clocks cost two slices
+// instead of a million clock objects and the steady-state tick path
+// performs zero allocations. This matches the paper's per-node "random
+// Poisson clock that ticks at constant rate".
 //
 // Seeding is bit-compatible with the legacy per-node construction the
 // typed kernel replaced: the parent RNG is split once per node in node
@@ -48,22 +48,18 @@ func NewClocks(s *Simulator, parent *xrand.RNG, n int, rate float64, kind int32)
 	return c
 }
 
-// StartAll schedules the first tick of every clock in node order, through
-// the kernel's bulk entry point (draw order and execution order are
-// identical to n sequential ScheduleAfter calls; with the event ladder
-// each insert is an O(1) bucket append, so the bulk form is a seam for
-// future batching rather than a distinct fast path). Calling it twice
-// panics: doubled clocks silently double the tick rate, corrupting the
-// model.
+// StartAll schedules the first tick of every clock in node order. Calling
+// it twice panics: doubled clocks silently double the tick rate, corrupting
+// the model.
 func (c *Clocks) StartAll() {
 	if c.started {
 		panic("sim: clocks started twice")
 	}
 	c.started = true
 	now := c.sim.Now()
-	c.sim.ScheduleBatch(len(c.rngs), func(v int) (float64, Event) {
-		return now + c.rngs[v].Exp(c.rate), Event{Kind: c.kind, Node: int32(v)}
-	})
+	for v := range c.rngs {
+		c.sim.Schedule(now+c.rngs[v].Exp(c.rate), Event{Kind: c.kind, Node: int32(v)})
+	}
 }
 
 // Fire handles one popped tick event for node v: unless the clock is
@@ -88,9 +84,3 @@ func (c *Clocks) Stop(v int32) { c.stopped[v] = true }
 
 // Ticks returns the total number of ticks fired across all clocks.
 func (c *Clocks) Ticks() uint64 { return c.ticks }
-
-// Rate returns the configured Poisson rate.
-func (c *Clocks) Rate() float64 { return c.rate }
-
-// Len returns the number of clocks.
-func (c *Clocks) Len() int { return len(c.rngs) }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"plurality/internal/xrand"
 )
@@ -93,30 +92,3 @@ func (l ErlangLatency) Mean() float64 { return float64(l.K) / l.Rate }
 
 // Name returns a human-readable identifier.
 func (l ErlangLatency) Name() string { return fmt.Sprintf("erlang(k=%d,λ=%g)", l.K, l.Rate) }
-
-// MaxOf samples n independent latencies and returns the maximum; protocols
-// use it for channels opened in parallel, e.g. the paper's max(T2, T2) when
-// a node dials its two random samples concurrently.
-func MaxOf(r *xrand.RNG, l Latency, n int) float64 {
-	if n <= 0 {
-		panic(fmt.Sprintf("sim: MaxOf with n=%d", n))
-	}
-	m := 0.0
-	for i := 0; i < n; i++ {
-		m = math.Max(m, l.Sample(r))
-	}
-	return m
-}
-
-// SumOf samples n independent latencies and returns the sum; used for
-// channels opened sequentially.
-func SumOf(r *xrand.RNG, l Latency, n int) float64 {
-	if n <= 0 {
-		panic(fmt.Sprintf("sim: SumOf with n=%d", n))
-	}
-	s := 0.0
-	for i := 0; i < n; i++ {
-		s += l.Sample(r)
-	}
-	return s
-}

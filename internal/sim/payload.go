@@ -9,9 +9,8 @@ import (
 // PayloadArena widens the fixed (Node, A, B, C) event payload: an engine
 // parks a full Event in a slot and schedules a small typed "deliver" event
 // whose A field carries the slot id; on dispatch it takes the slot back and
-// re-dispatches the original event. It mirrors the kernel's closure arena —
-// append-grown slots recycled through a free list — but holds plain data, so
-// unlike closures the parked events serialize: arenas are captured verbatim
+// re-dispatches the original event. Slots are append-grown and recycled
+// through a free list; they hold plain data, so arenas are captured verbatim
 // (slots and free list), which keeps slot ids referenced by pending deliver
 // events valid across a snapshot/restore cycle.
 //
@@ -37,8 +36,7 @@ func (a *PayloadArena) Put(ev Event) int32 {
 
 // Take returns the parked event and recycles the slot. Taking a slot that
 // was never Put (or taking it twice) is a programming error; the arena does
-// not track per-slot liveness beyond the free list, exactly like the closure
-// arena's generation-free fast path.
+// not track per-slot liveness beyond the free list.
 func (a *PayloadArena) Take(slot int32) Event {
 	ev := a.slots[slot]
 	a.slots[slot] = Event{}

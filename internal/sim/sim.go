@@ -28,27 +28,20 @@
 //
 // # Event representation
 //
-// The hot path is typed: an Event is a fixed-size record {Kind, Node, A, B,
-// C} stored by value in the ladder's bucket slices and dispatched to the
+// Every scheduled action is an Event: a fixed-size record {Kind, Node, A,
+// B, C} stored by value in the ladder's bucket slices and dispatched to the
 // engine's EventHandler, so steady-state scheduling performs zero
 // allocations — the bucket arrays are the only storage and they reach
-// stable high-water capacities after warm-up. Closure events (At/After)
-// remain available for cold paths; their
-// functions live out-of-line in a growable arena with free-list reuse, so a
-// recorder that reschedules the same function value also stops allocating
-// after the first occupancy. Cancellation is lazy: a cancelled closure
-// event stays queued as a tombstone and is skipped (uncounted) when popped.
-//
-// Engines that want to be checkpointable schedule all of their actions —
-// including recorder ticks and watchdogs — as typed events: closures are
-// opaque to the state codec, and EncodeState refuses to capture while a
-// live one is pending (ErrClosuresPending). All engines in this repository
-// are fully typed.
+// stable high-water capacities after warm-up. Because events are plain
+// data, the state codec can serialize the whole pending set: engines
+// schedule everything they do — Poisson ticks, channel deliveries,
+// recorder ticks and watchdogs — as typed events, and so every engine is
+// checkpointable.
 //
 // # Snapshot and restore
 //
 // EncodeState/DecodeState serialize the scheduler — clock, counters, the
-// pending typed-event heap — and Clocks.EncodeState/DecodeState do the same
+// pending event set — and Clocks.EncodeState/DecodeState do the same
 // for the per-node Poisson clocks (generator states, stop flags, tick
 // counter). Capture happens at a barrier, not an event: RunContextTo runs
 // everything scheduled at or before t and returns between events, so no
@@ -66,15 +59,11 @@ import (
 	"slices"
 )
 
-// Handler is a scheduled action. It runs at its scheduled virtual time; the
-// simulator passes no arguments because handlers close over their state.
-type Handler func()
-
-// Event is the typed, allocation-free form of a scheduled action: a small
-// POD record the engine interprets. Kind is an engine-defined discriminant
-// (>= 0), Node the acting node, and A, B, C free payload words (sampled
-// partner ids, signal values, ...). Engines receive popped events through
-// their EventHandler and switch on Kind.
+// Event is a scheduled action: a small POD record the engine interprets.
+// Kind is an engine-defined discriminant (>= 0), Node the acting node, and
+// A, B, C free payload words (sampled partner ids, signal values, ...).
+// Engines receive popped events through their EventHandler and switch on
+// Kind.
 type Event struct {
 	// Kind discriminates the event for the engine's dispatch; engines
 	// define their own kinds starting at 0.
@@ -85,35 +74,20 @@ type Event struct {
 	A, B, C int32
 }
 
-// EventHandler dispatches typed events. An engine implements it once and
-// installs it with SetHandler; the simulator calls it for every typed event
-// it pops.
+// EventHandler dispatches events. An engine implements it once and
+// installs it with SetHandler; the simulator calls it for every event it
+// pops.
 type EventHandler interface {
 	HandleEvent(ev Event)
 }
 
-// kindFunc marks an internal closure event; its arena index is in ev.a.
-// Engine kinds are non-negative, so the namespaces cannot collide.
-const kindFunc int32 = -1
-
-// event is a scheduled action with a total order (time, then seq). Typed
-// events embed their payload directly; closure events point into the fn
-// arena via a (kind=kindFunc, a=index) pair.
+// event is a queued Event with its total-order key (time, then seq).
 type event struct {
 	at      float64
 	seq     uint64
 	kind    int32
 	node    int32
 	a, b, c int32
-}
-
-// Token identifies one scheduled closure event for lazy cancellation. The
-// zero Token is never valid: idx stores the arena slot + 1, so an engine
-// can use a zero Token field as its "nothing scheduled" sentinel and
-// Cancel it harmlessly.
-type Token struct {
-	idx int32 // arena slot + 1; 0 marks the invalid zero Token
-	gen uint32
 }
 
 // Ladder geometry: virtual time is cut into buckets of width 1/1024 (a
@@ -172,12 +146,6 @@ type Simulator struct {
 	inBuckets int       // events across all ring buckets
 	overflow  []event   // events at or beyond winHi
 	ovMinJ    int64     // minimum bucket index over overflow (MaxInt64 when empty)
-
-	// Closure arena: out-of-line storage for At/After functions, recycled
-	// through a free list so steady-state closure scheduling reuses slots.
-	fns     []Handler
-	fnGen   []uint32
-	freeFns []int32
 }
 
 // New returns an empty simulator positioned at virtual time 0.
@@ -189,8 +157,8 @@ func New() *Simulator {
 	}
 }
 
-// SetHandler installs the typed-event dispatcher. It must be set before the
-// first typed event fires; closure events need no handler.
+// SetHandler installs the event dispatcher. It must be set before the
+// first event fires.
 func (s *Simulator) SetHandler(h EventHandler) { s.handler = h }
 
 // Reserve hints the expected pending-event population. Engines call it with
@@ -247,13 +215,11 @@ func isqrt(n int) int {
 // Now returns the current virtual time.
 func (s *Simulator) Now() float64 { return s.now }
 
-// Processed returns the number of events executed so far (cancelled events
-// are skipped, not executed); experiments report it as a proxy for
-// simulated work.
+// Processed returns the number of events executed so far; experiments
+// report it as a proxy for simulated work.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// Pending returns the number of events currently scheduled, counting
-// cancelled-but-unpopped tombstones.
+// Pending returns the number of events currently scheduled.
 func (s *Simulator) Pending() int { return s.pending }
 
 // checkTime panics on causality violations and non-finite times: the model
@@ -277,16 +243,18 @@ func (s *Simulator) push(e event) {
 	s.insert(e)
 }
 
-// Schedule enqueues a typed event at absolute virtual time t.
+// Schedule enqueues ev at absolute virtual time t. Kinds must be
+// non-negative, the same range DecodeState accepts, so every state the
+// kernel can hold can be captured and restored.
 func (s *Simulator) Schedule(t float64, ev Event) {
 	s.checkTime(t)
 	if ev.Kind < 0 {
-		panic(fmt.Sprintf("sim: negative event kind %d is reserved", ev.Kind))
+		panic(fmt.Sprintf("sim: negative event kind %d", ev.Kind))
 	}
 	s.push(event{at: t, kind: ev.Kind, node: ev.Node, a: ev.A, b: ev.B, c: ev.C})
 }
 
-// ScheduleAfter enqueues a typed event d >= 0 after the current time.
+// ScheduleAfter enqueues ev d >= 0 after the current time.
 func (s *Simulator) ScheduleAfter(d float64, ev Event) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -294,109 +262,18 @@ func (s *Simulator) ScheduleAfter(d float64, ev Event) {
 	s.Schedule(s.now+d, ev)
 }
 
-// ScheduleBatch enqueues n typed events produced by next(0) … next(n-1) —
-// the bulk form engines use to arm a million per-node clocks at startup.
-// Sequence numbers are assigned in call order, so the execution order is
-// exactly what n sequential Schedule calls would produce (the (at, seq)
-// key is a total order; the ladder's internal layout is irrelevant).
-func (s *Simulator) ScheduleBatch(n int, next func(i int) (float64, Event)) {
-	for i := 0; i < n; i++ {
-		t, ev := next(i)
-		s.Schedule(t, ev)
-	}
-}
-
-// grabSlot stores fn in the arena and returns its slot index.
-func (s *Simulator) grabSlot(fn Handler) int32 {
-	if n := len(s.freeFns); n > 0 {
-		i := s.freeFns[n-1]
-		s.freeFns = s.freeFns[:n-1]
-		s.fns[i] = fn
-		return i
-	}
-	s.fns = append(s.fns, fn)
-	s.fnGen = append(s.fnGen, 0)
-	return int32(len(s.fns) - 1)
-}
-
-// freeSlot clears a slot and recycles it; bumping the generation
-// invalidates outstanding Tokens for the slot.
-func (s *Simulator) freeSlot(i int32) {
-	s.fns[i] = nil
-	s.fnGen[i]++
-	s.freeFns = append(s.freeFns, i)
-}
-
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics. This is the cold-path API: the function is stored out-of-line in
-// the arena; hot paths should use typed events instead.
-func (s *Simulator) At(t float64, fn Handler) {
-	s.checkTime(t)
-	if fn == nil {
-		panic("sim: At with nil handler")
-	}
-	s.push(event{at: t, kind: kindFunc, a: s.grabSlot(fn)})
-}
-
-// After schedules fn to run d >= 0 time after the current virtual time.
-func (s *Simulator) After(d float64, fn Handler) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	s.At(s.now+d, fn)
-}
-
-// AtCancel schedules fn like At and returns a Token for lazy cancellation.
-func (s *Simulator) AtCancel(t float64, fn Handler) Token {
-	s.checkTime(t)
-	if fn == nil {
-		panic("sim: AtCancel with nil handler")
-	}
-	i := s.grabSlot(fn)
-	s.push(event{at: t, kind: kindFunc, a: i})
-	return Token{idx: i + 1, gen: s.fnGen[i]}
-}
-
-// Cancel lazily cancels a closure event scheduled with AtCancel: the queued
-// entry becomes a tombstone that is skipped (and not counted as processed)
-// when popped. It reports whether the event was still pending.
-func (s *Simulator) Cancel(tok Token) bool {
-	i := tok.idx - 1
-	if i < 0 || int(i) >= len(s.fns) {
-		return false // zero or corrupt Token
-	}
-	if s.fnGen[i] != tok.gen || s.fns[i] == nil {
-		return false // already fired, freed or cancelled
-	}
-	s.fns[i] = nil
-	return true
-}
-
-// Step executes the single earliest pending event, skipping cancelled
-// tombstones. It reports whether an event was executed (false when the
-// queue is empty or the simulator has been stopped).
+// Step executes the single earliest pending event. It reports whether an
+// event was executed (false when the queue is empty or the simulator has
+// been stopped).
 func (s *Simulator) Step() bool {
-	for {
-		if s.stopped || !s.ensure() {
-			return false
-		}
-		e := s.popMin()
-		if e.kind == kindFunc {
-			fn := s.fns[e.a]
-			s.freeSlot(e.a)
-			if fn == nil {
-				continue // lazily cancelled: skip without counting
-			}
-			s.now = e.at
-			s.processed++
-			fn()
-			return true
-		}
-		s.now = e.at
-		s.processed++
-		s.handler.HandleEvent(Event{Kind: e.kind, Node: e.node, A: e.a, B: e.b, C: e.c})
-		return true
+	if s.stopped || !s.ensure() {
+		return false
 	}
+	e := s.popMin()
+	s.now = e.at
+	s.processed++
+	s.handler.HandleEvent(Event{Kind: e.kind, Node: e.node, A: e.a, B: e.b, C: e.c})
+	return true
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -428,26 +305,6 @@ func (s *Simulator) RunContext(ctx context.Context) error {
 			return nil
 		}
 	}
-}
-
-// RunUntil executes events with scheduled time <= t and then advances the
-// clock to exactly t. It reports whether the simulator is still live (not
-// stopped).
-func (s *Simulator) RunUntil(t float64) bool {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, s.now))
-	}
-	for !s.stopped {
-		at, ok := s.peekAt()
-		if !ok || at > t {
-			break
-		}
-		s.Step()
-	}
-	if !s.stopped && s.now < t {
-		s.now = t
-	}
-	return !s.stopped
 }
 
 // Stop halts the simulation: no further events run. Pending events remain

@@ -10,69 +10,91 @@ import (
 	"plurality/internal/xrand"
 )
 
+// popRecorder installs a handler on s that records every popped event and
+// the virtual time it ran at, then calls next (if non-nil) to react.
+func popRecorder(s *Simulator, next func(ev Event)) (nodes *[]int32, times *[]float64) {
+	nodes, times = new([]int32), new([]float64)
+	s.SetHandler(handlerFunc(func(ev Event) {
+		*nodes = append(*nodes, ev.Node)
+		*times = append(*times, s.Now())
+		if next != nil {
+			next(ev)
+		}
+	}))
+	return nodes, times
+}
+
 func TestEventOrdering(t *testing.T) {
 	s := New()
-	var got []int
-	s.At(3, func() { got = append(got, 3) })
-	s.At(1, func() { got = append(got, 1) })
-	s.At(2, func() { got = append(got, 2) })
+	got, _ := popRecorder(s, nil)
+	s.Schedule(3, Event{Node: 3})
+	s.Schedule(1, Event{Node: 1})
+	s.Schedule(2, Event{Node: 2})
 	s.Run()
-	want := []int{1, 2, 3}
+	want := []int32{1, 2, 3}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order %v, want %v", got, want)
+		if (*got)[i] != want[i] {
+			t.Fatalf("order %v, want %v", *got, want)
 		}
 	}
 }
 
 func TestTieBreakFIFO(t *testing.T) {
 	s := New()
-	var got []int
+	got, _ := popRecorder(s, nil)
 	for i := 0; i < 10; i++ {
-		i := i
-		s.At(5, func() { got = append(got, i) })
+		s.Schedule(5, Event{Kind: int32(i % 3), Node: int32(i)})
 	}
 	s.Run()
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("equal-time events reordered: %v", got)
+	if len(*got) != 10 {
+		t.Fatalf("popped %d events, want 10", len(*got))
+	}
+	for i, v := range *got {
+		if v != int32(i) {
+			t.Fatalf("equal-time events reordered: %v", *got)
 		}
 	}
 }
 
 func TestNowAdvances(t *testing.T) {
 	s := New()
-	var at1, at2 float64
-	s.At(1.5, func() { at1 = s.Now() })
-	s.At(4.25, func() { at2 = s.Now() })
+	_, times := popRecorder(s, nil)
+	s.Schedule(1.5, Event{})
+	s.Schedule(4.25, Event{})
 	s.Run()
-	if at1 != 1.5 || at2 != 4.25 {
-		t.Fatalf("Now() inside handlers: %v, %v", at1, at2)
+	if (*times)[0] != 1.5 || (*times)[1] != 4.25 {
+		t.Fatalf("Now() inside handlers: %v", *times)
 	}
 }
 
 func TestAfterRelative(t *testing.T) {
 	s := New()
 	var inner float64
-	s.At(2, func() {
-		s.After(3, func() { inner = s.Now() })
-	})
+	s.SetHandler(handlerFunc(func(ev Event) {
+		if ev.Kind == 0 {
+			s.ScheduleAfter(3, Event{Kind: 1})
+			return
+		}
+		inner = s.Now()
+	}))
+	s.Schedule(2, Event{Kind: 0})
 	s.Run()
 	if inner != 5 {
-		t.Fatalf("After scheduled at %v, want 5", inner)
+		t.Fatalf("ScheduleAfter ran at %v, want 5", inner)
 	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New()
-	s.At(10, func() {
+	s.SetHandler(handlerFunc(func(Event) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		s.At(5, func() {})
-	})
+		s.Schedule(5, Event{})
+	}))
+	s.Schedule(10, Event{})
 	s.Run()
 }
 
@@ -85,54 +107,88 @@ func TestNonFiniteTimePanics(t *testing.T) {
 					t.Errorf("scheduling at %v did not panic", bad)
 				}
 			}()
-			s.At(bad, func() {})
+			s.Schedule(bad, Event{})
 		}()
 	}
 }
 
-func TestRunUntil(t *testing.T) {
+// TestNegativeKindPanics pins the schedule-side half of the kind range
+// DecodeState enforces: a state the kernel can hold is a state it can
+// restore.
+func TestNegativeKindPanics(t *testing.T) {
 	s := New()
-	var fired []float64
+	defer func() {
+		if recover() == nil {
+			t.Error("negative event kind did not panic")
+		}
+	}()
+	s.Schedule(1, Event{Kind: -1})
+}
+
+// TestRunContextTo pins the checkpoint barrier: events at or before t run,
+// later ones stay pending, and the clock stays at the last executed event's
+// time rather than advancing to t.
+func TestRunContextTo(t *testing.T) {
+	s := New()
+	_, times := popRecorder(s, nil)
 	for _, at := range []float64{1, 2, 3, 4, 5} {
-		at := at
-		s.At(at, func() { fired = append(fired, at) })
+		s.Schedule(at, Event{})
 	}
-	s.RunUntil(3)
-	if len(fired) != 3 {
-		t.Fatalf("RunUntil(3) fired %d events, want 3", len(fired))
+	if err := s.RunContextTo(nil, 3.5); err != nil {
+		t.Fatal(err)
+	}
+	if len(*times) != 3 || s.Pending() != 2 {
+		t.Fatalf("RunContextTo(3.5) fired %d events with %d pending, want 3 and 2", len(*times), s.Pending())
 	}
 	if s.Now() != 3 {
-		t.Fatalf("Now() = %v after RunUntil(3)", s.Now())
+		t.Fatalf("Now() = %v after RunContextTo(3.5), want the last event's time 3", s.Now())
 	}
-	s.RunUntil(10)
-	if len(fired) != 5 {
-		t.Fatalf("fired %d events total, want 5", len(fired))
+	if err := s.RunContextTo(nil, 10); err != nil {
+		t.Fatal(err)
 	}
-	if s.Now() != 10 {
-		t.Fatalf("Now() = %v after RunUntil(10)", s.Now())
+	if len(*times) != 5 || s.Now() != 5 {
+		t.Fatalf("fired %d events total with Now() = %v, want 5 and 5", len(*times), s.Now())
 	}
 }
 
-func TestRunUntilBoundaryInclusive(t *testing.T) {
+func TestRunContextToBoundaryInclusive(t *testing.T) {
 	s := New()
-	fired := false
-	s.At(3, func() { fired = true })
-	s.RunUntil(3)
-	if !fired {
-		t.Fatal("event exactly at the horizon did not fire")
+	_, times := popRecorder(s, nil)
+	s.Schedule(3, Event{})
+	s.Schedule(math.Nextafter(3, 4), Event{})
+	if err := s.RunContextTo(nil, 3); err != nil {
+		t.Fatal(err)
+	}
+	if len(*times) != 1 {
+		t.Fatalf("RunContextTo(3) fired %d events, want only the one exactly at the horizon", len(*times))
+	}
+}
+
+func TestRunContextToCancellation(t *testing.T) {
+	s := New()
+	popRecorder(s, nil)
+	s.Schedule(1, Event{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.RunContextTo(ctx, 10); err != context.Canceled {
+		t.Fatalf("RunContextTo = %v, want context.Canceled", err)
+	}
+	if !s.Stopped() || s.Processed() != 0 {
+		t.Fatalf("after cancellation: stopped=%v processed=%d", s.Stopped(), s.Processed())
 	}
 }
 
 func TestStopHaltsExecution(t *testing.T) {
 	s := New()
 	count := 0
+	s.SetHandler(handlerFunc(func(Event) {
+		count++
+		if count == 4 {
+			s.Stop()
+		}
+	}))
 	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func() {
-			count++
-			if count == 4 {
-				s.Stop()
-			}
-		})
+		s.Schedule(float64(i), Event{})
 	}
 	s.Run()
 	if count != 4 {
@@ -148,8 +204,9 @@ func TestStopHaltsExecution(t *testing.T) {
 
 func TestProcessedCount(t *testing.T) {
 	s := New()
+	popRecorder(s, nil)
 	for i := 0; i < 25; i++ {
-		s.At(float64(i), func() {})
+		s.Schedule(float64(i), Event{})
 	}
 	s.Run()
 	if s.Processed() != 25 {
@@ -161,26 +218,21 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func(seed uint64) []float64 {
 		s := New()
 		r := xrand.New(seed)
-		var times []float64
-		var spawn func(depth int)
-		spawn = func(depth int) {
-			if depth == 0 {
-				return
+		// A carries the remaining chain depth.
+		_, times := popRecorder(s, func(ev Event) {
+			if ev.A > 0 {
+				s.ScheduleAfter(r.Exp(1), Event{Node: ev.Node, A: ev.A - 1})
 			}
-			s.After(r.Exp(1), func() {
-				times = append(times, s.Now())
-				spawn(depth - 1)
-			})
-		}
+		})
 		for i := 0; i < 5; i++ {
-			spawn(20)
+			s.ScheduleAfter(r.Exp(1), Event{Node: int32(i), A: 19})
 		}
 		s.Run()
-		return times
+		return *times
 	}
 	a, b := run(77), run(77)
-	if len(a) != len(b) {
-		t.Fatalf("replay lengths differ: %d vs %d", len(a), len(b))
+	if len(a) != 100 || len(a) != len(b) {
+		t.Fatalf("replay lengths %d vs %d, want 100", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -192,13 +244,12 @@ func TestDeterministicReplay(t *testing.T) {
 func TestHeapOrderProperty(t *testing.T) {
 	f := func(raw []uint32) bool {
 		s := New()
-		var fired []float64
+		_, fired := popRecorder(s, nil)
 		for _, v := range raw {
-			at := float64(v%100000) / 1000
-			s.At(at, func() { fired = append(fired, at) })
+			s.Schedule(float64(v%100000)/1000, Event{})
 		}
 		s.Run()
-		return sort.Float64sAreSorted(fired)
+		return len(*fired) == len(raw) && sort.Float64sAreSorted(*fired)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -217,7 +268,9 @@ func startClocks(s *Simulator, seed uint64, n int, rate float64, tick func(int))
 func TestClockRate(t *testing.T) {
 	s := New()
 	c := startClocks(s, 7, 1, 2.0, func(int) {})
-	s.RunUntil(5000)
+	if err := s.RunContextTo(nil, 5000); err != nil {
+		t.Fatal(err)
+	}
 	c.Stop(0)
 	// Expect ~rate*horizon ticks; Poisson sd is sqrt(mean).
 	mean := 2.0 * 5000
@@ -231,7 +284,9 @@ func TestClockInterTickExponential(t *testing.T) {
 	s := New()
 	var times []float64
 	c := startClocks(s, 8, 1, 1.0, func(int) { times = append(times, s.Now()) })
-	s.RunUntil(20000)
+	if err := s.RunContextTo(nil, 20000); err != nil {
+		t.Fatal(err)
+	}
 	c.Stop(0)
 	// Kolmogorov-style check on gaps: fraction below ln 2 should be ~1/2.
 	below := 0
@@ -301,29 +356,13 @@ func TestLatencyMeans(t *testing.T) {
 	}
 }
 
-func TestMaxOfSumOf(t *testing.T) {
-	r := xrand.New(11)
-	// E[max of 2 Exp(1)] = 1.5; E[sum of 3 Exp(1)] = 3.
-	const n = 200000
-	sumMax, sumSum := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		sumMax += MaxOf(r, ExpLatency{Rate: 1}, 2)
-		sumSum += SumOf(r, ExpLatency{Rate: 1}, 3)
-	}
-	if got := sumMax / n; math.Abs(got-1.5) > 0.02 {
-		t.Errorf("E[max of 2] = %v, want 1.5", got)
-	}
-	if got := sumSum / n; math.Abs(got-3) > 0.03 {
-		t.Errorf("E[sum of 3] = %v, want 3", got)
-	}
-}
-
 func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New()
+		s.SetHandler(handlerFunc(func(Event) {}))
 		r := xrand.New(uint64(i))
 		for j := 0; j < 1000; j++ {
-			s.After(r.Exp(1), func() {})
+			s.ScheduleAfter(r.Exp(1), Event{Node: int32(j)})
 		}
 		s.Run()
 	}
@@ -335,19 +374,20 @@ func BenchmarkClockTicks(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.RunUntil(s.Now() + 1)
+		if err := s.RunContextTo(nil, s.Now()+1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func TestRunContextCancellation(t *testing.T) {
 	s := New()
-	var reschedule func()
 	ran := 0
-	reschedule = func() {
+	s.SetHandler(handlerFunc(func(ev Event) {
 		ran++
-		s.After(1, reschedule) // never drains on its own
-	}
-	s.After(0, reschedule)
+		s.ScheduleAfter(1, ev) // never drains on its own
+	}))
+	s.Schedule(0, Event{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := s.RunContext(ctx); err != context.Canceled {
@@ -363,103 +403,18 @@ func TestRunContextCancellation(t *testing.T) {
 
 func TestRunContextNilAndDrained(t *testing.T) {
 	s := New()
-	ran := false
-	s.After(1, func() { ran = true })
+	got, _ := popRecorder(s, nil)
+	s.Schedule(1, Event{})
 	if err := s.RunContext(nil); err != nil {
 		t.Fatalf("RunContext(nil) = %v", err)
 	}
-	if !ran {
+	if len(*got) != 1 {
 		t.Error("event did not run")
 	}
 	s2 := New()
-	s2.After(1, func() {})
+	popRecorder(s2, nil)
+	s2.Schedule(1, Event{})
 	if err := s2.RunContext(context.Background()); err != nil {
 		t.Fatalf("RunContext(Background) = %v", err)
-	}
-}
-
-func TestAtCancel(t *testing.T) {
-	s := New()
-	fired := []string{}
-	tok := s.AtCancel(1, func() { fired = append(fired, "cancelled") })
-	s.At(2, func() { fired = append(fired, "kept") })
-	if !s.Cancel(tok) {
-		t.Fatal("pending event did not cancel")
-	}
-	if s.Cancel(tok) {
-		t.Fatal("double Cancel reported success")
-	}
-	// The zero Token must be a harmless no-op, not an aliased slot 0.
-	if s.Cancel(Token{}) {
-		t.Fatal("zero Token cancelled something")
-	}
-	before := s.Processed()
-	s.Run()
-	if len(fired) != 1 || fired[0] != "kept" {
-		t.Fatalf("fired %v, want only the kept event", fired)
-	}
-	// The cancelled tombstone is skipped without counting as processed.
-	if s.Processed()-before != 1 {
-		t.Fatalf("processed %d events, want 1", s.Processed()-before)
-	}
-}
-
-func TestCancelAfterFire(t *testing.T) {
-	s := New()
-	ran := false
-	tok := s.AtCancel(1, func() { ran = true })
-	s.Run()
-	if !ran {
-		t.Fatal("event did not fire")
-	}
-	if s.Cancel(tok) {
-		t.Fatal("Cancel after fire reported success")
-	}
-	// The slot is recycled; a stale token must not kill the new occupant.
-	s.At(2, func() {})
-	if s.Cancel(tok) {
-		t.Fatal("stale token cancelled a recycled slot")
-	}
-	if !s.Step() {
-		t.Fatal("recycled-slot event did not run")
-	}
-}
-
-// TestScheduleBatchEquivalence pins that the bulk scheduling path yields
-// exactly the execution a loop of Schedule calls would: same pop order,
-// same sequence numbers, interleaved correctly with events that were
-// already pending and events scheduled afterwards.
-func TestScheduleBatchEquivalence(t *testing.T) {
-	r := xrand.New(17)
-	times := make([]float64, 500)
-	for i := range times {
-		times[i] = r.Float64() * 10
-	}
-	run := func(batch bool) []Event {
-		s := New()
-		var got []Event
-		s.SetHandler(handlerFunc(func(ev Event) { got = append(got, ev) }))
-		s.Schedule(5, Event{Kind: 2, Node: -1}) // pre-existing pending event
-		if batch {
-			s.ScheduleBatch(len(times), func(i int) (float64, Event) {
-				return times[i], Event{Kind: 1, Node: int32(i)}
-			})
-		} else {
-			for i, at := range times {
-				s.Schedule(at, Event{Kind: 1, Node: int32(i)})
-			}
-		}
-		s.Schedule(times[0], Event{Kind: 3, Node: -2}) // equal-time tie after the batch
-		s.Run()
-		return got
-	}
-	a, b := run(false), run(true)
-	if len(a) != len(b) {
-		t.Fatalf("event counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("pop %d differs: scalar %+v, batch %+v", i, a[i], b[i])
-		}
 	}
 }

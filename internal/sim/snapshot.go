@@ -2,23 +2,13 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
 	"plurality/internal/snap"
 )
 
-// ErrClosuresPending reports that the simulator state cannot be captured
-// because live closure events (At/After/AtCancel) are still queued. Closures
-// are opaque function values the codec cannot serialize; engines that want
-// to be checkpointable must schedule their cold-path actions as typed
-// events instead (all built-in engines do). Cancelled tombstones do not
-// block capture — they are dropped, which is observationally equivalent to
-// popping and skipping them.
-var ErrClosuresPending = errors.New("sim: live closure events pending; only typed-event state is serializable")
-
-// pendingEvents calls f for every queued event (tombstones included) in
+// pendingEvents calls f for every queued event in
 // the ladder's canonical traversal order: the draining current bucket,
 // then the near heap, then the ring slots, then the overflow tail. The
 // order is a pure function of the execution that produced the state, so
@@ -41,34 +31,16 @@ func (s *Simulator) pendingEvents(f func(e event)) {
 }
 
 // EncodeState serializes the full scheduler state — virtual clock, sequence
-// and processed counters, and the pending typed-event set — into w. The
-// encoding is canonical (ladder traversal order), so capturing the same
-// state twice yields identical bytes. It fails with ErrClosuresPending if a
-// live closure event is queued.
-func (s *Simulator) EncodeState(w *snap.Writer) error {
-	live := 0
-	var closures error
-	s.pendingEvents(func(e event) {
-		if e.kind == kindFunc {
-			if s.fns[e.a] != nil {
-				closures = ErrClosuresPending
-			}
-			return // cancelled tombstone: dropped, it would be skipped anyway
-		}
-		live++
-	})
-	if closures != nil {
-		return closures
-	}
+// and processed counters, and the pending event set — into w. The encoding
+// is canonical (ladder traversal order), so capturing the same state twice
+// yields identical bytes.
+func (s *Simulator) EncodeState(w *snap.Writer) {
 	w.F64(s.now)
 	w.U64(s.seq)
 	w.U64(s.processed)
 	w.Bool(s.stopped)
-	w.Len32(live)
+	w.Len32(s.pending)
 	s.pendingEvents(func(e event) {
-		if e.kind == kindFunc {
-			return
-		}
 		w.F64(e.at)
 		w.U64(e.seq)
 		w.I32(e.kind)
@@ -77,26 +49,25 @@ func (s *Simulator) EncodeState(w *snap.Writer) error {
 		w.I32(e.b)
 		w.I32(e.c)
 	})
-	return nil
 }
 
 // DecodeState restores scheduler state previously written by EncodeState,
-// discarding whatever was scheduled on s before the call (the closure arena
-// included). The pending events are refiled into the ladder on load;
-// because the (time, seq) key is a strict total order, the rebuilt
-// scheduler pops in exactly the captured order regardless of its internal
-// layout.
+// discarding whatever was scheduled on s before the call. Because the
+// (time, seq) key is a strict total order, the restored scheduler pops in
+// exactly the captured order regardless of its internal layout; the pending
+// events keep their captured order in the overflow tier, so re-encoding a
+// restored state reproduces its bytes.
 func (s *Simulator) DecodeState(r *snap.Reader) error {
 	now := r.F64()
 	seq := r.U64()
 	processed := r.U64()
 	stopped := r.Bool()
-	n := r.Len32(40)
+	n := r.Len32(36) // encoded event: F64 at, U64 seq, five I32 fields
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if math.IsNaN(now) || math.IsInf(now, 0) {
-		return r.Fail(fmt.Errorf("%w: non-finite clock %v", snap.ErrCorrupt, now))
+	if math.IsNaN(now) || math.IsInf(now, 0) || now < 0 {
+		return r.Fail(fmt.Errorf("%w: clock %v out of range", snap.ErrCorrupt, now))
 	}
 	queue := make([]event, n)
 	for i := range queue {
@@ -127,37 +98,34 @@ func (s *Simulator) DecodeState(r *snap.Reader) error {
 	s.seq = seq
 	s.processed = processed
 	s.stopped = stopped
-	s.fns = nil
-	s.fnGen = nil
-	s.freeFns = nil
-	// Reset the ladder to the restored clock and refile every event; all
-	// captured times are >= now, so they land at or after the new current
-	// bucket.
+	// Park every event in the overflow tier under an empty window that ends
+	// at the clock's bucket. All captured times are >= now, so the overflow
+	// invariant holds, later inserts land in overflow too, and the first pop
+	// rebuilds the window over the earliest event.
 	s.cur = s.cur[:0]
 	s.curPos = 0
-	s.curIdx = bucketOf(now)
-	s.winHi = s.curIdx + 1 + ladderBuckets
+	s.winHi = bucketOf(now)
+	s.curIdx = s.winHi - 1
 	s.near = s.near[:0]
 	for i := range s.buckets {
 		s.buckets[i] = s.buckets[i][:0]
 	}
 	s.inBuckets = 0
-	s.overflow = s.overflow[:0]
+	s.overflow = append(s.overflow[:0], queue...)
 	s.ovMinJ = math.MaxInt64
-	s.pending = 0
 	for _, e := range queue {
-		s.insert(e)
+		s.ovMinJ = min(s.ovMinJ, bucketOf(e.at))
 	}
+	s.pending = len(queue)
 	return nil
 }
 
 // RunContextTo executes events with scheduled time <= t and returns with
 // later events still pending, leaving the clock at the last executed
-// event's time (unlike RunUntil, which advances it to exactly t — a restored
-// trajectory must not see a clock value the uninterrupted one never held).
-// It returns early when the queue drains, Stop is called, or ctx is
-// cancelled (polled every few hundred events, returning ctx.Err()). A nil
-// ctx is never cancelled.
+// event's time: a restored trajectory must not see a clock value the
+// uninterrupted one never held. It returns early when the queue drains,
+// Stop is called, or ctx is cancelled (polled every few hundred events,
+// returning ctx.Err()). A nil ctx is never cancelled.
 func (s *Simulator) RunContextTo(ctx context.Context, t float64) error {
 	for i := uint(0); ; i++ {
 		if ctx != nil && i&255 == 0 {
@@ -184,17 +152,13 @@ func (s *Simulator) RunContextTo(ctx context.Context, t float64) error {
 // and has pending work) capture produces the engine payload, the sink
 // receives it, and ck.Halt optionally stops the run before the remainder
 // executes. A nil or capture-less ck degrades to plain RunContext.
-func RunCheckpointed(ctx context.Context, s *Simulator, ck *snap.Checkpoint, capture func() ([]byte, error)) error {
+func RunCheckpointed(ctx context.Context, s *Simulator, ck *snap.Checkpoint, capture func() []byte) error {
 	if ck.Capturing() {
 		if err := s.RunContextTo(ctx, ck.At); err != nil {
 			return err
 		}
 		if !s.Stopped() && s.Pending() > 0 {
-			state, err := capture()
-			if err != nil {
-				return err
-			}
-			ck.Sink(state, s.Now(), s.Processed())
+			ck.Sink(capture(), s.Now(), s.Processed())
 			if ck.Halt {
 				s.Stop()
 			}
