@@ -14,11 +14,12 @@ import (
 )
 
 // jobKey returns the content address of one unit of work: hex SHA-256 over
-// a domain tag ("cell" for sweep jobs, "run" for single runs — the two
-// store different value encodings), the protocol name and the spec's
-// canonical bytes. The replication seed is already folded into the spec by
-// SweepPlan.JobSpec, so (protocol, spec) alone identifies the job; equal
-// keys imply equal Results, which is what makes the cache sound.
+// plurality.EngineEpoch, a domain tag ("cell" for sweep jobs, "run" for
+// single runs — the two store different value encodings), the protocol
+// name and the spec's canonical bytes. The replication seed is already
+// folded into the spec by SweepPlan.JobSpec, so (protocol, spec) alone
+// identifies the job under one epoch; equal keys imply equal Results,
+// which is what makes the cache sound.
 func jobKey(domain, protocol string, spec plurality.Spec) (string, error) {
 	cb, err := spec.CanonicalBytes()
 	if err != nil {
@@ -26,6 +27,8 @@ func jobKey(domain, protocol string, spec plurality.Spec) (string, error) {
 	}
 	h := sha256.New()
 	var lp [8]byte
+	binary.LittleEndian.PutUint64(lp[:], plurality.EngineEpoch)
+	h.Write(lp[:])
 	binary.LittleEndian.PutUint64(lp[:], uint64(len(domain)))
 	h.Write(lp[:])
 	h.Write([]byte(domain))

@@ -61,3 +61,32 @@ func ChiSquareTest(observed []int, expected []float64, significance float64) boo
 func inf() float64 {
 	return math.Inf(1)
 }
+
+// FisherExact returns the two-sided p-value of Fisher's exact test that k1
+// successes in n1 trials and k2 in n2 share one success probability.
+// Conditional on the k1+k2 successes in total, k1 is hypergeometric; the
+// p-value sums the probability of every table no more likely than the
+// observed one. It stays exact when a rate is 0 or 1, where χ² breaks down.
+func FisherExact(k1, n1, k2, n2 int) float64 {
+	if k1 < 0 || k2 < 0 || k1 > n1 || k2 > n2 {
+		panic(fmt.Sprintf("stats: FisherExact with %d/%d and %d/%d", k1, n1, k2, n2))
+	}
+	lchoose := func(n, k int) float64 {
+		a, _ := math.Lgamma(float64(n + 1))
+		b, _ := math.Lgamma(float64(k + 1))
+		c, _ := math.Lgamma(float64(n - k + 1))
+		return a - b - c
+	}
+	total := k1 + k2
+	logP := func(x int) float64 {
+		return lchoose(n1, x) + lchoose(n2, total-x) - lchoose(n1+n2, total)
+	}
+	obs := logP(k1)
+	p := 0.0
+	for x := max(0, total-n2); x <= min(total, n1); x++ {
+		if lp := logP(x); lp <= obs+1e-9 {
+			p += math.Exp(lp)
+		}
+	}
+	return min(p, 1)
+}

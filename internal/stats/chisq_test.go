@@ -122,3 +122,19 @@ func mergeSparse(observed []int, expected []float64, minExpected float64) ([]int
 	}
 	return obs, exp
 }
+
+func TestFisherExact(t *testing.T) {
+	// Tea-tasting table [[3,1],[1,3]]: two-sided p = 34/70.
+	if p := FisherExact(3, 4, 1, 4); math.Abs(p-34.0/70) > 1e-12 {
+		t.Errorf("tea tasting: p=%v, want %v", p, 34.0/70)
+	}
+	if p := FisherExact(40, 40, 40, 40); p != 1 {
+		t.Errorf("40/40 against 40/40: p=%v, want 1", p)
+	}
+	if p := FisherExact(40, 40, 30, 40); p > 0.002 {
+		t.Errorf("40/40 against 30/40: p=%v, want < 0.002", p)
+	}
+	if p := FisherExact(40, 40, 38, 40); p < 0.4 {
+		t.Errorf("40/40 against 38/40: p=%v, want about 0.49", p)
+	}
+}

@@ -41,10 +41,16 @@ func KSPValue(d float64, n int) float64 {
 	if n <= 0 {
 		panic(fmt.Sprintf("stats: KSPValue with n=%d", n))
 	}
+	return ksProb(d, float64(n))
+}
+
+// ksProb evaluates the Kolmogorov tail for statistic d at effective sample
+// size ne (ne = n for one sample, n·m/(n+m) for two).
+func ksProb(d, ne float64) float64 {
 	if d <= 0 {
 		return 1
 	}
-	sqrtN := math.Sqrt(float64(n))
+	sqrtN := math.Sqrt(ne)
 	lambda := (sqrtN + 0.12 + 0.11/sqrtN) * d
 	sum := 0.0
 	sign := 1.0
@@ -72,4 +78,33 @@ func KSPValue(d float64, n int) float64 {
 func KSTest(sample []float64, cdf func(float64) float64, significance float64) bool {
 	d := KSStatistic(sample, cdf)
 	return KSPValue(d, len(sample)) > significance
+}
+
+// KSTwoSample returns the two-sample Kolmogorov–Smirnov statistic
+// D = sup_x |F_a(x) − F_b(x)| between the empirical CDFs of a and b, and
+// its asymptotic p-value at the effective size n·m/(n+m) (the series and
+// small-sample correction of KSPValue). Ties are stepped over together, so
+// discrete data give a conservative p-value. It does not modify either
+// sample.
+func KSTwoSample(a, b []float64) (d, p float64) {
+	if len(a) == 0 || len(b) == 0 {
+		panic(fmt.Sprintf("stats: KSTwoSample with sizes %d and %d", len(a), len(b)))
+	}
+	x := append([]float64(nil), a...)
+	y := append([]float64(nil), b...)
+	sort.Float64s(x)
+	sort.Float64s(y)
+	n, m := float64(len(x)), float64(len(y))
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		v := min(x[i], y[j])
+		for i < len(x) && x[i] == v {
+			i++
+		}
+		for j < len(y) && y[j] == v {
+			j++
+		}
+		d = max(d, math.Abs(float64(i)/n-float64(j)/m))
+	}
+	return d, ksProb(d, n*m/(n+m))
 }

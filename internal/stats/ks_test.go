@@ -89,3 +89,45 @@ func TestKSPValueEdges(t *testing.T) {
 		t.Errorf("p(1) = %v, want ~0", p)
 	}
 }
+
+func TestKSTwoSample(t *testing.T) {
+	// Identical samples, and a disjoint pair whose D is 1.
+	a := []float64{3, 1, 2, 5, 4}
+	if d, p := KSTwoSample(a, a); d != 0 || p != 1 {
+		t.Errorf("identical samples: D=%v p=%v, want 0 and 1", d, p)
+	}
+	if d, _ := KSTwoSample([]float64{1, 2}, []float64{3, 4, 5}); d != 1 {
+		t.Errorf("disjoint samples: D=%v, want 1", d)
+	}
+	// D=0.5 by hand: after {1, 2} the first ECDF is 2/4, the second 0.
+	if d, _ := KSTwoSample([]float64{1, 2, 5, 6}, []float64{3, 4, 7, 8}); d != 0.5 {
+		t.Errorf("interleaved samples: D=%v, want 0.5", d)
+	}
+	// Ties across the samples step together.
+	if d, _ := KSTwoSample([]float64{1, 1, 2}, []float64{1, 2, 2}); math.Abs(d-1.0/3) > 1e-15 {
+		t.Errorf("tied samples: D=%v, want 1/3", d)
+	}
+
+	r := xrand.New(4)
+	draw := func(n int, rate float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.Exp(rate)
+		}
+		return xs
+	}
+	// Under the null the p-value is uniform: about 5% fall below 0.05.
+	rejected := 0
+	const trials = 400
+	for range trials {
+		if _, p := KSTwoSample(draw(200, 1), draw(150, 1)); p < 0.05 {
+			rejected++
+		}
+	}
+	if rejected > 2*trials/20 {
+		t.Errorf("rejected %d of %d same-distribution pairs at 0.05", rejected, trials)
+	}
+	if _, p := KSTwoSample(draw(500, 1), draw(500, 1.5)); p > 0.001 {
+		t.Errorf("Exp(1) against Exp(1.5): p=%v, want a rejection", p)
+	}
+}

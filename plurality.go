@@ -7,6 +7,13 @@ import (
 	"plurality/internal/core/leader"
 )
 
+// EngineEpoch versions the engines' behaviour. Two builds with the same
+// epoch return bit-identical Results for every protocol and Spec. It is
+// bumped in any change that moves an RNG stream or the event order on
+// purpose, and it is part of every cache key pluralityd computes, so a
+// stored result never outlives the engines that produced it.
+const EngineEpoch = 1
+
 // Baselines lists the available baseline rules: "pull-voting",
 // "two-choices", "3-majority", "undecided-state". Each is also a registered
 // protocol name accepted by Run.
