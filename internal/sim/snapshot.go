@@ -4,43 +4,42 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"plurality/internal/snap"
 )
 
-// pendingEvents calls f for every queued event in
-// the ladder's canonical traversal order: the draining current bucket,
-// then the near heap, then the ring slots, then the overflow tail. The
-// order is a pure function of the execution that produced the state, so
-// capturing the same state twice yields identical bytes.
-func (s *Simulator) pendingEvents(f func(e event)) {
-	for _, e := range s.cur[s.curPos:] {
-		f(e)
-	}
-	for _, e := range s.near {
-		f(e)
-	}
-	for _, b := range s.buckets {
-		for _, e := range b {
-			f(e)
-		}
-	}
-	for _, e := range s.overflow {
-		f(e)
-	}
-}
-
 // EncodeState serializes the full scheduler state — virtual clock, sequence
-// and processed counters, and the pending event set — into w. The encoding
-// is canonical (ladder traversal order), so capturing the same state twice
-// yields identical bytes.
+// and processed counters, and the pending event set — into w. Pending
+// events are written in (at, seq) order, the order they will pop in, so
+// the bytes depend only on the simulated state and not on the ladder's
+// layout: a state captured after a restore encodes exactly as the
+// uninterrupted run's state does.
 func (s *Simulator) EncodeState(w *snap.Writer) {
 	w.F64(s.now)
 	w.U64(s.seq)
 	w.U64(s.processed)
 	w.Bool(s.stopped)
-	w.Len32(s.pending)
-	s.pendingEvents(func(e event) {
+	queue := make([]event, 0, s.pending)
+	queue = append(queue, s.cur[s.curPos:]...)
+	queue = append(queue, s.near...)
+	for _, b := range s.buckets {
+		queue = append(queue, b...)
+	}
+	queue = append(queue, s.overflow...)
+	// Stable, so a decoded state that repeats a key still re-encodes to
+	// its own bytes.
+	slices.SortStableFunc(queue, func(a, b event) int {
+		if eventLess(a, b) {
+			return -1
+		}
+		if eventLess(b, a) {
+			return 1
+		}
+		return 0
+	})
+	w.Len32(len(queue))
+	for _, e := range queue {
 		w.F64(e.at)
 		w.U64(e.seq)
 		w.I32(e.kind)
@@ -48,15 +47,13 @@ func (s *Simulator) EncodeState(w *snap.Writer) {
 		w.I32(e.a)
 		w.I32(e.b)
 		w.I32(e.c)
-	})
+	}
 }
 
 // DecodeState restores scheduler state previously written by EncodeState,
 // discarding whatever was scheduled on s before the call. Because the
 // (time, seq) key is a strict total order, the restored scheduler pops in
-// exactly the captured order regardless of its internal layout; the pending
-// events keep their captured order in the overflow tier, so re-encoding a
-// restored state reproduces its bytes.
+// exactly the captured order regardless of its internal layout.
 func (s *Simulator) DecodeState(r *snap.Reader) error {
 	now := r.F64()
 	seq := r.U64()

@@ -169,6 +169,55 @@ func TestSnapshotDeterministicEncoding(t *testing.T) {
 	}
 }
 
+// TestSnapshotAfterResumeCanonical pins that snapshot bytes depend only on
+// the simulated state: a capture at t2 taken after resuming from a capture
+// at t1 equals, byte for byte, the uninterrupted run's capture at t2. The
+// resumed kernel holds its pending events in another layout, so this holds
+// only because the kernel encodes them in (time, seq) order.
+func TestSnapshotAfterResumeCanonical(t *testing.T) {
+	ctx := context.Background()
+	capture := func(name string, spec Spec, at float64, from *Snapshot) []byte {
+		t.Helper()
+		ck := CheckpointSpec{SnapshotAt: at, Halt: true}
+		var res *Result
+		var err error
+		if from == nil {
+			spec.Checkpoint = ck
+			res, err = Run(ctx, name, spec)
+		} else {
+			res, err = Resume(ctx, from, &ResumeOptions{Checkpoint: ck})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Snapshot == nil {
+			t.Fatalf("%s: no snapshot captured at t=%g", name, at)
+		}
+		blob, err := res.Snapshot.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	for _, name := range []string{"leader", "decentralized", "3-majority", "sync"} {
+		t.Run(name, func(t *testing.T) {
+			spec := snapshotSpec()
+			plain, err := Run(ctx, name, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t1, t2 := plain.Duration/3, 2*plain.Duration/3
+			first, err := DecodeSnapshot(capture(name, spec, t1, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(capture(name, spec, t2, first), capture(name, spec, t2, nil)) {
+				t.Error("capture after a resume differs from the uninterrupted run's capture")
+			}
+		})
+	}
+}
+
 // TestResumeObserver pins that a re-attached observer sees only the points
 // recorded after the restore while the final trajectory stays complete.
 func TestResumeObserver(t *testing.T) {
