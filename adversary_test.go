@@ -118,28 +118,30 @@ func adversaryGoldenSpec(adv AdversarySpec) Spec {
 }
 
 // adversaryGolden maps "protocol/label" to the digest recorded when the
-// subsystem landed. Any change to adversary draw order, victim selection or
-// engine arithmetic under faults shows up here. Re-record with:
+// subsystem landed, and for the asynchronous engines and churn schedules
+// re-recorded at EngineEpoch 2 (superposed clock, ziggurat exponential).
+// Any change to adversary draw order, victim selection or engine
+// arithmetic under faults shows up here. Re-record with:
 //
 //	PLURALITY_GOLDEN_RECORD=1 go test -run TestAdversaryGolden -v .
 var adversaryGolden = map[string]string{
 	"3-majority/byzantine(f=0.15)":    "b629ee7d5e23a884d573179db02870113219077cde33e8bfbeffa6ae488f8597",
 	"3-majority/crash(f=0.2)":         "b0093e79a654fa1743e3b4a75667d14a06cc6955b692f0c325170dd78a2afff8",
-	"3-majority/crash(f=0.2,r=1)":     "e6bfb542fe0d8d10c784900f9b637368c4fa9edc388191c6b64730c19e5acd34",
+	"3-majority/crash(f=0.2,r=1)":     "a79ac30ffb1545dcdc8089a1bd8b3a152c19f5bc75459964f02919f8e65b155f",
 	"3-majority/drop(f=0.3)":          "2254253292e3586ca390c00cb506c48e80f230f55d6fd0cc864f3f13808092a4",
-	"decentralized/byzantine(f=0.15)": "b3415ee9b8f293543863f85134da2379032e9813a1ebe3ccc4f5238f5d2cf8a4",
-	"decentralized/crash(f=0.2)":      "f3a7a97461222fd3472fffea0183ff20ed2ca6a76377d4fc979b559c92c1b3b4",
-	"decentralized/crash(f=0.2,r=1)":  "8fef3d64cb7a1d13f5466462139040f462bc7686d907a5f5a894bd9db49ad481",
-	"decentralized/delay(f=0.5,x2)":   "6a2f17f22e979c2d7c22a15e25e542cf54ca9b83c8baeaf74a2b0acc5dda00e4",
-	"decentralized/drop(f=0.3)":       "a941935e723102e7667908088992d5d0cdc8eed1bce9d555b4bef44237b6c95e",
-	"leader/byzantine(f=0.15)":        "47daa6b5011229b4dc6a869f17a771cd2cc63e588abe74cc5e403ef878c6506b",
-	"leader/crash(f=0.2)":             "b68d3a7c2e3a50c794eb54a6390af4f56fe2c2445e98494514e1f595f9c39e21",
-	"leader/crash(f=0.2,r=1)":         "16ca3e32df4b3ae579f762f19f5bc25a42c79895cd93f2ba2639086f7517ff8b",
-	"leader/delay(f=0.5,x2)":          "cdd589fbbd7a05b06f03d11351edba38e4f84087c1cfacc1dc83a7ed92054a45",
-	"leader/drop(f=0.3)":              "f72e0e61d6e63977d0bc82cbcb01f6141ef76a62ad859c24e56a6b07f8f71105",
+	"decentralized/byzantine(f=0.15)": "42dfb59a4a61d3775ccfdbdca34224c4e3159db5bde27b3e4a78ccb3c0866e0c",
+	"decentralized/crash(f=0.2)":      "321c6c7da1e61114caf41b8e97571ed1315fe2ebad8b6d945993c39c2c3da879",
+	"decentralized/crash(f=0.2,r=1)":  "a4f8bbc0817591eaba7f7631037dd1e1b232a943ec81e676388e7ceca87e164d",
+	"decentralized/delay(f=0.5,x2)":   "71a689bd68717e254f2a5fb7cf3e5912caed364d390f61f0d83ab69e9975dfd8",
+	"decentralized/drop(f=0.3)":       "2cb64cf4efab06a9af60500edce8f11802f77496a29fecfca99d5a984ad9010e",
+	"leader/byzantine(f=0.15)":        "99b7d84ea562b75dc7c26598b42b681128536657de291ce5d07bfbd8adf160db",
+	"leader/crash(f=0.2)":             "4546ed73e962a886daa2214ff5918c2ebe00657e6f75f7a60a41a10ed545767e",
+	"leader/crash(f=0.2,r=1)":         "ef767e472045a12aff74a298611fdbac6707c03c15960bcc746c2783048f1cca",
+	"leader/delay(f=0.5,x2)":          "e1275370333d37a620d2849c51b30cdb77e5ad5defa0980559ce2c680b338c72",
+	"leader/drop(f=0.3)":              "31674182992814c15739f11bf730c3b52331879283f02798d3e43583cc14116d",
 	"sync/byzantine(f=0.15)":          "3e167fda88ed589bab65006f01ff8a80666028ef8e4926a7d5b879f2426b781b",
 	"sync/crash(f=0.2)":               "aca483ac065d050cd0a3a96751e7ecb8129650e4e52e40af609d125bdd875d31",
-	"sync/crash(f=0.2,r=1)":           "9469d6ed882c14e57aca59ea2bd091dec8eaa98300b96e365e765d5d1ad76c9f",
+	"sync/crash(f=0.2,r=1)":           "d5bbb62c88927d915cbf01087a6e86d166bba7c98093d65c583331e696757866",
 	"sync/drop(f=0.3)":                "ab21dc27c3d8c9758f1396f05c781178c2e290ec9d579c966d0fe629c4930131",
 }
 

@@ -26,8 +26,10 @@ import (
 // word-per-node configuration, dropping the serialized tally matrix that
 // is now rebuilt at restore; version 5 removed sharded execution, so a
 // version-4 blob that carries the per-shard section is rejected instead of
-// being misread as a serial payload — the serial layout is unchanged).
-const SnapshotFormatVersion = 5
+// being misread as a serial payload — the serial layout is unchanged;
+// version 6 replaced the per-node Poisson clocks' section, n generators and
+// n stop flags, by the superposed clock's one generator).
+const SnapshotFormatVersion = 6
 
 // snapshotMagic is the 8-byte blob signature.
 const snapshotMagic = "PLURSNAP"

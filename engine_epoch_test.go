@@ -13,6 +13,7 @@ import (
 // bump EngineEpoch and add a row here; an existing row never changes.
 var epochGoldens = map[int]string{
 	1: "dedef1bcc17aad22b9a67782e20c5bd62b1857d3780ab889e4b601407bbef628",
+	2: "8a891486bf46cf1b6a75b05bac3644419a0c7649067df303bcab4fd4c00598aa",
 }
 
 func goldenTablesDigest() string {

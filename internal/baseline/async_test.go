@@ -135,13 +135,15 @@ func digestPoisson(res *Result) string {
 
 // TestRunPoissonGolden pins the Poisson scheduler against the pre-refactor
 // closure kernel (recorded at commit 85af9cc): the typed event kernel must
-// replay these runs byte-for-byte.
+// replay these runs byte-for-byte. Re-recorded at plurality.EngineEpoch 2,
+// when the superposed clock and the ziggurat exponential changed the
+// streams on purpose.
 func TestRunPoissonGolden(t *testing.T) {
 	golden := map[string]string{
-		"pull-voting":     "a02f95c7ebb21b053cfebacd1b9a2f2e1016eef9856d3379a12044b4859ce197",
-		"two-choices":     "5e1714f465bc0d30d1def074f6df7e7e2f26ae142e164feb9a5a3d19b471c3da",
-		"3-majority":      "051468d0ab80091d0bfef2ea282ca40b409ee0dcbf8c107a7cb21879569f57ca",
-		"undecided-state": "4c8db0f1a618d18edce066fc386d1ccd69123cf866053a79e732513d5d213024",
+		"pull-voting":     "7eecc7a20fed2ac83414208d0d175f00d6d1bbe5b8c8f60c8156d49434565b3f",
+		"two-choices":     "fb21504897c7ced7e9f318ce2873e74ea7942a304acd20dc72bdfa1407f96e78",
+		"3-majority":      "2304741182c345f2f6729fe468da37b1d2c54b0f38af94d726ea69bd1224257b",
+		"undecided-state": "e52428b608bfa962eee57a88828b5025e8341d796090fa656660f90d37abb6de",
 	}
 	for name, want := range golden {
 		rule, err := NewRule(name, xrand.New(21))

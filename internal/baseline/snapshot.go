@@ -16,7 +16,7 @@ import (
 // round-based schedulers (RunSync, RunSequential) have tiny state — the
 // opinion vector, the step RNG, the rule's tie-break RNG and the recorder —
 // captured at a round (or interaction) boundary; the Poisson scheduler
-// additionally carries the event kernel and the per-node clocks, exactly
+// additionally carries the event kernel and the Poisson clocks, exactly
 // like the paper's protocols.
 
 // ruleStream returns a rule's internal RNG (nil for stateless rules); it is

@@ -110,37 +110,43 @@ func TestPhaseLogAlternates(t *testing.T) {
 func TestTwoChoicesPhaseDuration(t *testing.T) {
 	// Proposition 16: the two-choices phase of each generation lasts about
 	// C3/C1 = 2 time units (within generous tolerance: signal latencies
-	// delay the counter).
-	res, err := Run(Config{N: 4000, K: 2, Alpha: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unit := res.C1
-	type span struct{ start, end float64 }
-	spans := map[int]*span{}
-	for _, ev := range res.PhaseLog {
-		switch ev.Phase {
-		case PhaseTwoChoices:
-			spans[ev.Gen] = &span{start: ev.Time, end: -1}
-		case PhasePropagation:
-			if s := spans[ev.Gen]; s != nil {
-				s.end = ev.Time
+	// delay the counter). At the default GenFraction 0.5 the next
+	// generation usually starts before C3 ticks, which cuts the span short
+	// of its propagation phase; at 0.8 most spans complete, so four fixed
+	// seeds measure well over the eight spans required here.
+	checked := 0
+	for seed := uint64(1); seed <= 4; seed++ {
+		res, err := Run(Config{N: 4000, K: 2, Alpha: 2, Seed: seed, GenFraction: 0.8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit := res.C1
+		type span struct{ start, end float64 }
+		spans := map[int]*span{}
+		for _, ev := range res.PhaseLog {
+			switch ev.Phase {
+			case PhaseTwoChoices:
+				spans[ev.Gen] = &span{start: ev.Time, end: -1}
+			case PhasePropagation:
+				if s := spans[ev.Gen]; s != nil {
+					s.end = ev.Time
+				}
 			}
 		}
-	}
-	checked := 0
-	for gen, s := range spans {
-		if s.end < 0 {
-			continue
+		for gen, s := range spans {
+			if s.end < 0 {
+				continue
+			}
+			units := (s.end - s.start) / unit
+			if units < 1 || units > 5 {
+				t.Errorf("seed %d: gen %d two-choices phase lasted %.2f units, want ~2", seed, gen, units)
+			}
+			checked++
 		}
-		units := (s.end - s.start) / unit
-		if units < 1 || units > 5 {
-			t.Errorf("gen %d two-choices phase lasted %.2f units, want ~2", gen, units)
-		}
-		checked++
 	}
-	if checked == 0 {
-		t.Fatal("no completed two-choices phases measured")
+	t.Logf("measured %d completed two-choices phases", checked)
+	if checked < 8 {
+		t.Fatalf("measured %d completed two-choices phases over seeds 1-4, want at least 8", checked)
 	}
 }
 

@@ -252,9 +252,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// One Poisson clock per node, in struct-of-arrays form: clock RNGs are
-	// split from the same parent in the same node order as the legacy
-	// per-node Clock objects, so tick times are bit-identical.
+	// The nodes' Poisson clocks, run as one superposed process.
 	rs.tickFn = rs.tick
 	rs.sm.SetHandler(rs)
 	rs.sm.Reserve(3*cfg.N + 64)

@@ -43,8 +43,8 @@ func BenchmarkEventScheduling(b *testing.B) {
 	}
 }
 
-// BenchmarkClocksTick measures the full per-node Poisson clock cycle
-// (dispatch, Fire, Exp draw, reschedule) on a million clocks.
+// BenchmarkClocksTick measures the full Poisson clock cycle (dispatch,
+// Fire, Exp and node draws, reschedule) on a million nodes.
 func BenchmarkClocksTick(b *testing.B) {
 	s := New()
 	const n = 1_000_000

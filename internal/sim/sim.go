@@ -3,6 +3,9 @@
 // owns a rate-1 Poisson clock, and opening a communication channel costs an
 // independent latency (exponential with rate λ in the paper, generalized
 // here to any positive distribution to cover the positive-aging variant).
+// The n clocks run as one superposed rate-n process that hands each tick
+// to a uniform node (see Clocks), which has the same law and keeps one
+// tick pending instead of n.
 //
 // The kernel is single-threaded and fully deterministic: events execute in
 // (time, insertion-sequence) order, so equal-time events replay in the order
@@ -42,8 +45,7 @@
 //
 // EncodeState/DecodeState serialize the scheduler — clock, counters, the
 // pending event set — and Clocks.EncodeState/DecodeState do the same
-// for the per-node Poisson clocks (generator states, stop flags, tick
-// counter). Capture happens at a barrier, not an event: RunContextTo runs
+// for the Poisson clocks (one generator and the tick counter). Capture happens at a barrier, not an event: RunContextTo runs
 // everything scheduled at or before t and returns between events, so no
 // sequence number is consumed and a run with a (non-halting) capture stays
 // byte-identical to one without. Restores re-run the engine's
@@ -162,8 +164,8 @@ func New() *Simulator {
 func (s *Simulator) SetHandler(h EventHandler) { s.handler = h }
 
 // Reserve hints the expected pending-event population. Engines call it with
-// a small multiple of the node count (every node keeps a tick plus a
-// bounded number of in-flight channel events queued); the ladder uses the
+// a small multiple of the node count (every node keeps a bounded number of
+// in-flight channel events queued); the ladder uses the
 // hint to pre-size its bucket arrays and the overflow tail, so warm-up
 // performs one allocation per tier instead of a doubling cascade. The
 // overflow carries every pending event beyond the ring window — the

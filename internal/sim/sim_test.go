@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"plurality/internal/stats"
 	"plurality/internal/xrand"
 )
 
@@ -271,7 +272,6 @@ func TestClockRate(t *testing.T) {
 	if err := s.RunContextTo(nil, 5000); err != nil {
 		t.Fatal(err)
 	}
-	c.Stop(0)
 	// Expect ~rate*horizon ticks; Poisson sd is sqrt(mean).
 	mean := 2.0 * 5000
 	got := float64(c.Ticks())
@@ -280,35 +280,61 @@ func TestClockRate(t *testing.T) {
 	}
 }
 
+// TestClockInterTickExponential checks the superposed clock node by node:
+// one node's own inter-tick gaps must be Exp(rate), as if it owned a
+// private rate-r clock.
 func TestClockInterTickExponential(t *testing.T) {
+	const n, rate, node = 16, 1.5, 5
 	s := New()
 	var times []float64
-	c := startClocks(s, 8, 1, 1.0, func(int) { times = append(times, s.Now()) })
+	startClocks(s, 8, n, rate, func(v int) {
+		if v == node {
+			times = append(times, s.Now())
+		}
+	})
 	if err := s.RunContextTo(nil, 20000); err != nil {
 		t.Fatal(err)
 	}
-	c.Stop(0)
-	// Kolmogorov-style check on gaps: fraction below ln 2 should be ~1/2.
-	below := 0
-	for i := 1; i < len(times); i++ {
-		if times[i]-times[i-1] < math.Ln2 {
-			below++
-		}
+	gaps := make([]float64, len(times)-1)
+	for i := range gaps {
+		gaps[i] = times[i+1] - times[i]
 	}
-	frac := float64(below) / float64(len(times)-1)
-	if math.Abs(frac-0.5) > 0.02 {
-		t.Fatalf("fraction of gaps below median %v, want ~0.5", frac)
+	if len(gaps) < 20000 {
+		t.Fatalf("node %d ticked %d times, want ~%v", node, len(times), rate*20000)
+	}
+	if !stats.KSTest(gaps, func(x float64) float64 { return xrand.ExpCDF(rate, x) }, 0.001) {
+		t.Fatalf("node %d's inter-tick gaps are not Exp(%v)", node, rate)
 	}
 }
 
+// TestClockTicksUniformOverNodes checks that the superposed clock hands
+// each tick to a uniform node: per-node tick counts pass a χ² test.
+func TestClockTicksUniformOverNodes(t *testing.T) {
+	const n = 50
+	s := New()
+	counts := make([]int, n)
+	c := startClocks(s, 11, n, 1, func(v int) { counts[v]++ })
+	if err := s.RunContextTo(nil, 2000); err != nil {
+		t.Fatal(err)
+	}
+	expected := make([]float64, n)
+	for i := range expected {
+		expected[i] = float64(c.Ticks()) / n
+	}
+	if !stats.ChiSquareTest(counts, expected, 0.001) {
+		t.Fatalf("per-node tick counts %v are not uniform", counts)
+	}
+}
+
+// TestClockStopInsideCallback pins the engines' termination pattern: a
+// Stop issued from inside a tick callback ends the run after that tick.
 func TestClockStopInsideCallback(t *testing.T) {
 	s := New()
 	count := 0
-	var c *Clocks
-	c = startClocks(s, 9, 1, 1.0, func(int) {
+	startClocks(s, 9, 4, 1.0, func(int) {
 		count++
 		if count == 3 {
-			c.Stop(0)
+			s.Stop()
 		}
 	})
 	s.Run()

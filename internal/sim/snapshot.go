@@ -164,58 +164,28 @@ func RunCheckpointed(ctx context.Context, s *Simulator, ck *snap.Checkpoint, cap
 	return s.RunContext(ctx)
 }
 
-// EncodeState serializes the clocks' mutable state — per-node generator
-// words, stopped flags and the tick counter — into w. The static rate and
-// event kind are reconstructed by the owning engine, which also recreates
-// the Clocks value before calling DecodeState.
+// EncodeState serializes the clocks' mutable state — the tick counter, the
+// started flag and the superposed clock's generator — into w. The static
+// node count, rate and event kind are reconstructed by the owning engine,
+// which also recreates the Clocks value before calling DecodeState.
 func (c *Clocks) EncodeState(w *snap.Writer) {
 	w.U64(c.ticks)
 	w.Bool(c.started)
-	w.Len32(len(c.rngs))
-	for i := range c.rngs {
-		w.RNG(&c.rngs[i])
-	}
-	w.Bools(c.stopped)
+	w.RNG(&c.rng)
 }
 
-// DecodeState restores clock state previously written by EncodeState into a
-// Clocks value constructed with the same node count.
+// DecodeState restores clock state previously written by EncodeState.
 func (c *Clocks) DecodeState(r *snap.Reader) error {
 	ticks := r.U64()
 	started := r.Bool()
-	n := r.Len32(32)
-	if err := r.Err(); err != nil {
+	if err := r.ReadRNG(&c.rng); err != nil {
 		return err
 	}
-	if n != len(c.rngs) {
-		return r.Fail(fmt.Errorf("%w: clock count %d != %d", snap.ErrCorrupt, n, len(c.rngs)))
-	}
-	for i := range c.rngs {
-		if err := r.ReadRNG(&c.rngs[i]); err != nil {
-			return err
-		}
-	}
-	stopped := r.Bools()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(stopped) != len(c.stopped) {
-		return r.Fail(fmt.Errorf("%w: clock stop-flag count %d != %d", snap.ErrCorrupt, len(stopped), len(c.stopped)))
-	}
-	copy(c.stopped, stopped)
 	c.ticks = ticks
 	c.started = started
 	return nil
 }
 
-// Perturb folds a divergence label into every per-node clock generator; see
-// xrand.RNG.Perturb (each generator's own state keeps the perturbed streams
-// distinct across nodes). Label 0 is the identity.
-func (c *Clocks) Perturb(label uint64) {
-	if label == 0 {
-		return
-	}
-	for i := range c.rngs {
-		c.rngs[i].Perturb(label)
-	}
-}
+// Perturb folds a divergence label into the clock generator; see
+// xrand.RNG.Perturb. Label 0 is the identity.
+func (c *Clocks) Perturb(label uint64) { c.rng.Perturb(label) }

@@ -79,9 +79,8 @@ func (r *RNG) Split() *RNG {
 }
 
 // SplitInto seeds an existing child generator exactly as Split would,
-// without allocating. It is the struct-of-arrays form used by the event
-// kernel's per-node Poisson clocks: a []RNG slice seeded by successive
-// SplitInto calls is bit-identical to the same number of Split calls.
+// without allocating, so a generator can live by value inside another
+// struct (as the event kernel's Poisson clock keeps its own).
 func (r *RNG) SplitInto(c *RNG) {
 	// Mix two parent outputs through SplitMix64-style finalizers so the
 	// child state is decorrelated from raw parent outputs.
@@ -255,11 +254,55 @@ var ErrBadParam = errors.New("xrand: invalid distribution parameter")
 
 // Exp returns an exponentially distributed sample with rate lambda
 // (mean 1/lambda). It panics if lambda <= 0.
+// It draws by the ziggurat of Marsaglia and Tsang (2000): one Uint64 picks
+// a layer and a position in it, and ~98.9% of draws return at once with no
+// logarithm. The base layer's tail takes an open uniform: zero gives +Inf.
 func (r *RNG) Exp(lambda float64) float64 {
 	if lambda <= 0 || math.IsNaN(lambda) {
 		panic(fmt.Sprintf("xrand: Exp with non-positive rate %v", lambda))
 	}
-	return -math.Log(r.Float64Open()) / lambda
+	for {
+		u := r.Uint64()
+		j := uint32(u)
+		i := uint8(u >> 32)
+		x := float64(j) * zigW[i]
+		if j < zigK[i] {
+			return x / lambda
+		}
+		if i == 0 {
+			return (zigR - math.Log(r.Float64Open())) / lambda
+		}
+		if zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-x) {
+			return x / lambda
+		}
+	}
+}
+
+// zigR is where the exponential ziggurat's tail begins.
+const zigR = 7.697117470131487
+
+// The ziggurat tables for Exp: layer i's x-scale zigW, its acceptance
+// threshold zigK on the 32-bit position, and e^{-x} at its edge, zigF.
+var zigK, zigW, zigF = expZiggurat()
+
+// expZiggurat builds the tables from the layer recurrence
+// x_{i-1} = -ln(v/x_i + e^{-x_i}), starting at the tail x_255 = zigR, where
+// v is the area of each of the 256 layers.
+func expZiggurat() (k [256]uint32, w, f [256]float64) {
+	const m, v = 1 << 32, 3.949659822581572e-3
+	x := zigR
+	q := v / math.Exp(-x)
+	k[0] = uint32(x / q * m)
+	w[0], w[255] = q/m, x/m
+	f[0], f[255] = 1, math.Exp(-x)
+	for i := 254; i >= 1; i-- {
+		prev := x
+		x = -math.Log(v/x + math.Exp(-x))
+		k[i+1] = uint32(x / prev * m)
+		w[i] = x / m
+		f[i] = math.Exp(-x)
+	}
+	return k, w, f
 }
 
 // Norm returns a standard normal sample via the polar (Marsaglia) method.

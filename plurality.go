@@ -11,8 +11,10 @@ import (
 // epoch return bit-identical Results for every protocol and Spec. It is
 // bumped in any change that moves an RNG stream or the event order on
 // purpose, and it is part of every cache key pluralityd computes, so a
-// stored result never outlives the engines that produced it.
-const EngineEpoch = 1
+// stored result never outlives the engines that produced it. Epoch 2
+// replaced the per-node Poisson clocks by one superposed clock and drew
+// exponentials with a ziggurat.
+const EngineEpoch = 2
 
 // Baselines lists the available baseline rules: "pull-voting",
 // "two-choices", "3-majority", "undecided-state". Each is also a registered

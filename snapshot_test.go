@@ -34,12 +34,13 @@ func captureSnapshot(t *testing.T, name string, spec Spec) (*Snapshot, string) {
 func snapshotSpec() Spec { return Spec{N: 300, K: 3, Alpha: 2, Seed: 42} }
 
 // TestSnapshotVersionRejected pins that a blob recorded under any other
-// format version fails with ErrSnapshotVersion, not a misparse: a newer one,
-// and version 4, whose leader and decentralized blobs could carry a
-// per-shard payload section that the current engines no longer read.
+// format version fails with ErrSnapshotVersion, not a misparse: a newer one;
+// version 4, whose leader and decentralized blobs could carry a per-shard
+// payload section that the current engines no longer read; and version 5,
+// whose clock sections hold one generator per node.
 func TestSnapshotVersionRejected(t *testing.T) {
 	sn, _ := captureSnapshot(t, "leader", snapshotSpec())
-	for _, v := range []int{4, SnapshotFormatVersion + 1} {
+	for _, v := range []int{4, 5, SnapshotFormatVersion + 1} {
 		other := *sn
 		other.meta.FormatVersion = v
 		blob, err := other.Encode()
