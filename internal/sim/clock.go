@@ -31,9 +31,7 @@ func NewClocks(s *Simulator, parent *xrand.RNG, n int, rate float64, kind int32)
 	if kind < 0 {
 		panic(fmt.Sprintf("sim: negative clock event kind %d", kind))
 	}
-	c := &Clocks{sim: s, kind: kind, n: n, rate: float64(n) * rate}
-	parent.SplitInto(&c.rng)
-	return c
+	return &Clocks{sim: s, kind: kind, n: n, rate: float64(n) * rate, rng: *parent.Split()}
 }
 
 // StartAll schedules the first tick. Calling it twice panics: doubled
@@ -43,9 +41,7 @@ func (c *Clocks) StartAll() {
 		panic("sim: clocks started twice")
 	}
 	c.started = true
-	if c.n > 0 {
-		c.schedule()
-	}
+	c.schedule()
 }
 
 // Fire handles one popped tick event for node v: it runs tick(v) and

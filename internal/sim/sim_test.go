@@ -327,7 +327,7 @@ func TestClockTicksUniformOverNodes(t *testing.T) {
 }
 
 // TestClockStopInsideCallback pins the engines' termination pattern: a
-// Stop issued from inside a tick callback ends the run after that tick.
+// Stop called from inside a tick callback ends the run after that tick.
 func TestClockStopInsideCallback(t *testing.T) {
 	s := New()
 	count := 0

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -30,13 +31,7 @@ func (s *Simulator) EncodeState(w *snap.Writer) {
 	// Stable, so a decoded state that repeats a key still re-encodes to
 	// its own bytes.
 	slices.SortStableFunc(queue, func(a, b event) int {
-		if eventLess(a, b) {
-			return -1
-		}
-		if eventLess(b, a) {
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
 	})
 	w.Len32(len(queue))
 	for _, e := range queue {

@@ -73,19 +73,10 @@ func (r *RNG) Uint64() uint64 {
 // streams that are, for simulation purposes, independent. Splitting is the
 // supported way to hand randomness to concurrent replications.
 func (r *RNG) Split() *RNG {
-	c := &RNG{}
-	r.SplitInto(c)
-	return c
-}
-
-// SplitInto seeds an existing child generator exactly as Split would,
-// without allocating, so a generator can live by value inside another
-// struct (as the event kernel's Poisson clock keeps its own).
-func (r *RNG) SplitInto(c *RNG) {
 	// Mix two parent outputs through SplitMix64-style finalizers so the
 	// child state is decorrelated from raw parent outputs.
 	a, b := r.Uint64(), r.Uint64()
-	c.Reseed(a ^ bits.RotateLeft64(b, 32))
+	return New(a ^ bits.RotateLeft64(b, 32))
 }
 
 // SplitNamed derives a child generator whose stream depends on both the
