@@ -45,22 +45,17 @@ const (
 // is high enough that most runs reach full consensus; at degree 8 the
 // leader engine stalls short of it in most runs, and MaxTime bounds the
 // cost of a stalled run.
-func distributionCases() []struct {
+var distributionCases = []struct {
 	name, protocol string
 	spec           Spec
-} {
-	return []struct {
-		name, protocol string
-		spec           Spec
-	}{
-		{"leader/complete", "leader", Spec{N: 4000, K: 3, Alpha: 2}},
-		{"decentralized/complete", "decentralized", Spec{N: 2000, K: 3, Alpha: 2}},
-		{"leader/random-regular(d=32)", "leader", Spec{N: 2000, K: 3, Alpha: 2, MaxTime: 400,
-			Topology: TopologySpec{Kind: TopologyRandomRegular, Degree: 32, GraphSeed: 5}}},
-		{"leader/crash(f=0.2)", "leader", Spec{N: 2000, K: 3, Alpha: 2,
-			Adversary: AdversarySpec{Kind: AdversaryCrash, Fraction: 0.2}}},
-		{"sync/complete", "sync", Spec{N: 4000, K: 3, Alpha: 2}},
-	}
+}{
+	{"leader/complete", "leader", Spec{N: 4000, K: 3, Alpha: 2}},
+	{"decentralized/complete", "decentralized", Spec{N: 2000, K: 3, Alpha: 2}},
+	{"leader/random-regular(d=32)", "leader", Spec{N: 2000, K: 3, Alpha: 2, MaxTime: 400,
+		Topology: TopologySpec{Kind: TopologyRandomRegular, Degree: 32, GraphSeed: 5}}},
+	{"leader/crash(f=0.2)", "leader", Spec{N: 2000, K: 3, Alpha: 2,
+		Adversary: AdversarySpec{Kind: AdversaryCrash, Fraction: 0.2}}},
+	{"sync/complete", "sync", Spec{N: 4000, K: 3, Alpha: 2}},
 }
 
 // distributionRow is one seed's outcome. A time the run never reached is
@@ -95,10 +90,9 @@ func TestDistributionGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cases := distributionCases()
-	alpha := distributionFamilyFWE / float64(3*len(cases))
+	alpha := distributionFamilyFWE / float64(3*len(distributionCases))
 	var out strings.Builder
-	for _, c := range cases {
+	for _, c := range distributionCases {
 		t.Run(c.name, func(t *testing.T) {
 			got := make([]distributionRow, distributionReps)
 			for i := range got {

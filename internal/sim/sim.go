@@ -44,13 +44,13 @@
 // # Snapshot and restore
 //
 // EncodeState/DecodeState serialize the scheduler — clock, counters, the
-// pending event set — and Clocks.EncodeState/DecodeState do the same
-// for the Poisson clocks (one generator and the tick counter). Capture happens at a barrier, not an event: RunContextTo runs
-// everything scheduled at or before t and returns between events, so no
-// sequence number is consumed and a run with a (non-halting) capture stays
-// byte-identical to one without. Restores re-run the engine's
-// deterministic setup and then overwrite mutable state, after which the
-// continuation is bit-exact.
+// pending event set — and Clocks.EncodeState/DecodeState do the same for
+// the Poisson clocks (one generator and the tick counter). Capture happens
+// at a barrier, not an event: RunContextTo runs everything scheduled at or
+// before t and returns between events, so no sequence number is consumed
+// and a run with a (non-halting) capture stays byte-identical to one
+// without. Restores re-run the engine's deterministic setup and then
+// overwrite mutable state, after which the continuation is bit-exact.
 package sim
 
 import (
@@ -165,10 +165,10 @@ func (s *Simulator) SetHandler(h EventHandler) { s.handler = h }
 
 // Reserve hints the expected pending-event population. Engines call it with
 // a small multiple of the node count (every node keeps a bounded number of
-// in-flight channel events queued); the ladder uses the
-// hint to pre-size its bucket arrays and the overflow tail, so warm-up
-// performs one allocation per tier instead of a doubling cascade. The
-// overflow carries every pending event beyond the ring window — the
+// in-flight channel events queued); the ladder uses the hint to pre-size
+// its bucket arrays and the overflow tail, so warm-up performs one
+// allocation per tier instead of a doubling cascade. The overflow carries
+// every pending event beyond the ring window — the
 // majority, under mean-1 latencies; just before a window rebuild it holds
 // essentially the whole pending set — which is why it gets the full hint,
 // exactly the single array the pre-ladder binary heap reserved.
