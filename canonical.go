@@ -8,7 +8,9 @@ import (
 // The canonical spec encoding signature and format version. The version is
 // the first thing after the magic, so a layout change can never be confused
 // with a field-value change; bump it whenever the field order, the field
-// set or a normalization rule below changes.
+// set or a normalization rule below changes. A fold into bytes the
+// equivalent spec already encodes to (as with -0 below) needs no bump: no
+// key comes to name a different job.
 const (
 	canonicalSpecMagic   = "PLURSPEC"
 	canonicalSpecVersion = 1
@@ -22,8 +24,9 @@ const (
 //
 //   - Stability: the encoding is a fixed positional binary layout
 //     ("PLURSPEC" magic, u16 version, then every result-affecting field in
-//     declaration order, little-endian, floats as IEEE-754 bits, strings
-//     length-prefixed, the assignment as a length-prefixed uvarint list).
+//     declaration order, little-endian, floats as IEEE-754 bits with -0
+//     folded to +0, strings length-prefixed, the assignment as a
+//     length-prefixed uvarint list).
 //     Nothing about it depends on map iteration, struct tag spelling or
 //     JSON field order, so any wire representation that decodes to the same
 //     Spec value encodes to the same bytes.
@@ -44,10 +47,18 @@ const (
 // scratch) never enter the encoding. Equal encodings imply equal Results
 // for every registered protocol under the same protocol name; the converse
 // does not hold (two specs may differ only in a field the chosen protocol
-// ignores). The spec is validated first and invalid specs return the
-// validation error, so a cache key can only ever name a runnable job.
+// ignores).
+//
+// A key names a well-formed job; a random graph's draw is checked where the
+// graph is built. The spec is validated structurally first, and an invalid
+// spec returns the same error Run would: every field check, the topology
+// resolved, and the random graph kinds' parameters. Their seeded draw is
+// not made, so the key is a pure function of the fields and costs no graph
+// construction. A spec whose drawn graph comes out disconnected or cannot
+// be made simple therefore has a key, and Run, Resume and SweepConfig.Plan
+// reject it when they build the graph.
 func (s Spec) CanonicalBytes() ([]byte, error) {
-	if err := s.validate(); err != nil {
+	if _, err := s.check(nil, false); err != nil {
 		return nil, err
 	}
 	c, err := s.normalizedForKey()
@@ -157,7 +168,13 @@ func canonInt(b []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(b, uint64(v))
 }
 
+// canonFloat encodes v's IEEE-754 bits, folding -0 to +0: every engine
+// compares the two equal, and JSON with omitempty drops both, so a spec and
+// its re-marshalled wire form share a key.
 func canonFloat(b []byte, v float64) []byte {
+	if v == 0 {
+		v = 0
+	}
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -246,4 +249,176 @@ func TestCanonicalBytesExcludesShards(t *testing.T) {
 			t.Fatalf("shards=%d changed the canonical encoding", shards)
 		}
 	}
+}
+
+// TestCanonicalBytesFoldsNegativeZero pins that a float field at -0 keys
+// like the same field at +0. JSON with omitempty drops both, so without the
+// fold a spec and its own re-marshalled wire form would key differently
+// (FuzzSpecCanonical found this). Every engine compares -0 equal to 0, and
+// the two spellings run to the same digest.
+func TestCanonicalBytesFoldsNegativeZero(t *testing.T) {
+	nz := math.Copysign(0, -1)
+	crash := func(at, rate float64) AdversarySpec {
+		return AdversarySpec{Kind: AdversaryCrash, Fraction: 0.2, At: at, Rate: rate}
+	}
+	base := Spec{N: 300, K: 3, Alpha: 2, Seed: 5, MaxTime: 30}
+	set := map[string]func(s *Spec, z float64){
+		"eps":            func(s *Spec, z float64) { s.Eps = z },
+		"max_time":       func(s *Spec, z float64) { s.MaxTime = z },
+		"record_every":   func(s *Spec, z float64) { s.RecordEvery = z },
+		"alpha":          func(s *Spec, z float64) { s.Alpha = z },
+		"latency.mean":   func(s *Spec, z float64) { s.Latency.Mean = z },
+		"topology.p":     func(s *Spec, z float64) { s.Topology = TopologySpec{Kind: TopologyErdosRenyi, P: z} },
+		"adversary.at":   func(s *Spec, z float64) { s.Adversary = crash(z, 0) },
+		"adversary.rate": func(s *Spec, z float64) { s.Adversary = crash(0, z) },
+		"snapshot_at":    func(s *Spec, z float64) { s.Checkpoint.SnapshotAt = z },
+		"sync.gamma":     func(s *Spec, z float64) { s.Sync.Gamma = z },
+	}
+	for name, f := range set {
+		neg, pos := base, base
+		f(&neg, nz)
+		f(&pos, 0)
+		kn, err := neg.CanonicalBytes()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		kp, err := pos.CanonicalBytes()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(kn, kp) {
+			t.Errorf("%s: -0 and +0 key differently", name)
+		}
+		for _, proto := range []string{"sync", "leader"} {
+			rn, err := Run(context.Background(), proto, neg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, proto, err)
+			}
+			rp, err := Run(context.Background(), proto, pos)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, proto, err)
+			}
+			if digestResult(rn) != digestResult(rp) {
+				t.Errorf("%s/%s: -0 and +0 run to different digests", name, proto)
+			}
+		}
+	}
+}
+
+// TestCanonicalBytesDrawsNoGraph pins that a key costs no graph
+// construction: deriving the key of a large random-graph spec allocates a
+// few hundred bytes, where its adjacency alone would take megabytes. A spec
+// whose draw fails (a G(n, p) far below the connectivity threshold) still
+// has a key; Run rejects it when it builds the graph.
+func TestCanonicalBytesDrawsNoGraph(t *testing.T) {
+	const n = 100_000
+	specs := map[string]Spec{
+		"random-regular": {N: n, K: 4, Alpha: 2, Seed: 1,
+			Topology: TopologySpec{Kind: TopologyRandomRegular, Degree: 8}},
+		"erdos-renyi": {N: n, K: 4, Alpha: 2, Seed: 1,
+			Topology: TopologySpec{Kind: TopologyErdosRenyi, P: 1e-4}},
+	}
+	for name, spec := range specs {
+		if _, err := spec.CanonicalBytes(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		const calls = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if _, err := spec.CanonicalBytes(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// An adjacency is 4 bytes per edge end plus 8 per node offset:
+		// 4 MB here. The bound leaves room for stray runtime allocations.
+		if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > 16<<10 {
+			t.Errorf("%s: CanonicalBytes allocates %d bytes per call, want no graph", name, per)
+		}
+	}
+	if _, err := Run(context.Background(), "sync", specs["erdos-renyi"]); err == nil || !strings.Contains(err.Error(), "is not connected") {
+		t.Fatalf("Run on a disconnected G(n, p): err = %v, want the connectivity error", err)
+	}
+}
+
+// FuzzSpecCanonical feeds Spec JSON, strictly decoded as pluralityd decodes
+// request bodies, to CanonicalBytes. It must not panic, must be
+// deterministic, and must give the spec re-marshalled to JSON the same key.
+// Key validation is structural (see CanonicalBytes), so it may accept a
+// spec the full validation rejects only when the random graph's draw is what
+// fails; for small N the fuzzer checks that against validate (the kind is
+// random-regular or erdos-renyi and the error is the draw's), and checks
+// that a spec without a key is rejected by validate with the same error.
+func FuzzSpecCanonical(f *testing.F) {
+	for _, s := range []string{
+		`{"n":100,"k":2,"seed":1}`,
+		`{"n":100,"k":2,"seed":1,"alpha":1,"latency":{"kind":"exp","mean":1},"topology":{"kind":"complete"},"sync":{"gamma":0.5}}`,
+		`{"n":10,"k":3,"seed":2,"assignment":[0,0,0,0,1,1,1,2,2,0]}`,
+		`{"n":64,"k":2,"alpha":2,"seed":3,"topology":{"kind":"ring","width":2}}`,
+		`{"n":144,"k":3,"seed":4,"topology":{"kind":"torus"}}`,
+		`{"n":101,"k":2,"topology":{"kind":"torus"}}`,
+		`{"n":100,"k":2,"seed":5,"topology":{"kind":"random-regular","degree":8}}`,
+		`{"n":101,"k":2,"topology":{"kind":"random-regular","degree":3}}`,
+		`{"n":20,"k":2,"seed":6,"topology":{"kind":"random-regular","degree":2,"graph_seed":7}}`,
+		`{"n":200,"k":2,"seed":8,"topology":{"kind":"erdos-renyi","p":0.002}}`,
+		`{"n":200,"k":2,"seed":8,"topology":{"kind":"erdos-renyi","graph_seed":9}}`,
+		`{"n":300,"k":2,"alpha":2,"seed":13,"adversary":{"kind":"crash","fraction":0.2,"at":1,"rate":2}}`,
+		`{"n":300,"k":2,"seed":19,"max_time":50,"latency":{"kind":"erlang"},"adversary":{"kind":"delay"}}`,
+		`{"n":50,"k":2,"eps":0.1,"max_steps":9,"record_every":2,"checkpoint":{"snapshot_at":3,"halt":true},"discard_trajectory":true}`,
+		`{"n":2,"k":1,"eps":-0,"max_time":-0,"adversary":{"kind":"crash","at":-0}}`,
+		`{"n":1,"k":2}`,
+		`{"n":10,"k":2,"alpha":0.5}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := decodeSpecStrict(data)
+		if err != nil {
+			return
+		}
+		key, keyErr := spec.CanonicalBytes()
+		small := spec.N >= 0 && spec.N <= 256
+		if keyErr != nil {
+			if small {
+				if err := spec.validate(); err == nil || err.Error() != keyErr.Error() {
+					t.Fatalf("key rejects with %q, full validation with %v", keyErr, err)
+				}
+			}
+			return
+		}
+		again, err := spec.CanonicalBytes()
+		if err != nil || !bytes.Equal(key, again) {
+			t.Fatalf("second encoding differs (err %v)", err)
+		}
+		wire, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		back, err := decodeSpecStrict(wire)
+		if err != nil {
+			t.Fatalf("strict decode of re-marshalled %s: %v", wire, err)
+		}
+		if k2, err := back.CanonicalBytes(); err != nil || !bytes.Equal(key, k2) {
+			t.Fatalf("re-marshalled %s keys differently (err %v)", wire, err)
+		}
+		if !small {
+			return
+		}
+		if err := spec.validate(); err != nil {
+			random := spec.Topology.Kind == TopologyRandomRegular || spec.Topology.Kind == TopologyErdosRenyi
+			drawn := strings.Contains(err.Error(), "is not connected") || strings.Contains(err.Error(), "no simple connected")
+			if !random || !drawn {
+				t.Fatalf("%s has a key but fails validation before any draw: %v", data, err)
+			}
+		}
+	})
+}
+
+func decodeSpecStrict(data []byte) (Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var s Spec
+	err := dec.Decode(&s)
+	return s, err
 }

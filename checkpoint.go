@@ -277,7 +277,7 @@ func Resume(ctx context.Context, snapshot *Snapshot, opts *ResumeOptions) (*Resu
 		spec.Checkpoint = opts.Checkpoint
 		perturb = opts.Perturb
 	}
-	tp, err := spec.check(snapshot.graph)
+	tp, err := spec.check(snapshot.graph, true)
 	if err != nil {
 		return nil, fmt.Errorf("%w: captured spec invalid: %v", ErrSnapshotCorrupt, err)
 	}
@@ -340,7 +340,7 @@ func (s *Snapshot) sharedGraph() *Snapshot {
 		return s
 	}
 	spec := s.meta.Spec
-	tp, err := spec.check(nil)
+	tp, err := spec.check(nil, true)
 	if err != nil {
 		return s
 	}

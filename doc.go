@@ -98,7 +98,13 @@
 // encoding: defaults the engines are documented to fold are folded, fields
 // with no wire meaning are cleared, and the rest is laid out positionally —
 // so two Specs encode identically exactly when the engine layer treats
-// them identically, and equal encodings imply equal Results. That makes
+// them identically, and equal encodings imply equal Results. A key names a
+// well-formed job; a random graph's draw is checked where the graph is
+// built. Key derivation validates every field and the random graph kinds'
+// parameters but draws no graph, so it costs microseconds on any topology;
+// a random-regular or Erdős–Rényi graph whose seeded draw fails (not
+// connected, or not simple) is rejected by Run, Resume and
+// SweepConfig.Plan, which build it. That makes
 // the encoding a correct content-address for simulation work, which is
 // what cmd/pluralityd (internal/server) builds on: an HTTP daemon that
 // accepts runs and sweeps as JSON, executes them on a bounded pool with

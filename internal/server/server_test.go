@@ -132,8 +132,9 @@ func TestRunBadRequests(t *testing.T) {
 		{"invalid json", `{"protocol":`},
 		{"unknown field", `{"protocol":"sync","spec":{"n":100,"k":2,"seed":1,"typo_field":3}}`},
 		{"invalid spec", `{"protocol":"sync","spec":{"n":-5,"k":2,"seed":1}}`},
-		// p far below ln(n)/n ≈ 0.0038: validation's graph build must
-		// still reject the key before any job is queued.
+		// p far below ln(n)/n ≈ 0.0038: the key builds no graph, so the
+		// job is queued and the graph build in Run rejects it (see
+		// TestRunDrawFailureRejected).
 		{"disconnected graph", `{"protocol":"3-majority","spec":{"n":2000,"k":2,"seed":1,"topology":{"kind":"erdos-renyi","p":0.0005}}}`},
 	}
 	for _, c := range cases {
@@ -146,6 +147,64 @@ func TestRunBadRequests(t *testing.T) {
 	}
 	if w := do(t, s, http.MethodPost, "/v1/sweeps", `{"protocol":"sync"}`); w.Code != http.StatusBadRequest {
 		t.Errorf("invalid sweep base: status = %d, want 400", w.Code)
+	}
+}
+
+// TestRunDrawFailureRejected pins where a failed random-graph draw is
+// reported. A job key builds no graph, so a run whose G(n, p) comes out
+// disconnected is admitted and rejected by Run: still 400 with topo's
+// message, and nothing is cached or counted, so a resend fails the same
+// way. A sweep's replication 0 is drawn by Plan at submission.
+func TestRunDrawFailureRejected(t *testing.T) {
+	const disconnected = `{"n":2000,"k":2,"seed":1,"topology":{"kind":"erdos-renyi","p":0.0005}}`
+	for _, cfg := range []Config{{}, {Dir: t.TempDir(), CheckpointEvery: 2}} {
+		s := newTestServer(t, cfg)
+		for i := 0; i < 2; i++ {
+			w := do(t, s, http.MethodPost, "/v1/runs", `{"protocol":"3-majority","spec":`+disconnected+`}`)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("send %d: status = %d, want 400 (%s)", i, w.Code, w.Body)
+			}
+			if !strings.Contains(w.Body.String(), "is not connected") {
+				t.Fatalf("send %d: body %q lacks the connectivity error", i, w.Body)
+			}
+		}
+		if st := s.Stats(); st.JobsCached != 0 || st.JobsComputed != 0 {
+			t.Fatalf("stats after rejected runs = %+v, want no job cached or computed", st)
+		}
+		w := do(t, s, http.MethodPost, "/v1/sweeps", `{"protocol":"3-majority","base":`+disconnected+`,"reps":2}`)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "is not connected") {
+			t.Fatalf("sweep: status = %d, body %q; want 400 with the connectivity error", w.Code, w.Body)
+		}
+		if n := s.lookupSweepCount(); n != 0 {
+			t.Fatalf("rejected sweep registered: %d sweeps", n)
+		}
+	}
+}
+
+// TestSweepLaterDrawFailureFailsCell: Plan draws only replication 0's
+// graph, so a sweep whose later replication draws a disconnected graph is
+// admitted and that job fails the sweep, with the draw's message in its
+// status. Base seed 18 is one where, at n=200 and p=0.02, replication 0's
+// graph is connected and replication 1's is not.
+func TestSweepLaterDrawFailureFailsCell(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	body := `{"protocol":"sync","base":{"n":200,"k":2,"alpha":2,"seed":18,` +
+		`"topology":{"kind":"erdos-renyi","p":0.02}},"reps":2}`
+	w := do(t, s, http.MethodPost, "/v1/sweeps?async=1", body)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit: status = %d, want 202 (%s)", w.Code, w.Body)
+	}
+	var st SweepStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, s)
+	w = do(t, s, http.MethodGet, "/v1/sweeps/"+st.ID, "")
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != "failed" || !strings.Contains(st.Error, "is not connected") {
+		t.Fatalf("status = %+v, want failed with the connectivity error", st)
 	}
 }
 

@@ -96,6 +96,23 @@ func (g *AdjGraph) connected() bool {
 	return visited == n
 }
 
+// CheckRandomRegular reports whether NewRandomRegular accepts n and d: n >= 3,
+// 2 <= d < n and n·d even. It draws nothing, so a nil error does not promise
+// a graph; only the seeded construction can find that the pairing cannot be
+// made simple and connected.
+func CheckRandomRegular(n, d int) error {
+	if n < 3 {
+		return fmt.Errorf("topo: random-regular needs n >= 3, got %d", n)
+	}
+	if d < 2 || d >= n {
+		return fmt.Errorf("topo: random-regular degree %d outside [2, n)", d)
+	}
+	if n*d%2 != 0 {
+		return fmt.Errorf("topo: random-regular needs n*d even, got %d*%d", n, d)
+	}
+	return nil
+}
+
 // NewRandomRegular returns a random d-regular graph on n nodes via the
 // configuration model with double-edge-swap repair: n·d stubs are shuffled
 // and paired, then every self-loop or multi-edge is swapped against a
@@ -104,14 +121,8 @@ func (g *AdjGraph) connected() bool {
 // graph must be connected or the construction restarts. Deterministic in
 // seed; n·d must be even, 2 <= d < n.
 func NewRandomRegular(n, d int, seed uint64) (*AdjGraph, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("topo: random-regular needs n >= 3, got %d", n)
-	}
-	if d < 2 || d >= n {
-		return nil, fmt.Errorf("topo: random-regular degree %d outside [2, n)", d)
-	}
-	if n*d%2 != 0 {
-		return nil, fmt.Errorf("topo: random-regular needs n*d even, got %d*%d", n, d)
+	if err := CheckRandomRegular(n, d); err != nil {
+		return nil, err
 	}
 	r := xrand.New(seed).SplitNamed("random-regular")
 	// nbr holds each node's good-edge neighbours in a row of capacity d (a
@@ -211,16 +222,26 @@ func NewRandomRegular(n, d int, seed uint64) (*AdjGraph, error) {
 	return nil, fmt.Errorf("topo: no simple connected %d-regular graph on %d nodes after %d attempts (d = 2 disconnects easily; use d >= 3)", d, n, maxRestarts)
 }
 
+// CheckErdosRenyi reports whether NewErdosRenyi accepts n and p: n >= 2 and
+// p in (0, 1]. It draws nothing, so a nil error does not promise a graph;
+// only the seeded construction can find the sample disconnected.
+func CheckErdosRenyi(n int, p float64) error {
+	if n < 2 {
+		return fmt.Errorf("topo: erdos-renyi needs n >= 2, got %d", n)
+	}
+	if !(p > 0 && p <= 1) || math.IsNaN(p) {
+		return fmt.Errorf("topo: erdos-renyi p %v outside (0, 1]", p)
+	}
+	return nil
+}
+
 // NewErdosRenyi returns a G(n, p) sample, constructed in O(n + edges) by
 // geometric gap-skipping over each row of the upper triangle. Construction
 // is deterministic in seed; it errors when the sampled graph is not
 // connected (raise p — connectivity needs p ≳ ln n / n).
 func NewErdosRenyi(n int, p float64, seed uint64) (*AdjGraph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("topo: erdos-renyi needs n >= 2, got %d", n)
-	}
-	if !(p > 0 && p <= 1) || math.IsNaN(p) {
-		return nil, fmt.Errorf("topo: erdos-renyi p %v outside (0, 1]", p)
+	if err := CheckErdosRenyi(n, p); err != nil {
+		return nil, err
 	}
 	r := xrand.New(seed).SplitNamed("erdos-renyi")
 	var edges [][2]int32

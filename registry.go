@@ -125,7 +125,7 @@ func Run(ctx context.Context, name string, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tp, err := spec.check(nil)
+	tp, err := spec.check(nil, true)
 	if err != nil {
 		return nil, err
 	}

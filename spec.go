@@ -145,19 +145,23 @@ type ObserverFunc func(TrajectoryPoint)
 // Observe calls f(p).
 func (f ObserverFunc) Observe(p TrajectoryPoint) { f(p) }
 
-// validate centralizes the input checks shared by every protocol. Engine
-// packages keep their own protocol-specific constraints (e.g. the
-// decentralized protocol's N >= 8) on top of these.
+// validate centralizes the input checks shared by every protocol,
+// including the random graph kinds' draw. Engine packages keep their own
+// protocol-specific constraints (e.g. the decentralized protocol's N >= 8)
+// on top of these.
 func (s *Spec) validate() error {
-	_, err := s.check(nil)
+	_, err := s.check(nil, true)
 	return err
 }
 
 // check is validate that also returns the topology sampler it checked, so
 // the run can use it instead of building the graph again. A non-nil tp is a
 // sampler already built from this spec (an in-memory snapshot's graph) and
-// is returned as is.
-func (s *Spec) check(tp topo.Sampler) (topo.Sampler, error) {
+// is returned as is. With draw false, check is the structural part alone:
+// the topology is checked by TopologySpec.check, no random graph is drawn
+// and the returned sampler is nil. A spec that passes it fails full
+// validation only if its random graph's draw fails.
+func (s *Spec) check(tp topo.Sampler, draw bool) (topo.Sampler, error) {
 	if s.N < 2 {
 		return nil, fmt.Errorf("plurality: need N >= 2, got %d", s.N)
 	}
@@ -201,10 +205,17 @@ func (s *Spec) check(tp topo.Sampler) (topo.Sampler, error) {
 	}
 	// Topology constraints (grid dims divide N, rings fit, random graphs
 	// connected) are checked by constructing the sampler the run will use,
-	// so a bad graph fails here, before any replication starts.
-	if tp == nil {
+	// so a bad graph fails here, before any replication starts. Without
+	// draw, everything but the random graphs' connectivity is checked.
+	switch {
+	case tp != nil:
+	case draw:
 		var err error
 		if tp, err = s.Topology.build(s.N, s.Seed); err != nil {
+			return nil, err
+		}
+	default:
+		if err := s.Topology.check(s.N); err != nil {
 			return nil, err
 		}
 	}

@@ -160,13 +160,40 @@ func (t TopologySpec) Resolve(n int) (TopologySpec, error) {
 	return t, nil
 }
 
+// check is build without the random kinds' seeded draw: every check build
+// makes that does not depend on the drawn graph, with the same errors. The
+// complete, ring and torus constructors are O(1), so those kinds are simply
+// built; the random kinds check their parameters only. What only the draw
+// can reveal (a disconnected G(n, p), a regular pairing that cannot be made
+// simple) is left to build.
+func (t TopologySpec) check(n int) error {
+	r, err := t.Resolve(n)
+	if err != nil {
+		return err
+	}
+	switch r.Kind {
+	case TopologyRandomRegular:
+		err = topo.CheckRandomRegular(n, r.Degree)
+	case TopologyErdosRenyi:
+		err = topo.CheckErdosRenyi(n, r.P)
+	default:
+		_, err = r.build(n, 0)
+		return err
+	}
+	if err != nil {
+		return fmt.Errorf("plurality: %w", err)
+	}
+	return nil
+}
+
 // build constructs the sampler for n nodes. The random graph kinds derive
 // their construction seed from runSeed unless GraphSeed pins it; the
 // derivation uses a dedicated substream so engine randomness is untouched.
 // Connectivity of the random kinds is checked here, and therefore at
 // validation time: Spec.check builds the sampler and hands it to the run.
-// The only other caller is the run prologue, for a spec no validation
-// handed a sampler for (RunBatch and Sweep replications).
+// The other callers are the run prologue, for a spec no validation handed
+// a sampler for (RunBatch and Sweep replications), and TopologySpec.check,
+// for the O(1) kinds only.
 func (t TopologySpec) build(n int, runSeed uint64) (topo.Sampler, error) {
 	t, err := t.Resolve(n)
 	if err != nil {
