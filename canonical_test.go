@@ -378,7 +378,7 @@ func FuzzSpecCanonical(f *testing.F) {
 			return
 		}
 		key, keyErr := spec.CanonicalBytes()
-		small := spec.N >= 0 && spec.N <= 256
+		small := spec.N <= 256
 		if keyErr != nil {
 			if small {
 				if err := spec.validate(); err == nil || err.Error() != keyErr.Error() {

@@ -19,7 +19,8 @@ import (
 // name and the spec's canonical bytes. The replication seed is already
 // folded into the spec by SweepPlan.JobSpec, so (protocol, spec) alone
 // identifies the job under one epoch; equal keys imply equal Results,
-// which is what makes the cache sound.
+// which is what makes the cache sound. A key draws no random graph, so a
+// spec whose graph draw fails has one and fails in compute, uncached.
 func jobKey(domain, protocol string, spec plurality.Spec) (string, error) {
 	cb, err := spec.CanonicalBytes()
 	if err != nil {
