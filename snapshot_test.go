@@ -3,7 +3,10 @@ package plurality
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"os"
 	"testing"
 
 	"plurality/internal/snap"
@@ -465,4 +468,60 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Errorf("decoded snapshot failed to re-encode: %v", err)
 		}
 	})
+}
+
+// snapshotBlobGolden maps "protocol/topology@capture-time" to the SHA-256
+// of the encoded blob captured there, on kernelGoldenSpec. The blobs hold
+// the whole pending event set in (time, seq) order, the clock generator
+// and every engine field, so any change to what the kernel holds
+// mid-run, or to how it writes it, shows up here even when the final
+// Result does not move. Re-record (after a reviewed change only) with
+//
+//	PLURALITY_GOLDEN_RECORD=1 go test -run TestSnapshotBlobGolden -v .
+var snapshotBlobGolden = map[string]string{
+	"decentralized/complete@37":             "5ca7c268b5d362873cc291298bdad1de4e3fa003c56db8d5cee7ba50fb29c1fa",
+	"decentralized/complete@5.5":            "00eae4aa59aa3dd0aa2e18f84c0687b653f6692eebc8f7742fb8ba77134abf93",
+	"decentralized/random-regular(d=4)@37":  "66c46a33855035808c65a2a5d84be7b2da7621c8f982415a30b25fce92127fe4",
+	"decentralized/random-regular(d=4)@5.5": "b12b9dbe2f38e9c6c06b1cc77d338972a188c619a4454354fd8ba8ab6c2b5452",
+	"leader/complete@37":                    "1487bb7e027a7b9a836326198fafb6dbb9d2a7abbf2929302b38133b9a1f7ec7",
+	"leader/complete@5.5":                   "90987934b3e74f75c0239397452ae583d2d0cb2e77ba204a662e789b447fc7b3",
+	"leader/random-regular(d=4)@37":         "1ce4463e8526f69e099130a9e42442727fea7c53ebf30dff8cd561ea54bbaa8c",
+	"leader/random-regular(d=4)@5.5":        "0df1616f4ee30055b23da34aa7ad2afea90bdb4630de041f26959d5ebef90025",
+}
+
+// TestSnapshotBlobGolden pins the encoded bytes of mid-run snapshots of
+// the event-ladder engines, on the complete graph and random-regular(d=4),
+// at two capture times each.
+func TestSnapshotBlobGolden(t *testing.T) {
+	record := os.Getenv("PLURALITY_GOLDEN_RECORD") != ""
+	for _, name := range []string{"leader", "decentralized"} {
+		for _, tp := range []TopologySpec{goldenTopologies[0], goldenTopologies[2]} {
+			for _, at := range []float64{5.5, 37} {
+				spec := kernelGoldenSpec(tp)
+				key := fmt.Sprintf("%s/%s@%g", name, tp.ResolvedLabel(spec.N), at)
+				t.Run(key, func(t *testing.T) {
+					spec.Checkpoint = CheckpointSpec{SnapshotAt: at, Halt: true}
+					res, err := Run(context.Background(), name, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Snapshot == nil {
+						t.Fatalf("no snapshot captured at t=%g", at)
+					}
+					blob, err := res.Snapshot.Encode()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := fmt.Sprintf("%x", sha256.Sum256(blob))
+					if record {
+						t.Logf("RECORD %q: %q,", key, got)
+						return
+					}
+					if want := snapshotBlobGolden[key]; got != want {
+						t.Errorf("blob digest %s, golden %s", got, want)
+					}
+				})
+			}
+		}
+	}
 }
