@@ -162,10 +162,35 @@ func EstimateC1(lat sim.Latency, seed uint64) float64 {
 	r := xrand.New(seed).SplitNamed("c1-estimate")
 	const samples = 40000
 	xs := make([]float64, samples)
+	if el, ok := lat.(sim.ExpLatency); ok {
+		fillT3Exp(r, el.Rate, xs)
+		return stats.Select(xs, int(0.9*float64(samples)))
+	}
 	for i := range xs {
 		xs[i] = sampleT3(r, lat)
 	}
 	return stats.Select(xs, int(0.9*float64(samples)))
+}
+
+// fillT3Exp fills xs with sampleT3 draws for Exp(rate) latencies. It draws
+// each sample's seven variates, in sampleT3's order, as Exp(1) values by
+// xrand.FillExp and divides the latencies by rate, which gives the Exp(rate)
+// draws bit for bit; so xs holds exactly the scalar loop's values.
+func fillT3Exp(r *xrand.RNG, rate float64, xs []float64) {
+	const per, chunk = 7, 256
+	var buf [per * chunk]float64
+	acc := func(d []float64) float64 {
+		return math.Max(d[0]/rate, d[1]/rate) + d[2]/rate
+	}
+	for len(xs) > 0 {
+		m := min(len(xs), chunk)
+		r.FillExp(buf[:per*m])
+		for i := range xs[:m] {
+			d := buf[per*i : per*i+per]
+			xs[i] = acc(d[:3]) + d[3] + acc(d[4:])
+		}
+		xs = xs[m:]
+	}
 }
 
 // sampleT3 draws one waiting time between two completed operations: the

@@ -238,6 +238,28 @@ func TestEstimateC1MultiAboveSingle(t *testing.T) {
 	}
 }
 
+// scalarExp is an exponential latency that EstimateC1 does not recognise
+// as sim.ExpLatency, so it takes the scalar loop.
+type scalarExp struct{ sim.ExpLatency }
+
+// TestEstimateC1BatchedMatchesScalar pins that the batched draw path for
+// exponential latencies returns the scalar loop's estimate bit for bit,
+// over 200 seeds per rate (20 under -short).
+func TestEstimateC1BatchedMatchesScalar(t *testing.T) {
+	seeds := uint64(200)
+	if testing.Short() {
+		seeds = 20
+	}
+	for _, rate := range []float64{0.5, 1, 3.7} {
+		for seed := uint64(0); seed < seeds; seed++ {
+			lat := sim.ExpLatency{Rate: rate}
+			if got, want := EstimateC1(lat, seed), EstimateC1(scalarExp{lat}, seed); got != want {
+				t.Fatalf("λ=%v seed %d: batched C1 %v, scalar %v", rate, seed, got, want)
+			}
+		}
+	}
+}
+
 // TestQuickselectAgainstSort checks the selection EstimateC1 takes its
 // quantile with against a full sort on normal samples.
 func TestQuickselectAgainstSort(t *testing.T) {

@@ -11,7 +11,9 @@ import (
 // processes tick together as one rate-n·r process whose every tick belongs
 // to a uniform node, independently of the past. So one generator draws
 // the gap, Exp(n·r), and the node, and one tick event is pending at a
-// time; each node's own ticks are still a rate-r Poisson process.
+// time; each node's own ticks are still a rate-r Poisson process. The
+// pending tick waits in the simulator's held slot, outside the event
+// ladder (see Simulator).
 type Clocks struct {
 	sim     *Simulator
 	kind    int32
@@ -56,7 +58,7 @@ func (c *Clocks) Fire(v int32, tick func(int)) {
 
 func (c *Clocks) schedule() {
 	dt := c.rng.Exp(c.rate)
-	c.sim.ScheduleAfter(dt, Event{Kind: c.kind, Node: int32(c.rng.Intn(c.n))})
+	c.sim.scheduleTick(c.sim.now+dt, Event{Kind: c.kind, Node: int32(c.rng.Intn(c.n))})
 }
 
 // Ticks returns the total number of ticks fired across all clocks.

@@ -39,7 +39,9 @@
 // data, the state codec can serialize the whole pending set: engines
 // schedule everything they do — Poisson ticks, channel deliveries,
 // recorder ticks and watchdogs — as typed events, and so every engine is
-// checkpointable.
+// checkpointable. The superposed clock's next tick is sequenced like any
+// other event but parked in one slot beside the ladder (see Simulator),
+// and the codec writes it in its (time, seq) place among the rest.
 //
 // # Snapshot and restore
 //
@@ -111,6 +113,7 @@ const (
 	ladderW       = 1.0 / 1024 // bucket width
 	maxLadderTime = 1 << 52    // beyond this, times collapse into one far bucket
 	farBucket     = int64(1) << 62
+	noTick        = int64(math.MaxInt64) // heldJ when no tick is held; above every bucket
 )
 
 // Simulator is a deterministic discrete-event scheduler over continuous
@@ -131,6 +134,18 @@ const (
 // total order (at, seq) before draining, the pop sequence is exactly the
 // one any correct priority queue produces — the layout is invisible to
 // everything above the kernel (TestKernelGolden, snapshot restore).
+//
+// # The held tick
+//
+// The superposed Poisson clock (Clocks) keeps exactly one tick pending and
+// reschedules it on every pop, so its ticks are a large share of a run's
+// events. The next tick skips the ladder: it takes its seq like any push but
+// waits in one slot (held), and every pop merges the slot against the
+// ladder's front by (at, seq). The ladder is advanced no further than the
+// held tick's bucket, so while the tick is earlier than everything in the
+// ladder the window stays where it is and later inserts keep landing in
+// the ring rather than in the near heap. A second clock on the same
+// simulator finds the slot full and goes through the ladder.
 type Simulator struct {
 	now       float64
 	seq       uint64
@@ -148,6 +163,9 @@ type Simulator struct {
 	inBuckets int       // events across all ring buckets
 	overflow  []event   // events at or beyond winHi
 	ovMinJ    int64     // minimum bucket index over overflow (MaxInt64 when empty)
+
+	held  event // the clock's next tick, parked outside the ladder (see scheduleTick)
+	heldJ int64 // bucketOf(held.at), or noTick when the slot is empty
 }
 
 // New returns an empty simulator positioned at virtual time 0.
@@ -156,6 +174,7 @@ func New() *Simulator {
 		buckets: make([][]event, ladderBuckets),
 		winHi:   ladderBuckets,
 		ovMinJ:  math.MaxInt64,
+		heldJ:   noTick,
 	}
 }
 
@@ -256,6 +275,25 @@ func (s *Simulator) Schedule(t float64, ev Event) {
 	s.push(event{at: t, kind: ev.Kind, node: ev.Node, a: ev.A, b: ev.B, c: ev.C})
 }
 
+// scheduleTick is Schedule for the superposed clock's next tick: it takes
+// the next seq exactly as push does and parks the tick in the held slot,
+// or pushes it into the ladder when the slot is already taken.
+func (s *Simulator) scheduleTick(t float64, ev Event) {
+	s.checkTime(t)
+	if s.heldJ != noTick {
+		s.push(event{at: t, kind: ev.Kind, node: ev.Node, a: ev.A, b: ev.B, c: ev.C})
+		return
+	}
+	// Field by field: a composite literal would be built on the stack and
+	// copied with wide loads that stall on its narrow stores.
+	h := &s.held
+	h.at, h.seq = t, s.seq
+	h.kind, h.node, h.a, h.b, h.c = ev.Kind, ev.Node, ev.A, ev.B, ev.C
+	s.seq++
+	s.heldJ = bucketOf(t)
+	s.pending++
+}
+
 // ScheduleAfter enqueues ev d >= 0 after the current time.
 func (s *Simulator) ScheduleAfter(d float64, ev Event) {
 	if d < 0 {
@@ -268,10 +306,13 @@ func (s *Simulator) ScheduleAfter(d float64, ev Event) {
 // event was executed (false when the queue is empty or the simulator has
 // been stopped).
 func (s *Simulator) Step() bool {
-	if s.stopped || !s.ensure() {
+	if s.stopped {
 		return false
 	}
-	e := s.popMin()
+	e, ok := s.popMin()
+	if !ok {
+		return false
+	}
 	s.now = e.at
 	s.processed++
 	s.handler.HandleEvent(Event{Kind: e.kind, Node: e.node, A: e.a, B: e.b, C: e.c})
@@ -369,8 +410,12 @@ func (s *Simulator) insert(e event) {
 	}
 }
 
-// ensure advances the ladder until the earliest pending event is reachable
-// through cur or near. It reports false when no event is pending.
+// ensure advances the ladder until its earliest event is reachable
+// through cur or near, but not past bucket limit. It reports false when the
+// ladder holds no event at or before bucket limit; every ladder event is
+// then in a later bucket. Pops pass the held tick's bucket (noTick, above
+// every bucket, when none is held), so the window never runs ahead of an
+// earlier held tick.
 //
 // The ring is swept bucket by bucket; the overflow list is consulted only
 // when the ring runs dry, which rebuilds the window over the earliest
@@ -378,10 +423,13 @@ func (s *Simulator) insert(e event) {
 // everything below the new bound, overflow events can never be overtaken
 // by ring events — the invariant overflow ⊆ [winHi, ∞) holds between
 // rebuilds.
-func (s *Simulator) ensure() bool {
+func (s *Simulator) ensure(limit int64) bool {
 	for s.curPos >= len(s.cur) && len(s.near) == 0 {
+		if s.curIdx >= limit {
+			return false
+		}
 		if s.inBuckets == 0 {
-			if len(s.overflow) == 0 {
+			if len(s.overflow) == 0 || s.ovMinJ > limit {
 				return false
 			}
 			// Window exhausted: jump it to the earliest overflow event and
@@ -405,33 +453,53 @@ func (s *Simulator) ensure() bool {
 	return true
 }
 
-// popMin removes and returns the earliest pending event. ensure must have
-// reported true.
-func (s *Simulator) popMin() event {
-	s.pending--
-	if len(s.near) > 0 {
-		if s.curPos >= len(s.cur) || eventLess(s.near[0], s.cur[s.curPos]) {
-			return s.nearPop()
-		}
+// ladderFront returns the ladder's earliest event and whether it is the
+// near heap's top rather than cur's. ensure must have reported true.
+func (s *Simulator) ladderFront() (*event, bool) {
+	if len(s.near) > 0 && (s.curPos >= len(s.cur) || eventLess(s.near[0], s.cur[s.curPos])) {
+		return &s.near[0], true
 	}
-	e := s.cur[s.curPos]
+	return &s.cur[s.curPos], false
+}
+
+// popMin removes and returns the earliest pending event, the held tick
+// included. It reports false when nothing is pending.
+func (s *Simulator) popMin() (event, bool) {
+	if !s.ensure(s.heldJ) {
+		if s.heldJ == noTick {
+			return event{}, false
+		}
+		return s.popHeld(), true
+	}
+	top, fromNear := s.ladderFront()
+	if s.heldJ != noTick && eventLess(s.held, *top) {
+		return s.popHeld(), true
+	}
+	s.pending--
+	if fromNear {
+		return s.nearPop(), true
+	}
 	s.curPos++
-	return e
+	return *top, true
+}
+
+// popHeld empties the held slot and returns its tick.
+func (s *Simulator) popHeld() event {
+	s.pending--
+	s.heldJ = noTick
+	return s.held
 }
 
 // peekAt returns the time of the earliest pending event.
 func (s *Simulator) peekAt() (float64, bool) {
-	if !s.ensure() {
-		return 0, false
+	if !s.ensure(s.heldJ) {
+		return s.held.at, s.heldJ != noTick
 	}
-	at := math.Inf(1)
-	if s.curPos < len(s.cur) {
-		at = s.cur[s.curPos].at
+	top, _ := s.ladderFront()
+	if s.heldJ != noTick && s.held.at < top.at {
+		return s.held.at, true
 	}
-	if len(s.near) > 0 && s.near[0].at < at {
-		at = s.near[0].at
-	}
-	return at, true
+	return top.at, true
 }
 
 // rebuildWindow re-anchors the ring window right above curIdx and refiles

@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"container/heap"
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -54,6 +55,48 @@ func TestTieBreakFIFO(t *testing.T) {
 		if v != int32(i) {
 			t.Fatalf("equal-time events reordered: %v", *got)
 		}
+	}
+}
+
+// TestHeldTickTieBreak pins that the held slot keeps the (at, seq) order:
+// a held tick and a ladder event at the same time pop in scheduling
+// order, whichever was scheduled first.
+func TestHeldTickTieBreak(t *testing.T) {
+	for _, tickFirst := range []bool{true, false} {
+		s := New()
+		got, _ := popRecorder(s, nil)
+		if tickFirst {
+			s.scheduleTick(1, Event{Node: 1})
+			s.Schedule(1, Event{Node: 2})
+		} else {
+			s.Schedule(1, Event{Node: 1})
+			s.scheduleTick(1, Event{Node: 2})
+		}
+		if s.heldJ == noTick || s.Pending() != 2 {
+			t.Fatalf("tickFirst=%v: tick not held or Pending() = %d, want 2", tickFirst, s.Pending())
+		}
+		s.Run()
+		if len(*got) != 2 || (*got)[0] != 1 || (*got)[1] != 2 {
+			t.Fatalf("tickFirst=%v: popped %v, want [1 2]", tickFirst, *got)
+		}
+	}
+}
+
+// TestHeldTickBoundsLadderAdvance pins the bound on the ladder's advance:
+// popping a held tick that is earlier than everything in the ladder leaves
+// the window where it was, so the next insert near the clock lands in the
+// ring, not in the near heap of a window jumped ahead to the far event.
+func TestHeldTickBoundsLadderAdvance(t *testing.T) {
+	s := New()
+	popRecorder(s, nil)
+	s.Schedule(10, Event{Node: 10})
+	s.scheduleTick(0.001, Event{Node: 1})
+	if !s.Step() || s.Now() != 0.001 {
+		t.Fatalf("first pop at %v, want the held tick at 0.001", s.Now())
+	}
+	s.Schedule(0.002, Event{Node: 2})
+	if len(s.near) != 0 || s.inBuckets != 1 {
+		t.Fatalf("insert after the tick went to the near heap (%d) instead of the ring (%d)", len(s.near), s.inBuckets)
 	}
 }
 
@@ -165,6 +208,37 @@ func TestRunContextToBoundaryInclusive(t *testing.T) {
 	}
 }
 
+// TestRunContextToStopsBeforeHeldTick pins the barrier against the held
+// slot: a held tick later than the bound stays pending, and one within it
+// runs, whether the ladder's next event is in the same bucket or beyond
+// the window.
+func TestRunContextToStopsBeforeHeldTick(t *testing.T) {
+	s := New()
+	got, _ := popRecorder(s, nil)
+	s.Schedule(1, Event{Node: 1})
+	s.scheduleTick(1.0005, Event{Node: 2})
+	s.Schedule(1.0009, Event{Node: 3})
+	s.Schedule(7, Event{Node: 7})
+	for _, step := range []struct {
+		bound   float64
+		popped  []int32
+		pending int
+	}{
+		{0.5, nil, 4},
+		{1.0002, []int32{1}, 3},
+		{1.0007, []int32{1, 2}, 2},
+		{5, []int32{1, 2, 3}, 1},
+	} {
+		if err := s.RunContextTo(nil, step.bound); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(*got, step.popped) || s.Pending() != step.pending {
+			t.Fatalf("RunContextTo(%v): popped %v with %d pending, want %v and %d",
+				step.bound, *got, s.Pending(), step.popped, step.pending)
+		}
+	}
+}
+
 func TestRunContextToCancellation(t *testing.T) {
 	s := New()
 	popRecorder(s, nil)
@@ -242,19 +316,98 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestHeapOrderProperty pins the pop order against a reference binary
+// heap over (at, seq): random one-off events plus two Clocks on one
+// simulator, so one clock's tick is held while the other's goes through
+// the ladder, and the slot passes between them.
 func TestHeapOrderProperty(t *testing.T) {
-	f := func(raw []uint32) bool {
+	const n, rate, horizon = 3, 1.0, 100.0
+	f := func(raw []uint32, seed uint64) bool {
 		s := New()
-		_, fired := popRecorder(s, nil)
+		var clocks [2]*Clocks
+		var got []pop
+		s.SetHandler(handlerFunc(func(ev Event) {
+			got = append(got, pop{s.Now(), ev})
+			if ev.Kind < 2 {
+				clocks[ev.Kind].Fire(ev.Node, func(int) {})
+			}
+		}))
 		for _, v := range raw {
-			s.Schedule(float64(v%100000)/1000, Event{})
+			s.Schedule(float64(v%100000)/1000, Event{Kind: 2, Node: int32(v)})
 		}
-		s.Run()
-		return len(*fired) == len(raw) && sort.Float64sAreSorted(*fired)
+		parent := xrand.New(seed)
+		for k := range clocks {
+			clocks[k] = NewClocks(s, parent, n, rate, int32(k))
+			clocks[k].StartAll()
+		}
+		if err := s.RunContextTo(nil, horizon); err != nil {
+			t.Fatal(err)
+		}
+		return slices.Equal(got, referencePops(raw, seed, n, rate, horizon))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refEvent is a pending event of referencePops' queue.
+type refEvent struct {
+	at  float64
+	seq uint64
+	ev  Event
+}
+
+// refHeap is a container/heap min-heap over (at, seq).
+type refHeap []refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].seq < h[j].seq)
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// referencePops replays TestHeapOrderProperty's workload on a plain binary
+// heap: the same one-off events, then two clocks that draw their gaps and
+// nodes from the same split generators as Clocks, each tick scheduling
+// the clock's next one.
+func referencePops(raw []uint32, seed uint64, n int, rate, horizon float64) []pop {
+	var h refHeap
+	var seq uint64
+	now := 0.0
+	push := func(at float64, ev Event) {
+		heap.Push(&h, refEvent{at, seq, ev})
+		seq++
+	}
+	for _, v := range raw {
+		push(float64(v%100000)/1000, Event{Kind: 2, Node: int32(v)})
+	}
+	parent := xrand.New(seed)
+	var rngs [2]*xrand.RNG
+	tick := func(k int) {
+		dt := rngs[k].Exp(float64(n) * rate)
+		push(now+dt, Event{Kind: int32(k), Node: int32(rngs[k].Intn(n))})
+	}
+	for k := range rngs {
+		rngs[k] = parent.Split()
+		tick(k)
+	}
+	var pops []pop
+	for h.Len() > 0 && h[0].at <= horizon {
+		e := heap.Pop(&h).(refEvent)
+		now = e.at
+		pops = append(pops, pop{e.at, e.ev})
+		if e.ev.Kind < 2 {
+			tick(int(e.ev.Kind))
+		}
+	}
+	return pops
 }
 
 // startClocks wires a Clocks set firing tick into a fresh handler on s.

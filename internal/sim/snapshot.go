@@ -11,11 +11,11 @@ import (
 )
 
 // EncodeState serializes the full scheduler state — virtual clock, sequence
-// and processed counters, and the pending event set — into w. Pending
-// events are written in (at, seq) order, the order they will pop in, so
-// the bytes depend only on the simulated state and not on the ladder's
-// layout: a state captured after a restore encodes exactly as the
-// uninterrupted run's state does.
+// and processed counters, and the pending event set, held tick included —
+// into w. Pending events are written in (at, seq) order, the order they
+// will pop in, so the bytes depend only on the simulated state and not on
+// the ladder's layout or on whether a tick is held: a state captured after
+// a restore encodes exactly as the uninterrupted run's state does.
 func (s *Simulator) EncodeState(w *snap.Writer) {
 	w.F64(s.now)
 	w.U64(s.seq)
@@ -28,6 +28,9 @@ func (s *Simulator) EncodeState(w *snap.Writer) {
 		queue = append(queue, b...)
 	}
 	queue = append(queue, s.overflow...)
+	if s.heldJ != noTick {
+		queue = append(queue, s.held)
+	}
 	// Stable, so a decoded state that repeats a key still re-encodes to
 	// its own bytes.
 	slices.SortStableFunc(queue, func(a, b event) int {
@@ -90,10 +93,11 @@ func (s *Simulator) DecodeState(r *snap.Reader) error {
 	s.seq = seq
 	s.processed = processed
 	s.stopped = stopped
-	// Park every event in the overflow tier under an empty window that ends
-	// at the clock's bucket. All captured times are >= now, so the overflow
-	// invariant holds, later inserts land in overflow too, and the first pop
-	// rebuilds the window over the earliest event.
+	// Park every event, a captured tick included, in the overflow tier under
+	// an empty window that ends at the clock's bucket. All captured times
+	// are >= now, so the overflow invariant holds, later inserts land in
+	// overflow too, and the first pop rebuilds the window over the earliest
+	// event.
 	s.cur = s.cur[:0]
 	s.curPos = 0
 	s.winHi = bucketOf(now)
@@ -103,6 +107,7 @@ func (s *Simulator) DecodeState(r *snap.Reader) error {
 		s.buckets[i] = s.buckets[i][:0]
 	}
 	s.inBuckets = 0
+	s.heldJ = noTick
 	s.overflow = append(s.overflow[:0], queue...)
 	s.ovMinJ = math.MaxInt64
 	for _, e := range queue {

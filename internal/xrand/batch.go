@@ -24,26 +24,26 @@ import (
 // locals across the whole slice — the scalar methods reload and store the
 // four state words on every call.
 
-// FillUint64 fills dst with uniformly distributed 64-bit values, advancing
-// the stream exactly as len(dst) Uint64 calls.
-func (r *RNG) FillUint64(dst []uint64) {
+// FillExp fills dst with Exp(1) samples, advancing the stream exactly as
+// len(dst) Exp(1) calls; x/1 == x, so value/λ is the Exp(λ) call's value.
+func (r *RNG) FillExp(dst []float64) {
 	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
 	for i := range dst {
-		result := bits.RotateLeft64(s0+s3, 23) + s0
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = bits.RotateLeft64(s3, 45)
-		dst[i] = result
+		u, n0, n1, n2, n3 := next(s0, s1, s2, s3)
+		if j, k := uint32(u), uint8(u>>32); j < zigK[k] {
+			dst[i] = float64(j) * zigW[k]
+			s0, s1, s2, s3 = n0, n1, n2, n3
+			continue
+		}
+		r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3 // ~1.1% of draws: Exp redraws u
+		dst[i] = r.Exp(1)
+		s0, s1, s2, s3 = r.s0, r.s1, r.s2, r.s3
 	}
 	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }
 
 // next is the xoshiro256++ step over explicit state words, the register
-// form shared by the bounded fill loops.
+// form shared by the fill loops.
 func next(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
 	out = bits.RotateLeft64(s0+s3, 23) + s0
 	t := s1 << 17

@@ -38,18 +38,22 @@ func TestFillEquivalence(t *testing.T) {
 	}
 }
 
-// TestFillUint64Equivalence pins FillUint64 against scalar Uint64 calls.
-func TestFillUint64Equivalence(t *testing.T) {
-	scalar, batch := New(99), New(99)
-	got := make([]uint64, 1000)
-	batch.FillUint64(got)
-	for i := range got {
-		if want := scalar.Uint64(); got[i] != want {
-			t.Fatalf("FillUint64: [%d] = %d, scalar %d", i, got[i], want)
+// TestFillExpEquivalence pins FillExp against scalar Exp(1) calls, and
+// its values divided by λ against Exp(λ). Ten thousand draws cross the
+// ziggurat's wedge and tail branches (about 1.1% of draws) many times.
+func TestFillExpEquivalence(t *testing.T) {
+	for _, lambda := range []float64{1, 0.5, 3.7} {
+		scalar, batch := New(99), New(99)
+		got := make([]float64, 10000)
+		batch.FillExp(got)
+		for i := range got {
+			if want := scalar.Exp(lambda); got[i]/lambda != want {
+				t.Fatalf("FillExp, λ=%g: [%d]/λ = %v, scalar %v", lambda, i, got[i]/lambda, want)
+			}
 		}
-	}
-	if batch.State() != scalar.State() {
-		t.Fatal("FillUint64: stream position diverged")
+		if batch.State() != scalar.State() {
+			t.Fatalf("FillExp, λ=%g: stream position diverged", lambda)
+		}
 	}
 }
 
@@ -116,6 +120,27 @@ func BenchmarkFillInt32n(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := range dst {
 				dst[j] = int32(r.Intn(999983))
+			}
+		}
+	})
+}
+
+// BenchmarkFillExp measures the batched Exp(1) throughput against the
+// scalar loop it replaces.
+func BenchmarkFillExp(b *testing.B) {
+	r := New(1)
+	dst := make([]float64, 1024)
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.FillExp(dst)
+		}
+	})
+	b.Run("scalar", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range dst {
+				dst[j] = r.Exp(1)
 			}
 		}
 	})
