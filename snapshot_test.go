@@ -470,58 +470,121 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
-// snapshotBlobGolden maps "protocol/topology@capture-time" to the SHA-256
-// of the encoded blob captured there, on kernelGoldenSpec. The blobs hold
-// the whole pending event set in (time, seq) order, the clock generator
-// and every engine field, so any change to what the kernel holds
+// snapshotBlobGolden maps "protocol/topology[/variant]@capture-time" to
+// the SHA-256 of the encoded blob captured there, on kernelGoldenSpec. The
+// blobs hold the whole pending event set in (time, seq) order, the clock
+// generator and every engine field, so any change to what the kernel holds
 // mid-run, or to how it writes it, shows up here even when the final
-// Result does not move. Re-record (after a reviewed change only) with
+// Result does not move. The variant rows add the sequential scheduler, the
+// crash flags with the churning adversary's state, and the delay
+// adversary's parked-message arena. Re-record (after a reviewed change
+// only) with
 //
 //	PLURALITY_GOLDEN_RECORD=1 go test -run TestSnapshotBlobGolden -v .
 var snapshotBlobGolden = map[string]string{
-	"decentralized/complete@37":             "5ca7c268b5d362873cc291298bdad1de4e3fa003c56db8d5cee7ba50fb29c1fa",
-	"decentralized/complete@5.5":            "00eae4aa59aa3dd0aa2e18f84c0687b653f6692eebc8f7742fb8ba77134abf93",
-	"decentralized/random-regular(d=4)@37":  "66c46a33855035808c65a2a5d84be7b2da7621c8f982415a30b25fce92127fe4",
-	"decentralized/random-regular(d=4)@5.5": "b12b9dbe2f38e9c6c06b1cc77d338972a188c619a4454354fd8ba8ab6c2b5452",
-	"leader/complete@37":                    "1487bb7e027a7b9a836326198fafb6dbb9d2a7abbf2929302b38133b9a1f7ec7",
-	"leader/complete@5.5":                   "90987934b3e74f75c0239397452ae583d2d0cb2e77ba204a662e789b447fc7b3",
-	"leader/random-regular(d=4)@37":         "1ce4463e8526f69e099130a9e42442727fea7c53ebf30dff8cd561ea54bbaa8c",
-	"leader/random-regular(d=4)@5.5":        "0df1616f4ee30055b23da34aa7ad2afea90bdb4630de041f26959d5ebef90025",
+	"decentralized/complete@37":                 "5ca7c268b5d362873cc291298bdad1de4e3fa003c56db8d5cee7ba50fb29c1fa",
+	"decentralized/complete@5.5":                "00eae4aa59aa3dd0aa2e18f84c0687b653f6692eebc8f7742fb8ba77134abf93",
+	"decentralized/random-regular(d=4)@37":      "66c46a33855035808c65a2a5d84be7b2da7621c8f982415a30b25fce92127fe4",
+	"decentralized/random-regular(d=4)@5.5":     "b12b9dbe2f38e9c6c06b1cc77d338972a188c619a4454354fd8ba8ab6c2b5452",
+	"leader/complete@37":                        "1487bb7e027a7b9a836326198fafb6dbb9d2a7abbf2929302b38133b9a1f7ec7",
+	"leader/complete@5.5":                       "90987934b3e74f75c0239397452ae583d2d0cb2e77ba204a662e789b447fc7b3",
+	"leader/random-regular(d=4)@37":             "1ce4463e8526f69e099130a9e42442727fea7c53ebf30dff8cd561ea54bbaa8c",
+	"leader/random-regular(d=4)@5.5":            "0df1616f4ee30055b23da34aa7ad2afea90bdb4630de041f26959d5ebef90025",
+	"sync/complete@3":                           "752312fc3d28fc453d499fd272573b1af309925460e9a338c1407796649429db",
+	"pull-voting/complete@3":                    "bf6b9e3e25393a321e7d968ee948c3f7b88111a0a4be9982d59462758d2e1976",
+	"two-choices/complete@3":                    "a22411ae3f5e24722c49dc45dceb3df62a37056c6f9595f420e66d877d5d213a",
+	"3-majority/complete@3":                     "c1421122c7af7853ab40f28b0237ec68205291a0d3d3ea5f2bbb7d501615ca86",
+	"undecided-state/complete@3":                "1a7213f4929e778a57b31ca4ff8dfbb73becb4cfcc7717bd9d9c9cea2acb573e",
+	"3-majority/complete/sequential@3":          "221ae733d67123dd10c3993c73578e60f092698557bf8cfc8b00a9acc1572d14",
+	"sync/complete/crash(f=0.2,r=1)@3":          "70cbdb483d65dcc75bdd85bf9b0e8ed838c71e156c1f9a2225f02a5a27d4f403",
+	"3-majority/complete/crash(f=0.2,r=1)@3":    "640395a5dec9e19c311f2fd8703a477fa29ab58969726750d0346f637b89f204",
+	"leader/complete/crash(f=0.2,r=1)@37":       "88fa969d0e6b7f21846e13237d23dc1959f1e9e14bbd625d03eaa33137ccad8a",
+	"leader/complete/delay(f=0.3,x2)@37":        "0c5ba0ded73ac770488783d6431f5a0959c66bee2c75543ca1118ed9b235ab4f",
+	"decentralized/complete/delay(f=0.3,x2)@37": "37220030a470749eba771dd31c751d4df1470cd2cfc50c8f613c728d56096bed",
 }
 
-// TestSnapshotBlobGolden pins the encoded bytes of mid-run snapshots of
-// the event-ladder engines, on the complete graph and random-regular(d=4),
-// at two capture times each.
-func TestSnapshotBlobGolden(t *testing.T) {
-	record := os.Getenv("PLURALITY_GOLDEN_RECORD") != ""
+// blobGoldenRow is one capture of TestSnapshotBlobGolden.
+type blobGoldenRow struct {
+	name       string
+	tp         TopologySpec
+	adv        AdversarySpec
+	sequential bool
+	at         float64
+}
+
+// key renders the row's snapshotBlobGolden key.
+func (r blobGoldenRow) key() string {
+	spec := kernelGoldenSpec(r.tp)
+	k := r.name + "/" + r.tp.ResolvedLabel(spec.N)
+	if r.sequential {
+		k += "/sequential"
+	}
+	if r.adv.Enabled() {
+		k += "/" + r.adv.Label()
+	}
+	return fmt.Sprintf("%s@%g", k, r.at)
+}
+
+// blobGoldenRows lists every snapshot layout an engine can write: the
+// event-ladder engines on two graphs at two capture times, each
+// round-based rule, the sequential scheduler, and the adversarial
+// suffixes.
+func blobGoldenRows() []blobGoldenRow {
+	var rows []blobGoldenRow
 	for _, name := range []string{"leader", "decentralized"} {
 		for _, tp := range []TopologySpec{goldenTopologies[0], goldenTopologies[2]} {
 			for _, at := range []float64{5.5, 37} {
-				spec := kernelGoldenSpec(tp)
-				key := fmt.Sprintf("%s/%s@%g", name, tp.ResolvedLabel(spec.N), at)
-				t.Run(key, func(t *testing.T) {
-					spec.Checkpoint = CheckpointSpec{SnapshotAt: at, Halt: true}
-					res, err := Run(context.Background(), name, spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Snapshot == nil {
-						t.Fatalf("no snapshot captured at t=%g", at)
-					}
-					blob, err := res.Snapshot.Encode()
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := fmt.Sprintf("%x", sha256.Sum256(blob))
-					if record {
-						t.Logf("RECORD %q: %q,", key, got)
-						return
-					}
-					if want := snapshotBlobGolden[key]; got != want {
-						t.Errorf("blob digest %s, golden %s", got, want)
-					}
-				})
+				rows = append(rows, blobGoldenRow{name: name, tp: tp, at: at})
 			}
 		}
+	}
+	complete := goldenTopologies[0]
+	for _, name := range []string{"sync", "pull-voting", "two-choices", "3-majority", "undecided-state"} {
+		rows = append(rows, blobGoldenRow{name: name, tp: complete, at: 3})
+	}
+	rows = append(rows, blobGoldenRow{name: "3-majority", tp: complete, sequential: true, at: 3})
+	crash := AdversarySpec{Kind: AdversaryCrash, Fraction: 0.2, Rate: 1}
+	rows = append(rows,
+		blobGoldenRow{name: "sync", tp: complete, adv: crash, at: 3},
+		blobGoldenRow{name: "3-majority", tp: complete, adv: crash, at: 3},
+		blobGoldenRow{name: "leader", tp: complete, adv: crash, at: 37})
+	delay := AdversarySpec{Kind: AdversaryDelay, Fraction: 0.3, Rate: 2}
+	for _, name := range []string{"leader", "decentralized"} {
+		rows = append(rows, blobGoldenRow{name: name, tp: complete, adv: delay, at: 37})
+	}
+	return rows
+}
+
+// TestSnapshotBlobGolden pins the encoded bytes of mid-run snapshots of
+// every checkpointable engine (see blobGoldenRows).
+func TestSnapshotBlobGolden(t *testing.T) {
+	record := os.Getenv("PLURALITY_GOLDEN_RECORD") != ""
+	for _, row := range blobGoldenRows() {
+		key := row.key()
+		t.Run(key, func(t *testing.T) {
+			spec := kernelGoldenSpec(row.tp)
+			spec.Adversary = row.adv
+			spec.Baseline.Sequential = row.sequential
+			spec.Checkpoint = CheckpointSpec{SnapshotAt: row.at, Halt: true}
+			res, err := Run(context.Background(), row.name, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Snapshot == nil {
+				t.Fatalf("no snapshot captured at t=%g", row.at)
+			}
+			blob, err := res.Snapshot.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("%x", sha256.Sum256(blob))
+			if record {
+				t.Logf("RECORD %q: %q,", key, got)
+				return
+			}
+			if want := snapshotBlobGolden[key]; got != want {
+				t.Errorf("blob digest %s, golden %s", got, want)
+			}
+		})
 	}
 }
