@@ -163,10 +163,6 @@ func New(cfg Config, rng *xrand.RNG) (*State, error) {
 	return s, nil
 }
 
-// Victims returns the deterministic victim pool (crash victims or Byzantine
-// liars). Callers must not mutate it.
-func (s *State) Victims() []int { return s.victims }
-
 // Churning reports whether the Crash adversary toggles victims continuously
 // (Rate > 0) rather than one-shot fail-stopping the pool at At.
 func (s *State) Churning() bool { return s.cfg.Kind == Crash && s.cfg.Rate > 0 }
@@ -230,52 +226,24 @@ func (s *State) Lie(node int, col int32) int32 {
 	return s.lieTarget
 }
 
-// EncodeState serializes the mutable adversary state — generator words,
-// churn cursor and next-toggle time, lie target, counters — into w. The
-// victim pool is a pure function of the construction seed and is recomputed
-// by New on restore, so it is deliberately not serialized.
-func (s *State) EncodeState(w *snap.Writer) {
-	w.RNG(s.rng)
-	w.Int(s.cursor)
-	w.F64(s.nextAt)
-	w.I32(s.lieTarget)
-	w.U64(s.Counters.Crashes)
-	w.U64(s.Counters.Recoveries)
-	w.U64(s.Counters.Drops)
-	w.U64(s.Counters.Delayed)
-	w.U64(s.Counters.Lies)
-}
-
-// DecodeState restores state previously written by EncodeState into an
-// adversary freshly constructed with the same Config and construction seed.
-func (s *State) DecodeState(r *snap.Reader) error {
-	if err := r.ReadRNG(s.rng); err != nil {
-		return err
-	}
-	cursor := r.Int()
-	nextAt := r.F64()
-	lieTarget := r.I32()
-	var c Counters
-	c.Crashes = r.U64()
-	c.Recoveries = r.U64()
-	c.Drops = r.U64()
-	c.Delayed = r.U64()
-	c.Lies = r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if cursor < 0 || (len(s.victims) > 0 && cursor >= len(s.victims)) ||
-		(len(s.victims) == 0 && cursor != 0) {
-		return r.Fail(fmt.Errorf("%w: adversary cursor %d outside pool of %d", snap.ErrCorrupt, cursor, len(s.victims)))
-	}
-	if math.IsNaN(nextAt) || math.IsInf(nextAt, 0) {
-		return r.Fail(fmt.Errorf("%w: non-finite adversary nextAt %v", snap.ErrCorrupt, nextAt))
-	}
-	s.cursor = cursor
-	s.nextAt = nextAt
-	s.lieTarget = lieTarget
-	s.Counters = c
-	return nil
+// Layout runs the mutable adversary state — generator words, churn cursor
+// and next-toggle time, lie target, counters — through c. The victim pool
+// is a pure function of the construction seed and is recomputed by New on
+// restore, so it is deliberately not serialized; decode into an adversary
+// freshly constructed with the same Config and construction seed.
+func (s *State) Layout(c *snap.Codec) {
+	c.RNG(s.rng)
+	c.Int(&s.cursor)
+	c.F64(&s.nextAt)
+	c.I32(&s.lieTarget)
+	c.U64(&s.Counters.Crashes)
+	c.U64(&s.Counters.Recoveries)
+	c.U64(&s.Counters.Drops)
+	c.U64(&s.Counters.Delayed)
+	c.U64(&s.Counters.Lies)
+	c.Require(s.cursor >= 0 && (s.cursor < len(s.victims) || s.cursor == 0),
+		"adversary cursor %d outside pool of %d", s.cursor, len(s.victims))
+	c.Require(!math.IsNaN(s.nextAt) && !math.IsInf(s.nextAt, 0), "non-finite adversary nextAt %v", s.nextAt)
 }
 
 // Perturb folds a divergence label into the adversary generator (see

@@ -23,11 +23,11 @@ func TestVictimPoolDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Victims()) != 15 {
-		t.Fatalf("pool size %d, want 15", len(a.Victims()))
+	if len(a.victims) != 15 {
+		t.Fatalf("pool size %d, want 15", len(a.victims))
 	}
-	for i := range a.Victims() {
-		if a.Victims()[i] != b.Victims()[i] {
+	for i := range a.victims {
+		if a.victims[i] != b.victims[i] {
 			t.Fatalf("victim %d differs between identically seeded adversaries", i)
 		}
 	}
@@ -36,8 +36,8 @@ func TestVictimPoolDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := true
-	for i := range a.Victims() {
-		if a.Victims()[i] != c.Victims()[i] {
+	for i := range a.victims {
+		if a.victims[i] != c.victims[i] {
 			same = false
 			break
 		}
@@ -78,7 +78,7 @@ func TestChurnSchedule(t *testing.T) {
 	if got := s.NextCrashAt(); got != 1 {
 		t.Fatalf("first toggle at %g, want the configured At=1", got)
 	}
-	pool := s.Victims()
+	pool := s.victims
 	last := s.NextCrashAt()
 	for i := 0; i < 2*len(pool); i++ {
 		v := s.NextVictim()
@@ -100,10 +100,10 @@ func TestLieFiltersVictimsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetLieTarget(2)
-	liar := s.Victims()[0]
+	liar := s.victims[0]
 	honest := -1
 	flags := make([]bool, 40)
-	for _, v := range s.Victims() {
+	for _, v := range s.victims {
 		flags[v] = true
 	}
 	for v, lies := range flags {
@@ -138,14 +138,12 @@ func TestStateRoundtrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a.DropMessage()
 	}
-	w := &snap.Writer{}
-	a.EncodeState(w)
+	w := snap.NewEncoder()
+	a.Layout(w)
 
 	b := mk()
-	r := snap.NewReader(w.Bytes())
-	if err := b.DecodeState(r); err != nil {
-		t.Fatal(err)
-	}
+	r := snap.NewDecoder(w.Bytes())
+	b.Layout(r)
 	if err := r.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +223,12 @@ func TestCrashesDecodeRejectsInconsistentSection(t *testing.T) {
 	c := NewCrashes(4)
 	c.Down[1], c.Alive = true, 3
 	decode := func(down []bool, alive int) (Crashes, error) {
-		w := &snap.Writer{}
-		w.Bools(down)
-		w.Int(alive)
+		w := snap.NewEncoder()
+		(&Crashes{Down: down, Alive: alive}).Layout(w)
 		got := NewCrashes(4)
-		return got, got.Decode(snap.NewReader(w.Bytes()))
+		r := snap.NewDecoder(w.Bytes())
+		got.Layout(r)
+		return got, r.Finish()
 	}
 	got, err := decode(c.Down, c.Alive)
 	if err != nil || got.Alive != 3 || !got.Down[1] {

@@ -124,35 +124,26 @@ func (c *Crashes) SurvivorConsensus(out *metrics.Outcome, col func(v int) opinio
 	out.PluralityWon = w == plurality
 }
 
-// Encode writes the crash section of an engine snapshot: the flags, then
-// the alive count.
-func (c *Crashes) Encode(w *snap.Writer) {
-	w.Bools(c.Down)
-	w.Int(c.Alive)
-}
-
-// Decode restores a section written by Encode into c, which must already
-// be sized for the run. It fails with snap.ErrCorrupt on a flag vector of
+// Layout runs the crash section of an engine snapshot through c: the
+// flags, then the alive count. A decoder fills c, which must already be
+// sized for the run, and fails with snap.ErrCorrupt on a flag vector of
 // another length or an alive count that disagrees with the flags.
-func (c *Crashes) Decode(r *snap.Reader) error {
-	down := r.Bools()
-	alive := r.Int()
-	if err := r.Err(); err != nil {
-		return err
+func (c *Crashes) Layout(cd *snap.Codec) {
+	n := len(c.Down)
+	cd.Bools(&c.Down)
+	cd.Int(&c.Alive)
+	if !cd.Decoding() || cd.Err() != nil {
+		return
 	}
-	if len(down) != len(c.Down) {
-		return r.Fail(fmt.Errorf("%w: %d crash flags for %d nodes", snap.ErrCorrupt, len(down), len(c.Down)))
+	if len(c.Down) != n {
+		cd.Fail(fmt.Errorf("%w: %d crash flags for %d nodes", snap.ErrCorrupt, len(c.Down), n))
+		return
 	}
 	up := 0
-	for _, d := range down {
+	for _, d := range c.Down {
 		if !d {
 			up++
 		}
 	}
-	if alive != up {
-		return r.Fail(fmt.Errorf("%w: alive count %d, but %d nodes are up", snap.ErrCorrupt, alive, up))
-	}
-	copy(c.Down, down)
-	c.Alive = alive
-	return nil
+	cd.Require(c.Alive == up, "alive count %d, but %d nodes are up", c.Alive, up)
 }

@@ -180,6 +180,9 @@ func RunPoisson(rule Rule, cfg Config, lat sim.Latency) (*Result, error) {
 	if cfg.Adv.Kind != adversary.None {
 		return nil, errors.New("baseline: the Poisson runner has no adversary support")
 	}
+	if cfg.Ckpt != nil {
+		return nil, errors.New("baseline: the Poisson runner has no checkpoint support")
+	}
 	if lat == nil {
 		lat = sim.ExpLatency{Rate: 1}
 	}
@@ -220,21 +223,13 @@ func RunPoisson(rule Rule, cfg Config, lat sim.Latency) (*Result, error) {
 	ps.maxTime = float64(cfg.MaxRounds)
 	ps.plurality = plurality
 	ps.rec = rec
-	if cfg.Ckpt.Restoring() {
-		// Deterministic setup above sized every slice; now overwrite all
-		// mutable state (event heap included) from the captured payload.
-		if err := ps.restore(cfg.Ckpt.Restore, cfg.Ckpt.Perturb); err != nil {
-			return nil, err
-		}
-	} else {
-		ps.clocks.StartAll()
-		// Periodic recorder + termination watchdog, both typed events so
-		// the pending queue stays plain data (see evRecord/evDeadline).
-		ps.record()
-		sm.ScheduleAfter(float64(cfg.RecordEvery), sim.Event{Kind: evRecord})
-		sm.Schedule(ps.maxTime, sim.Event{Kind: evDeadline})
-	}
-	if err := ps.runSim(cfg.Ctx); err != nil {
+	ps.clocks.StartAll()
+	// Periodic recorder + termination watchdog, both typed events so the
+	// pending queue stays plain data (see evRecord/evDeadline).
+	ps.record()
+	sm.ScheduleAfter(float64(cfg.RecordEvery), sim.Event{Kind: evRecord})
+	sm.Schedule(ps.maxTime, sim.Event{Kind: evDeadline})
+	if err := sm.RunContext(cfg.Ctx); err != nil {
 		return nil, err
 	}
 

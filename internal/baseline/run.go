@@ -49,9 +49,9 @@ type Config struct {
 	// gaps are measured in (parallel) rounds.
 	Adv adversary.Config
 	// Ckpt requests a mid-run state capture and/or resumes from one; nil
-	// disables checkpointing. Ckpt.At is measured in (parallel) rounds for
-	// RunSync and RunSequential and in virtual time for RunPoisson — the
-	// time axis of the respective Result. See snap.Checkpoint for the
+	// disables checkpointing. Ckpt.At is measured in (parallel) rounds, the
+	// time axis of the Result. RunSync and RunSequential checkpoint;
+	// RunPoisson rejects a non-nil Ckpt. See snap.Checkpoint for the
 	// semantics shared by every engine.
 	Ckpt *snap.Checkpoint
 	// Scratch optionally supplies reusable batch-sampling buffers; nil
@@ -176,11 +176,12 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 	record := func(round int) {
 		rec.Append(metrics.Snapshot(float64(round), cols, cfg.K, plurality))
 	}
-	stepRNG := rng.SplitNamed("steps")
+	st := &roundsState{perTick: 1, k: cfg.K, cols: cols, stepRNG: rng.SplitNamed("steps"),
+		rule: rule, rec: rec, adv: adv, crash: &crash}
+	stepRNG := st.stepRNG
 	startRound := 1
 	if ck := cfg.Ckpt; ck.Restoring() {
-		st := &roundsState{cols: cols, stepRNG: stepRNG, rule: rule, rec: rec, adv: adv, crash: &crash}
-		round, rounds, err := restoreRounds(ck.Restore, st, cfg.K, ck.Perturb)
+		round, rounds, err := st.restore(ck.Restore, ck.Perturb)
 		if err != nil {
 			return nil, err
 		}
@@ -242,9 +243,7 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 			record(round)
 		}
 		if ck := cfg.Ckpt; ck.Capturing() && !captured && !done && float64(round) >= ck.At {
-			st := &roundsState{tick: round, rounds: res.Rounds, cols: cols,
-				stepRNG: stepRNG, rule: rule, rec: rec, adv: adv, crash: &crash}
-			ck.Sink(captureRounds(st), float64(round), 0)
+			ck.Sink(st.capture(round, res.Rounds, cols), float64(round), 0)
 			captured = true
 			if ck.Halt {
 				break
@@ -282,11 +281,12 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 	record := func(round float64) {
 		rec.Append(metrics.Snapshot(round, cols, cfg.K, plurality))
 	}
-	stepRNG := rng.SplitNamed("steps")
+	st := &roundsState{perTick: cfg.N, k: cfg.K, cols: cols, stepRNG: rng.SplitNamed("steps"),
+		rule: rule, rec: rec, adv: adv, crash: &crash}
+	stepRNG := st.stepRNG
 	startIt := 1
 	if ck := cfg.Ckpt; ck.Restoring() {
-		st := &roundsState{cols: cols, stepRNG: stepRNG, rule: rule, rec: rec, adv: adv, crash: &crash}
-		it, rounds, err := restoreRounds(ck.Restore, st, cfg.K, ck.Perturb)
+		it, rounds, err := st.restore(ck.Restore, ck.Perturb)
 		if err != nil {
 			return nil, err
 		}
@@ -336,9 +336,7 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 		}
 		if ck := cfg.Ckpt; ck.Capturing() && !captured && !done &&
 			float64(it) >= ck.At*float64(cfg.N) {
-			st := &roundsState{tick: it, rounds: res.Rounds, cols: cols,
-				stepRNG: stepRNG, rule: rule, rec: rec, adv: adv, crash: &crash}
-			ck.Sink(captureRounds(st), float64(it)/float64(cfg.N), 0)
+			ck.Sink(st.capture(it, res.Rounds, cols), float64(it)/float64(cfg.N), 0)
 			captured = true
 			if ck.Halt {
 				break

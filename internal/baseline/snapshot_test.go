@@ -8,7 +8,7 @@ import (
 	"plurality/internal/xrand"
 )
 
-// roundtrip runs rule under all three schedulers and asserts the
+// roundtrip runs rule under a round-based scheduler and asserts the
 // run-half → capture → restore → finish result deeply equals the
 // uninterrupted run.
 func roundtrip(t *testing.T, name string, run func(Rule, Config) (*Result, error)) {
@@ -66,12 +66,20 @@ func TestCheckpointRoundtripSequential(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundtripPoisson(t *testing.T) {
+// TestRunPoissonRejectsCheckpoint pins that the Poisson runner, which no
+// protocol or experiment checkpoints, refuses a checkpoint request instead
+// of ignoring it.
+func TestRunPoissonRejectsCheckpoint(t *testing.T) {
 	for _, rule := range RuleNames() {
 		t.Run(rule, func(t *testing.T) {
-			roundtrip(t, rule, func(r Rule, cfg Config) (*Result, error) {
-				return RunPoisson(r, cfg, nil)
-			})
+			r, err := NewRule(rule, xrand.New(99).SplitNamed("rule"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{N: 300, K: 3, Alpha: 2, Seed: 17, Ckpt: &snap.Checkpoint{Restore: []byte{}}}
+			if _, err := RunPoisson(r, cfg, nil); err == nil {
+				t.Fatal("RunPoisson accepted a checkpoint request")
+			}
 		})
 	}
 }

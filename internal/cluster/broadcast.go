@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"plurality/internal/adversary"
 	"plurality/internal/sim"
-	"plurality/internal/snap"
 	"plurality/internal/topo"
 	"plurality/internal/xrand"
 )
@@ -35,9 +33,6 @@ const (
 	bcComplete
 	// bcDeadline is the hard maxTime watchdog.
 	bcDeadline
-	// bcAdvDeliver delivers a message the delay adversary held back: A is
-	// the payload-arena slot holding the original event.
-	bcAdvDeliver
 )
 
 // bcastState is the mutable state of one broadcast run; per-node flags are
@@ -58,12 +53,6 @@ type bcastState struct {
 	informTimes   map[int]float64
 	remaining     int
 	res           *BroadcastResult
-
-	// adv is the run's adversary (nil for honest runs) and payload the
-	// side-arena delayed messages park their original event in; see
-	// BroadcastUnder.
-	adv     *adversary.State
-	payload *sim.PayloadArena
 }
 
 // HandleEvent dispatches the broadcast engine's typed events.
@@ -76,22 +65,7 @@ func (bs *bcastState) HandleEvent(ev sim.Event) {
 	case bcDeadline:
 		bs.res.TimedOut = true
 		bs.sm.Stop()
-	case bcAdvDeliver:
-		bs.HandleEvent(bs.payload.Take(ev.A))
 	}
-}
-
-// sendMsg schedules a protocol message, giving the delay adversary a chance
-// to stretch the delivery: a delayed message parks the original event in the
-// payload arena and is re-dispatched by bcAdvDeliver.
-func (bs *bcastState) sendMsg(d float64, ev sim.Event) {
-	if bs.adv != nil {
-		if extra := bs.adv.DelayExtra(bs.lat); extra > 0 {
-			bs.sm.ScheduleAfter(d+extra, sim.Event{Kind: bcAdvDeliver, A: bs.payload.Put(ev)})
-			return
-		}
-	}
-	bs.sm.ScheduleAfter(d, ev)
 }
 
 func (bs *bcastState) inform(l int) {
@@ -122,23 +96,13 @@ func (bs *bcastState) tick(v int) {
 	lat := bs.lat
 	d := math.Max(lat.Sample(bs.latR), math.Max(lat.Sample(bs.latR), lat.Sample(bs.latR))) +
 		math.Max(lat.Sample(bs.latR), lat.Sample(bs.latR))
-	bs.sendMsg(d, sim.Event{Kind: bcComplete, Node: int32(v), A: int32(a), B: int32(b)})
+	bs.sm.ScheduleAfter(d, sim.Event{Kind: bcComplete, Node: int32(v), A: int32(a), B: int32(b)})
 }
 
 func (bs *bcastState) complete(v, a, b int) {
 	bs.locked[v] = false
 	my := int(bs.cl.LeaderOf[v])
-	la, lb := int(bs.cl.LeaderOf[a]), int(bs.cl.LeaderOf[b])
-	if bs.adv != nil {
-		// A dropped reply hides that contact's leader from the exchange.
-		if bs.adv.DropMessage() {
-			la = -1
-		}
-		if bs.adv.DropMessage() {
-			lb = -1
-		}
-	}
-	group := [3]int{my, la, lb}
+	group := [3]int{my, int(bs.cl.LeaderOf[a]), int(bs.cl.LeaderOf[b])}
 	any := false
 	for _, l := range group {
 		if l >= 0 && bs.informed[l] {
@@ -162,26 +126,6 @@ func (bs *bcastState) complete(v, a, b int) {
 // lat the channel latency (nil for Exp(1)), maxTime the abort horizon
 // (<= 0 for a default of 64·(1+mean latency)).
 func Broadcast(cl *Clustering, lat sim.Latency, seed uint64, maxTime float64) (*BroadcastResult, error) {
-	return BroadcastWithCheckpoint(cl, lat, seed, maxTime, nil)
-}
-
-// BroadcastWithCheckpoint is Broadcast with checkpoint support: ck may
-// request a mid-run capture and/or resume from one (see snap.Checkpoint).
-// A restore must be given the same clustering and seed the capture ran
-// with; everything mutable — kernel heap, clocks, RNG streams, informed
-// bits — comes from the payload.
-func BroadcastWithCheckpoint(cl *Clustering, lat sim.Latency, seed uint64, maxTime float64, ck *snap.Checkpoint) (*BroadcastResult, error) {
-	return BroadcastUnder(cl, lat, seed, maxTime, adversary.Config{}, ck)
-}
-
-// BroadcastUnder is BroadcastWithCheckpoint with an adversary: delay
-// stretches message deliveries by multiples of the edge-latency model and
-// drop hides a contact's leader from the equalization step. Crash and
-// Byzantine kinds are rejected — broadcast has no opinions to lie about, and
-// its termination condition assumes every participating leader is eventually
-// reachable. The zero Config disables the adversary; adv.Seed drives its
-// private generator, so honest runs are byte-identical either way.
-func BroadcastUnder(cl *Clustering, lat sim.Latency, seed uint64, maxTime float64, advCfg adversary.Config, ck *snap.Checkpoint) (*BroadcastResult, error) {
 	leaders := cl.ParticipatingLeaders()
 	if len(leaders) == 0 {
 		return nil, fmt.Errorf("cluster: broadcast needs at least one participating leader")
@@ -215,18 +159,6 @@ func BroadcastUnder(cl *Clustering, lat sim.Latency, seed uint64, maxTime float6
 	for _, l := range leaders {
 		bs.participating[l] = true
 	}
-	if advCfg.Kind != adversary.None {
-		if advCfg.Kind != adversary.Delay && advCfg.Kind != adversary.Drop {
-			return nil, fmt.Errorf("cluster: broadcast supports only the delay and drop adversaries, got %v", advCfg.Kind)
-		}
-		advCfg.N = n
-		adv, err := adversary.New(advCfg, xrand.New(advCfg.Seed))
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		bs.adv = adv
-		bs.payload = &sim.PayloadArena{}
-	}
 
 	// The message originates at the first participating leader.
 	bs.inform(leaders[0])
@@ -242,26 +174,16 @@ func BroadcastUnder(cl *Clustering, lat sim.Latency, seed uint64, maxTime float6
 	sm.Reserve(2*n + 64)
 	clockR := root.SplitNamed("clocks")
 	bs.clocks = sim.NewClocks(sm, clockR, n, 1, bcTick)
-	if ck.Restoring() {
-		if err := bs.restore(ck.Restore, ck.Perturb, leaders); err != nil {
-			return nil, err
-		}
-	} else {
-		bs.clocks.StartAll()
-		sm.Schedule(maxTime, sim.Event{Kind: bcDeadline})
-	}
-	if err := bs.runSim(ck); err != nil {
-		return nil, err
-	}
-	remaining := bs.remaining
-	informTimes := bs.informTimes
+	bs.clocks.StartAll()
+	sm.Schedule(maxTime, sim.Event{Kind: bcDeadline})
+	sm.Run()
 
-	if res.TimedOut && remaining > 0 {
+	if res.TimedOut && bs.remaining > 0 {
 		res.CompleteTime = -1
 		return res, nil
 	}
 	last := 0.0
-	for _, t := range informTimes {
+	for _, t := range bs.informTimes {
 		if t > last {
 			last = t
 		}

@@ -11,6 +11,10 @@
 // substitution; the Theorem 27/28 experiments validate the shape claims
 // (constant broadcast time, O(log log n)-scale formation, near-total
 // coverage) against these scaled knobs.
+//
+// Formation itself is never checkpointed: the decentralized engine's
+// snapshots embed the finished Clustering (see Clustering.Layout), so a
+// resumed run skips formation altogether.
 package cluster
 
 import (
@@ -19,7 +23,6 @@ import (
 	"math"
 
 	"plurality/internal/sim"
-	"plurality/internal/snap"
 	"plurality/internal/topo"
 	"plurality/internal/xrand"
 )
@@ -63,10 +66,6 @@ type Params struct {
 	// Ctx cancels or bounds formation; polled every few hundred simulator
 	// events. nil means never cancelled.
 	Ctx context.Context
-	// Ckpt requests a mid-formation state capture and/or resumes from one;
-	// nil disables checkpointing. See snap.Checkpoint for the semantics
-	// shared by every engine.
-	Ckpt *snap.Checkpoint
 }
 
 func (p *Params) normalize() error {
@@ -194,7 +193,7 @@ func (c *Clustering) ParticipatingFrac() float64 {
 
 // Typed event kinds of the clustering engine (see formState.HandleEvent).
 // The periodic coverage recorder is a typed event too, so the pending queue
-// is plain data and formation is checkpointable mid-flight.
+// is plain data.
 const (
 	// evTick is one Poisson tick of node ev.Node.
 	evTick int32 = iota
@@ -490,21 +489,12 @@ func Form(p Params) (*Clustering, error) {
 	sm.Reserve(3*n + 64)
 	clockR := root.SplitNamed("clocks")
 	fs.clocks = sim.NewClocks(sm, clockR, n, 1, evTick)
-	if p.Ckpt.Restoring() {
-		// Deterministic setup above re-derived the leader set; overwrite
-		// all mutable state (event heap included) from the payload.
-		if err := fs.restore(p.Ckpt.Restore, p.Ckpt.Perturb); err != nil {
-			return nil, err
-		}
-	} else {
-		fs.clocks.StartAll()
-		// Coverage recorder + settlement watchdog, a typed event so the
-		// pending queue stays plain data (see evRecord).
-		fs.record()
-		sm.ScheduleAfter(p.RecordEvery, sim.Event{Kind: evRecord})
-	}
-
-	if err := fs.runSim(p.Ctx); err != nil {
+	fs.clocks.StartAll()
+	// Coverage recorder + settlement watchdog, a typed event so the pending
+	// queue stays plain data (see evRecord).
+	fs.record()
+	sm.ScheduleAfter(p.RecordEvery, sim.Event{Kind: evRecord})
+	if err := sm.RunContext(p.Ctx); err != nil {
 		return nil, err
 	}
 

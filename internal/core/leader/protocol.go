@@ -126,7 +126,7 @@ type runState struct {
 	seenG  []int32 // l.gen stored at the previous leader contact
 	seenP  []bool  // l.prop stored at the previous leader contact
 
-	colorCount []int
+	colorCount opinion.Counts
 	genCount   []int
 	maxGen     int
 

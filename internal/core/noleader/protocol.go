@@ -110,12 +110,12 @@ func Run(cfg Config) (*Result, error) {
 	cp.Seed = root.SplitNamed("clustering").Uint64()
 	cp.Ctx = cfg.Ctx
 	var cl *cluster.Clustering
-	var restoreR *snap.Reader
+	var restoreC *snap.Codec
 	if cfg.Ckpt.Restoring() {
-		restoreR = snap.NewReader(cfg.Ckpt.Restore)
-		var err error
-		cl, err = cluster.DecodeClustering(restoreR)
-		if err != nil {
+		restoreC = snap.NewDecoder(cfg.Ckpt.Restore)
+		cl = &cluster.Clustering{}
+		cl.Layout(restoreC)
+		if err := restoreC.Err(); err != nil {
 			return nil, fmt.Errorf("noleader: clustering state: %w", err)
 		}
 		if cl.N != cfg.N {
@@ -224,7 +224,7 @@ func Run(cfg Config) (*Result, error) {
 	if adv != nil {
 		rs.adv = adv
 		rs.payload = &sim.PayloadArena{}
-		if at := adv.NextCrashAt(); at >= 0 && restoreR == nil {
+		if at := adv.NextCrashAt(); at >= 0 && restoreC == nil {
 			rs.sm.Schedule(at, sim.Event{Kind: evCrash})
 		}
 	}
@@ -236,10 +236,10 @@ func Run(cfg Config) (*Result, error) {
 	clockR := root.SplitNamed("clocks")
 	rs.clocks = sim.NewClocks(rs.sm, clockR, cfg.N, 1, evTick)
 	rs.rec = metrics.NewRecorder(cfg.Eps, cfg.DiscardTrajectory, cfg.Observe)
-	if restoreR != nil {
+	if restoreC != nil {
 		// Deterministic setup above sized every slice; now overwrite all
 		// mutable state (event heap included) from the captured payload.
-		if err := rs.restore(restoreR, cfg.Ckpt.Perturb); err != nil {
+		if err := rs.restore(restoreC, cfg.Ckpt.Perturb); err != nil {
 			return nil, err
 		}
 	} else {

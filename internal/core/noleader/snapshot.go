@@ -4,17 +4,15 @@ import (
 	"context"
 	"fmt"
 
-	"plurality/internal/cluster"
-	"plurality/internal/metrics"
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
 	"plurality/internal/snap"
 )
 
 // This file implements the decentralized engine's checkpoint hooks. A
-// snapshot embeds the finished clustering (via cluster.EncodeClustering)
-// followed by every mutable word of the consensus phase, so a restored run
-// skips formation entirely — the warm-start property that makes resumed
+// snapshot embeds the finished clustering (Clustering.Layout) followed by
+// every mutable word of the consensus phase, so a restored run skips
+// formation entirely — the warm-start property that makes resumed
 // long-horizon runs O(n) instead of O(clustering replay). Config-derived
 // constants (C1, G*, thresholds, leader slot order) are recomputed at
 // restore from the same seed.
@@ -26,180 +24,99 @@ func (rs *consensusState) runSim(ctx context.Context) error {
 	return sim.RunCheckpointed(ctx, rs.sm, rs.cfg.Ckpt, rs.capture)
 }
 
-// capture serializes the clustering and the consensus phase's mutable
-// state.
-func (rs *consensusState) capture() []byte {
-	w := &snap.Writer{}
-	cluster.EncodeClustering(w, rs.cl)
-	rs.sm.EncodeState(w)
-	rs.clocks.EncodeState(w)
-	w.RNG(rs.smp)
-	w.RNG(rs.latR)
-	opinion.EncodeSlice(w, rs.cols)
-	w.I32s(rs.gens)
-	w.Bools(rs.finished)
-	w.Bools(rs.locked)
-	w.I32s(rs.tmpGen)
-	w.I8s(rs.tmpState)
-	opinion.EncodeCounts(w, rs.counts)
-	w.Int(rs.maxGen)
-	w.I32s(rs.lGen)
-	w.I8s(rs.lState)
-	w.I32s(rs.lT)
-	w.I32s(rs.lGenSize)
-	w.I32s(rs.loadBucket)
-	w.U64s(rs.loadCount)
-	w.U64(rs.peakLoad)
-	w.Bool(rs.mono)
-	w.F64(rs.monoAt)
-	// The Figure 2 phase marks, flattened in generation order (the same
-	// order the final PhaseSpans use) for a canonical encoding.
-	marks := 0
-	for g := 1; g <= rs.gStar+1; g++ {
-		if _, ok := rs.phase[g]; ok {
-			marks++
-		}
-	}
-	w.Len32(marks)
-	for g := 1; g <= rs.gStar+1; g++ {
-		ph, ok := rs.phase[g]
-		if !ok {
-			continue
-		}
-		w.Int(ph.Gen)
-		w.F64(ph.FirstTwoChoices)
-		w.F64(ph.LastTwoChoices)
-		w.F64(ph.FirstSleeping)
-		w.F64(ph.LastSleeping)
-		w.F64(ph.FirstPropagation)
-		w.F64(ph.LastPropagation)
-	}
-	w.U64(rs.res.TotalLeaderMessages)
-	w.Bool(rs.res.TimedOut)
-	metrics.EncodeRecorder(w, rs.rec)
+// layout runs the consensus phase's mutable state through c, in blob order
+// after the embedded clustering.
+func (rs *consensusState) layout(c *snap.Codec) {
+	rs.sm.Layout(c)
+	rs.clocks.Layout(c)
+	c.RNG(rs.smp)
+	c.RNG(rs.latR)
+	opinion.SliceLayout(c, &rs.cols, rs.cfg.K)
+	c.I32s(&rs.gens)
+	c.Bools(&rs.finished)
+	c.Bools(&rs.locked)
+	c.I32s(&rs.tmpGen)
+	c.I8s(&rs.tmpState)
+	opinion.CountsLayout(c, &rs.counts, rs.cfg.K)
+	c.Int(&rs.maxGen)
+	c.I32s(&rs.lGen)
+	c.I8s(&rs.lState)
+	c.I32s(&rs.lT)
+	c.I32s(&rs.lGenSize)
+	c.I32s(&rs.loadBucket)
+	c.U64s(&rs.loadCount)
+	c.U64(&rs.peakLoad)
+	c.Bool(&rs.mono)
+	c.F64(&rs.monoAt)
+	rs.phaseLayout(c)
+	c.U64(&rs.res.TotalLeaderMessages)
+	c.Bool(&rs.res.TimedOut)
+	rs.rec.Layout(c, rs.sm.Now())
 	// Adversarial runs append the crash flags, the adversary state and the
 	// delayed-message arena; the suffix's presence is a pure function of
 	// the Config, so capture and restore agree on it and honest blobs
 	// decode unchanged.
 	if rs.adv != nil {
-		rs.crash.Encode(w)
-		rs.adv.EncodeState(w)
-		rs.payload.EncodeState(w)
+		rs.crash.Layout(c)
+		rs.adv.Layout(c)
+		rs.payload.Layout(c)
 	}
-	return w.Bytes()
+}
+
+// phaseLayout runs the Figure 2 phase marks through c, flattened in
+// generation order (the order of the final PhaseSpans) for a canonical
+// encoding.
+func (rs *consensusState) phaseLayout(c *snap.Codec) {
+	var marks []GenPhases
+	for g := 1; g <= rs.gStar+1; g++ {
+		if ph, ok := rs.phase[g]; ok {
+			marks = append(marks, *ph)
+		}
+	}
+	snap.Slice(c, &marks, 56, func(c *snap.Codec, ph *GenPhases) {
+		c.Int(&ph.Gen)
+		c.F64(&ph.FirstTwoChoices)
+		c.F64(&ph.LastTwoChoices)
+		c.F64(&ph.FirstSleeping)
+		c.F64(&ph.LastSleeping)
+		c.F64(&ph.FirstPropagation)
+		c.F64(&ph.LastPropagation)
+	})
+	if !c.Decoding() || c.Err() != nil {
+		return
+	}
+	rs.phase = make(map[int]*GenPhases, len(marks))
+	for i := range marks {
+		ph := &marks[i]
+		if ph.Gen < 1 || ph.Gen > rs.gStar+1 {
+			c.Fail(fmt.Errorf("%w: phase mark for generation %d outside [1, %d]", snap.ErrCorrupt, ph.Gen, rs.gStar+1))
+			return
+		}
+		rs.phase[ph.Gen] = ph
+	}
+}
+
+// capture serializes the clustering and the consensus phase's mutable
+// state.
+func (rs *consensusState) capture() []byte {
+	c := snap.NewEncoder()
+	rs.cl.Layout(c)
+	rs.layout(c)
+	return c.Bytes()
 }
 
 // restore overwrites the consensus phase's mutable state from a captured
-// payload; the reader is positioned right after the embedded clustering,
-// which Run already decoded.
-func (rs *consensusState) restore(r *snap.Reader, perturb uint64) error {
-	if err := rs.sm.DecodeState(r); err != nil {
-		return fmt.Errorf("noleader: kernel state: %w", err)
-	}
-	if err := rs.clocks.DecodeState(r); err != nil {
-		return fmt.Errorf("noleader: clock state: %w", err)
-	}
-	if err := r.ReadRNG(rs.smp); err != nil {
-		return fmt.Errorf("noleader: sampling rng: %w", err)
-	}
-	if err := r.ReadRNG(rs.latR); err != nil {
-		return fmt.Errorf("noleader: latency rng: %w", err)
-	}
-	cols, err := opinion.DecodeSlice(r, rs.cfg.K)
-	if err != nil {
-		return fmt.Errorf("noleader: opinions: %w", err)
-	}
-	gens := r.I32s()
-	finished := r.Bools()
-	locked := r.Bools()
-	tmpGen := r.I32s()
-	tmpState := r.I8s()
-	counts, err := opinion.DecodeCounts(r, rs.cfg.K)
-	if err != nil {
-		return fmt.Errorf("noleader: counts: %w", err)
-	}
-	maxGen := r.Int()
-	lGen := r.I32s()
-	lState := r.I8s()
-	lT := r.I32s()
-	lGenSize := r.I32s()
-	loadBucket := r.I32s()
-	loadCount := r.U64s()
-	peakLoad := r.U64()
-	mono := r.Bool()
-	monoAt := r.F64()
-	nMarks := r.Len32(56)
-	if err := r.Err(); err != nil {
+// payload, checks that it is a state the run could have reached, and
+// applies the divergence perturbation; c is positioned right after the
+// embedded clustering, which Run already decoded.
+func (rs *consensusState) restore(c *snap.Codec, perturb uint64) error {
+	rs.layout(c)
+	if err := c.Finish(); err != nil {
 		return fmt.Errorf("noleader: state: %w", err)
 	}
-	phase := make(map[int]*GenPhases, nMarks)
-	for i := 0; i < nMarks; i++ {
-		ph := &GenPhases{
-			Gen:              r.Int(),
-			FirstTwoChoices:  r.F64(),
-			LastTwoChoices:   r.F64(),
-			FirstSleeping:    r.F64(),
-			LastSleeping:     r.F64(),
-			FirstPropagation: r.F64(),
-			LastPropagation:  r.F64(),
-		}
-		if r.Err() != nil {
-			return fmt.Errorf("noleader: phase marks: %w", r.Err())
-		}
-		if ph.Gen < 1 || ph.Gen > rs.gStar+1 {
-			return fmt.Errorf("noleader: %w: phase mark for generation %d outside [1, %d]", snap.ErrCorrupt, ph.Gen, rs.gStar+1)
-		}
-		phase[ph.Gen] = ph
+	if err := rs.check(); err != nil {
+		return fmt.Errorf("noleader: %w: %s", snap.ErrCorrupt, err)
 	}
-	leaderMsgs := r.U64()
-	timedOut := r.Bool()
-	if err := metrics.DecodeRecorder(r, rs.rec); err != nil {
-		return fmt.Errorf("noleader: recorder: %w", err)
-	}
-	if rs.adv != nil {
-		if err := rs.crash.Decode(r); err != nil {
-			return fmt.Errorf("noleader: crash set: %w", err)
-		}
-		if err := rs.adv.DecodeState(r); err != nil {
-			return fmt.Errorf("noleader: adversary state: %w", err)
-		}
-		if err := rs.payload.DecodeState(r); err != nil {
-			return fmt.Errorf("noleader: delayed messages: %w", err)
-		}
-	}
-	if err := r.Finish(); err != nil {
-		return fmt.Errorf("noleader: state: %w", err)
-	}
-	n := rs.cfg.N
-	if len(cols) != n || len(gens) != n || len(finished) != n || len(locked) != n ||
-		len(tmpGen) != n || len(tmpState) != n {
-		return fmt.Errorf("noleader: %w: node-state length mismatch (blob for a different N?)", snap.ErrCorrupt)
-	}
-	nl := len(rs.lGen)
-	if len(lGen) != nl || len(lState) != nl || len(lT) != nl || len(lGenSize) != nl ||
-		len(loadBucket) != nl || len(loadCount) != nl {
-		return fmt.Errorf("noleader: %w: leader-state length mismatch (blob for a different clustering?)", snap.ErrCorrupt)
-	}
-	rs.cols = cols
-	rs.gens = gens
-	rs.finished = finished
-	rs.locked = locked
-	rs.tmpGen = tmpGen
-	rs.tmpState = tmpState
-	rs.counts = counts
-	rs.maxGen = maxGen
-	copy(rs.lGen, lGen)
-	copy(rs.lState, lState)
-	copy(rs.lT, lT)
-	copy(rs.lGenSize, lGenSize)
-	copy(rs.loadBucket, loadBucket)
-	copy(rs.loadCount, loadCount)
-	rs.peakLoad = peakLoad
-	rs.mono = mono
-	rs.monoAt = monoAt
-	rs.phase = phase
-	rs.res.TotalLeaderMessages = leaderMsgs
-	rs.res.TimedOut = timedOut
 	if perturb != 0 {
 		rs.smp.Perturb(perturb)
 		rs.latR.Perturb(perturb)
@@ -209,4 +126,60 @@ func (rs *consensusState) restore(r *snap.Reader, perturb uint64) error {
 		}
 	}
 	return nil
+}
+
+// check rejects a decoded state whose sizes, ids, generations or tallies
+// the run could never have reached, so the handlers, which index by them,
+// cannot panic.
+func (rs *consensusState) check() error {
+	n := rs.cfg.N
+	if len(rs.cols) != n || len(rs.gens) != n || len(rs.finished) != n || len(rs.locked) != n ||
+		len(rs.tmpGen) != n || len(rs.tmpState) != n {
+		return fmt.Errorf("node-state length mismatch (blob for a different N?)")
+	}
+	nl := len(rs.lCard)
+	if len(rs.lGen) != nl || len(rs.lState) != nl || len(rs.lT) != nl || len(rs.lGenSize) != nl ||
+		len(rs.loadBucket) != nl || len(rs.loadCount) != nl {
+		return fmt.Errorf("leader-state length mismatch (blob for a different clustering?)")
+	}
+	for _, g := range rs.gens {
+		if g < 0 || int(g) > rs.gStar {
+			return fmt.Errorf("node generation %d outside [0, %d]", g, rs.gStar)
+		}
+	}
+	for li, g := range rs.lGen {
+		if g < 1 || int(g) > rs.gStar || !validState(int32(rs.lState[li])) {
+			return fmt.Errorf("leader state (%d, %d) outside [1, %d]×{1, 2, 3}", g, rs.lState[li], rs.gStar)
+		}
+	}
+	if !rs.counts.Tallies(rs.cols, rs.crash.Down) {
+		return fmt.Errorf("color counts disagree with survivor opinions")
+	}
+	inN := func(v int32) bool { return v >= 0 && int(v) < n }
+	valid := func(ev sim.Event) bool {
+		switch ev.Kind {
+		case evTick:
+			return inN(ev.Node)
+		case evSignal:
+			return inN(ev.Node) && ev.A >= 0 && int(ev.A) <= rs.gStar && validState(ev.B)
+		case evComplete:
+			return inN(ev.Node) && inN(ev.A) && inN(ev.B) && inN(ev.C)
+		case evRecord, evDeadline:
+			return true
+		case evCrash:
+			return rs.adv != nil
+		case evAdvDeliver:
+			return rs.payload.Holds(ev.A)
+		}
+		return false
+	}
+	if !sim.ValidPending(rs.sm, rs.payload, valid) {
+		return fmt.Errorf("pending event outside the run's kinds or node ids")
+	}
+	return nil
+}
+
+// validState reports whether s names a leader state.
+func validState(s int32) bool {
+	return s >= int32(StateTwoChoices) && s <= int32(StatePropagation)
 }

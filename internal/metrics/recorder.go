@@ -67,47 +67,6 @@ func (r *Recorder) Last() (Point, bool) { return r.last, r.has }
 // Trajectory returns the accumulated snapshots (nil when discarding).
 func (r *Recorder) Trajectory() Trajectory { return r.traj }
 
-// RecorderState is the serializable mutable state of a Recorder, used by
-// the checkpoint subsystem. The eps threshold, discard flag and sink are
-// configuration, not state: a restored recorder is constructed with them
-// and then overwritten from a RecorderState, after which its Outcome and
-// Trajectory are indistinguishable from an uninterrupted recorder's.
-type RecorderState struct {
-	// Traj is the accumulated trajectory (nil when discarding).
-	Traj Trajectory
-	// Last is the most recent point and Has whether one was appended.
-	Last Point
-	Has  bool
-	// ConsHit/ConsTime and EpsHit/EpsTime are the incremental first
-	// hitting times of full consensus and ε-convergence.
-	ConsHit  bool
-	ConsTime float64
-	EpsHit   bool
-	EpsTime  float64
-}
-
-// State captures the recorder's mutable state for checkpointing.
-func (r *Recorder) State() RecorderState {
-	return RecorderState{
-		Traj: r.traj, Last: r.last, Has: r.has,
-		ConsHit: r.consHit, ConsTime: r.consTime,
-		EpsHit: r.epsHit, EpsTime: r.epsTime,
-	}
-}
-
-// SetState overwrites the recorder's mutable state from a checkpoint. The
-// sink is not replayed: an observer attached to a resumed run sees only the
-// points recorded after the restore.
-func (r *Recorder) SetState(st RecorderState) {
-	r.traj = st.Traj
-	r.last = st.Last
-	r.has = st.Has
-	r.consHit = st.ConsHit
-	r.consTime = st.ConsTime
-	r.epsHit = st.EpsHit
-	r.epsTime = st.EpsTime
-}
-
 // Outcome summarizes the recorded run, equivalently to EvalOutcome on the
 // full trajectory: full consensus is decided by the final counts, its time
 // is the first recorded monochromatic snapshot (falling back to the last

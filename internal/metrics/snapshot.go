@@ -2,66 +2,33 @@ package metrics
 
 import "plurality/internal/snap"
 
-// EncodeRecorder writes a recorder's mutable state (see RecorderState) in
-// the canonical binary form shared by every engine checkpoint.
-func EncodeRecorder(w *snap.Writer, rec *Recorder) {
-	st := rec.State()
-	w.Len32(len(st.Traj))
-	for _, p := range st.Traj {
-		encodePoint(w, p)
-	}
-	encodePoint(w, st.Last)
-	w.Bool(st.Has)
-	w.Bool(st.ConsHit)
-	w.F64(st.ConsTime)
-	w.Bool(st.EpsHit)
-	w.F64(st.EpsTime)
+// Layout runs the recorder's mutable state — trajectory, last point and the
+// incremental hitting times of full consensus and ε-convergence — through
+// c, in the canonical form shared by every engine checkpoint. The eps
+// threshold, discard flag and sink are configuration, not state: a
+// restored recorder is constructed with them and then decoded, after which
+// its Outcome and Trajectory are indistinguishable from an uninterrupted
+// recorder's. The sink is not replayed: an observer attached to a resumed
+// run sees only the points recorded after the restore. An empty restored
+// trajectory stays nil, so a resumed discarding run keeps its O(1)
+// footprint. now is the resume point; a decoder rejects a last point after
+// it, which the next Append would take for time running backwards.
+func (r *Recorder) Layout(c *snap.Codec, now float64) {
+	snap.Slice(c, &r.traj, 48, pointLayout)
+	pointLayout(c, &r.last)
+	c.Bool(&r.has)
+	c.Bool(&r.consHit)
+	c.F64(&r.consTime)
+	c.Bool(&r.epsHit)
+	c.F64(&r.epsTime)
+	c.Require(!r.has || r.last.Time <= now, "last recorded point at %v after resume point %v", r.last.Time, now)
 }
 
-// DecodeRecorder restores a recorder's mutable state previously written by
-// EncodeRecorder. When the restored trajectory is empty it stays nil, so a
-// resumed discarding run keeps its O(1) footprint.
-func DecodeRecorder(r *snap.Reader, rec *Recorder) error {
-	var st RecorderState
-	n := r.Len32(48)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n > 0 {
-		st.Traj = make(Trajectory, n)
-		for i := range st.Traj {
-			st.Traj[i] = decodePoint(r)
-		}
-	}
-	st.Last = decodePoint(r)
-	st.Has = r.Bool()
-	st.ConsHit = r.Bool()
-	st.ConsTime = r.F64()
-	st.EpsHit = r.Bool()
-	st.EpsTime = r.F64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	rec.SetState(st)
-	return nil
-}
-
-func encodePoint(w *snap.Writer, p Point) {
-	w.F64(p.Time)
-	w.F64(p.TopFrac)
-	w.F64(p.PluralityFrac)
-	w.F64(p.Bias)
-	w.Int(p.MaxGen)
-	w.F64(p.MaxGenFrac)
-}
-
-func decodePoint(r *snap.Reader) Point {
-	return Point{
-		Time:          r.F64(),
-		TopFrac:       r.F64(),
-		PluralityFrac: r.F64(),
-		Bias:          r.F64(),
-		MaxGen:        r.Int(),
-		MaxGenFrac:    r.F64(),
-	}
+func pointLayout(c *snap.Codec, p *Point) {
+	c.F64(&p.Time)
+	c.F64(&p.TopFrac)
+	c.F64(&p.PluralityFrac)
+	c.F64(&p.Bias)
+	c.Int(&p.MaxGen)
+	c.F64(&p.MaxGenFrac)
 }

@@ -2,52 +2,51 @@ package opinion
 
 import (
 	"fmt"
+	"slices"
 
 	"plurality/internal/snap"
 )
 
-// EncodeSlice writes an opinion assignment in the canonical checkpoint
-// form (length-prefixed int32s; None is -1).
-func EncodeSlice(w *snap.Writer, a []Opinion) {
-	w.Len32(len(a))
-	for _, o := range a {
-		w.I32(int32(o))
+// SliceLayout runs an opinion assignment through c in the canonical
+// checkpoint form (length-prefixed int32s; None is -1). A decoder validates
+// every value against k opinions (None allowed).
+func SliceLayout(c *snap.Codec, a *[]Opinion, k int) {
+	snap.Slice(c, a, 4, func(c *snap.Codec, o *Opinion) {
+		v := int32(*o)
+		c.I32(&v)
+		*o = Opinion(v)
+	})
+	if !c.Decoding() || c.Err() != nil {
+		return
 	}
-}
-
-// DecodeSlice reads an assignment written by EncodeSlice, validating every
-// value against k opinions (None allowed).
-func DecodeSlice(r *snap.Reader, k int) ([]Opinion, error) {
-	n := r.Len32(4)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	a := make([]Opinion, n)
-	for i := range a {
-		o := Opinion(r.I32())
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
+	for _, o := range *a {
 		if o != None && (o < 0 || int(o) >= k) {
-			return nil, r.Fail(fmt.Errorf("%w: opinion %d outside [0, %d)", snap.ErrCorrupt, o, k))
+			c.Fail(fmt.Errorf("%w: opinion %d outside [0, %d)", snap.ErrCorrupt, o, k))
+			return
 		}
-		a[i] = o
 	}
-	return a, nil
 }
 
-// EncodeCounts writes a per-opinion tally.
-func EncodeCounts(w *snap.Writer, c Counts) { w.Ints([]int(c)) }
+// CountsLayout runs a per-opinion tally through c; a decoder validates its
+// length against k.
+func CountsLayout(c *snap.Codec, counts *Counts, k int) {
+	snap.Slice(c, counts, 8, (*snap.Codec).Int)
+	c.Require(len(*counts) == k, "%d counts for k=%d", len(*counts), k)
+}
 
-// DecodeCounts reads a tally written by EncodeCounts, validating its length
-// against k.
-func DecodeCounts(r *snap.Reader, k int) (Counts, error) {
-	vs := r.Ints()
-	if err := r.Err(); err != nil {
-		return nil, err
+// Tallies reports whether c is exactly the tally, over len(c) opinions, of
+// the nodes of a not marked in down (which has len(a) entries), and every
+// node of a holds an opinion in range: the consistency a restored engine
+// that never holds None checks before it indexes c by node opinions.
+func (c Counts) Tallies(a []Opinion, down []bool) bool {
+	t := make(Counts, len(c))
+	for v, o := range a {
+		if o < 0 || int(o) >= len(c) {
+			return false
+		}
+		if !down[v] {
+			t[o]++
+		}
 	}
-	if len(vs) != k {
-		return nil, r.Fail(fmt.Errorf("%w: %d counts for k=%d", snap.ErrCorrupt, len(vs), k))
-	}
-	return Counts(vs), nil
+	return slices.Equal(c, t)
 }

@@ -44,58 +44,37 @@ func (a *PayloadArena) Take(slot int32) Event {
 	return ev
 }
 
-// Live returns the number of currently parked events.
-func (a *PayloadArena) Live() int {
-	return len(a.slots) - len(a.free)
+// Holds reports whether slot is a slot of a, so a restored deliver event
+// can be checked before it fires; a nil arena holds none.
+func (a *PayloadArena) Holds(slot int32) bool {
+	return a != nil && slot >= 0 && int(slot) < len(a.slots)
 }
 
-// EncodeState serializes the arena — slots and free list verbatim — into w.
-// The encoding preserves slot ids, so deliver events captured by the kernel
+// Layout runs the arena — slots and free list verbatim — through c. The
+// encoding preserves slot ids, so deliver events captured by the kernel
 // codec keep pointing at the right parked payloads after a restore.
-func (a *PayloadArena) EncodeState(w *snap.Writer) {
-	w.Len32(len(a.slots))
-	for _, ev := range a.slots {
-		w.I32(ev.Kind)
-		w.I32(ev.Node)
-		w.I32(ev.A)
-		w.I32(ev.B)
-		w.I32(ev.C)
+func (a *PayloadArena) Layout(c *snap.Codec) {
+	snap.Slice(c, &a.slots, 20, func(c *snap.Codec, ev *Event) {
+		c.I32(&ev.Kind)
+		c.I32(&ev.Node)
+		c.I32(&ev.A)
+		c.I32(&ev.B)
+		c.I32(&ev.C)
+	})
+	c.I32s(&a.free)
+	if !c.Decoding() || c.Err() != nil {
+		return
 	}
-	w.I32s(a.free)
-}
-
-// DecodeState restores arena state previously written by EncodeState,
-// replacing the receiver's contents.
-func (a *PayloadArena) DecodeState(r *snap.Reader) error {
-	n := r.Len32(20)
-	if err := r.Err(); err != nil {
-		return err
+	if len(a.free) > len(a.slots) {
+		c.Fail(fmt.Errorf("%w: arena free list %d exceeds %d slots", snap.ErrCorrupt, len(a.free), len(a.slots)))
+		return
 	}
-	slots := make([]Event, n)
-	for i := range slots {
-		slots[i] = Event{
-			Kind: r.I32(),
-			Node: r.I32(),
-			A:    r.I32(),
-			B:    r.I32(),
-			C:    r.I32(),
-		}
-	}
-	free := r.I32s()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if len(free) > len(slots) {
-		return r.Fail(fmt.Errorf("%w: arena free list %d exceeds %d slots", snap.ErrCorrupt, len(free), len(slots)))
-	}
-	seen := make([]bool, len(slots))
-	for _, f := range free {
-		if f < 0 || int(f) >= len(slots) || seen[f] {
-			return r.Fail(fmt.Errorf("%w: bad arena free slot %d", snap.ErrCorrupt, f))
+	seen := make([]bool, len(a.slots))
+	for _, f := range a.free {
+		if f < 0 || int(f) >= len(a.slots) || seen[f] {
+			c.Fail(fmt.Errorf("%w: bad arena free slot %d", snap.ErrCorrupt, f))
+			return
 		}
 		seen[f] = true
 	}
-	a.slots = slots
-	a.free = free
-	return nil
 }

@@ -7,14 +7,11 @@ import (
 )
 
 // TestPayloadArenaRecycle pins the free-list behavior: slots are reused
-// LIFO and Live tracks the parked count.
+// LIFO before the arena grows.
 func TestPayloadArenaRecycle(t *testing.T) {
 	var a PayloadArena
 	s0 := a.Put(Event{Kind: 1, Node: 10})
 	s1 := a.Put(Event{Kind: 2, Node: 20})
-	if a.Live() != 2 {
-		t.Fatalf("Live = %d, want 2", a.Live())
-	}
 	if ev := a.Take(s0); ev.Kind != 1 || ev.Node != 10 {
 		t.Fatalf("Take(s0) = %+v", ev)
 	}
@@ -29,8 +26,8 @@ func TestPayloadArenaRecycle(t *testing.T) {
 	if ev := a.Take(s2); ev.Kind != 3 {
 		t.Fatalf("Take(s2) = %+v", ev)
 	}
-	if a.Live() != 0 {
-		t.Errorf("Live = %d after draining, want 0", a.Live())
+	if s3 := a.Put(Event{}); s3 != s2 && s3 != s1 {
+		t.Errorf("drained arena grew to slot %d", s3)
 	}
 }
 
@@ -43,18 +40,17 @@ func TestPayloadArenaRoundtrip(t *testing.T) {
 	s1 := a.Put(Event{Kind: 8, Node: 5})
 	a.Take(s0) // leave a hole in the free list
 
-	w := &snap.Writer{}
-	a.EncodeState(w)
+	w := snap.NewEncoder()
+	a.Layout(w)
 	var b PayloadArena
-	r := snap.NewReader(w.Bytes())
-	if err := b.DecodeState(r); err != nil {
-		t.Fatal(err)
-	}
+	r := snap.NewDecoder(w.Bytes())
+	b.Layout(r)
 	if err := r.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Live() != 1 {
-		t.Fatalf("restored Live = %d, want 1", b.Live())
+	// The hole left by s0 is recycled first, as in the original arena.
+	if s := b.Put(Event{}); s != s0 {
+		t.Errorf("restored arena filled slot %d first, want the freed %d", s, s0)
 	}
 	if ev := b.Take(s1); ev.Kind != 8 || ev.Node != 5 {
 		t.Errorf("restored slot %d holds %+v, want the parked event", s1, ev)
@@ -65,16 +61,9 @@ func TestPayloadArenaRoundtrip(t *testing.T) {
 // out-of-range and duplicate free slots fail typed.
 func TestPayloadArenaDecodeRejectsBadFreeList(t *testing.T) {
 	encode := func(nSlots int, free []int32) []byte {
-		w := &snap.Writer{}
-		w.Len32(nSlots)
-		for i := 0; i < nSlots; i++ {
-			w.I32(0)
-			w.I32(0)
-			w.I32(0)
-			w.I32(0)
-			w.I32(0)
-		}
-		w.I32s(free)
+		a := PayloadArena{slots: make([]Event, nSlots), free: free}
+		w := snap.NewEncoder()
+		a.Layout(w)
 		return w.Bytes()
 	}
 	for name, blob := range map[string][]byte{
@@ -84,7 +73,9 @@ func TestPayloadArenaDecodeRejectsBadFreeList(t *testing.T) {
 		"free exceeds pool": encode(1, []int32{0, 0, 0}),
 	} {
 		var a PayloadArena
-		if err := a.DecodeState(snap.NewReader(blob)); err == nil {
+		r := snap.NewDecoder(blob)
+		a.Layout(r)
+		if err := r.Err(); err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
 		}
 	}

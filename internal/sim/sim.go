@@ -45,9 +45,9 @@
 //
 // # Snapshot and restore
 //
-// EncodeState/DecodeState serialize the scheduler — clock, counters, the
-// pending event set — and Clocks.EncodeState/DecodeState do the same for
-// the Poisson clocks (one generator and the tick counter). Capture happens
+// Simulator.Layout runs the scheduler — clock, counters, the pending event
+// set — through a snap.Codec, and Clocks.Layout does the same for the
+// Poisson clocks (one generator and the tick counter). Capture happens
 // at a barrier, not an event: RunContextTo runs everything scheduled at or
 // before t and returns between events, so no sequence number is consumed
 // and a run with a (non-halting) capture stays byte-identical to one
@@ -265,7 +265,7 @@ func (s *Simulator) push(e event) {
 }
 
 // Schedule enqueues ev at absolute virtual time t. Kinds must be
-// non-negative, the same range DecodeState accepts, so every state the
+// non-negative, the same range Layout decodes, so every state the
 // kernel can hold can be captured and restored.
 func (s *Simulator) Schedule(t float64, ev Event) {
 	s.checkTime(t)

@@ -157,7 +157,7 @@ func TestNonFiniteTimePanics(t *testing.T) {
 }
 
 // TestNegativeKindPanics pins the schedule-side half of the kind range
-// DecodeState enforces: a state the kernel can hold is a state it can
+// Layout enforces on decode: a state the kernel can hold is a state it can
 // restore.
 func TestNegativeKindPanics(t *testing.T) {
 	s := New()

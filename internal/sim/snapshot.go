@@ -10,84 +10,56 @@ import (
 	"plurality/internal/snap"
 )
 
-// EncodeState serializes the full scheduler state — virtual clock, sequence
-// and processed counters, and the pending event set, held tick included —
-// into w. Pending events are written in (at, seq) order, the order they
+// Layout runs the full scheduler state — virtual clock, sequence and
+// processed counters, and the pending event set, held tick included —
+// through c. Pending events are written in (at, seq) order, the order they
 // will pop in, so the bytes depend only on the simulated state and not on
 // the ladder's layout or on whether a tick is held: a state captured after
 // a restore encodes exactly as the uninterrupted run's state does.
-func (s *Simulator) EncodeState(w *snap.Writer) {
-	w.F64(s.now)
-	w.U64(s.seq)
-	w.U64(s.processed)
-	w.Bool(s.stopped)
-	queue := make([]event, 0, s.pending)
-	queue = append(queue, s.cur[s.curPos:]...)
-	queue = append(queue, s.near...)
-	for _, b := range s.buckets {
-		queue = append(queue, b...)
+//
+// Decoding discards whatever was scheduled on s before the call. Because
+// the (time, seq) key is a strict total order, the restored scheduler pops
+// in exactly the captured order regardless of its internal layout.
+func (s *Simulator) Layout(c *snap.Codec) {
+	now, seq, processed, stopped := s.now, s.seq, s.processed, s.stopped
+	var queue []event
+	if !c.Decoding() {
+		queue = s.queue()
 	}
-	queue = append(queue, s.overflow...)
-	if s.heldJ != noTick {
-		queue = append(queue, s.held)
-	}
-	// Stable, so a decoded state that repeats a key still re-encodes to
-	// its own bytes.
-	slices.SortStableFunc(queue, func(a, b event) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+	c.F64(&now)
+	c.U64(&seq)
+	c.U64(&processed)
+	c.Bool(&stopped)
+	// An encoded event is F64 at, U64 seq and five I32 fields.
+	snap.Slice(c, &queue, 36, func(c *snap.Codec, e *event) {
+		c.F64(&e.at)
+		c.U64(&e.seq)
+		c.I32(&e.kind)
+		c.I32(&e.node)
+		c.I32(&e.a)
+		c.I32(&e.b)
+		c.I32(&e.c)
 	})
-	w.Len32(len(queue))
-	for _, e := range queue {
-		w.F64(e.at)
-		w.U64(e.seq)
-		w.I32(e.kind)
-		w.I32(e.node)
-		w.I32(e.a)
-		w.I32(e.b)
-		w.I32(e.c)
-	}
-}
-
-// DecodeState restores scheduler state previously written by EncodeState,
-// discarding whatever was scheduled on s before the call. Because the
-// (time, seq) key is a strict total order, the restored scheduler pops in
-// exactly the captured order regardless of its internal layout.
-func (s *Simulator) DecodeState(r *snap.Reader) error {
-	now := r.F64()
-	seq := r.U64()
-	processed := r.U64()
-	stopped := r.Bool()
-	n := r.Len32(36) // encoded event: F64 at, U64 seq, five I32 fields
-	if err := r.Err(); err != nil {
-		return err
+	if !c.Decoding() || c.Err() != nil {
+		return
 	}
 	if math.IsNaN(now) || math.IsInf(now, 0) || now < 0 {
-		return r.Fail(fmt.Errorf("%w: clock %v out of range", snap.ErrCorrupt, now))
+		c.Fail(fmt.Errorf("%w: clock %v out of range", snap.ErrCorrupt, now))
+		return
 	}
-	queue := make([]event, n)
-	for i := range queue {
-		e := event{
-			at:   r.F64(),
-			seq:  r.U64(),
-			kind: r.I32(),
-			node: r.I32(),
-			a:    r.I32(),
-			b:    r.I32(),
-			c:    r.I32(),
-		}
-		if r.Err() != nil {
-			return r.Err()
-		}
+	for _, e := range queue {
 		if math.IsNaN(e.at) || math.IsInf(e.at, 0) || e.at < now {
-			return r.Fail(fmt.Errorf("%w: event at %v before clock %v", snap.ErrCorrupt, e.at, now))
+			c.Fail(fmt.Errorf("%w: event at %v before clock %v", snap.ErrCorrupt, e.at, now))
+			return
 		}
 		if e.kind < 0 {
-			return r.Fail(fmt.Errorf("%w: negative event kind %d", snap.ErrCorrupt, e.kind))
+			c.Fail(fmt.Errorf("%w: negative event kind %d", snap.ErrCorrupt, e.kind))
+			return
 		}
 		if e.seq >= seq {
-			return r.Fail(fmt.Errorf("%w: event seq %d >= next seq %d", snap.ErrCorrupt, e.seq, seq))
+			c.Fail(fmt.Errorf("%w: event seq %d >= next seq %d", snap.ErrCorrupt, e.seq, seq))
+			return
 		}
-		queue[i] = e
 	}
 	s.now = now
 	s.seq = seq
@@ -114,7 +86,53 @@ func (s *Simulator) DecodeState(r *snap.Reader) error {
 		s.ovMinJ = min(s.ovMinJ, bucketOf(e.at))
 	}
 	s.pending = len(queue)
-	return nil
+}
+
+// queue returns every pending event, the held tick included, in (at, seq)
+// order.
+func (s *Simulator) queue() []event {
+	queue := make([]event, 0, s.pending)
+	queue = append(queue, s.cur[s.curPos:]...)
+	queue = append(queue, s.near...)
+	for _, b := range s.buckets {
+		queue = append(queue, b...)
+	}
+	queue = append(queue, s.overflow...)
+	if s.heldJ != noTick {
+		queue = append(queue, s.held)
+	}
+	// Stable, so a decoded state that repeats a key still re-encodes to
+	// its own bytes.
+	slices.SortStableFunc(queue, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+	})
+	return queue
+}
+
+// ValidPending reports whether valid accepts every event pending on s and
+// every event parked in a (nil on honest runs). Engines call it after a
+// restore, with a predicate that range-checks each kind's node and contact
+// ids, so a hostile payload fails typed instead of indexing out of range
+// when the event fires.
+func ValidPending(s *Simulator, a *PayloadArena, valid func(Event) bool) bool {
+	for _, e := range s.queue() {
+		if !valid(Event{Kind: e.kind, Node: e.node, A: e.a, B: e.b, C: e.c}) {
+			return false
+		}
+	}
+	if a == nil {
+		return true
+	}
+	free := make([]bool, len(a.slots))
+	for _, f := range a.free {
+		free[f] = true
+	}
+	for slot, ev := range a.slots {
+		if !free[slot] && !valid(ev) {
+			return false
+		}
+	}
+	return true
 }
 
 // RunContextTo executes events with scheduled time <= t and returns with
@@ -164,26 +182,14 @@ func RunCheckpointed(ctx context.Context, s *Simulator, ck *snap.Checkpoint, cap
 	return s.RunContext(ctx)
 }
 
-// EncodeState serializes the clocks' mutable state — the tick counter, the
-// started flag and the superposed clock's generator — into w. The static
-// node count, rate and event kind are reconstructed by the owning engine,
-// which also recreates the Clocks value before calling DecodeState.
-func (c *Clocks) EncodeState(w *snap.Writer) {
-	w.U64(c.ticks)
-	w.Bool(c.started)
-	w.RNG(&c.rng)
-}
-
-// DecodeState restores clock state previously written by EncodeState.
-func (c *Clocks) DecodeState(r *snap.Reader) error {
-	ticks := r.U64()
-	started := r.Bool()
-	if err := r.ReadRNG(&c.rng); err != nil {
-		return err
-	}
-	c.ticks = ticks
-	c.started = started
-	return nil
+// Layout runs the clocks' mutable state — the tick counter, the started
+// flag and the superposed clock's generator — through c. The static node
+// count, rate and event kind are reconstructed by the owning engine, which
+// also recreates the Clocks value before decoding.
+func (c *Clocks) Layout(cd *snap.Codec) {
+	cd.U64(&c.ticks)
+	cd.Bool(&c.started)
+	cd.RNG(&c.rng)
 }
 
 // Perturb folds a divergence label into the clock generator; see

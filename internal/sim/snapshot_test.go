@@ -50,8 +50,8 @@ func seedCodecWorkload(s *Simulator) {
 }
 
 func encodeKernel(s *Simulator) []byte {
-	w := &snap.Writer{}
-	s.EncodeState(w)
+	w := snap.NewEncoder()
+	s.Layout(w)
 	return w.Bytes()
 }
 
@@ -59,11 +59,12 @@ func encodeKernel(s *Simulator) []byte {
 // requiring the input to be consumed exactly.
 func decodeKernel(state []byte) (*Simulator, error) {
 	s := New()
-	r := snap.NewReader(state)
-	if err := s.DecodeState(r); err != nil {
+	r := snap.NewDecoder(state)
+	s.Layout(r)
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	return s, r.Finish()
+	return s, nil
 }
 
 // codecBarrierState runs the workload to barrier and returns the
@@ -164,31 +165,23 @@ func TestKernelStateHeldTick(t *testing.T) {
 	}
 	over := New()
 	over.scheduleTick(0.25, Event{Node: 9})
-	if err := over.DecodeState(snap.NewReader(state)); err != nil {
-		t.Fatal(err)
+	r := snap.NewDecoder(state)
+	if over.Layout(r); r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	if again := encodeKernel(over); !bytes.Equal(again, state) || over.Pending() != 4 {
 		t.Fatalf("decoding over a held tick kept it: %d pending, want 4", over.Pending())
 	}
 }
 
-// kernelState hand-encodes a kernel state in EncodeState's layout.
+// kernelState hand-encodes a kernel state in Layout's format, events in
+// the order given.
 func kernelState(now float64, seq uint64, evs ...event) []byte {
-	w := &snap.Writer{}
-	w.F64(now)
-	w.U64(seq)
-	w.U64(0)
-	w.Bool(false)
-	w.Len32(len(evs))
-	for _, e := range evs {
-		w.F64(e.at)
-		w.U64(e.seq)
-		w.I32(e.kind)
-		w.I32(e.node)
-		w.I32(e.a)
-		w.I32(e.b)
-		w.I32(e.c)
-	}
+	s := New()
+	s.now, s.seq = now, seq
+	s.overflow, s.pending = evs, len(evs)
+	w := snap.NewEncoder()
+	s.Layout(w)
 	return w.Bytes()
 }
 
@@ -243,7 +236,9 @@ func FuzzKernelDecodeState(f *testing.F) {
 	f.Add(encodeKernel(New()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()
-		if err := s.DecodeState(snap.NewReader(data)); err != nil {
+		r := snap.NewDecoder(data)
+		if s.Layout(r); r.Err() != nil {
+			err := r.Err()
 			if !errors.Is(err, snap.ErrCorrupt) && !errors.Is(err, snap.ErrTruncated) {
 				t.Fatalf("untyped decode error: %v", err)
 			}

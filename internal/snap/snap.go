@@ -1,7 +1,7 @@
 // Package snap provides the binary state-serialization substrate of the
-// checkpoint/restore subsystem: a little-endian, length-checked byte codec
-// (Writer/Reader) shared by the simulation kernel and every engine, and the
-// Checkpoint request record engines consume.
+// checkpoint/restore subsystem: a little-endian, length-checked two-way
+// byte codec (Codec) shared by the simulation kernel and every engine, and
+// the Checkpoint request record engines consume.
 //
 // The codec is deliberately primitive: fixed-width integers, IEEE-754
 // float64 bits and length-prefixed slices, no reflection and no varints.
@@ -11,12 +11,18 @@
 // caller), so encoding the same state twice yields identical bytes — which
 // is what lets snapshot blobs themselves be golden-tested.
 //
-// Reading is sticky-error: a Reader records the first failure and every
-// subsequent read returns zero values, so decoders can be written as
-// straight-line field reads with a single Err check at the end. A truncated
-// or oversized input surfaces as ErrTruncated, an impossible value (e.g. a
-// negative length) as ErrCorrupt; neither ever panics, which the public
-// decoder's fuzz test pins.
+// One Codec value either encodes or decodes, and each of its methods takes
+// a pointer to the field it handles: an encoder appends *v, a decoder
+// overwrites *v from the input. A snapshot layout is therefore one function
+// that lists its fields once and runs in both directions, so the writer and
+// the reader of a layout cannot drift apart.
+//
+// Decoding is sticky-error: a decoder records the first failure, after
+// which every method leaves its field untouched, so layouts are written as
+// straight-line field lists with a single check at the end (Finish). A
+// truncated or oversized input surfaces as ErrTruncated, an impossible
+// value (e.g. a negative length) as ErrCorrupt; neither ever panics, which
+// the public decoder's and the engine payloads' fuzz tests pin.
 package snap
 
 import (
@@ -24,6 +30,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"plurality/internal/xrand"
 )
 
 // ErrTruncated reports that the input ended before the declared structure
@@ -74,339 +82,216 @@ func (c *Checkpoint) Capturing() bool { return c != nil && c.Sink != nil && c.At
 // Restoring reports whether a restore payload is present.
 func (c *Checkpoint) Restoring() bool { return c != nil && c.Restore != nil }
 
-// Writer accumulates a little-endian binary encoding. The zero value is
-// ready to use.
-type Writer struct {
-	buf []byte
-}
-
-// Bytes returns the accumulated encoding.
-func (w *Writer) Bytes() []byte { return w.buf }
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
-
-// Bool writes a bool as one byte (0 or 1).
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// U32 writes a fixed 32-bit unsigned integer.
-func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-
-// U64 writes a fixed 64-bit unsigned integer.
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-
-// I32 writes a fixed 32-bit signed integer.
-func (w *Writer) I32(v int32) { w.U32(uint32(v)) }
-
-// I64 writes a fixed 64-bit signed integer.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as 64 bits.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// F64 writes a float64 as its IEEE-754 bit pattern, preserving it exactly.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Len32 writes a slice length. Lengths get their own method so readers can
-// bound-check them against the remaining input.
-func (w *Writer) Len32(n int) {
-	if n < 0 || n > math.MaxInt32 {
-		panic(fmt.Sprintf("snap: slice length %d out of range", n))
-	}
-	w.U32(uint32(n))
-}
-
-// I32s writes a length-prefixed []int32.
-func (w *Writer) I32s(vs []int32) {
-	w.Len32(len(vs))
-	for _, v := range vs {
-		w.I32(v)
-	}
-}
-
-// I8s writes a length-prefixed []int8.
-func (w *Writer) I8s(vs []int8) {
-	w.Len32(len(vs))
-	for _, v := range vs {
-		w.U8(uint8(v))
-	}
-}
-
-// Ints writes a length-prefixed []int (64-bit elements).
-func (w *Writer) Ints(vs []int) {
-	w.Len32(len(vs))
-	for _, v := range vs {
-		w.Int(v)
-	}
-}
-
-// U32s writes a length-prefixed []uint32.
-func (w *Writer) U32s(vs []uint32) {
-	w.Len32(len(vs))
-	for _, v := range vs {
-		w.U32(v)
-	}
-}
-
-// U64s writes a length-prefixed []uint64.
-func (w *Writer) U64s(vs []uint64) {
-	w.Len32(len(vs))
-	for _, v := range vs {
-		w.U64(v)
-	}
-}
-
-// F64s writes a length-prefixed []float64.
-func (w *Writer) F64s(vs []float64) {
-	w.Len32(len(vs))
-	for _, v := range vs {
-		w.F64(v)
-	}
-}
-
-// Bools writes a length-prefixed []bool.
-func (w *Writer) Bools(vs []bool) {
-	w.Len32(len(vs))
-	for _, v := range vs {
-		w.Bool(v)
-	}
-}
-
-// Bytes writes a length-prefixed byte slice.
-func (w *Writer) BytesSlice(vs []byte) {
-	w.Len32(len(vs))
-	w.buf = append(w.buf, vs...)
-}
-
-// Reader decodes a Writer encoding with sticky error handling: after the
-// first failure every read returns the zero value and Err reports the
-// failure.
-type Reader struct {
+// Codec encodes fields into, or decodes them from, the little-endian
+// snapshot format; see the package documentation.
+type Codec struct {
 	buf []byte
 	off int
+	dec bool
 	err error
 }
 
-// NewReader returns a reader over buf.
-func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
+// NewEncoder returns a codec that appends every field it is handed.
+func NewEncoder() *Codec { return &Codec{} }
+
+// NewDecoder returns a codec that overwrites every field it is handed from
+// buf.
+func NewDecoder(buf []byte) *Codec { return &Codec{buf: buf, dec: true} }
+
+// Decoding reports whether c reads its fields rather than writing them.
+func (c *Codec) Decoding() bool { return c.dec }
+
+// Bytes returns the encoding accumulated so far.
+func (c *Codec) Bytes() []byte { return c.buf }
 
 // Err returns the first decoding failure, or nil.
-func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+func (c *Codec) Err() error { return c.err }
 
 // Fail records err (the first one sticks) and returns it.
-func (r *Reader) Fail(err error) error {
-	if r.err == nil {
-		r.err = err
+func (c *Codec) Fail(err error) error {
+	if c.err == nil {
+		c.err = err
 	}
-	return r.err
+	return c.err
 }
 
-// take returns the next n bytes, or nil after recording ErrTruncated.
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
+// Require records an ErrCorrupt failure built from format and args when a
+// decoder's ok is false: the hook through which layouts validate what they
+// decoded. Encoders ignore it.
+func (c *Codec) Require(ok bool, format string, args ...any) {
+	if c.dec && !ok {
+		c.Fail(fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...))
+	}
+}
+
+// Finish returns ErrCorrupt if a decoder left undecoded bytes, or the
+// sticky error. Call it after the last field to reject padded or
+// mismatched input.
+func (c *Codec) Finish() error {
+	if c.err == nil && c.dec && c.off != len(c.buf) {
+		c.Fail(fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(c.buf)-c.off))
+	}
+	return c.err
+}
+
+// take returns the next n input bytes, or nil after recording ErrTruncated.
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.buf) || r.off+n < r.off {
-		r.Fail(fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrTruncated, n, r.off, len(r.buf)))
+	if n > len(c.buf)-c.off {
+		c.Fail(fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrTruncated, n, c.off, len(c.buf)))
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
+	b := c.buf[c.off : c.off+n]
+	c.off += n
 	return b
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
+// U8 handles one byte.
+func (c *Codec) U8(v *uint8) {
+	if !c.dec {
+		c.buf = append(c.buf, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
+	}
+}
+
+// Bool handles a bool as one byte; a decoded byte other than 0 or 1 is
+// corrupt.
+func (c *Codec) Bool(v *bool) {
+	var u uint8
+	if *v {
+		u = 1
+	}
+	c.U8(&u)
+	if c.dec && c.err == nil {
+		if u > 1 {
+			c.Fail(fmt.Errorf("%w: bool byte %d", ErrCorrupt, u))
+			return
+		}
+		*v = u == 1
+	}
+}
+
+// U32 handles a fixed 32-bit unsigned integer.
+func (c *Codec) U32(v *uint32) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
+	} else if b := c.take(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
+	}
+}
+
+// U64 handles a fixed 64-bit unsigned integer.
+func (c *Codec) U64(v *uint64) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// I32 handles a fixed 32-bit signed integer.
+func (c *Codec) I32(v *int32) {
+	u := uint32(*v)
+	c.U32(&u)
+	*v = int32(u)
+}
+
+// I8 handles a signed byte.
+func (c *Codec) I8(v *int8) {
+	u := uint8(*v)
+	c.U8(&u)
+	*v = int8(u)
+}
+
+// Int handles an int as 64 bits.
+func (c *Codec) Int(v *int) {
+	u := uint64(*v)
+	c.U64(&u)
+	*v = int(u)
+}
+
+// F64 handles a float64 as its IEEE-754 bit pattern, preserving it exactly.
+func (c *Codec) F64(v *float64) {
+	u := math.Float64bits(*v)
+	c.U64(&u)
+	*v = math.Float64frombits(u)
+}
+
+// Len32 handles a slice length. A decoder bounds it against the remaining
+// input, assuming each element occupies at least elemSize bytes, so a
+// hostile header cannot force a huge allocation; an impossible length is
+// recorded as ErrTruncated and decodes as 0.
+func (c *Codec) Len32(n *int, elemSize int) {
+	if !c.dec {
+		if *n < 0 || *n > math.MaxInt32 {
+			panic(fmt.Sprintf("snap: slice length %d out of range", *n))
+		}
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*n))
+		return
+	}
+	*n = 0
+	b := c.take(4)
 	if b == nil {
-		return 0
+		return
 	}
-	return b[0]
+	m := int(binary.LittleEndian.Uint32(b))
+	if m*max(elemSize, 1) > len(c.buf)-c.off {
+		c.Fail(fmt.Errorf("%w: declared length %d exceeds %d remaining bytes", ErrTruncated, m, len(c.buf)-c.off))
+		return
+	}
+	*n = m
 }
 
-// Bool reads a bool; any value other than 0 or 1 is corrupt.
-func (r *Reader) Bool() bool {
-	v := r.U8()
-	if v > 1 {
-		r.Fail(fmt.Errorf("%w: bool byte %d", ErrCorrupt, v))
-		return false
+// Slice handles a length-prefixed slice whose elements occupy at least
+// elemSize bytes each, running elem on every element. A decoder fills *vs
+// in place when the decoded length equals len(*vs), so slices other code
+// aliases keep their backing array, and allocates a new slice otherwise;
+// a layout that needs a fixed length checks it afterwards.
+func Slice[S ~[]T, T any](c *Codec, vs *S, elemSize int, elem func(*Codec, *T)) {
+	n := len(*vs)
+	c.Len32(&n, elemSize)
+	if c.err != nil {
+		return
 	}
-	return v == 1
+	if n != len(*vs) {
+		*vs = make(S, n)
+	}
+	for i := range *vs {
+		elem(c, &(*vs)[i])
+	}
 }
 
-// U32 reads a fixed 32-bit unsigned integer.
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
+// Bools handles a length-prefixed []bool.
+func (c *Codec) Bools(vs *[]bool) { Slice(c, vs, 1, (*Codec).Bool) }
 
-// U64 reads a fixed 64-bit unsigned integer.
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
+// I8s handles a length-prefixed []int8.
+func (c *Codec) I8s(vs *[]int8) { Slice(c, vs, 1, (*Codec).I8) }
 
-// I32 reads a fixed 32-bit signed integer.
-func (r *Reader) I32() int32 { return int32(r.U32()) }
+// I32s handles a length-prefixed []int32.
+func (c *Codec) I32s(vs *[]int32) { Slice(c, vs, 4, (*Codec).I32) }
 
-// I64 reads a fixed 64-bit signed integer.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
+// U32s handles a length-prefixed []uint32.
+func (c *Codec) U32s(vs *[]uint32) { Slice(c, vs, 4, (*Codec).U32) }
 
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
+// Ints handles a length-prefixed []int (64-bit elements).
+func (c *Codec) Ints(vs *[]int) { Slice(c, vs, 8, (*Codec).Int) }
 
-// F64 reads a float64 bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+// U64s handles a length-prefixed []uint64.
+func (c *Codec) U64s(vs *[]uint64) { Slice(c, vs, 8, (*Codec).U64) }
 
-// Len32 reads a slice length and bounds it against the remaining input,
-// assuming each element occupies at least elemSize bytes; an impossible
-// length is recorded as ErrTruncated so a hostile header cannot force a
-// huge allocation.
-func (r *Reader) Len32(elemSize int) int {
-	n := int(r.U32())
-	if r.err != nil {
-		return 0
+// RNG handles the four xoshiro256++ state words of g. A decoder rejects
+// the all-zero state as corrupt (it is the fixed point of xoshiro).
+func (c *Codec) RNG(g *xrand.RNG) {
+	st := g.State()
+	for i := range st {
+		c.U64(&st[i])
 	}
-	if elemSize < 1 {
-		elemSize = 1
+	if c.dec && c.err == nil {
+		if err := g.SetState(st); err != nil {
+			c.Fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
+		}
 	}
-	if n*elemSize > r.Remaining() {
-		r.Fail(fmt.Errorf("%w: declared length %d exceeds %d remaining bytes", ErrTruncated, n, r.Remaining()))
-		return 0
-	}
-	return n
-}
-
-// I32s reads a length-prefixed []int32.
-func (r *Reader) I32s() []int32 {
-	n := r.Len32(4)
-	if r.err != nil {
-		return nil
-	}
-	vs := make([]int32, n)
-	for i := range vs {
-		vs[i] = r.I32()
-	}
-	return vs
-}
-
-// I8s reads a length-prefixed []int8.
-func (r *Reader) I8s() []int8 {
-	n := r.Len32(1)
-	if r.err != nil {
-		return nil
-	}
-	vs := make([]int8, n)
-	for i := range vs {
-		vs[i] = int8(r.U8())
-	}
-	return vs
-}
-
-// Ints reads a length-prefixed []int.
-func (r *Reader) Ints() []int {
-	n := r.Len32(8)
-	if r.err != nil {
-		return nil
-	}
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = r.Int()
-	}
-	return vs
-}
-
-// U32s reads a length-prefixed []uint32.
-func (r *Reader) U32s() []uint32 {
-	n := r.Len32(4)
-	if r.err != nil {
-		return nil
-	}
-	vs := make([]uint32, n)
-	for i := range vs {
-		vs[i] = r.U32()
-	}
-	return vs
-}
-
-// U64s reads a length-prefixed []uint64.
-func (r *Reader) U64s() []uint64 {
-	n := r.Len32(8)
-	if r.err != nil {
-		return nil
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = r.U64()
-	}
-	return vs
-}
-
-// F64s reads a length-prefixed []float64.
-func (r *Reader) F64s() []float64 {
-	n := r.Len32(8)
-	if r.err != nil {
-		return nil
-	}
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = r.F64()
-	}
-	return vs
-}
-
-// Bools reads a length-prefixed []bool.
-func (r *Reader) Bools() []bool {
-	n := r.Len32(1)
-	if r.err != nil {
-		return nil
-	}
-	vs := make([]bool, n)
-	for i := range vs {
-		vs[i] = r.Bool()
-	}
-	return vs
-}
-
-// BytesSlice reads a length-prefixed byte slice (copied out of the input).
-func (r *Reader) BytesSlice() []byte {
-	n := r.Len32(1)
-	if r.err != nil {
-		return nil
-	}
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-// Finish returns ErrCorrupt if undecoded bytes remain, or the sticky error.
-// Call it after the last field read to reject padded or mismatched input.
-func (r *Reader) Finish() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.Remaining() != 0 {
-		return r.Fail(fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Remaining()))
-	}
-	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"testing"
 
+	"plurality/internal/adversary"
 	"plurality/internal/snap"
 )
 
@@ -134,18 +135,18 @@ func TestResumeRejectsInconsistentAliveCount(t *testing.T) {
 			spec := snapshotSpec()
 			spec.Adversary = tc.adv
 			sn, _ := captureSnapshot(t, tc.protocol, spec)
-			w := &snap.Writer{}
-			w.Bools(make([]bool, spec.N))
-			flags := w.Len()
-			w.Int(spec.N)
-			if n := bytes.Count(sn.payload, w.Bytes()); n != 1 {
+			section := func(alive int) []byte {
+				w := snap.NewEncoder()
+				(&adversary.Crashes{Down: make([]bool, spec.N), Alive: alive}).Layout(w)
+				return w.Bytes()
+			}
+			honest := section(spec.N)
+			if n := bytes.Count(sn.payload, honest); n != 1 {
 				t.Fatalf("crash section found %d times in the payload, want once", n)
 			}
-			at := bytes.Index(sn.payload, w.Bytes()) + flags
+			at := bytes.Index(sn.payload, honest)
 			payload := append([]byte(nil), sn.payload...)
-			alive := &snap.Writer{}
-			alive.Int(spec.N - 1)
-			copy(payload[at:], alive.Bytes())
+			copy(payload[at:], section(spec.N-1))
 			_, err := Resume(context.Background(), &Snapshot{meta: sn.meta, payload: payload}, nil)
 			if !errors.Is(err, ErrSnapshotCorrupt) {
 				t.Fatalf("resume with alive count N-1 and no crashed node: got %v, want ErrSnapshotCorrupt", err)
