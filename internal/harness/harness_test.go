@@ -71,7 +71,9 @@ func TestReplicatePartialMetrics(t *testing.T) {
 func TestTableRender(t *testing.T) {
 	tb := NewTable("Demo", []string{"n"}, []string{"time"})
 	s := &stats.Summary{}
-	s.AddAll([]float64{1, 2, 3})
+	for _, x := range []float64{1, 2, 3} {
+		s.Add(x)
+	}
 	tb.Append(map[string]float64{"n": 100}, map[string]*stats.Summary{"time": s})
 	out := tb.Render()
 	if !strings.Contains(out, "Demo") || !strings.Contains(out, "time") {
@@ -96,7 +98,9 @@ func TestTableAppendsUnknownMetrics(t *testing.T) {
 func TestTableCSV(t *testing.T) {
 	tb := NewTable("Demo", []string{"n", "k"}, []string{"time"})
 	s := &stats.Summary{}
-	s.AddAll([]float64{2, 4})
+	for _, x := range []float64{2, 4} {
+		s.Add(x)
+	}
 	tb.Append(map[string]float64{"n": 100, "k": 2}, map[string]*stats.Summary{"time": s})
 	csv := tb.CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")

@@ -91,20 +91,6 @@ func (c Counts) AdditiveGap() int {
 	return c[a] - c[b]
 }
 
-// Fractions returns the opinion frequencies c_j / total. On an empty
-// assignment all fractions are zero.
-func (c Counts) Fractions() []float64 {
-	t := c.Total()
-	f := make([]float64, len(c))
-	if t == 0 {
-		return f
-	}
-	for i, v := range c {
-		f[i] = float64(v) / float64(t)
-	}
-	return f
-}
-
 // CollisionProb returns p = Σ_j c_j², the probability that two independently
 // sampled supporters share a color (the paper's p_{i,t}). It is 0 on an
 // empty assignment.

@@ -55,9 +55,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 0.5-quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // EmpiricalCDF returns the fraction of xs at or below x.
 func EmpiricalCDF(xs []float64, x float64) float64 {
 	if len(xs) == 0 {

@@ -11,7 +11,7 @@ import (
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	s.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	addAll(&s, []float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if s.N() != 8 {
 		t.Fatalf("N = %d", s.N())
 	}
@@ -55,10 +55,10 @@ func TestSummaryMergeEquivalence(t *testing.T) {
 		}
 		a, b = clean(a), clean(b)
 		var s1, s2, merged Summary
-		s1.AddAll(a)
-		s2.AddAll(b)
-		merged.AddAll(a)
-		merged.AddAll(b)
+		addAll(&s1, a)
+		addAll(&s2, b)
+		addAll(&merged, a)
+		addAll(&merged, b)
 		s1.Merge(&s2)
 		if s1.N() != merged.N() {
 			return false
@@ -309,5 +309,12 @@ func TestHistogramBoundary(t *testing.T) {
 	_, over := h.OutOfRange()
 	if over != 1 {
 		t.Errorf("hi boundary not overflow: %d", over)
+	}
+}
+
+// addAll incorporates every value of xs into s.
+func addAll(s *Summary, xs []float64) {
+	for _, x := range xs {
+		s.Add(x)
 	}
 }

@@ -40,13 +40,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// AddAll incorporates every value in xs.
-func (s *Summary) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (s *Summary) N() int { return s.n }
 

@@ -56,58 +56,6 @@ func next(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
 	return out, s0, s1, s2, s3
 }
 
-// FillUint64n fills dst with uniform values in [0, n), advancing the stream
-// exactly as len(dst) Uint64n(n) calls (same Lemire multiply-shift
-// reduction, same rejection sequence). It panics if n == 0.
-func (r *RNG) FillUint64n(n uint64, dst []uint64) {
-	if n == 0 {
-		panic("xrand: FillUint64n with n=0")
-	}
-	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
-	for i := range dst {
-		var v uint64
-		v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
-		hi, lo := bits.Mul64(v, n)
-		if lo < n {
-			// The rejection threshold -n % n costs a hardware divide;
-			// computing it lazily (exactly like the scalar path) keeps short
-			// fills divide-free and cannot change which draws are rejected —
-			// the threshold is a pure function of n.
-			threshold := -n % n
-			for lo < threshold {
-				v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
-				hi, lo = bits.Mul64(v, n)
-			}
-		}
-		dst[i] = hi
-	}
-	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
-}
-
-// FillIntn fills dst with uniform ints in [0, n), advancing the stream
-// exactly as len(dst) Intn(n) calls. It panics if n <= 0.
-func (r *RNG) FillIntn(n int, dst []int) {
-	if n <= 0 {
-		panic(fmt.Sprintf("xrand: FillIntn with non-positive n=%d", n))
-	}
-	un := uint64(n)
-	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
-	for i := range dst {
-		var v uint64
-		v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
-		hi, lo := bits.Mul64(v, un)
-		if lo < un {
-			threshold := -un % un // lazy, see FillUint64n
-			for lo < threshold {
-				v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
-				hi, lo = bits.Mul64(v, un)
-			}
-		}
-		dst[i] = int(hi)
-	}
-	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
-}
-
 // FillInt32n fills dst with uniform values in [0, n), advancing the stream
 // exactly as len(dst) Intn(n) calls. It is the form the topology batch
 // samplers use (node ids are int32 throughout the event kernel); n must fit
@@ -123,7 +71,11 @@ func (r *RNG) FillInt32n(n int32, dst []int32) {
 		v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
 		hi, lo := bits.Mul64(v, un)
 		if lo < un {
-			threshold := -un % un // lazy, see FillUint64n
+			// The rejection threshold -n % n costs a hardware divide;
+			// computing it lazily (exactly like the scalar path) keeps short
+			// fills divide-free and cannot change which draws are rejected —
+			// the threshold is a pure function of n.
+			threshold := -un % un
 			for lo < threshold {
 				v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
 				hi, lo = bits.Mul64(v, un)

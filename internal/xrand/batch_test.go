@@ -1,16 +1,18 @@
 package xrand
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestFillEquivalence pins the batch layer's core invariant draw-for-draw:
 // filling a slice of length m consumes the stream exactly as m scalar calls
-// and produces the exact values those calls return. Bounds are chosen to
-// exercise the Lemire rejection path (including near-2^63 bounds where the
-// rejection probability is largest) and the lengths to cross the loop
-// boundaries.
+// and produces the exact values those calls return. Bounds run from 1 to
+// the top of the int32 range, around powers of two, and the lengths cross
+// the loop boundaries.
 func TestFillEquivalence(t *testing.T) {
-	bounds := []uint64{1, 2, 3, 5, 7, 10, 63, 64, 65, 1000003,
-		1 << 31, (1 << 63) + 3, ^uint64(0)}
+	bounds := []int32{1, 2, 3, 5, 7, 10, 63, 64, 65, 1000003,
+		1 << 30, (1 << 30) + 3, math.MaxInt32}
 	lengths := []int{0, 1, 2, 7, 64, 257}
 	for _, seed := range []uint64{0, 1, 42, 0xdeadbeef} {
 		for _, n := range bounds {
@@ -18,20 +20,20 @@ func TestFillEquivalence(t *testing.T) {
 				scalar := New(seed)
 				batch := New(seed)
 
-				want := make([]uint64, m)
+				want := make([]int32, m)
 				for i := range want {
-					want[i] = scalar.Uint64n(n)
+					want[i] = int32(scalar.Intn(int(n)))
 				}
-				got := make([]uint64, m)
-				batch.FillUint64n(n, got)
+				got := make([]int32, m)
+				batch.FillInt32n(n, got)
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("FillUint64n(%d) seed=%d len=%d: [%d] = %d, scalar %d",
+						t.Fatalf("FillInt32n(%d) seed=%d len=%d: [%d] = %d, scalar %d",
 							n, seed, m, i, got[i], want[i])
 					}
 				}
 				if batch.State() != scalar.State() {
-					t.Fatalf("FillUint64n(%d) seed=%d len=%d: stream position diverged", n, seed, m)
+					t.Fatalf("FillInt32n(%d) seed=%d len=%d: stream position diverged", n, seed, m)
 				}
 			}
 		}
@@ -57,25 +59,20 @@ func TestFillExpEquivalence(t *testing.T) {
 	}
 }
 
-// TestFillIntnEquivalence pins the int and int32 forms against scalar Intn.
+// TestFillIntnEquivalence pins the int32 form against scalar Intn on the
+// bounds the topology samplers use.
 func TestFillIntnEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 9, 100, 1 << 20} {
-		scalar, batch, batch32 := New(7), New(7), New(7)
-		got := make([]int, 500)
+		scalar, batch32 := New(7), New(7)
 		got32 := make([]int32, 500)
-		batch.FillIntn(n, got)
 		batch32.FillInt32n(int32(n), got32)
-		for i := range got {
-			want := scalar.Intn(n)
-			if got[i] != want {
-				t.Fatalf("FillIntn(%d): [%d] = %d, scalar %d", n, i, got[i], want)
-			}
-			if int(got32[i]) != want {
+		for i := range got32 {
+			if want := scalar.Intn(n); int(got32[i]) != want {
 				t.Fatalf("FillInt32n(%d): [%d] = %d, scalar %d", n, i, got32[i], want)
 			}
 		}
-		if batch.State() != scalar.State() || batch32.State() != scalar.State() {
-			t.Fatalf("FillIntn(%d): stream position diverged", n)
+		if batch32.State() != scalar.State() {
+			t.Fatalf("FillInt32n(%d): stream position diverged", n)
 		}
 	}
 }
@@ -87,10 +84,8 @@ func TestFillPanics(t *testing.T) {
 		name string
 		call func(r *RNG)
 	}{
-		{"FillUint64n(0)", func(r *RNG) { r.FillUint64n(0, make([]uint64, 1)) }},
-		{"FillIntn(0)", func(r *RNG) { r.FillIntn(0, make([]int, 1)) }},
-		{"FillIntn(-1)", func(r *RNG) { r.FillIntn(-1, make([]int, 1)) }},
 		{"FillInt32n(0)", func(r *RNG) { r.FillInt32n(0, make([]int32, 1)) }},
+		{"FillInt32n(-1)", func(r *RNG) { r.FillInt32n(-1, make([]int32, 1)) }},
 	}
 	for _, tc := range cases {
 		func() {
