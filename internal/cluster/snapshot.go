@@ -17,8 +17,8 @@ import (
 func (cl *Clustering) Layout(c *snap.Codec) {
 	c.Int(&cl.N)
 	c.Int(&cl.TargetSize)
-	c.I32s(&cl.LeaderOf)
-	c.Ints(&cl.Leaders)
+	snap.Words(c, &cl.LeaderOf)
+	snap.Words(c, &cl.Leaders)
 	nl := len(cl.Leaders)
 	c.Len32(&nl, 18)
 	if c.Decoding() {

@@ -33,12 +33,12 @@ func (rs *runState) layout(c *snap.Codec) {
 	c.RNG(rs.tickR)
 	c.RNG(rs.latR)
 	opinion.SliceLayout(c, &rs.cols, rs.cfg.K)
-	c.I32s(&rs.gens)
+	snap.Words(c, &rs.gens)
 	c.Bools(&rs.locked)
-	c.I32s(&rs.seenG)
+	snap.Words(c, &rs.seenG)
 	c.Bools(&rs.seenP)
 	opinion.CountsLayout(c, &rs.colorCount, rs.cfg.K)
-	c.Ints(&rs.genCount)
+	snap.Words(c, &rs.genCount)
 	c.Int(&rs.maxGen)
 	c.Int(&rs.leaderGen)
 	c.Bool(&rs.leaderProp)

@@ -32,19 +32,19 @@ func (rs *consensusState) layout(c *snap.Codec) {
 	c.RNG(rs.smp)
 	c.RNG(rs.latR)
 	opinion.SliceLayout(c, &rs.cols, rs.cfg.K)
-	c.I32s(&rs.gens)
+	snap.Words(c, &rs.gens)
 	c.Bools(&rs.finished)
 	c.Bools(&rs.locked)
-	c.I32s(&rs.tmpGen)
-	c.I8s(&rs.tmpState)
+	snap.Words(c, &rs.tmpGen)
+	snap.Words(c, &rs.tmpState)
 	opinion.CountsLayout(c, &rs.counts, rs.cfg.K)
 	c.Int(&rs.maxGen)
-	c.I32s(&rs.lGen)
-	c.I8s(&rs.lState)
-	c.I32s(&rs.lT)
-	c.I32s(&rs.lGenSize)
-	c.I32s(&rs.loadBucket)
-	c.U64s(&rs.loadCount)
+	snap.Words(c, &rs.lGen)
+	snap.Words(c, &rs.lState)
+	snap.Words(c, &rs.lT)
+	snap.Words(c, &rs.lGenSize)
+	snap.Words(c, &rs.loadBucket)
+	snap.Words(c, &rs.loadCount)
 	c.U64(&rs.peakLoad)
 	c.Bool(&rs.mono)
 	c.F64(&rs.monoAt)

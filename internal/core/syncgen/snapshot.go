@@ -25,8 +25,8 @@ func (st *state) layout(c *snap.Codec, step, nextTheoretical *int, stepRNG *xran
 	c.Int(step)
 	c.Int(nextTheoretical)
 	c.RNG(stepRNG)
-	c.U32s(&st.packed)
-	c.Ints(&res.TwoChoicesSteps)
+	snap.Words(c, &st.packed)
+	snap.Words(c, &res.TwoChoicesSteps)
 	snap.Slice(c, &res.Generations, 40, func(c *snap.Codec, g *GenEvent) {
 		c.Int(&g.Gen)
 		c.Int(&g.BirthStep)

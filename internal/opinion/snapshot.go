@@ -11,11 +11,7 @@ import (
 // checkpoint form (length-prefixed int32s; None is -1). A decoder validates
 // every value against k opinions (None allowed).
 func SliceLayout(c *snap.Codec, a *[]Opinion, k int) {
-	snap.Slice(c, a, 4, func(c *snap.Codec, o *Opinion) {
-		v := int32(*o)
-		c.I32(&v)
-		*o = Opinion(v)
-	})
+	snap.Words(c, a)
 	if !c.Decoding() || c.Err() != nil {
 		return
 	}
@@ -30,7 +26,7 @@ func SliceLayout(c *snap.Codec, a *[]Opinion, k int) {
 // CountsLayout runs a per-opinion tally through c; a decoder validates its
 // length against k.
 func CountsLayout(c *snap.Codec, counts *Counts, k int) {
-	snap.Slice(c, counts, 8, (*snap.Codec).Int)
+	snap.Words(c, counts)
 	c.Require(len(*counts) == k, "%d counts for k=%d", len(*counts), k)
 }
 

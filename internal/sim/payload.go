@@ -61,7 +61,7 @@ func (a *PayloadArena) Layout(c *snap.Codec) {
 		c.I32(&ev.B)
 		c.I32(&ev.C)
 	})
-	c.I32s(&a.free)
+	snap.Words(c, &a.free)
 	if !c.Decoding() || c.Err() != nil {
 		return
 	}

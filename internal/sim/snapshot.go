@@ -30,16 +30,26 @@ func (s *Simulator) Layout(c *snap.Codec) {
 	c.U64(&seq)
 	c.U64(&processed)
 	c.Bool(&stopped)
-	// An encoded event is F64 at, U64 seq and five I32 fields.
-	snap.Slice(c, &queue, 36, func(c *snap.Codec, e *event) {
-		c.F64(&e.at)
-		c.U64(&e.seq)
-		c.I32(&e.kind)
-		c.I32(&e.node)
-		c.I32(&e.a)
-		c.I32(&e.b)
-		c.I32(&e.c)
-	})
+	// An encoded event is F64 at, U64 seq and five I32 fields: a fixed
+	// 36-byte record, handled in place on this hot path.
+	n := len(queue)
+	c.Len32(&n, 36)
+	if c.Decoding() && c.Err() == nil {
+		queue = make([]event, n)
+	}
+	b, dec := c.Raw(36*n), c.Decoding()
+	for i := 0; i < n && b != nil; i++ {
+		e, r := &queue[i], b[36*i:36*i+36]
+		at := math.Float64bits(e.at)
+		snap.Word64(dec, r[0:], &at)
+		e.at = math.Float64frombits(at)
+		snap.Word64(dec, r[8:], &e.seq)
+		snap.Word32(dec, r[16:], &e.kind)
+		snap.Word32(dec, r[20:], &e.node)
+		snap.Word32(dec, r[24:], &e.a)
+		snap.Word32(dec, r[28:], &e.b)
+		snap.Word32(dec, r[32:], &e.c)
+	}
 	if !c.Decoding() || c.Err() != nil {
 		return
 	}
@@ -92,15 +102,10 @@ func (s *Simulator) Layout(c *snap.Codec) {
 // order.
 func (s *Simulator) queue() []event {
 	queue := make([]event, 0, s.pending)
-	queue = append(queue, s.cur[s.curPos:]...)
-	queue = append(queue, s.near...)
-	for _, b := range s.buckets {
-		queue = append(queue, b...)
-	}
-	queue = append(queue, s.overflow...)
-	if s.heldJ != noTick {
-		queue = append(queue, s.held)
-	}
+	s.each(func(e event) bool {
+		queue = append(queue, e)
+		return true
+	})
 	// Stable, so a decoded state that repeats a key still re-encodes to
 	// its own bytes.
 	slices.SortStableFunc(queue, func(a, b event) int {
@@ -109,16 +114,36 @@ func (s *Simulator) queue() []event {
 	return queue
 }
 
+// each calls f on every pending event, the held tick included, in no
+// particular order, and reports whether f accepted them all.
+func (s *Simulator) each(f func(event) bool) bool {
+	for _, tier := range [][]event{s.cur[s.curPos:], s.near, s.overflow} {
+		for _, e := range tier {
+			if !f(e) {
+				return false
+			}
+		}
+	}
+	for _, b := range s.buckets {
+		for _, e := range b {
+			if !f(e) {
+				return false
+			}
+		}
+	}
+	return s.heldJ == noTick || f(s.held)
+}
+
 // ValidPending reports whether valid accepts every event pending on s and
 // every event parked in a (nil on honest runs). Engines call it after a
 // restore, with a predicate that range-checks each kind's node and contact
 // ids, so a hostile payload fails typed instead of indexing out of range
 // when the event fires.
 func ValidPending(s *Simulator, a *PayloadArena, valid func(Event) bool) bool {
-	for _, e := range s.queue() {
-		if !valid(Event{Kind: e.kind, Node: e.node, A: e.a, B: e.b, C: e.c}) {
-			return false
-		}
+	if !s.each(func(e event) bool {
+		return valid(Event{Kind: e.kind, Node: e.node, A: e.a, B: e.b, C: e.c})
+	}) {
+		return false
 	}
 	if a == nil {
 		return true

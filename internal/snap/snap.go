@@ -30,6 +30,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"plurality/internal/xrand"
 )
@@ -220,6 +222,36 @@ func (c *Codec) F64(v *float64) {
 	*v = math.Float64frombits(u)
 }
 
+// Raw handles n bytes its caller fills or reads itself: an encoder appends
+// n bytes and returns them to be filled, a decoder returns the next n input
+// bytes, or nil after a failure. Hot fixed-size records use it with Word32
+// and Word64 to skip a call per field.
+func (c *Codec) Raw(n int) []byte {
+	if c.dec {
+		return c.take(n)
+	}
+	c.buf = slices.Grow(c.buf, n)[:len(c.buf)+n]
+	return c.buf[len(c.buf)-n:]
+}
+
+// Word32 writes *v into b[:4], or reads it from there when dec is set.
+func Word32[T ~int32 | ~uint32](dec bool, b []byte, v *T) {
+	if dec {
+		*v = T(binary.LittleEndian.Uint32(b))
+	} else {
+		binary.LittleEndian.PutUint32(b, uint32(*v))
+	}
+}
+
+// Word64 writes *v into b[:8], or reads it from there when dec is set.
+func Word64[T ~uint64](dec bool, b []byte, v *T) {
+	if dec {
+		*v = T(binary.LittleEndian.Uint64(b))
+	} else {
+		binary.LittleEndian.PutUint64(b, uint64(*v))
+	}
+}
+
 // Len32 handles a slice length. A decoder bounds it against the remaining
 // input, assuming each element occupies at least elemSize bytes, so a
 // hostile header cannot force a huge allocation; an impossible length is
@@ -264,23 +296,84 @@ func Slice[S ~[]T, T any](c *Codec, vs *S, elemSize int, elem func(*Codec, *T)) 
 	}
 }
 
-// Bools handles a length-prefixed []bool.
-func (c *Codec) Bools(vs *[]bool) { Slice(c, vs, 1, (*Codec).Bool) }
+// Bools handles a length-prefixed []bool; a decoded byte other than 0 or 1
+// is corrupt.
+func (c *Codec) Bools(vs *[]bool) {
+	n := len(*vs)
+	c.Len32(&n, 1)
+	if c.err != nil {
+		return
+	}
+	if !c.dec {
+		buf := c.buf
+		for _, v := range *vs {
+			var u byte
+			if v {
+				u = 1
+			}
+			buf = append(buf, u)
+		}
+		c.buf = buf
+		return
+	}
+	b := c.take(n)
+	for _, u := range b {
+		if u > 1 {
+			c.Fail(fmt.Errorf("%w: bool byte %d", ErrCorrupt, u))
+			return
+		}
+	}
+	if n != len(*vs) {
+		*vs = make([]bool, n)
+	}
+	for i, u := range b {
+		(*vs)[i] = u == 1
+	}
+}
 
-// I8s handles a length-prefixed []int8.
-func (c *Codec) I8s(vs *[]int8) { Slice(c, vs, 1, (*Codec).I8) }
-
-// I32s handles a length-prefixed []int32.
-func (c *Codec) I32s(vs *[]int32) { Slice(c, vs, 4, (*Codec).I32) }
-
-// U32s handles a length-prefixed []uint32.
-func (c *Codec) U32s(vs *[]uint32) { Slice(c, vs, 4, (*Codec).U32) }
-
-// Ints handles a length-prefixed []int (64-bit elements).
-func (c *Codec) Ints(vs *[]int) { Slice(c, vs, 8, (*Codec).Int) }
-
-// U64s handles a length-prefixed []uint64.
-func (c *Codec) U64s(vs *[]uint64) { Slice(c, vs, 8, (*Codec).U64) }
+// Words handles a length-prefixed slice of fixed-width integers, written
+// little-endian at their own width, with one loop per direction: the fast
+// path of the node-state arrays. It fills in place exactly as Slice does.
+func Words[S ~[]T, T ~int8 | ~int32 | ~uint32 | ~int | ~uint64](c *Codec, vs *S) {
+	size := int(unsafe.Sizeof(T(0)))
+	n := len(*vs)
+	c.Len32(&n, size)
+	if c.err != nil {
+		return
+	}
+	if !c.dec {
+		buf := c.buf
+		for _, v := range *vs {
+			switch size {
+			case 1:
+				buf = append(buf, byte(v))
+			case 4:
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+			default:
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+			}
+		}
+		c.buf = buf
+		return
+	}
+	b := c.take(n * size)
+	if c.err != nil {
+		return
+	}
+	if n != len(*vs) {
+		*vs = make(S, n)
+	}
+	for i := range *vs {
+		switch size {
+		case 1:
+			(*vs)[i] = T(int8(b[i]))
+		case 4:
+			(*vs)[i] = T(int32(binary.LittleEndian.Uint32(b[4*i:])))
+		default:
+			(*vs)[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+}
 
 // RNG handles the four xoshiro256++ state words of g. A decoder rejects
 // the all-zero state as corrupt (it is the fixed point of xoshiro).
