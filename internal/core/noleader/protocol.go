@@ -208,6 +208,10 @@ func Run(cfg Config) (*Result, error) {
 	rs.loadCount = make([]uint64, len(participating))
 	rs.notePhase(1, StateTwoChoices, 0)
 	if len(participating) == 0 {
+		if restoreC != nil {
+			// Formation never hands such a clustering to a capture.
+			return nil, fmt.Errorf("noleader: %w: clustering without a participating leader", snap.ErrCorrupt)
+		}
 		// Degenerate clustering: report a failed run rather than panic.
 		rs.res.TimedOut = true
 		rs.res.FinalCounts = initCounts

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"plurality/internal/adversary"
+	"plurality/internal/cluster"
 	"plurality/internal/snap"
 )
 
@@ -152,6 +153,33 @@ func TestResumeRejectsInconsistentAliveCount(t *testing.T) {
 				t.Fatalf("resume with alive count N-1 and no crashed node: got %v, want ErrSnapshotCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestResumeRejectsClusteringWithoutParticipants pins that a decentralized
+// payload whose embedded clustering has no participating leader fails
+// with ErrSnapshotCorrupt: formation never hands such a clustering to a
+// capture, and resuming it would report a failed run that never happened.
+func TestResumeRejectsClusteringWithoutParticipants(t *testing.T) {
+	sn, _ := captureSnapshot(t, "decentralized", snapshotSpec())
+	r := snap.NewDecoder(sn.payload)
+	cl := &cluster.Clustering{}
+	cl.Layout(r)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	w := snap.NewEncoder()
+	cl.Layout(w)
+	rest := sn.payload[len(w.Bytes()):]
+	for l := range cl.InConsensusMode {
+		cl.InConsensusMode[l] = false
+	}
+	w = snap.NewEncoder()
+	cl.Layout(w)
+	payload := append(w.Bytes(), rest...)
+	_, err := Resume(context.Background(), &Snapshot{meta: sn.meta, payload: payload}, nil)
+	if !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("resume with no participating leader: got %v, want ErrSnapshotCorrupt", err)
 	}
 }
 
