@@ -150,38 +150,32 @@ func (c *Codec) take(n int) []byte {
 	return b
 }
 
-// U8 handles one byte.
-func (c *Codec) U8(v *uint8) {
-	if !c.dec {
-		c.buf = append(c.buf, *v)
-	} else if b := c.take(1); b != nil {
-		*v = b[0]
-	}
-}
-
 // Bool handles a bool as one byte; a decoded byte other than 0 or 1 is
 // corrupt.
 func (c *Codec) Bool(v *bool) {
-	var u uint8
-	if *v {
-		u = 1
+	if !c.dec {
+		var u byte
+		if *v {
+			u = 1
+		}
+		c.buf = append(c.buf, u)
+		return
 	}
-	c.U8(&u)
-	if c.dec && c.err == nil {
-		if u > 1 {
-			c.Fail(fmt.Errorf("%w: bool byte %d", ErrCorrupt, u))
+	if b := c.take(1); b != nil {
+		if b[0] > 1 {
+			c.Fail(fmt.Errorf("%w: bool byte %d", ErrCorrupt, b[0]))
 			return
 		}
-		*v = u == 1
+		*v = b[0] == 1
 	}
 }
 
-// U32 handles a fixed 32-bit unsigned integer.
-func (c *Codec) U32(v *uint32) {
+// I32 handles a fixed 32-bit signed integer.
+func (c *Codec) I32(v *int32) {
 	if !c.dec {
-		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*v))
 	} else if b := c.take(4); b != nil {
-		*v = binary.LittleEndian.Uint32(b)
+		*v = int32(binary.LittleEndian.Uint32(b))
 	}
 }
 
@@ -192,20 +186,6 @@ func (c *Codec) U64(v *uint64) {
 	} else if b := c.take(8); b != nil {
 		*v = binary.LittleEndian.Uint64(b)
 	}
-}
-
-// I32 handles a fixed 32-bit signed integer.
-func (c *Codec) I32(v *int32) {
-	u := uint32(*v)
-	c.U32(&u)
-	*v = int32(u)
-}
-
-// I8 handles a signed byte.
-func (c *Codec) I8(v *int8) {
-	u := uint8(*v)
-	c.U8(&u)
-	*v = int8(u)
 }
 
 // Int handles an int as 64 bits.
