@@ -25,9 +25,7 @@ import (
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
 	"plurality/internal/snap"
-	"plurality/internal/stats"
 	"plurality/internal/topo"
-	"plurality/internal/xrand"
 )
 
 // Config parametrizes one asynchronous single-leader run.
@@ -152,53 +150,8 @@ func (cfg *Config) normalize() error {
 	return nil
 }
 
-// EstimateC1 returns the 0.9-quantile of the waiting time
-// T3 = T'2 + T1 + T'2 with T'2 = max(T2,T2) + T2, estimated by Monte-Carlo
-// from the given latency distribution; the estimate is deterministic in
-// seed. This is the paper's "time unit" constant C1 for arbitrary latencies;
-// for exponential latencies it agrees with the Γ-majorant computation within
-// sampling error (cross-checked in the E1/E11 experiments).
+// EstimateC1 returns the single-leader time unit C1, with accumulated
+// latency T'2 = max(T2,T2) + T2.
 func EstimateC1(lat sim.Latency, seed uint64) float64 {
-	r := xrand.New(seed).SplitNamed("c1-estimate")
-	const samples = 40000
-	xs := make([]float64, samples)
-	if el, ok := lat.(sim.ExpLatency); ok {
-		fillT3Exp(r, el.Rate, xs)
-		return stats.Select(xs, int(0.9*float64(samples)))
-	}
-	for i := range xs {
-		xs[i] = sampleT3(r, lat)
-	}
-	return stats.Select(xs, int(0.9*float64(samples)))
-}
-
-// fillT3Exp fills xs with sampleT3 draws for Exp(rate) latencies. It draws
-// each sample's seven variates, in sampleT3's order, as Exp(1) values by
-// xrand.FillExp and divides the latencies by rate, which gives the Exp(rate)
-// draws bit for bit; so xs holds exactly the scalar loop's values.
-func fillT3Exp(r *xrand.RNG, rate float64, xs []float64) {
-	const per, chunk = 7, 256
-	var buf [per * chunk]float64
-	acc := func(d []float64) float64 {
-		return math.Max(d[0]/rate, d[1]/rate) + d[2]/rate
-	}
-	for len(xs) > 0 {
-		m := min(len(xs), chunk)
-		r.FillExp(buf[:per*m])
-		for i := range xs[:m] {
-			d := buf[per*i : per*i+per]
-			xs[i] = acc(d[:3]) + d[3] + acc(d[4:])
-		}
-		xs = xs[m:]
-	}
-}
-
-// sampleT3 draws one waiting time between two completed operations: the
-// accumulated latency of the previous operation, an Exp(1) tick gap, and the
-// accumulated latency of the next operation.
-func sampleT3(r *xrand.RNG, lat sim.Latency) float64 {
-	acc := func() float64 {
-		return math.Max(lat.Sample(r), lat.Sample(r)) + lat.Sample(r)
-	}
-	return acc() + r.Exp(1) + acc()
+	return sim.EstimateC1(lat, seed, "c1-estimate", 2, 1)
 }

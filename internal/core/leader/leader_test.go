@@ -2,13 +2,11 @@ package leader
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"plurality/internal/adversary"
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
-	"plurality/internal/stats"
 	"plurality/internal/xrand"
 )
 
@@ -250,49 +248,6 @@ func TestEstimateC1Deterministic(t *testing.T) {
 	b := EstimateC1(sim.ExpLatency{Rate: 1}, 7)
 	if a != b {
 		t.Fatalf("EstimateC1 not deterministic: %v vs %v", a, b)
-	}
-}
-
-// scalarExp is an exponential latency that EstimateC1 does not recognise
-// as sim.ExpLatency, so it takes the scalar loop.
-type scalarExp struct{ sim.ExpLatency }
-
-// TestEstimateC1BatchedMatchesScalar pins that the batched draw path for
-// exponential latencies returns the scalar loop's estimate bit for bit,
-// over 200 seeds per rate (20 under -short).
-func TestEstimateC1BatchedMatchesScalar(t *testing.T) {
-	seeds := uint64(200)
-	if testing.Short() {
-		seeds = 20
-	}
-	for _, rate := range []float64{0.5, 1, 3.7} {
-		for seed := uint64(0); seed < seeds; seed++ {
-			lat := sim.ExpLatency{Rate: rate}
-			if got, want := EstimateC1(lat, seed), EstimateC1(scalarExp{lat}, seed); got != want {
-				t.Fatalf("λ=%v seed %d: batched C1 %v, scalar %v", rate, seed, got, want)
-			}
-		}
-	}
-}
-
-// TestQuickselect checks the selection EstimateC1 takes its quantile with
-// against a full sort.
-func TestQuickselect(t *testing.T) {
-	r := xrand.New(17)
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(200)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Float64()
-		}
-		k := r.Intn(n)
-		cp := make([]float64, n)
-		copy(cp, xs)
-		got := stats.Select(xs, k)
-		sort.Float64s(cp)
-		if got != cp[k] {
-			t.Fatalf("stats.Select(k=%d) = %v, want %v", k, got, cp[k])
-		}
 	}
 }
 

@@ -25,9 +25,7 @@ import (
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
 	"plurality/internal/snap"
-	"plurality/internal/stats"
 	"plurality/internal/topo"
-	"plurality/internal/xrand"
 )
 
 // Config parametrizes one decentralized run.
@@ -150,48 +148,8 @@ func (cfg *Config) normalize() error {
 	return nil
 }
 
-// EstimateC1 returns the 0.9-quantile of the multi-leader waiting time
-// T3 = T'2 + T1 + T'2, T'2 = max(T2,T2,T2) + max(T2,T2), estimated by
-// Monte-Carlo; deterministic in seed.
+// EstimateC1 returns the multi-leader time unit C1, with accumulated
+// latency T'2 = max(T2,T2,T2) + max(T2,T2).
 func EstimateC1(lat sim.Latency, seed uint64) float64 {
-	r := xrand.New(seed).SplitNamed("c1-estimate-multi")
-	const samples = 40000
-	xs := make([]float64, samples)
-	if el, ok := lat.(sim.ExpLatency); ok {
-		fillT3Exp(r, el.Rate, xs)
-		return stats.Select(xs, int(0.9*float64(samples)))
-	}
-	acc := func() float64 {
-		three := math.Max(lat.Sample(r), math.Max(lat.Sample(r), lat.Sample(r)))
-		two := math.Max(lat.Sample(r), lat.Sample(r))
-		return three + two
-	}
-	for i := range xs {
-		xs[i] = acc() + r.Exp(1) + acc()
-	}
-	return stats.Select(xs, int(0.9*float64(samples)))
-}
-
-// fillT3Exp fills xs with EstimateC1's T3 draws for Exp(rate) latencies.
-// It draws each sample's eleven variates, in the scalar loop's order, as
-// Exp(1) values by xrand.FillExp and divides the latencies by rate, which
-// gives the Exp(rate) draws bit for bit; so xs holds exactly the scalar
-// loop's values.
-func fillT3Exp(r *xrand.RNG, rate float64, xs []float64) {
-	const per, chunk = 11, 256
-	var buf [per * chunk]float64
-	acc := func(d []float64) float64 {
-		three := math.Max(d[0]/rate, math.Max(d[1]/rate, d[2]/rate))
-		two := math.Max(d[3]/rate, d[4]/rate)
-		return three + two
-	}
-	for len(xs) > 0 {
-		m := min(len(xs), chunk)
-		r.FillExp(buf[:per*m])
-		for i := range xs[:m] {
-			d := buf[per*i : per*i+per]
-			xs[i] = acc(d[:5]) + d[5] + acc(d[6:])
-		}
-		xs = xs[m:]
-	}
+	return sim.EstimateC1(lat, seed, "c1-estimate-multi", 3, 2)
 }

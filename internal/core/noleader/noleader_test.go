@@ -6,7 +6,6 @@ import (
 
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
-	"plurality/internal/stats"
 	"plurality/internal/xrand"
 )
 
@@ -235,48 +234,6 @@ func TestEstimateC1MultiAboveSingle(t *testing.T) {
 	single := xs[int(0.9*float64(samples))]
 	if multi < single*0.9 {
 		t.Errorf("multi-leader C1 %v implausibly below single-leader %v", multi, single)
-	}
-}
-
-// scalarExp is an exponential latency that EstimateC1 does not recognise
-// as sim.ExpLatency, so it takes the scalar loop.
-type scalarExp struct{ sim.ExpLatency }
-
-// TestEstimateC1BatchedMatchesScalar pins that the batched draw path for
-// exponential latencies returns the scalar loop's estimate bit for bit,
-// over 200 seeds per rate (20 under -short).
-func TestEstimateC1BatchedMatchesScalar(t *testing.T) {
-	seeds := uint64(200)
-	if testing.Short() {
-		seeds = 20
-	}
-	for _, rate := range []float64{0.5, 1, 3.7} {
-		for seed := uint64(0); seed < seeds; seed++ {
-			lat := sim.ExpLatency{Rate: rate}
-			if got, want := EstimateC1(lat, seed), EstimateC1(scalarExp{lat}, seed); got != want {
-				t.Fatalf("λ=%v seed %d: batched C1 %v, scalar %v", rate, seed, got, want)
-			}
-		}
-	}
-}
-
-// TestQuickselectAgainstSort checks the selection EstimateC1 takes its
-// quantile with against a full sort on normal samples.
-func TestQuickselectAgainstSort(t *testing.T) {
-	r := xrand.New(3)
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + r.Intn(100)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Norm()
-		}
-		cp := make([]float64, n)
-		copy(cp, xs)
-		sort.Float64s(cp)
-		k := r.Intn(n)
-		if got := stats.Select(xs, k); got != cp[k] {
-			t.Fatalf("stats.Select(k=%d) = %v, want %v", k, got, cp[k])
-		}
 	}
 }
 

@@ -44,7 +44,7 @@ type state struct {
 	gCap     int      // highest representable generation (G*)
 	packed   []uint32 // current configuration, one word per node
 	next     []uint32 // scratch for the synchronous update
-	partners []int32  // staged partner draws: nodes 2v, 2v+1 (id order)
+	partners []int32  // staged partner draws: nodes 2v, 2v+1 (id order); nil until drawPartners
 	order    []int32  // cache-blocked traversal order; nil = identity
 	blockOff []int32  // block boundaries (into order, or node-id ranges)
 	// Per-block change buffers: the apply loop stages (old, new) word pairs
@@ -69,14 +69,13 @@ func newState(cols []opinion.Opinion, k, gStar int, tp topo.Sampler, scratch *to
 		scratch = &topo.Scratch{}
 	}
 	st := &state{
-		n:        n,
-		k:        k,
-		gCap:     gStar,
-		packed:   make([]uint32, n),
-		next:     make([]uint32, n),
-		partners: make([]int32, 2*n),
-		tally:    newTally(k, gStar),
-		scratch:  scratch,
+		n:       n,
+		k:       k,
+		gCap:    gStar,
+		packed:  make([]uint32, n),
+		next:    make([]uint32, n),
+		tally:   newTally(k, gStar),
+		scratch: scratch,
 	}
 	for v, c := range cols {
 		st.packed[v] = uint32(c)
@@ -114,9 +113,13 @@ func (st *state) colOf(v int) opinion.Opinion {
 // st.partners, in node-id order — node 0's pair, then node 1's, … — which
 // consumes the RNG stream exactly as the historical per-node scalar draws,
 // so golden digests are unaffected. The apply stage is then free to walk
-// the nodes in any order it likes.
+// the nodes in any order it likes. The array is allocated on the first
+// call: the fused step never stages its draws.
 func (st *state) drawPartners(r *xrand.RNG, tp topo.BatchSampler) {
 	n := st.n
+	if st.partners == nil {
+		st.partners = make([]int32, 2*n)
+	}
 	for base := 0; base < n; base += stepChunk {
 		m := stepChunk
 		if base+m > n {

@@ -82,17 +82,8 @@ func Zipf(n, k int, s float64, r *xrand.RNG) []Opinion {
 	return a
 }
 
-// FromCounts builds an assignment realizing the given counts exactly, in
+// fromCountsShuffled builds an assignment realizing counts exactly, in
 // shuffled node order.
-func FromCounts(counts []int, r *xrand.RNG) []Opinion {
-	for i, c := range counts {
-		if c < 0 {
-			panic(fmt.Sprintf("opinion: FromCounts with counts[%d]=%d", i, c))
-		}
-	}
-	return fromCountsShuffled(counts, r)
-}
-
 func fromCountsShuffled(counts []int, r *xrand.RNG) []Opinion {
 	n := 0
 	for _, c := range counts {
@@ -106,13 +97,4 @@ func fromCountsShuffled(counts []int, r *xrand.RNG) []Opinion {
 	}
 	r.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
 	return a
-}
-
-// MinBias returns the smallest initial bias Theorem 1 admits for the given
-// n and k: 1 + (k·log₂ n/√n)·log₂ k. For k = 1 it returns 1.
-func MinBias(n, k int) float64 {
-	if n <= 1 || k <= 1 {
-		return 1
-	}
-	return 1 + float64(k)*log2(float64(n))/sqrt(float64(n))*log2(float64(k))
 }

@@ -69,40 +69,6 @@ func TestAdditiveGap(t *testing.T) {
 	}
 }
 
-func TestCollisionProb(t *testing.T) {
-	// Uniform over k colors: p = 1/k.
-	c := Counts{25, 25, 25, 25}
-	if got := c.CollisionProb(); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("CollisionProb = %v, want 0.25", got)
-	}
-	// Monochromatic: p = 1.
-	if got := (Counts{9, 0}).CollisionProb(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("CollisionProb monochromatic = %v, want 1", got)
-	}
-}
-
-func TestCollisionProbBounds(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		c := make(Counts, len(raw))
-		total := 0
-		for i, v := range raw {
-			c[i] = int(v)
-			total += int(v)
-		}
-		if total == 0 {
-			return c.CollisionProb() == 0
-		}
-		p := c.CollisionProb()
-		return p >= 1/float64(len(c))-1e-12 && p <= 1+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRemark2LowerBound(t *testing.T) {
 	// Remark 2: within a generation, p >= (α²+k-1)/(α+k-1)², with equality
 	// when all minority colors are equal. PlantedBias realizes exactly that
@@ -113,8 +79,13 @@ func TestRemark2LowerBound(t *testing.T) {
 		for _, alpha := range []float64{1.1, 2, 10} {
 			a := PlantedBias(100000, k, alpha, r)
 			c := CountOf(a, k)
-			p := c.CollisionProb()
-			bound := RemarkLowerBound(c.Bias(), k)
+			p := 0.0 // the collision probability Σ_j (c_j/n)²
+			for _, v := range c {
+				f := float64(v) / float64(len(a))
+				p += f * f
+			}
+			al, kk := c.Bias(), float64(k)
+			bound := (al*al + kk - 1) / ((al + kk - 1) * (al + kk - 1))
 			if p < bound-1e-9 {
 				t.Errorf("k=%d alpha=%v: p=%v below Remark 2 bound %v", k, alpha, p, bound)
 			}
@@ -122,29 +93,6 @@ func TestRemark2LowerBound(t *testing.T) {
 				t.Errorf("k=%d alpha=%v: planted worst case p=%v far above bound %v",
 					k, alpha, p, bound)
 			}
-		}
-	}
-}
-
-func TestMonochromatic(t *testing.T) {
-	if !(Counts{0, 5, 0}).Monochromatic() {
-		t.Error("single-color counts not detected as monochromatic")
-	}
-	if (Counts{1, 5}).Monochromatic() {
-		t.Error("two-color counts detected as monochromatic")
-	}
-	if !(Counts{0, 0}).Monochromatic() {
-		t.Error("empty counts should count as monochromatic")
-	}
-}
-
-func TestSortedDescending(t *testing.T) {
-	c := Counts{3, 9, 1, 9}
-	idx := c.SortedDescending()
-	want := []int{1, 3, 0, 2}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("SortedDescending = %v, want %v", idx, want)
 		}
 	}
 }
@@ -226,10 +174,10 @@ func TestZipfSkew(t *testing.T) {
 
 func TestFromCountsExact(t *testing.T) {
 	r := xrand.New(7)
-	a := FromCounts([]int{5, 0, 3}, r)
+	a := fromCountsShuffled([]int{5, 0, 3}, r)
 	c := CountOf(a, 3)
 	if c[0] != 5 || c[1] != 0 || c[2] != 3 {
-		t.Fatalf("FromCounts realized %v", c)
+		t.Fatalf("fromCountsShuffled realized %v", c)
 	}
 }
 
@@ -240,56 +188,9 @@ func TestBiasPermutationInvariant(t *testing.T) {
 		c1 := CountOf(a, 4)
 		r.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
 		c2 := CountOf(a, 4)
-		return c1.Bias() == c2.Bias() && c1.CollisionProb() == c2.CollisionProb()
+		return c1.Bias() == c2.Bias()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMonochromaticDistance(t *testing.T) {
-	// Monochromatic: md = 1. Uniform over k: md = k.
-	if got := (Counts{10, 0, 0}).MonochromaticDistance(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("monochromatic md = %v", got)
-	}
-	if got := (Counts{5, 5, 5, 5}).MonochromaticDistance(); math.Abs(got-4) > 1e-12 {
-		t.Errorf("uniform md = %v, want 4", got)
-	}
-	// Bias 2 over two colors: 1 + (1/2)² = 1.25.
-	if got := (Counts{20, 10}).MonochromaticDistance(); math.Abs(got-1.25) > 1e-12 {
-		t.Errorf("biased md = %v, want 1.25", got)
-	}
-}
-
-func TestMonochromaticDistanceBounds(t *testing.T) {
-	f := func(raw []uint8) bool {
-		c := make(Counts, 0, len(raw))
-		total := 0
-		for _, v := range raw {
-			c = append(c, int(v))
-			total += int(v)
-		}
-		if len(c) == 0 || total == 0 {
-			return true
-		}
-		md := c.MonochromaticDistance()
-		return md >= 1-1e-12 && md <= float64(len(c))+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMinBias(t *testing.T) {
-	if got := MinBias(100, 1); got != 1 {
-		t.Errorf("MinBias(k=1) = %v", got)
-	}
-	got := MinBias(1<<20, 4)
-	want := 1 + 4*20.0/math.Sqrt(1<<20)*2
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("MinBias = %v, want %v", got, want)
-	}
-	if MinBias(1000, 10) <= 1 {
-		t.Error("MinBias should exceed 1 for k > 1")
 	}
 }

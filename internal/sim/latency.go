@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
+	"plurality/internal/stats"
 	"plurality/internal/xrand"
 )
 
@@ -92,3 +94,62 @@ func (l ErlangLatency) Mean() float64 { return float64(l.K) / l.Rate }
 
 // Name returns a human-readable identifier.
 func (l ErlangLatency) Name() string { return fmt.Sprintf("erlang(k=%d,λ=%g)", l.K, l.Rate) }
+
+// EstimateC1 returns the paper's time unit C1, the 0.9-quantile of the
+// waiting time T3 = T'2 + T1 + T'2 between two completed operations
+// (Remark 14, Example 15). T1 is the Exp(1) tick gap and T'2, the
+// accumulated latency of one operation, is the max of a latency draws plus
+// the max of b more. It is estimated by Monte-Carlo from the stream label
+// of seed, so it is deterministic in (lat, seed, label, a, b). For
+// exponential latencies the single-leader shape agrees with the paper's
+// Γ(7, β) majorant within sampling error (experiments E1 and E11).
+//
+// Exp latencies take a batched path that returns the scalar loop's
+// estimate bit for bit; the scalar loop is the reference for every other
+// distribution.
+func EstimateC1(lat Latency, seed uint64, label string, a, b int) float64 {
+	r := xrand.New(seed).SplitNamed(label)
+	const samples = 40000
+	xs := make([]float64, samples)
+	if el, ok := lat.(ExpLatency); ok {
+		fillT3Exp(r, el.Rate, a, b, xs)
+		return stats.Select(xs, int(0.9*float64(samples)))
+	}
+	maxOf := func(m int) float64 {
+		x := lat.Sample(r)
+		for range m - 1 {
+			x = max(x, lat.Sample(r))
+		}
+		return x
+	}
+	acc := func() float64 { return maxOf(a) + maxOf(b) }
+	for i := range xs {
+		xs[i] = acc() + r.Exp(1) + acc()
+	}
+	return stats.Select(xs, int(0.9*float64(samples)))
+}
+
+// fillT3Exp fills xs with EstimateC1's T3 draws for Exp(rate) latencies. It
+// draws each sample's 2(a+b)+1 variates, in the scalar loop's order, as
+// Exp(1) values by xrand.FillExp; a latency is its Exp(1) value divided by
+// rate, bit for bit. Rounded division by a positive rate is monotone, so the
+// max of the divided values is the divided max: each max is taken over the
+// Exp(1) values and divided once, and xs holds exactly the scalar loop's
+// values.
+func fillT3Exp(r *xrand.RNG, rate float64, a, b int, xs []float64) {
+	const chunk = 256
+	ab := a + b
+	per := 2*ab + 1
+	t2 := func(d []float64) float64 { return slices.Max(d[:a])/rate + slices.Max(d[a:ab])/rate }
+	buf := make([]float64, per*chunk)
+	for len(xs) > 0 {
+		m := min(len(xs), chunk)
+		d := buf[:per*m]
+		r.FillExp(d)
+		for i := range xs[:m] {
+			xs[i] = t2(d) + d[ab] + t2(d[ab+1:])
+			d = d[per:]
+		}
+		xs = xs[m:]
+	}
+}

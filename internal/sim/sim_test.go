@@ -455,7 +455,7 @@ func TestClockInterTickExponential(t *testing.T) {
 	if len(gaps) < 20000 {
 		t.Fatalf("node %d ticked %d times, want ~%v", node, len(times), rate*20000)
 	}
-	if !stats.KSTest(gaps, func(x float64) float64 { return xrand.ExpCDF(rate, x) }, 0.001) {
+	if !stats.KSTest(gaps, func(x float64) float64 { return -math.Expm1(-rate * x) }, 0.001) {
 		t.Fatalf("node %d's inter-tick gaps are not Exp(%v)", node, rate)
 	}
 }

@@ -1,10 +1,9 @@
 // Package stats provides the measurement substrate for the experiment
-// harness: streaming summaries (Welford), exact sample quantiles,
-// histograms, confidence intervals and least-squares fits. The experiments
-// report every "whp." claim of the paper as an empirical success rate with a
-// confidence interval and every running-time claim as a scaling fit, so this
-// package is the part of the repository that turns protocol runs into the
-// rows of EXPERIMENTS.md.
+// harness: streaming summaries (Welford), order-statistic selection,
+// least-squares fits, and the χ², Fisher and Kolmogorov–Smirnov tests. The
+// experiments report every running-time claim of the paper as a scaling
+// fit, and the conformance tests check the engines' outcome distributions
+// with the hypothesis tests.
 package stats
 
 import (
@@ -75,27 +74,4 @@ func (s *Summary) SE() float64 {
 func (s *Summary) String() string {
 	return fmt.Sprintf("%.4g ± %.2g [%.4g, %.4g] (n=%d)",
 		s.Mean(), s.SE(), s.Min(), s.Max(), s.n)
-}
-
-// Merge combines another summary into s, as if all of o's observations had
-// been added to s (Chan et al. parallel variance update).
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	delta := o.mean - s.mean
-	total := s.n + o.n
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(total)
-	s.mean += delta * float64(o.n) / float64(total)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = total
 }

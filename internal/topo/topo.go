@@ -12,8 +12,8 @@
 // Complete is the default and the fast path: it keeps O(1) memory, performs
 // zero per-sample allocations (asserted by CI's bench-smoke job), and
 // consumes randomness exactly like the old sampleOther helpers — one
-// TwoDistinct-shaped draw per sample — so runs on the zero-value topology
-// are byte-identical to the pre-topology code for the same seed. The sparse
+// Intn(n-1) draw per sample, shifted past v — so runs on the zero-value
+// topology are byte-identical to the pre-topology code for the same seed. The sparse
 // topologies carry an explicit CSR adjacency (or a closed-form
 // neighborhood) and sample a uniform neighbor in O(1) as well.
 //

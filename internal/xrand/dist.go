@@ -58,144 +58,6 @@ func (r *RNG) Erlang(k int, rate float64) float64 {
 	return r.Gamma(float64(k), rate)
 }
 
-// Poisson returns a Poisson(mean)-distributed sample. Small means use
-// Knuth's product-of-uniforms method; large means use the PTRS transformed
-// rejection method of Hörmann, which is exact and O(1).
-func (r *RNG) Poisson(mean float64) int {
-	switch {
-	case mean < 0 || math.IsNaN(mean):
-		panic(fmt.Sprintf("xrand: Poisson with mean=%v", mean))
-	case mean == 0:
-		return 0
-	case mean < 30:
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64Open()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	default:
-		return r.poissonPTRS(mean)
-	}
-}
-
-// poissonPTRS implements Hörmann's PTRS algorithm for mean >= 10.
-func (r *RNG) poissonPTRS(mu float64) int {
-	b := 0.931 + 2.53*math.Sqrt(mu)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	for {
-		u := r.Float64() - 0.5
-		v := r.Float64Open()
-		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + mu + 0.43)
-		if us >= 0.07 && v <= vr {
-			return int(k)
-		}
-		if k < 0 || (us < 0.013 && v > us) {
-			continue
-		}
-		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*math.Log(mu)-mu-lg {
-			return int(k)
-		}
-	}
-}
-
-// Binomial returns a Binomial(n, p) sample: the number of successes in n
-// independent Bernoulli(p) trials.
-//
-// For small n·min(p,1-p) it counts geometric jumps between successes (exact,
-// O(np)); otherwise it recurses on a Beta-distributed median split, which
-// keeps the work logarithmic in n while remaining exact.
-func (r *RNG) Binomial(n int, p float64) int {
-	switch {
-	case n < 0 || p < 0 || p > 1 || math.IsNaN(p):
-		panic(fmt.Sprintf("xrand: Binomial with n=%d p=%v", n, p))
-	case n == 0 || p == 0:
-		return 0
-	case p == 1:
-		return n
-	case p > 0.5:
-		return n - r.Binomial(n, 1-p)
-	}
-	return r.binomialSplit(n, p)
-}
-
-// binomialSplit implements the recursive Beta-split for Binomial sampling.
-func (r *RNG) binomialSplit(n int, p float64) int {
-	// Iterative form of the BTRS-free splitting algorithm: maintain the
-	// invariant that the answer is acc + Bin(n, p).
-	acc := 0
-	for {
-		if float64(n)*p < 32 || n < 64 {
-			// Small enough: finish with the geometric-jump counter.
-			count := 0
-			if p <= 0 {
-				return acc
-			}
-			if p >= 1 {
-				return acc + n
-			}
-			logq := math.Log1p(-p)
-			i := 0
-			for {
-				jump := int(math.Floor(math.Log(r.Float64Open()) / logq))
-				i += jump + 1
-				if i > n {
-					return acc + count
-				}
-				count++
-			}
-		}
-		m := (n + 1) / 2
-		b := r.Beta(float64(m), float64(n-m+1))
-		if p < b {
-			// All successes lie in the first m-1 trials, conditioned scale.
-			n = m - 1
-			p = p / b
-		} else {
-			// m-th order statistic is a success; recurse on the tail.
-			acc += m
-			n = n - m
-			p = (p - b) / (1 - b)
-		}
-		if p < 0 {
-			p = 0
-		}
-		if p > 1 {
-			p = 1
-		}
-	}
-}
-
-// Beta returns a Beta(a, b)-distributed sample via the Gamma ratio.
-func (r *RNG) Beta(a, b float64) float64 {
-	if a <= 0 || b <= 0 {
-		panic(fmt.Sprintf("xrand: Beta with a=%v b=%v", a, b))
-	}
-	x := r.Gamma(a, 1)
-	y := r.Gamma(b, 1)
-	return x / (x + y)
-}
-
-// Geometric returns the number of Bernoulli(p) failures before the first
-// success (support {0, 1, 2, ...}). It panics unless 0 < p <= 1.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 || math.IsNaN(p) {
-		panic(fmt.Sprintf("xrand: Geometric with p=%v", p))
-	}
-	if p == 1 {
-		return 0
-	}
-	return int(math.Floor(math.Log(r.Float64Open()) / math.Log1p(-p)))
-}
-
 // Uniform returns a uniform sample in [lo, hi). It panics if hi < lo.
 func (r *RNG) Uniform(lo, hi float64) float64 {
 	if hi < lo {

@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 // moments draws n samples and returns their mean and variance.
@@ -89,100 +88,6 @@ func TestErlangMatchesGammaMean(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	for _, mu := range []float64{0.5, 3, 12, 30, 100, 500} {
-		r := New(105)
-		mean, variance := moments(100000, func() float64 { return float64(r.Poisson(mu)) })
-		if math.Abs(mean-mu) > 0.03*mu+0.02 {
-			t.Errorf("Poisson(%v) mean %v", mu, mean)
-		}
-		if math.Abs(variance-mu) > 0.1*mu+0.05 {
-			t.Errorf("Poisson(%v) variance %v", mu, variance)
-		}
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	r := New(106)
-	for i := 0; i < 100; i++ {
-		if r.Poisson(0) != 0 {
-			t.Fatal("Poisson(0) != 0")
-		}
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	cases := []struct {
-		n int
-		p float64
-	}{
-		{10, 0.5}, {100, 0.01}, {100, 0.99}, {1000, 0.3}, {100000, 0.001}, {50000, 0.5},
-	}
-	for _, c := range cases {
-		r := New(107)
-		mean, variance := moments(20000, func() float64 { return float64(r.Binomial(c.n, c.p)) })
-		wantMean := float64(c.n) * c.p
-		wantVar := float64(c.n) * c.p * (1 - c.p)
-		if math.Abs(mean-wantMean) > 0.05*wantMean+0.05 {
-			t.Errorf("Binomial(%d,%v) mean %v, want %v", c.n, c.p, mean, wantMean)
-		}
-		if wantVar > 0.5 && math.Abs(variance-wantVar) > 0.15*wantVar {
-			t.Errorf("Binomial(%d,%v) variance %v, want %v", c.n, c.p, variance, wantVar)
-		}
-	}
-}
-
-func TestBinomialEdgeCases(t *testing.T) {
-	r := New(108)
-	if got := r.Binomial(0, 0.5); got != 0 {
-		t.Errorf("Binomial(0, .5) = %d", got)
-	}
-	if got := r.Binomial(10, 0); got != 0 {
-		t.Errorf("Binomial(10, 0) = %d", got)
-	}
-	if got := r.Binomial(10, 1); got != 10 {
-		t.Errorf("Binomial(10, 1) = %d", got)
-	}
-}
-
-func TestBinomialRange(t *testing.T) {
-	r := New(109)
-	f := func(n uint16, pRaw uint16) bool {
-		n64 := int(n%5000) + 1
-		p := float64(pRaw) / 65535
-		v := r.Binomial(n64, p)
-		return v >= 0 && v <= n64
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGeometricMoments(t *testing.T) {
-	for _, p := range []float64{0.1, 0.5, 0.9} {
-		r := New(110)
-		mean, _ := moments(200000, func() float64 { return float64(r.Geometric(p)) })
-		want := (1 - p) / p
-		if math.Abs(mean-want) > 0.05*want+0.01 {
-			t.Errorf("Geometric(%v) mean %v, want %v", p, mean, want)
-		}
-	}
-}
-
-func TestBetaMoments(t *testing.T) {
-	r := New(111)
-	const a, b = 2.0, 5.0
-	mean, variance := moments(200000, func() float64 { return r.Beta(a, b) })
-	wantMean := a / (a + b)
-	wantVar := a * b / ((a + b) * (a + b) * (a + b + 1))
-	if math.Abs(mean-wantMean) > 0.01 {
-		t.Errorf("Beta mean %v, want %v", mean, wantMean)
-	}
-	if math.Abs(variance-wantVar) > 0.01 {
-		t.Errorf("Beta variance %v, want %v", variance, wantVar)
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	r := New(112)
 	for i := 0; i < 10000; i++ {
@@ -221,24 +126,6 @@ func BenchmarkGamma7(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink = r.Gamma(7, 1)
-	}
-	_ = sink
-}
-
-func BenchmarkPoissonLarge(b *testing.B) {
-	r := New(1)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink = r.Poisson(1000)
-	}
-	_ = sink
-}
-
-func BenchmarkBinomialLarge(b *testing.B) {
-	r := New(1)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink = r.Binomial(1<<20, 0.3)
 	}
 	_ = sink
 }

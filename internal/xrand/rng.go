@@ -225,24 +225,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// TwoDistinct returns two distinct uniform indices in [0, n). It panics if
-// n < 2. Protocols use it for sampling two neighbours "u.a.r." where the
-// analysis assumes distinct contacts.
-func (r *RNG) TwoDistinct(n int) (int, int) {
-	if n < 2 {
-		panic("xrand: TwoDistinct needs n >= 2")
-	}
-	i := r.Intn(n)
-	j := r.Intn(n - 1)
-	if j >= i {
-		j++
-	}
-	return i, j
-}
-
-// ErrBadParam reports an invalid distribution parameter.
-var ErrBadParam = errors.New("xrand: invalid distribution parameter")
-
 // Exp returns an exponentially distributed sample with rate lambda
 // (mean 1/lambda). It panics if lambda <= 0.
 // It draws by the ziggurat of Marsaglia and Tsang (2000): one Uint64 picks

@@ -159,36 +159,6 @@ func TestUint64nUniform(t *testing.T) {
 	}
 }
 
-func TestTwoDistinct(t *testing.T) {
-	r := New(19)
-	for i := 0; i < 10000; i++ {
-		a, b := r.TwoDistinct(5)
-		if a == b {
-			t.Fatal("TwoDistinct returned equal indices")
-		}
-		if a < 0 || a >= 5 || b < 0 || b >= 5 {
-			t.Fatalf("TwoDistinct out of range: %d %d", a, b)
-		}
-	}
-}
-
-func TestTwoDistinctMarginalUniform(t *testing.T) {
-	r := New(23)
-	const n, draws = 4, 80000
-	counts := make([]int, n)
-	for i := 0; i < draws; i++ {
-		a, b := r.TwoDistinct(n)
-		counts[a]++
-		counts[b]++
-	}
-	want := float64(2*draws) / n
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 6*math.Sqrt(want) {
-			t.Errorf("index %d appeared %d times, want ~%v", i, c, want)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(29)
 	p := r.Perm(100)

@@ -7,7 +7,7 @@ import (
 
 // This file holds the special functions the experiments need analytically:
 // the regularized incomplete gamma function (CDF of the Gamma distribution),
-// its quantile, and the normal CDF/quantile. Figure 1 of the paper plots
+// its quantile, and a log-sum-exp. Figure 1 of the paper plots
 // F⁻¹(0.9) of the waiting time T3, whose majorant is Γ(7, β); Remark 14
 // bounds that quantile by 10/(3β). These functions let the harness compute
 // the paper's curve without Monte-Carlo, so simulation and closed form can
@@ -122,54 +122,6 @@ func gammaQContinuedFraction(a, x float64) float64 {
 	return math.Exp(-x+a*math.Log(x)-lg) * h
 }
 
-// NormalCDF returns P(Z <= z) for a standard normal Z.
-func NormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// NormalQuantile returns the q-quantile of the standard normal distribution
-// using the Acklam rational approximation refined by one Halley step; the
-// result is accurate to ~1e-15 over (0, 1). It panics unless 0 < q < 1.
-func NormalQuantile(q float64) float64 {
-	if q <= 0 || q >= 1 || math.IsNaN(q) {
-		panic(fmt.Sprintf("xrand: NormalQuantile with q=%v", q))
-	}
-	// Acklam coefficients.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
-	const pLow = 0.02425
-	var x float64
-	switch {
-	case q < pLow:
-		u := math.Sqrt(-2 * math.Log(q))
-		x = (((((c[0]*u+c[1])*u+c[2])*u+c[3])*u+c[4])*u + c[5]) /
-			((((d[0]*u+d[1])*u+d[2])*u+d[3])*u + 1)
-	case q <= 1-pLow:
-		u := q - 0.5
-		t := u * u
-		x = (((((a[0]*t+a[1])*t+a[2])*t+a[3])*t+a[4])*t + a[5]) * u /
-			(((((b[0]*t+b[1])*t+b[2])*t+b[3])*t+b[4])*t + 1)
-	default:
-		u := math.Sqrt(-2 * math.Log(1-q))
-		x = -((((((c[0]*u+c[1])*u+c[2])*u+c[3])*u+c[4])*u + c[5]) /
-			((((d[0]*u+d[1])*u+d[2])*u+d[3])*u + 1))
-	}
-	// One Halley refinement step against the true CDF.
-	e := NormalCDF(x) - q
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
-	return x
-}
-
 // LogAddExp returns log(exp(a) + exp(b)) without overflow. The synchronous
 // schedule arithmetic needs ln(α^{2^i} + k - 1) for biases whose direct
 // power would overflow float64; it is computed as LogAddExp(2^i·ln α,
@@ -185,15 +137,4 @@ func LogAddExp(a, b float64) float64 {
 		a, b = b, a
 	}
 	return a + math.Log1p(math.Exp(b-a))
-}
-
-// ExpCDF returns P(X <= x) for X ~ Exp(rate).
-func ExpCDF(rate, x float64) float64 {
-	if rate <= 0 {
-		panic(fmt.Sprintf("xrand: ExpCDF with rate=%v", rate))
-	}
-	if x <= 0 {
-		return 0
-	}
-	return -math.Expm1(-rate * x)
 }

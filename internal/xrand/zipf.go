@@ -40,20 +40,6 @@ func NewZipf(k int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// K returns the number of outcomes.
-func (z *Zipf) K() int { return len(z.cdf) }
-
-// Prob returns the probability of outcome i.
-func (z *Zipf) Prob(i int) float64 {
-	if i < 0 || i >= len(z.cdf) {
-		panic(fmt.Sprintf("xrand: Zipf.Prob out of range i=%d k=%d", i, len(z.cdf)))
-	}
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
-}
-
 // Sample draws one outcome using the generator r.
 func (z *Zipf) Sample(r *RNG) int {
 	u := r.Float64()

@@ -5,6 +5,28 @@ import (
 	"testing"
 )
 
+// zipfLaw returns the Zipf(s) law over k outcomes: p_i ∝ (i+1)^{-s}.
+func zipfLaw(k int, s float64) []float64 {
+	p := make([]float64, k)
+	norm := 0.0
+	for i := range p {
+		p[i] = math.Pow(float64(i+1), -s)
+		norm += p[i]
+	}
+	for i := range p {
+		p[i] /= norm
+	}
+	return p
+}
+
+// tableProb returns the probability z's cumulative table gives outcome i.
+func tableProb(z *Zipf, i int) float64 {
+	if i == 0 {
+		return z.cdf[0]
+	}
+	return z.cdf[i] - z.cdf[i-1]
+}
+
 func TestZipfProbabilities(t *testing.T) {
 	for _, c := range []struct {
 		k int
@@ -13,23 +35,18 @@ func TestZipfProbabilities(t *testing.T) {
 		{1, 0}, {1, 2}, {4, 0}, {4, 1}, {8, 1.5}, {32, 0.8}, {100, 2},
 	} {
 		z := NewZipf(c.k, c.s)
-		if z.K() != c.k {
-			t.Fatalf("NewZipf(%d, %v).K() = %d", c.k, c.s, z.K())
+		if len(z.cdf) != c.k {
+			t.Fatalf("NewZipf(%d, %v) has %d outcomes", c.k, c.s, len(z.cdf))
 		}
-		// Probabilities normalize and follow (i+1)^{-s} ratios.
+		// The table's steps normalize and follow (i+1)^{-s} ratios.
 		total := 0.0
-		norm := 0.0
-		for i := 0; i < c.k; i++ {
-			norm += math.Pow(float64(i+1), -c.s)
-		}
-		for i := 0; i < c.k; i++ {
-			p := z.Prob(i)
+		for i, want := range zipfLaw(c.k, c.s) {
+			p := tableProb(z, i)
 			if p <= 0 || p > 1 {
-				t.Fatalf("Zipf(%d, %v).Prob(%d) = %v out of range", c.k, c.s, i, p)
+				t.Fatalf("Zipf(%d, %v) outcome %d has probability %v", c.k, c.s, i, p)
 			}
-			want := math.Pow(float64(i+1), -c.s) / norm
 			if math.Abs(p-want) > 1e-12 {
-				t.Errorf("Zipf(%d, %v).Prob(%d) = %v, want %v", c.k, c.s, i, p, want)
+				t.Errorf("Zipf(%d, %v) outcome %d has probability %v, want %v", c.k, c.s, i, p, want)
 			}
 			total += p
 		}
@@ -42,8 +59,8 @@ func TestZipfProbabilities(t *testing.T) {
 func TestZipfUniformWhenSZero(t *testing.T) {
 	z := NewZipf(10, 0)
 	for i := 0; i < 10; i++ {
-		if math.Abs(z.Prob(i)-0.1) > 1e-12 {
-			t.Fatalf("Zipf(10, 0).Prob(%d) = %v, want 0.1", i, z.Prob(i))
+		if p := tableProb(z, i); math.Abs(p-0.1) > 1e-12 {
+			t.Fatalf("Zipf(10, 0) outcome %d has probability %v, want 0.1", i, p)
 		}
 	}
 }
@@ -61,8 +78,7 @@ func TestZipfSampleDistribution(t *testing.T) {
 		counts[v]++
 	}
 	// Each empirical frequency within 5 sd of its binomial expectation.
-	for i := 0; i < k; i++ {
-		p := z.Prob(i)
+	for i, p := range zipfLaw(k, s) {
 		sd := math.Sqrt(n * p * (1 - p))
 		if d := math.Abs(float64(counts[i]) - n*p); d > 5*sd {
 			t.Errorf("outcome %d: count %d deviates %.1f sd from expectation %.0f",
@@ -78,7 +94,7 @@ func TestZipfSampleDistribution(t *testing.T) {
 func TestZipfOrdering(t *testing.T) {
 	z := NewZipf(10, 1.5)
 	for i := 1; i < 10; i++ {
-		if z.Prob(i) > z.Prob(i-1)+1e-15 {
+		if tableProb(z, i) > tableProb(z, i-1)+1e-15 {
 			t.Errorf("Zipf probs not non-increasing at %d", i)
 		}
 	}
@@ -106,6 +122,4 @@ func TestZipfPanics(t *testing.T) {
 	expectPanic("k=0", func() { NewZipf(0, 1) })
 	expectPanic("negative s", func() { NewZipf(4, -1) })
 	expectPanic("NaN s", func() { NewZipf(4, math.NaN()) })
-	expectPanic("Prob out of range", func() { NewZipf(4, 1).Prob(4) })
-	expectPanic("Prob negative", func() { NewZipf(4, 1).Prob(-1) })
 }
