@@ -1,8 +1,8 @@
 package plurality
 
-// This file maps every reproduction experiment (the E1–E13 index in
-// DESIGN.md — both paper figures plus each measurable claim) to a `go test
-// -bench` target, and adds end-to-end protocol benchmarks so throughput
+// This file maps every reproduction experiment (the E1–E16 index that
+// internal/experiments registers — both paper figures plus each measurable
+// claim) to a `go test -bench` target, and adds end-to-end protocol benchmarks so throughput
 // regressions in the simulator surface in -benchmem output. Benchmarks run
 // the experiments in Quick mode with one replication; cmd/experiments is the
 // way to run them at full size.

@@ -1,6 +1,6 @@
 // Command experiments regenerates the paper's figures and validates its
-// claims (the E1–E13 index of DESIGN.md). Each experiment prints an aligned
-// ASCII table and optionally writes CSV files.
+// claims (the E1–E16 index that `experiments -list` prints). Each experiment
+// prints an aligned ASCII table and optionally writes CSV files.
 //
 // Usage:
 //

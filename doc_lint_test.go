@@ -8,6 +8,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -213,4 +214,51 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		t.Errorf("%d internal exports have no caller outside their own tests; delete them:\n%s",
 			len(dead), strings.Join(dead, "\n"))
 	}
+}
+
+// mdCitation matches a Markdown file name, with any directory prefix, as Go
+// source writes it in comments and strings.
+var mdCitation = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// TestDocsCiteExistingFiles fails when a .go file names a Markdown file that
+// exists neither at the repository root nor beside the citing file, so doc
+// comments and messages cannot point readers at documents the repository
+// does not have. testdata and dot-directories (build output) are skipped.
+func TestDocsCiteExistingFiles(t *testing.T) {
+	var missing []string
+	err := filepath.WalkDir(".", func(file string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			if err == nil && file != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		if !strings.HasSuffix(file, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, doc := range mdCitation.FindAllString(line, -1) {
+				if !fileExists(doc) && !fileExists(filepath.Join(filepath.Dir(file), doc)) {
+					missing = append(missing, fmt.Sprintf("%s:%d: %s", file, i+1, doc))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) > 0 {
+		t.Errorf("%d citations name Markdown files that do not exist:\n%s",
+			len(missing), strings.Join(missing, "\n"))
+	}
+}
+
+func fileExists(name string) bool {
+	fi, err := os.Stat(name)
+	return err == nil && !fi.IsDir()
 }

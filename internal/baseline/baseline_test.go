@@ -232,21 +232,32 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// BenchmarkThreeMajorityRound times whole RunSync 3-majority runs at
+// n=10⁴, k=8, α=2 on the complete graph and on a random 8-regular graph
+// built outside the timer; ns/round divides the time by the rounds run.
 func BenchmarkThreeMajorityRound(b *testing.B) {
-	r := xrand.New(1)
-	rule := &ThreeMajority{R: r}
-	cols := opinion.PlantedBias(10000, 8, 2, r)
-	tp := topo.NewComplete(len(cols))
-	next := make([]opinion.Opinion, len(cols))
-	samples := make([]opinion.Opinion, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for v := range cols {
-			for j := range samples {
-				samples[j] = cols[tp.SampleNeighbor(r, v)]
+	const n, k = 10000, 8
+	rr8, err := topo.NewRandomRegular(n, 8, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cols := opinion.PlantedBias(n, k, 2, xrand.New(1))
+	for _, g := range []struct {
+		name string
+		tp   topo.Sampler
+	}{{"complete", topo.NewComplete(n)}, {"rr8", rr8}} {
+		b.Run(g.name, func(b *testing.B) {
+			rounds := 0
+			for b.Loop() {
+				res, err := RunSync(&ThreeMajority{R: xrand.New(2)}, Config{
+					N: n, K: k, Assignment: cols, Seed: 3, Topo: g.tp, DiscardTrajectory: true,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rounds += res.Rounds
 			}
-			next[v] = rule.Update(cols[v], samples)
-		}
-		cols, next = next, cols
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
+		})
 	}
 }

@@ -38,10 +38,14 @@ func (PullVoting) Samples() int { return 1 }
 
 // Update adopts the sample (undecided samples are ignored).
 func (PullVoting) Update(self opinion.Opinion, s []opinion.Opinion) opinion.Opinion {
-	if s[0] == opinion.None {
+	return pull(self, s[0])
+}
+
+func pull(self, o opinion.Opinion) opinion.Opinion {
+	if o == opinion.None {
 		return self
 	}
-	return s[0]
+	return o
 }
 
 // Name returns "pull-voting".
@@ -58,8 +62,12 @@ func (TwoChoices) Samples() int { return 2 }
 
 // Update adopts the samples' opinion iff they coincide.
 func (TwoChoices) Update(self opinion.Opinion, s []opinion.Opinion) opinion.Opinion {
-	if s[0] == s[1] && s[0] != opinion.None {
-		return s[0]
+	return twoChoices(self, s[0], s[1])
+}
+
+func twoChoices(self, a, b opinion.Opinion) opinion.Opinion {
+	if a == b && a != opinion.None {
+		return a
 	}
 	return self
 }
@@ -81,14 +89,17 @@ func (*ThreeMajority) Samples() int { return 3 }
 
 // Update applies the 3-majority rule of Becchetti et al.
 func (m *ThreeMajority) Update(self opinion.Opinion, s []opinion.Opinion) opinion.Opinion {
-	a, b, c := s[0], s[1], s[2]
+	return threeMajority(s[0], s[1], s[2], m.R)
+}
+
+func threeMajority(a, b, c opinion.Opinion, r *xrand.RNG) opinion.Opinion {
 	switch {
 	case a == b || a == c:
 		return a
 	case b == c:
 		return b
 	default:
-		return s[m.R.Intn(3)]
+		return [3]opinion.Opinion{a, b, c}[r.Intn(3)]
 	}
 }
 
@@ -107,7 +118,10 @@ func (Undecided) Samples() int { return 1 }
 
 // Update applies the undecided-state transition.
 func (Undecided) Update(self opinion.Opinion, s []opinion.Opinion) opinion.Opinion {
-	o := s[0]
+	return undecided(self, s[0])
+}
+
+func undecided(self, o opinion.Opinion) opinion.Opinion {
 	switch {
 	case self == opinion.None && o != opinion.None:
 		return o

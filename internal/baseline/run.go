@@ -195,9 +195,13 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 	samples := make([]opinion.Opinion, nSamples)
 	bs := topo.Batch(cfg.Topo)
 	sc := cfg.scratch()
+	var kern *syncKernel
+	if adv == nil {
+		kern = newSyncKernel(rule, cfg.Topo)
+	}
 	// Nodes per batch-draw chunk: all of a chunk's sample draws go through
-	// one SampleNeighbors call, consuming the stream exactly as the
-	// historical per-node scalar loop.
+	// one SampleNeighbors call (one FillInt32n in kern), consuming the
+	// stream exactly as the historical per-node scalar loop.
 	chunk := 2048
 	if nSamples > 0 {
 		chunk = 4096 / nSamples
@@ -215,6 +219,11 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 				m = cfg.N - base
 			}
 			vs, out := sc.Buffers(m * nSamples)
+			if kern != nil {
+				stepRNG.FillInt32n(kern.bound, out)
+				kern.apply(cols, next, base, out)
+				continue
+			}
 			for i := 0; i < m; i++ {
 				for s := 0; s < nSamples; s++ {
 					vs[i*nSamples+s] = int32(base + i)
@@ -260,6 +269,77 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 		finishAdversarial(res, adv, &crash, cols, plurality)
 	}
 	return res, nil
+}
+
+// syncKernel is RunSync's honest round on the complete graph and on regular
+// graphs, with the graph resolved once per run and the rule once per chunk,
+// never per node. A chunk takes its raw draws in one FillInt32n, as
+// SampleNeighbors would, and the apply loop maps each draw to its neighbour
+// and applies the rule inline: no vs array, transform pass, sample copy or
+// interface call. Adversarial runs, other graphs and third-party rules keep
+// the generic loop.
+type syncKernel struct {
+	rule    Rule
+	bound   int32     // draws are Intn(bound): n-1, or the regular degree
+	rows    topo.Rows // a regular graph's neighbour rows
+	regular bool
+}
+
+// newSyncKernel returns the fast round for rule on g, or nil when either
+// is outside its reach.
+func newSyncKernel(rule Rule, g topo.Sampler) *syncKernel {
+	switch rule.(type) {
+	case PullVoting, Undecided, TwoChoices, *ThreeMajority:
+	default:
+		return nil
+	}
+	k := &syncKernel{rule: rule}
+	switch g := g.(type) {
+	case *topo.Complete:
+		k.bound = int32(g.Size() - 1)
+	case *topo.AdjGraph:
+		k.rows, k.bound = g.Regular()
+		k.regular = k.bound > 0
+	}
+	if k.bound == 0 {
+		return nil
+	}
+	return k
+}
+
+// at maps node v's raw draw u to its neighbour.
+func (k *syncKernel) at(v, u int32) int32 {
+	if k.regular {
+		return k.rows.Neighbor(v, u)
+	}
+	return topo.CompleteNeighbor(v, u)
+}
+
+// apply runs the rule for the chunk of nodes from base whose raw draws,
+// Samples() per node, are draws.
+func (k *syncKernel) apply(cols, next []opinion.Opinion, base int, draws []int32) {
+	v := int32(base)
+	switch r := k.rule.(type) {
+	case PullVoting:
+		for _, u := range draws {
+			next[v] = pull(cols[v], cols[k.at(v, u)])
+			v++
+		}
+	case Undecided:
+		for _, u := range draws {
+			next[v] = undecided(cols[v], cols[k.at(v, u)])
+			v++
+		}
+	case TwoChoices:
+		for i := 0; i+1 < len(draws); i, v = i+2, v+1 {
+			next[v] = twoChoices(cols[v], cols[k.at(v, draws[i])], cols[k.at(v, draws[i+1])])
+		}
+	case *ThreeMajority:
+		for i := 0; i+2 < len(draws); i, v = i+3, v+1 {
+			next[v] = threeMajority(cols[k.at(v, draws[i])], cols[k.at(v, draws[i+1])],
+				cols[k.at(v, draws[i+2])], r.R)
+		}
+	}
 }
 
 // RunSequential drives the rule with the population-protocol scheduler: each

@@ -7,10 +7,9 @@
 // 1/log^c n, cluster size log^{c-1} n with "c sufficiently large"); those
 // exceed n for every laptop-scale n, so the implementation exposes them as
 // explicit knobs whose defaults are polylog in n but calibrated to yield
-// n/polylog(n) clusters for n up to ~10⁶. DESIGN.md documents this
-// substitution; the Theorem 27/28 experiments validate the shape claims
-// (constant broadcast time, O(log log n)-scale formation, near-total
-// coverage) against these scaled knobs.
+// n/polylog(n) clusters for n up to ~10⁶. The Theorem 27/28 experiments
+// validate the shape claims (constant broadcast time, O(log log n)-scale
+// formation, near-total coverage) against these scaled knobs.
 //
 // Formation itself is never checkpointed: the decentralized engine's
 // snapshots embed the finished Clustering (see Clustering.Layout), so a

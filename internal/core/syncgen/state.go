@@ -223,24 +223,36 @@ func (st *state) foldDeltas(nd int) {
 // (16 KiB) instead of round-tripping through the full 2n-element partners
 // array. The draw stream is still node-id order — chunk c draws nodes
 // [c·stepChunk, (c+1)·stepChunk) in order — so it is byte-identical to the
-// staged path.
+// staged path. On the complete graph the chunk holds raw Intn(n-1) draws,
+// which the apply loop maps past the node itself; other graphs fill it
+// with neighbours through SampleNeighbors, and noSelf turns that map into
+// the identity.
 func (st *state) stepFused(r *xrand.RNG, tp topo.BatchSampler, twoChoices bool) {
 	n := st.n
 	packed, next := st.packed, st.next
 	deltaOld, deltaNew := st.deltaOld, st.deltaNew
 	gCap := uint32(st.gCap)
+	_, complete := tp.(*topo.Complete)
+	noSelf := int32(math.MaxInt32)
+	if complete {
+		noSelf = 0
+	}
 	for base := 0; base < n; base += stepChunk {
 		m := stepChunk
 		if base+m > n {
 			m = n - base
 		}
 		vs, out := st.scratch.Buffers(2 * m)
-		for i := 0; i < m; i++ {
-			v := int32(base + i)
-			vs[2*i] = v
-			vs[2*i+1] = v
+		if complete {
+			r.FillInt32n(int32(n-1), out)
+		} else {
+			for i := 0; i < m; i++ {
+				v := int32(base + i)
+				vs[2*i] = v
+				vs[2*i+1] = v
+			}
+			tp.SampleNeighbors(r, vs, out)
 		}
-		tp.SampleNeighbors(r, vs, out)
 		// The inner kernels are written branch-poor on purpose: the swap,
 		// the rule selection and the delta staging all compile to
 		// conditional moves, because a data-dependent mispredict here
@@ -251,9 +263,10 @@ func (st *state) stepFused(r *xrand.RNG, tp topo.BatchSampler, twoChoices bool) 
 		if twoChoices {
 			for i := 0; i < m; i++ {
 				v := base + i
+				self := int32(v) | noSelf
 				w := packed[v]
-				wa := packed[out[2*i]]
-				wb := packed[out[2*i+1]]
+				wa := packed[topo.CompleteNeighbor(self, out[2*i])]
+				wb := packed[topo.CompleteNeighbor(self, out[2*i+1])]
 				// wlog gen(a) >= gen(b) (Algorithm 1 line 2).
 				if wa>>genShift < wb>>genShift {
 					wa, wb = wb, wa
@@ -279,9 +292,10 @@ func (st *state) stepFused(r *xrand.RNG, tp topo.BatchSampler, twoChoices bool) 
 		} else {
 			for i := 0; i < m; i++ {
 				v := base + i
+				self := int32(v) | noSelf
 				w := packed[v]
-				wa := packed[out[2*i]]
-				wb := packed[out[2*i+1]]
+				wa := packed[topo.CompleteNeighbor(self, out[2*i])]
+				wb := packed[topo.CompleteNeighbor(self, out[2*i+1])]
 				if wa>>genShift < wb>>genShift {
 					wa = wb
 				}

@@ -8,8 +8,8 @@ import (
 	"plurality/internal/sim"
 )
 
-// Ablations probes the design choices of the single-leader protocol that
-// DESIGN.md calls out, beyond what the paper evaluates:
+// Ablations probes three design choices of the single-leader protocol,
+// beyond what the paper evaluates:
 //
 //   - the two-choices window C3 (default 2·C1 ≈ two time units,
 //     Proposition 16): shorter windows risk under-populated generations,

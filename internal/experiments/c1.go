@@ -16,7 +16,7 @@ import (
 // documented finding: the remark's numeric bound 10/(3β) does NOT hold (its
 // proof drops the e^{-βx} factor of the Erlang CDF); the true majorant
 // quantile is ≈ 10.53/β, which is also what the paper's own Figure 1 plots.
-// The table reports both so EXPERIMENTS.md can show the discrepancy.
+// The table reports both, so its output shows the discrepancy.
 func C1Constants(o Opts) *harness.Table {
 	o = o.normalize()
 	lambdas := []float64{0.1, 0.25, 0.5, 1, 2, 4}

@@ -1,5 +1,5 @@
-// Package experiments implements the reproduction experiments E1–E13 from
-// DESIGN.md: both figures of the paper and every measurable claim
+// Package experiments implements the reproduction experiments E1–E16 that
+// All lists: both figures of the paper and every measurable claim
 // (theorems, propositions, the γ remark), each as a function returning a
 // rendered table. cmd/experiments exposes them as subcommands; the root
 // bench_test.go wires them to `go test -bench`.

@@ -9,7 +9,7 @@ import (
 
 // Spec describes one registered experiment.
 type Spec struct {
-	// ID is the DESIGN.md experiment id (e.g. "E1").
+	// ID is the experiment's id in the E1–E16 index (e.g. "E1").
 	ID string
 	// Name is the subcommand / bench name.
 	Name string

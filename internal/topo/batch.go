@@ -24,6 +24,14 @@ import (
 // xrand.Fill* bulk primitives (generator state stays in registers), and the
 // per-kind transforms are branch-minimized (compare-and-adjust wraparound,
 // magic-number division instead of hardware divide).
+//
+// The synchronous round kernels go one step further where the neighbour map
+// is a formula (sync on the complete graph, the baselines' RunSync on the
+// complete graph and on regular graphs): they take the raw bounded draws in
+// one FillInt32n per chunk and map each draw to its neighbour inside their
+// apply loop, through CompleteNeighbor and Rows.Neighbor — the same maps the
+// SampleNeighbors methods below use. The stream is consumed draw for draw
+// as by SampleNeighbors, so the invariant above still holds for them.
 
 // BatchSampler is the optional bulk-sampling capability of a Sampler. All
 // built-in topologies implement it; third-party Samplers keep working
@@ -82,17 +90,20 @@ func checkBatchArgs(nvs, nout int) {
 }
 
 // SampleNeighbors fills out with uniform non-self nodes: one bulk
-// Intn(n-1) pass, then a branch-free shift past each vs[i].
+// Intn(n-1) pass, then CompleteNeighbor on each draw.
 func (c *Complete) SampleNeighbors(r *xrand.RNG, vs, out []int32) {
 	checkBatchArgs(len(vs), len(out))
 	r.FillInt32n(int32(c.n-1), out)
 	for i, v := range vs {
-		u := out[i]
-		if u >= v {
-			u++
-		}
-		out[i] = u
+		out[i] = CompleteNeighbor(v, out[i])
 	}
+}
+
+// CompleteNeighbor maps a raw Intn(n-1) draw u to the complete graph's
+// neighbour of v: u below v, u+1 from v on, computed without a branch.
+// A self id no draw reaches, such as math.MaxInt32, maps every u to itself.
+func CompleteNeighbor(v, u int32) int32 {
+	return u + int32(uint32(v-u-1)>>31)
 }
 
 // SampleNeighbors fills out with uniform ring neighbors: one bulk
@@ -157,10 +168,10 @@ func (g *Torus) SampleNeighbors(r *xrand.RNG, vs, out []int32) {
 // bounded draw, still amortizing the virtual call over the slice.
 func (g *AdjGraph) SampleNeighbors(r *xrand.RNG, vs, out []int32) {
 	checkBatchArgs(len(vs), len(out))
-	if g.uniformDeg > 0 {
-		r.FillInt32n(g.uniformDeg, out)
+	if rows, d := g.Regular(); d > 0 {
+		r.FillInt32n(d, out)
 		for i, v := range vs {
-			out[i] = g.adj[g.off[v]+int(out[i])]
+			out[i] = rows.Neighbor(v, out[i])
 		}
 		return
 	}
@@ -168,6 +179,25 @@ func (g *AdjGraph) SampleNeighbors(r *xrand.RNG, vs, out []int32) {
 		lo, hi := g.off[v], g.off[v+1]
 		out[i] = g.adj[lo+int(r.Uint64n(uint64(hi-lo)))]
 	}
+}
+
+// Rows is the neighbour table of a d-regular CSR graph: node v's
+// neighbours are adj[v·d : (v+1)·d].
+type Rows struct {
+	adj []int32
+	d   int32
+}
+
+// Regular returns g's neighbour rows and their common degree d when every
+// node has the same degree (every RandomRegular graph), and d = 0 on
+// mixed-degree graphs. Raw draws for Rows.Neighbor are Intn(d).
+func (g *AdjGraph) Regular() (rows Rows, d int32) {
+	return Rows{adj: g.adj, d: g.uniformDeg}, g.uniformDeg
+}
+
+// Neighbor maps a raw Intn(d) draw u to v's u-th neighbour.
+func (rr Rows) Neighbor(v, u int32) int32 {
+	return rr.adj[int(v)*int(rr.d)+int(u)]
 }
 
 // divMagic performs division by a fixed uint32 divisor via one 64×64→128

@@ -17,8 +17,8 @@ type AdjGraph struct {
 	off  []int
 	adj  []int32
 	// uniformDeg is the common degree when the graph is regular (0 when
-	// degrees are mixed); the batch sampler uses it to draw all row offsets
-	// in one bounded bulk pass.
+	// degrees are mixed); Regular exposes the rows it makes flat, so row
+	// offsets come from one bounded bulk draw.
 	uniformDeg int32
 }
 

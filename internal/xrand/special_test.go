@@ -94,7 +94,7 @@ func TestRemark14Scaling(t *testing.T) {
 		// sampler cannot silently flip this finding.
 		if c1 < 10/(3*beta) {
 			t.Errorf("Remark 14 bound unexpectedly holds at beta=%v; "+
-				"EXPERIMENTS.md finding F-R14 needs revisiting", beta)
+				"the C1Constants finding that the bound fails needs revisiting", beta)
 		}
 	}
 }
