@@ -43,8 +43,8 @@ const (
 //     are folded: knobs whose defaults are engine-internal (Eps, the
 //     MaxSteps/MaxTime horizons, RecordEvery) encode verbatim.
 //
-// Runtime-only fields (Observer, CheckpointSpec.Sink, internal batch
-// scratch) never enter the encoding. Equal encodings imply equal Results
+// Runtime-only fields (Observer, CheckpointSpec.Sink and .Every, internal
+// batch scratch) never enter the encoding. Equal encodings imply equal Results
 // for every registered protocol under the same protocol name; the converse
 // does not hold (two specs may differ only in a field the chosen protocol
 // ignores).
@@ -113,6 +113,7 @@ func (s Spec) normalizedForKey() (Spec, error) {
 	s.Observer = nil
 	s.scratch = nil
 	s.Checkpoint.Sink = nil
+	s.Checkpoint.Every = 0
 	if s.Assignment != nil {
 		s.Alpha = 0 // an explicit assignment makes the planted bias moot
 	} else if s.Alpha == 0 {

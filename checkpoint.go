@@ -71,10 +71,18 @@ type CheckpointSpec struct {
 	// the run continues to its normal end and the snapshot is a pure side
 	// effect.
 	Halt bool `json:"halt,omitempty"`
-	// Sink, when non-nil, receives the snapshot the moment it is taken —
-	// the streaming observer of the checkpoint subsystem. The snapshot is
-	// also attached to Result.Snapshot either way. Runtime-only: not
-	// serialized into checkpoint metadata.
+	// Every, when > 0, makes capture periodic from the first capture at
+	// SnapshotAt: after a capture at native time t the next is taken the first time the clock reaches t + Every,
+	// until the run ends. Each capture is the snapshot a chain of halted
+	// runs would have taken there, each resumed with SnapshotAt = t + Every,
+	// and the run's Result is that of an uninterrupted run. Must be finite
+	// and >= 0; ignored when Halt is set. Runtime-only, like Sink: no wire
+	// form, and not part of CanonicalBytes or checkpoint metadata.
+	Every float64 `json:"-"`
+	// Sink, when non-nil, receives each snapshot the moment it is taken —
+	// the streaming observer of the checkpoint subsystem. The last snapshot
+	// taken is also attached to Result.Snapshot either way. Runtime-only:
+	// not serialized into checkpoint metadata.
 	Sink func(*Snapshot) `json:"-"`
 }
 

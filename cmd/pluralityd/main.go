@@ -6,9 +6,12 @@
 // store — a resubmitted or overlapping sweep is served byte-identically
 // with zero simulation work.
 //
-// With -store set, state survives restarts: sweep manifests and checkpoint
-// segments persist there, SIGTERM drains in-flight work to snapshots, and
-// the next boot resumes every unfinished sweep where it left off.
+// With -store set, state survives restarts: sweep manifests, cached results
+// and periodic job snapshots persist there, SIGTERM drains in-flight work to
+// snapshots, and the next boot resumes every unfinished sweep where it left
+// off. Cached results and snapshots are written in the background, off the
+// request path; a graceful drain flushes them, while a crash can lose the
+// last few (the lost work is recomputed, with the same results).
 //
 // Usage:
 //
@@ -47,7 +50,7 @@ func main() {
 		storeDir = flag.String("store", "", "persistence directory (result cache, sweep manifests, checkpoint segments); empty runs in memory only")
 		workers  = flag.Int("workers", 0, "simulation worker pool bound; 0 means GOMAXPROCS")
 		queueCap = flag.Int("queue-cap", 0, "admission queue capacity (jobs); submissions beyond it get 429; 0 means 4096")
-		ckptEvry = flag.Float64("checkpoint-every", 256, "checkpoint segment length in the protocol's native clock (virtual time or rounds); 0 disables segmentation")
+		ckptEvry = flag.Float64("checkpoint-every", 256, "snapshot period of a running job in the protocol's native clock (virtual time or rounds): each job captures and persists a snapshot this often, so a restart loses at most one period of its work; 0 disables the snapshots")
 		drainFor = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget: time to let in-flight jobs finish their current checkpoint segment")
 	)
 	flag.Parse()
@@ -83,8 +86,9 @@ func main() {
 	}
 
 	// Graceful drain: first suspend the simulation pool (in-flight jobs
-	// persist their current segment; open streams are told to reconnect
-	// after restart), then close the listener and let handlers finish.
+	// persist a snapshot at their next capture; open streams are told to
+	// reconnect after restart) and flush the queued disk writes, then close
+	// the listener and let handlers finish.
 	fmt.Fprintln(os.Stderr, "pluralityd: draining")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainFor)
 	defer cancel()

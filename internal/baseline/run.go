@@ -190,7 +190,7 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 	} else {
 		record(0)
 	}
-	captured := false
+	due := cfg.Ckpt.Due()
 	nSamples := rule.Samples()
 	samples := make([]opinion.Opinion, nSamples)
 	bs := topo.Batch(cfg.Topo)
@@ -251,12 +251,12 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 		if round%cfg.RecordEvery == 0 || done {
 			record(round)
 		}
-		if ck := cfg.Ckpt; ck.Capturing() && !captured && !done && float64(round) >= ck.At {
+		if ck := cfg.Ckpt; !done && float64(round) >= due {
 			ck.Sink(st.capture(round, res.Rounds, cols), float64(round), 0)
-			captured = true
 			if ck.Halt {
 				break
 			}
+			due = ck.Next(float64(round))
 		}
 		if done {
 			break
@@ -375,7 +375,7 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 	} else {
 		record(0)
 	}
-	captured := false
+	due := cfg.Ckpt.Due()
 	nSamples := rule.Samples()
 	samples := make([]opinion.Opinion, nSamples)
 	bs := topo.Batch(cfg.Topo)
@@ -414,13 +414,13 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 			record(round)
 			done = settled(cols, cfg.K, adv, &crash)
 		}
-		if ck := cfg.Ckpt; ck.Capturing() && !captured && !done &&
-			float64(it) >= ck.At*float64(cfg.N) {
-			ck.Sink(st.capture(it, res.Rounds, cols), float64(it)/float64(cfg.N), 0)
-			captured = true
+		if ck := cfg.Ckpt; !done && float64(it) >= due*float64(cfg.N) {
+			at := float64(it) / float64(cfg.N)
+			ck.Sink(st.capture(it, res.Rounds, cols), at, 0)
 			if ck.Halt {
 				break
 			}
+			due = ck.Next(at)
 		}
 		if done {
 			break

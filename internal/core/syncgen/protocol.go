@@ -71,7 +71,7 @@ type Config struct {
 	// latency to stretch. Crash times and churn gaps are measured in rounds.
 	Adv adversary.Config
 	// Ckpt requests a state capture at the first completed step >= Ckpt.At
-	// and/or resumes from one; nil disables checkpointing. See
+	// (then every Ckpt.Every steps after it, if set) and/or resumes from one; nil disables checkpointing. See
 	// snap.Checkpoint for the semantics shared by every engine.
 	Ckpt *snap.Checkpoint
 	// Scratch optionally supplies reusable batch-sampling buffers; nil
@@ -232,7 +232,7 @@ func Run(cfg Config) (*Result, error) {
 	} else {
 		record(0)
 	}
-	captured := false
+	due := cfg.Ckpt.Due()
 	for step := startStep; step <= maxSteps; step++ {
 		if cfg.Ctx != nil {
 			select {
@@ -272,12 +272,12 @@ func Run(cfg Config) (*Result, error) {
 			record(step)
 		}
 		res.Steps = step
-		if ck := cfg.Ckpt; ck.Capturing() && !captured && !done && float64(step) >= ck.At {
+		if ck := cfg.Ckpt; !done && float64(step) >= due {
 			ck.Sink(st.capture(step, nextTheoretical, stepRNG, rec, res), float64(step), 0)
-			captured = true
 			if ck.Halt {
 				break
 			}
+			due = ck.Next(float64(step))
 		}
 		if done {
 			break

@@ -95,6 +95,6 @@ func fromCountsShuffled(counts []int, r *xrand.RNG) []Opinion {
 			a = append(a, Opinion(op))
 		}
 	}
-	r.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+	xrand.ShuffleSlice(r, a)
 	return a
 }

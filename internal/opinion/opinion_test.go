@@ -186,7 +186,7 @@ func TestBiasPermutationInvariant(t *testing.T) {
 		r := xrand.New(seed)
 		a := PlantedBias(500, 4, 2, r)
 		c1 := CountOf(a, 4)
-		r.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+		xrand.ShuffleSlice(r, a)
 		c2 := CountOf(a, 4)
 		return c1.Bias() == c2.Bias()
 	}

@@ -8,9 +8,9 @@
 // byte-identically and instantly, with zero simulation work.
 //
 // Jobs survive restarts: sweep manifests persist on submission, long cells
-// run as checkpoint segments whose snapshots land in the store, graceful
-// shutdown drains in-flight cells to their latest snapshot, and the next
-// boot recovers every unfinished sweep and resumes its missing jobs —
+// capture periodic snapshots that land in the store, graceful shutdown
+// drains in-flight cells to their latest snapshot, and the next boot
+// recovers every unfinished sweep and resumes its missing jobs —
 // cached jobs are never recomputed, snapshotted jobs continue via Resume
 // rather than restarting. Determinism is the product guarantee: a cell
 // served from cache, computed fresh, or completed across a restart is the
@@ -90,8 +90,8 @@ type SweepStatus struct {
 }
 
 // Stats is the body of GET /v1/stats: the server's monotonic work counters
-// plus the current pool load. EventsSimulated not moving across a
-// resubmission is the observable proof the cache served it.
+// plus the current pool load and disk backlog. EventsSimulated not moving
+// across a resubmission is the observable proof the cache served it.
 type Stats struct {
 	JobsComputed    uint64 `json:"jobs_computed"`
 	JobsCached      uint64 `json:"jobs_cached"`
@@ -99,6 +99,9 @@ type Stats struct {
 	EventsSimulated uint64 `json:"events_simulated"`
 	QueuedJobs      int    `json:"queued_jobs"`
 	RunningJobs     int    `json:"running_jobs"`
+	// PendingWrites counts the cache and snapshot file writes queued for
+	// the disk or in flight; 0 means the disk holds everything served.
+	PendingWrites int `json:"pending_writes"`
 }
 
 // streamTrailer is the final NDJSON line of a completed sweep stream.

@@ -66,11 +66,13 @@ func decodeMetrics(b []byte) (map[string]float64, error) {
 // results survive restarts. Writes go through a temp file + rename, so a
 // crash can truncate at most a temp file, never a published entry; a blob,
 // once published, is never rewritten — content addresses make overwrites
-// meaningless.
+// meaningless. A Cache built by NewCache writes its disk copy before Put
+// returns; a Server's cache hands it to the server's write-behind writer.
 type Cache struct {
 	mu  sync.RWMutex
 	mem map[string][]byte
-	dir string // "" means memory-only
+	dir string  // "" means memory-only
+	w   *writer // nil writes synchronously
 }
 
 // NewCache opens (creating if needed) a cache rooted at dir; dir "" builds
@@ -111,8 +113,9 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return b, true
 }
 
-// Put publishes blob under key. The blob is copied, so callers may reuse
-// their buffer.
+// Put publishes blob under key: in memory at once, so a Get right after
+// it hits, and on disk before it returns or, in a Server, in the
+// background. The blob is copied, so callers may reuse their buffer.
 func (c *Cache) Put(key string, blob []byte) error {
 	cp := append([]byte(nil), blob...)
 	c.mu.Lock()
@@ -124,26 +127,9 @@ func (c *Cache) Put(key string, blob []byte) error {
 	if exists || c.dir == "" || len(key) < 3 {
 		return nil
 	}
-	dir := filepath.Dir(c.path(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("server: creating cache shard: %w", err)
+	if c.w != nil {
+		c.w.put(c.path(key), cp)
+		return nil
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("server: staging cache entry: %w", err)
-	}
-	if _, err := tmp.Write(cp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: writing cache entry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: closing cache entry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: publishing cache entry: %w", err)
-	}
-	return nil
+	return writeFileAtomic(c.path(key), cp, "cache entry")
 }

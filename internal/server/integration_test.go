@@ -287,12 +287,13 @@ func waitIdleAny(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		q, r := s.pool.Pending()
-		if q == 0 && r == 0 {
+		st := s.Stats()
+		if st.QueuedJobs == 0 && st.RunningJobs == 0 && st.PendingWrites == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("pool never went idle (%d queued, %d running)", q, r)
+			t.Fatalf("server never went idle (%d queued, %d running, %d pending writes)",
+				st.QueuedJobs, st.RunningJobs, st.PendingWrites)
 		}
 		time.Sleep(time.Millisecond)
 	}

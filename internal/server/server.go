@@ -29,11 +29,12 @@ type Config struct {
 	// it are refused with 429. <= 0 means 4096.
 	QueueCap int
 	// CheckpointEvery is the checkpoint segment length in the protocol's
-	// native clock (virtual time or rounds): jobs run as a chain of
-	// Halt-at-SnapshotAt segments, persisting a snapshot after each, so a
-	// shutdown loses at most one segment of work. <= 0 disables
-	// segmentation (jobs run to completion in one piece). Ignored without
-	// a persistence Dir.
+	// native clock (virtual time or rounds): each job runs as one
+	// simulation that captures a snapshot every CheckpointEvery
+	// (CheckpointSpec.Every) and persists it, so a shutdown loses at most
+	// one segment of work. <= 0 disables capture (jobs run to completion
+	// with nothing persisted on the way). Ignored without a persistence
+	// Dir.
 	CheckpointEvery float64
 	// MaxBodyBytes bounds request bodies; <= 0 means 8 MiB.
 	MaxBodyBytes int64
@@ -46,12 +47,20 @@ var errSuspended = errors.New("server: job suspended for shutdown")
 // Server is the pluralityd serving core: HTTP handlers over a bounded
 // worker pool, a content-addressed result cache and a restart-safe store.
 // Construct with New, serve Handler(), stop with Shutdown.
+//
+// Cache entries and job snapshots reach the disk through one write-behind
+// writer, so no request waits on a file write; sweep manifests are written
+// before a submission is acknowledged. A graceful Shutdown flushes every
+// queued write. A crash can lose the queued ones: a lost cache entry is
+// recomputed, and a lost snapshot resumes its job from an older snapshot
+// or from scratch — the results are the same either way.
 type Server struct {
-	cfg   Config
-	pool  *harness.Pool
-	cache *Cache
-	store *Store
-	mux   *http.ServeMux
+	cfg    Config
+	pool   *harness.Pool
+	cache  *Cache
+	store  *Store
+	writer *writer // nil without a persistence Dir
+	mux    *http.ServeMux
 
 	mu     sync.Mutex
 	sweeps map[string]*sweepState
@@ -64,9 +73,10 @@ type Server struct {
 	segmentsRun     atomic.Uint64
 	eventsSimulated atomic.Uint64
 
-	// testMaxSegments, when positive, suspends every job after that many
-	// checkpoint segments — the deterministic stand-in for "SIGTERM arrived
-	// mid-job" in the restart-resume tests.
+	// testMaxSegments, when positive, suspends every job at its
+	// testMaxSegments-th checkpoint capture, after persisting it — the
+	// deterministic stand-in for "SIGTERM arrived mid-job" in the
+	// restart-resume tests.
 	testMaxSegments int
 }
 
@@ -101,6 +111,10 @@ func New(cfg Config) (*Server, error) {
 		sweeps:  make(map[string]*sweepState),
 		drainCh: make(chan struct{}),
 	}
+	if cfg.Dir != "" {
+		s.writer = newWriter()
+		cache.w, store.w = s.writer, s.writer
+	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/protocols", s.handleProtocols)
@@ -110,6 +124,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepStatus)
 	s.mux.HandleFunc("GET /v1/sweeps/{id}/stream", s.handleSweepStream)
 	if err := s.recoverSweeps(); err != nil {
+		s.writer.close()
 		return nil, err
 	}
 	return s, nil
@@ -128,19 +143,24 @@ func (s *Server) Stats() Stats {
 		EventsSimulated: s.eventsSimulated.Load(),
 		QueuedJobs:      queued,
 		RunningJobs:     running,
+		PendingWrites:   s.writer.pending(),
 	}
 }
 
 // Shutdown drains the server gracefully: admission stops (new work gets
 // 503, open streams are told to reconnect after restart), in-flight jobs
-// finish their current checkpoint segment, persist it and suspend. When ctx
+// run to their next checkpoint capture, persist it and suspend. When ctx
 // expires first, outstanding job contexts are cancelled — the last persisted
 // segment still resumes on next boot, only the segment in flight is lost.
+// Once the pool has drained, every queued cache and snapshot write is
+// flushed to disk and the writer stops, before Shutdown returns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.draining.CompareAndSwap(false, true) {
 		close(s.drainCh)
 	}
-	return s.pool.Drain(ctx)
+	err := s.pool.Drain(ctx)
+	s.writer.close()
+	return err
 }
 
 // recoverSweeps re-registers every persisted sweep at boot. Manifests store
@@ -149,31 +169,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // probe then replays finished jobs and only the rest is enqueued.
 func (s *Server) recoverSweeps() error {
 	for _, m := range s.store.LoadManifests() {
-		if _, _, err := s.registerSweep(m.Request); err != nil {
+		plan, keys, err := planSweep(m.Request)
+		if err == nil {
+			_, _, err = s.registerSweep(m.Request, plan, keys)
+		}
+		if err != nil {
 			return fmt.Errorf("server: recovering sweep %s: %w", m.ID, err)
 		}
 	}
 	return nil
 }
 
-// registerSweep plans, deduplicates, cache-probes and enqueues a sweep
+// registerSweep deduplicates, cache-probes and enqueues a planned sweep
 // submission. The returned status code is the HTTP code a handler should
-// fail with when err != nil (400 for bad requests, 429 when admission is
-// refused, 503 while draining).
-func (s *Server) registerSweep(req SweepRequest) (*sweepState, int, error) {
-	plan, err := req.Config().Plan()
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	keys := make([]string, plan.Jobs())
-	tmp := &sweepState{plan: plan} // jobSpec needs only the plan
-	for job := range keys {
-		key, err := jobKey("cell", plan.Protocol, tmp.jobSpec(job))
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		keys[job] = key
-	}
+// fail with when err != nil (429 when admission is refused, 503 while
+// draining).
+func (s *Server) registerSweep(req SweepRequest, plan *plurality.SweepPlan, keys []string) (*sweepState, int, error) {
 	id := sweepID(plan.Protocol, plan.Reps, keys)
 
 	s.mu.Lock()
@@ -267,12 +278,14 @@ func (s *Server) finishJob(st *sweepState, job int, m map[string]float64, cached
 	}
 }
 
-// compute runs one job to completion, as a chain of checkpoint segments
-// when segmentation is on: run (or resume) with Halt at the next
-// SnapshotAt, persist the captured snapshot, repeat. A draining server
-// suspends between segments with its progress already durable; the final
-// segment returns the complete Result — bit-identical to an uninterrupted
-// run, which is the snapshot subsystem's roundtrip guarantee.
+// compute runs one job to completion. With segmentation on it is one
+// simulation whose periodic captures (CheckpointSpec.Every) are persisted
+// as they are taken, or one Resume of a snapshot an earlier boot persisted.
+// Every capture counts as a segment, and so does the final piece. A
+// draining server suspends the job at its next capture, once that capture
+// is persisted; a job that finishes anyway returns its Result, which is
+// bit-identical to an uninterrupted run's — the snapshot subsystem's
+// roundtrip guarantee. The returned Result carries no Snapshot.
 func (s *Server) compute(ctx context.Context, protocol string, spec plurality.Spec, key string) (*plurality.Result, error) {
 	every := s.cfg.CheckpointEvery
 	segmented := every > 0 && s.store != nil
@@ -281,59 +294,61 @@ func (s *Server) compute(ctx context.Context, protocol string, spec plurality.Sp
 			segmented = false
 		}
 	}
-	var snap *plurality.Snapshot
-	if segmented {
-		if blob := s.store.LoadJobSnapshot(key); blob != nil {
-			if dec, err := plurality.DecodeSnapshot(blob); err == nil {
-				snap = dec // resume an earlier boot's progress
+	var (
+		res *plurality.Result
+		err error
+	)
+	if !segmented {
+		res, err = plurality.Run(ctx, protocol, spec)
+	} else {
+		var from *plurality.Snapshot
+		stored := s.store.LoadJobSnapshot(key)
+		if stored != nil {
+			if dec, err := plurality.DecodeSnapshot(stored); err == nil {
+				from = dec // resume an earlier boot's progress
 			}
 			// Undecodable snapshots (version skew, torn write despite the
 			// rename protocol) just recompute from scratch.
 		}
-	}
-	segments := 0
-	for {
-		if s.draining.Load() && snap != nil {
+		if from != nil && s.draining.Load() {
 			return nil, errSuspended
 		}
-		var (
-			res *plurality.Result
-			err error
-		)
-		if snap == nil {
-			runSpec := spec
-			if segmented {
-				runSpec.Checkpoint = plurality.CheckpointSpec{SnapshotAt: every, Halt: true}
+		jctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		captures, suspended := 0, false
+		ck := plurality.CheckpointSpec{SnapshotAt: every, Every: every, Sink: func(sn *plurality.Snapshot) {
+			if blob, err := sn.Encode(); err == nil {
+				_ = s.store.SaveJobSnapshot(key, blob) // a failure only costs restart resume
 			}
-			res, err = plurality.Run(ctx, protocol, runSpec)
+			s.segmentsRun.Add(1)
+			captures++
+			if s.draining.Load() || (s.testMaxSegments > 0 && captures >= s.testMaxSegments) {
+				suspended = true
+				cancel()
+			}
+		}}
+		if from == nil {
+			spec.Checkpoint = ck
+			res, err = plurality.Run(jctx, protocol, spec)
 		} else {
-			opts := &plurality.ResumeOptions{DiscardTrajectory: spec.DiscardTrajectory}
-			if segmented {
-				opts.Checkpoint = plurality.CheckpointSpec{SnapshotAt: snap.Meta().Time + every, Halt: true}
-			}
-			res, err = plurality.Resume(ctx, snap, opts)
+			ck.SnapshotAt = from.Meta().Time + every
+			res, err = plurality.Resume(jctx, from, &plurality.ResumeOptions{
+				DiscardTrajectory: spec.DiscardTrajectory, Checkpoint: ck})
 		}
-		if err != nil {
-			return nil, err
+		if err != nil && suspended {
+			return nil, errSuspended // progress persisted; the next boot resumes it
 		}
-		s.segmentsRun.Add(1)
-		segments++
-		if res.Snapshot != nil { // halted at the segment boundary
-			snap = res.Snapshot
-			if blob, err := snap.Encode(); err == nil {
-				if err := s.store.SaveJobSnapshot(key, blob); err != nil {
-					_ = err // persistence failure only costs restart resume
-				}
-			}
-			if s.testMaxSegments > 0 && segments >= s.testMaxSegments {
-				return nil, errSuspended
-			}
-			continue
+		if err == nil && (stored != nil || captures > 0) {
+			s.store.DeleteJobSnapshot(key)
 		}
-		s.eventsSimulated.Add(resultEvents(res, spec.N))
-		s.store.DeleteJobSnapshot(key)
-		return res, nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.Snapshot = nil
+	s.segmentsRun.Add(1)
+	s.eventsSimulated.Add(resultEvents(res, spec.N))
+	return res, nil
 }
 
 // resultEvents is the run's work metric: executed kernel events for
@@ -388,17 +403,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // response body is the complete Result JSON; the X-Plurality-Cache header
 // says which path served it.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if !decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
-		return
-	}
-	spec := req.Spec
-	spec.Checkpoint = plurality.CheckpointSpec{} // the serving layer owns checkpointing
-	if _, err := plurality.Lookup(req.Protocol); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	key, err := jobKey("run", req.Protocol, spec)
+	req, key, err := admitRun(r.Body, s.cfg.MaxBodyBytes)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -419,7 +424,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		runErr error
 	)
 	h, ok := s.pool.TrySubmit(func(ctx context.Context, _ any) error {
-		res, runErr = s.compute(ctx, req.Protocol, spec, key)
+		res, runErr = s.compute(ctx, req.Protocol, req.Spec, key)
 		return nil
 	})
 	if !ok {
@@ -457,11 +462,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // handleSweepSubmit registers a sweep and — unless ?async=1 asked for just
 // the ID — streams its cells as NDJSON, in grid order, as they complete.
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !decodeBody(w, r, s.cfg.MaxBodyBytes, &req) {
+	req, plan, keys, err := admitSweep(r.Body, s.cfg.MaxBodyBytes, s.cfg.QueueCap)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	st, code, err := s.registerSweep(req)
+	st, code, err := s.registerSweep(req, plan, keys)
 	if err != nil {
 		if code == http.StatusTooManyRequests {
 			s.refuse(w)
@@ -561,18 +567,6 @@ func (s *Server) refuse(w http.ResponseWriter) {
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
 	http.Error(w, "queue full, retry later", http.StatusTooManyRequests)
-}
-
-// decodeBody parses a bounded JSON request body, rejecting unknown fields
-// so spec typos fail loudly instead of silently running the default.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

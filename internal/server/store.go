@@ -26,8 +26,11 @@ type Manifest struct {
 // per-job checkpoint snapshots of in-flight cells. A nil *Store (no
 // persistence directory configured) is valid and makes every method a
 // no-op, so the serving paths never branch on persistence being enabled.
+// Manifests are always written before SaveManifest returns; a Server's
+// store hands snapshot writes to the server's write-behind writer.
 type Store struct {
 	dir string
+	w   *writer // nil writes snapshots synchronously
 }
 
 // NewStore opens (creating if needed) a store rooted at dir; dir "" returns
@@ -54,25 +57,7 @@ func (s *Store) SaveManifest(m Manifest) error {
 	if err != nil {
 		return fmt.Errorf("server: encoding manifest: %w", err)
 	}
-	path := filepath.Join(s.dir, "sweeps", m.ID+".json")
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("server: staging manifest: %w", err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: writing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: closing manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: publishing manifest: %w", err)
-	}
-	return nil
+	return writeFileAtomic(filepath.Join(s.dir, "sweeps", m.ID+".json"), b, "manifest")
 }
 
 // LoadManifests returns every persisted sweep manifest, unreadable entries
@@ -104,36 +89,29 @@ func (s *Store) LoadManifests() []Manifest {
 }
 
 // SaveJobSnapshot persists the latest checkpoint segment of an in-flight
-// job under its cache key, replacing any earlier segment.
+// job under its cache key, replacing any earlier segment. blob must not
+// change afterwards.
 func (s *Store) SaveJobSnapshot(key string, blob []byte) error {
 	if s == nil {
 		return nil
 	}
-	path := s.snapPath(key)
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("server: staging snapshot: %w", err)
+	if s.w != nil {
+		s.w.save(s.snapPath(key), blob)
+		return nil
 	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: writing snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: publishing snapshot: %w", err)
-	}
-	return nil
+	return writeFileAtomic(s.snapPath(key), blob, "snapshot")
 }
 
-// LoadJobSnapshot returns the persisted snapshot blob for a job, or nil.
+// LoadJobSnapshot returns the persisted snapshot blob for a job, or nil. A
+// save or delete still queued for the disk is seen first.
 func (s *Store) LoadJobSnapshot(key string) []byte {
 	if s == nil {
 		return nil
+	}
+	if s.w != nil {
+		if b, ok := s.w.load(s.snapPath(key)); ok {
+			return b
+		}
 	}
 	b, err := os.ReadFile(s.snapPath(key))
 	if err != nil {
@@ -146,6 +124,10 @@ func (s *Store) LoadJobSnapshot(key string) []byte {
 // (its result now lives in the cache).
 func (s *Store) DeleteJobSnapshot(key string) {
 	if s == nil {
+		return
+	}
+	if s.w != nil {
+		s.w.remove(s.snapPath(key))
 		return
 	}
 	os.Remove(s.snapPath(key))

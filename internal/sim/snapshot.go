@@ -188,21 +188,27 @@ func (s *Simulator) RunContextTo(ctx context.Context, t float64) error {
 
 // RunCheckpointed drives s to completion while honouring a pending
 // checkpoint request — the shared barrier sequence of every engine: events
-// scheduled at or before ck.At run first, then (if the run is still live
-// and has pending work) capture produces the engine payload, the sink
+// scheduled at or before the due time run first, then (if the run is still
+// live and has pending work) capture produces the engine payload, the sink
 // receives it, and ck.Halt optionally stops the run before the remainder
-// executes. A nil or capture-less ck degrades to plain RunContext.
+// executes; without Halt the capture re-arms at ck.Next. A capture draws no
+// randomness and takes no seq, so the run is the same with or without it.
+// A nil or capture-less ck degrades to plain RunContext.
 func RunCheckpointed(ctx context.Context, s *Simulator, ck *snap.Checkpoint, capture func() []byte) error {
-	if ck.Capturing() {
-		if err := s.RunContextTo(ctx, ck.At); err != nil {
+	for due := ck.Due(); !math.IsInf(due, 1); {
+		if err := s.RunContextTo(ctx, due); err != nil {
 			return err
 		}
-		if !s.Stopped() && s.Pending() > 0 {
-			ck.Sink(capture(), s.Now(), s.Processed())
-			if ck.Halt {
-				s.Stop()
-			}
+		if s.Stopped() || s.Pending() == 0 {
+			break
 		}
+		at := s.Now()
+		ck.Sink(capture(), at, s.Processed())
+		if ck.Halt {
+			s.Stop()
+			break
+		}
+		due = ck.Next(at)
 	}
 	return s.RunContext(ctx)
 }

@@ -60,6 +60,12 @@ type Checkpoint struct {
 	// its (partial) result through the normal path. Without Halt the run
 	// continues to its regular end and the snapshot is a pure side effect.
 	Halt bool
+	// Every, when > 0 and Halt is unset, re-arms the capture: after a
+	// capture at native time t the next one is due at t + Every, under the
+	// same rule as At. That is where a chain of halted runs, each resumed
+	// with At = t + Every, would capture, and every capture's payload is
+	// the one that chain would have taken. 0 captures once.
+	Every float64
 	// Sink receives the captured engine state: the engine-encoded payload,
 	// the native-clock value at capture, and the number of kernel events
 	// executed so far (0 for round-based engines).
@@ -78,8 +84,23 @@ type Checkpoint struct {
 	Perturb uint64
 }
 
-// Capturing reports whether a capture was requested.
-func (c *Checkpoint) Capturing() bool { return c != nil && c.Sink != nil && c.At > 0 }
+// Due returns the native time of the first capture, or +Inf when none was
+// requested (a nil request, a nil Sink or At 0).
+func (c *Checkpoint) Due() float64 {
+	if c == nil || c.Sink == nil || c.At <= 0 {
+		return math.Inf(1)
+	}
+	return c.At
+}
+
+// Next returns the native time of the capture after one taken at t, or
+// +Inf when the request was for a single capture (Every 0, or Halt).
+func (c *Checkpoint) Next(t float64) float64 {
+	if c.Halt || !(c.Every > 0) {
+		return math.Inf(1)
+	}
+	return t + c.Every
+}
 
 // Restoring reports whether a restore payload is present.
 func (c *Checkpoint) Restoring() bool { return c != nil && c.Restore != nil }

@@ -155,7 +155,7 @@ func NewRandomRegular(n, d int, seed uint64) (*AdjGraph, error) {
 		for i := range stubs {
 			stubs[i] = int32(i / d)
 		}
-		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		xrand.ShuffleSlice(r, stubs)
 		clear(cnt)
 		clear(isBad)
 		edges, bad = edges[:0], bad[:0]

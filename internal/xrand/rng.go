@@ -209,20 +209,31 @@ func (r *RNG) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	ShuffleSlice(r, p)
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using the Fisher-Yates
-// shuffle. swap exchanges the elements with indexes i and j.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	if n < 0 {
-		panic("xrand: Shuffle with negative n")
+// ShuffleSlice pseudo-randomizes the order of a's elements with the
+// Fisher-Yates shuffle: for i from len(a)-1 down to 1 it swaps a[i] with
+// a[j], j = Intn(i+1). It draws exactly as those Intn calls do, with the
+// generator state held in locals for the whole pass.
+func ShuffleSlice[T any](r *RNG, a []T) {
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for i := len(a) - 1; i > 0; i-- {
+		un := uint64(i + 1)
+		var v uint64
+		v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		hi, lo := bits.Mul64(v, un)
+		if lo < un {
+			threshold := -un % un
+			for lo < threshold {
+				v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+				hi, lo = bits.Mul64(v, un)
+			}
+		}
+		a[i], a[hi] = a[hi], a[i]
 	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
 }
 
 // Exp returns an exponentially distributed sample with rate lambda

@@ -249,3 +249,35 @@ func BenchmarkExp(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestShuffleSliceEquivalence pins ShuffleSlice to the closure-based
+// Fisher-Yates it replaced: the same permutation and the same generator
+// state afterwards, so every caller's stream is unchanged.
+func TestShuffleSliceEquivalence(t *testing.T) {
+	reference := func(r *RNG, n int, swap func(i, j int)) {
+		for i := n - 1; i > 0; i-- {
+			swap(i, r.Intn(i+1))
+		}
+	}
+	for _, n := range []int{0, 1, 2, 3, 1000, 100003} {
+		for _, seed := range []uint64{1, 99} {
+			want := make([]int32, n)
+			got := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
+				got[i] = int32(i)
+			}
+			ra, rb := New(seed), New(seed)
+			reference(ra, n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			ShuffleSlice(rb, got)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d seed=%d: element %d is %d, reference %d", n, seed, i, got[i], want[i])
+				}
+			}
+			if ra.State() != rb.State() {
+				t.Fatalf("n=%d seed=%d: generator state differs after the shuffle", n, seed)
+			}
+		}
+	}
+}

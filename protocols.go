@@ -48,7 +48,7 @@ func (s *Spec) observe() func(metrics.Point) {
 // engineCheckpoint translates the public checkpoint request (and/or a
 // resume payload) into the engines' internal form, wiring the capture sink
 // so engine payloads come back wrapped as public Snapshots. captured
-// receives the snapshot taken during the run, if any; the stored spec has
+// receives the last snapshot taken during the run, if any; the stored spec has
 // its runtime-only fields (Observer, Checkpoint, scratch, graph) cleared,
 // and the run's sampler tp rides along on the Snapshot in memory only.
 func engineCheckpoint(name string, spec Spec, tp topo.Sampler, restore []byte, perturb uint64, captured **Snapshot) *snap.Checkpoint {
@@ -65,6 +65,7 @@ func engineCheckpoint(name string, spec Spec, tp topo.Sampler, restore []byte, p
 		metaSpec.graph = nil
 		ck.At = cs.SnapshotAt
 		ck.Halt = cs.Halt
+		ck.Every = cs.Every
 		out := captured
 		sink := cs.Sink
 		ck.Sink = func(state []byte, at float64, events uint64) {

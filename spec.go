@@ -225,6 +225,9 @@ func (s *Spec) check(tp topo.Sampler, draw bool) (topo.Sampler, error) {
 	if at := s.Checkpoint.SnapshotAt; at < 0 || math.IsNaN(at) || math.IsInf(at, 0) {
 		return nil, fmt.Errorf("plurality: invalid Checkpoint.SnapshotAt %v", at)
 	}
+	if ev := s.Checkpoint.Every; ev < 0 || math.IsNaN(ev) || math.IsInf(ev, 0) {
+		return nil, fmt.Errorf("plurality: invalid Checkpoint.Every %v", ev)
+	}
 	if g := s.Sync.Gamma; g != 0 && (g <= 0 || g >= 1 || math.IsNaN(g)) {
 		return nil, fmt.Errorf("plurality: Sync.Gamma %v outside (0, 1)", g)
 	}
