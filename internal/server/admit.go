@@ -25,29 +25,34 @@ func admitRun(body io.Reader, limit int64) (RunRequest, string, error) {
 	return req, key, err
 }
 
-// admitSweep decodes a POST /v1/sweeps body, refuses a sweep of more than
-// maxJobs jobs before planning it, and plans the rest (planSweep). A sweep
-// larger than the admission queue could never be enqueued, so handlers pass
-// the queue capacity.
+// maxSweepJobs bounds the jobs (cells × reps) of one sweep, cached or not:
+// each job's key, and once it is done its metrics, stay in memory for the
+// sweep's life, about 1 KB a job. Sweeps with missing jobs are bounded
+// further by the queue capacity, in registerSweep, with a 429.
+const maxSweepJobs = 1 << 16
+
+// admitSweep decodes a POST /v1/sweeps body and plans it (planSweep),
+// refusing a sweep of more than maxJobs jobs before it is keyed.
 func admitSweep(body io.Reader, limit int64, maxJobs int) (SweepRequest, *plurality.SweepPlan, []string, error) {
 	var req SweepRequest
 	if err := decodeBody(body, limit, &req); err != nil {
 		return req, nil, nil, err
 	}
-	if n := req.jobs(maxJobs); n > maxJobs {
-		return req, nil, nil, fmt.Errorf("sweep has more than %d jobs (cells × reps), the most one submission may queue; split it", maxJobs)
-	}
-	plan, keys, err := planSweep(req)
+	plan, keys, err := planSweep(req, maxJobs)
 	return req, plan, keys, err
 }
 
-// planSweep plans a sweep request and derives every job's cache key.
+// planSweep plans a sweep request and derives every job's cache key,
+// refusing a plan of more than maxJobs jobs before its keys are allocated.
 // Planning is deterministic, so a request recovered from its manifest keys
 // exactly as it did when submitted.
-func planSweep(req SweepRequest) (*plurality.SweepPlan, []string, error) {
+func planSweep(req SweepRequest, maxJobs int) (*plurality.SweepPlan, []string, error) {
 	plan, err := req.Config().Plan()
 	if err != nil {
 		return nil, nil, err
+	}
+	if plan.Reps > maxJobs/len(plan.Cells) { // Plan yields at least one cell
+		return nil, nil, fmt.Errorf("sweep has more than %d jobs (cells × reps); split it", maxJobs)
 	}
 	keys := make([]string, plan.Jobs())
 	tmp := &sweepState{plan: plan} // jobSpec needs only the plan
@@ -57,25 +62,6 @@ func planSweep(req SweepRequest) (*plurality.SweepPlan, []string, error) {
 		}
 	}
 	return plan, keys, nil
-}
-
-// jobs returns the number of jobs the request plans — the product of its
-// axis lengths (an empty axis counts once) and its replication count (0
-// means Plan's default of 5) — or a value above limit once the product
-// passes it, so a hostile request cannot overflow the count.
-func (r SweepRequest) jobs(limit int) int {
-	reps := r.Reps
-	if reps <= 0 {
-		reps = 5
-	}
-	n := 1
-	for _, f := range []int{len(r.Ns), len(r.Ks), len(r.Alphas), len(r.Topologies), len(r.Adversaries), reps} {
-		if f = max(f, 1); f > limit/n {
-			return limit + 1
-		}
-		n *= f
-	}
-	return n
 }
 
 // decodeBody parses a bounded JSON request body, rejecting unknown fields

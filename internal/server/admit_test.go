@@ -92,28 +92,42 @@ func drawsLargeGraph(req SweepRequest) bool {
 	return req.Base.N > 2000 || slices.ContainsFunc(req.Ns, func(n int) bool { return n > 2000 })
 }
 
-// TestSweepAboveQueueCapRejected pins that a sweep of more jobs than the
-// admission queue holds is refused with 400 before it is planned or keyed
-// — including a replication count whose key array alone would exhaust
-// memory — while one that fits is admitted.
-func TestSweepAboveQueueCapRejected(t *testing.T) {
+// TestSweepAdmissionBounds pins the two bounds on a sweep's size. A
+// replication count whose key array alone would exhaust memory is refused
+// with 400 before any key is derived. A sweep of more missing jobs than
+// the queue holds gets 429, while one as large whose jobs are all cached —
+// here the union of two completed sweeps — is served with no simulation.
+func TestSweepAdmissionBounds(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueCap: 4})
-	for _, body := range []string{
-		`{"protocol":"sync","base":{"n":100,"k":2,"seed":1},"reps":5}`,
-		`{"protocol":"sync","base":{"n":100,"k":2,"seed":1},"ns":[60,100],"reps":3}`,
-		`{"protocol":"sync","base":{"n":100,"k":2,"seed":1},"reps":1000000000000}`,
-		`{"protocol":"sync","base":{"n":100,"k":2,"seed":1}}`, // Plan's default of 5 reps
+	const union = `{"protocol":"sync","base":{"n":100,"k":2,"seed":1},"ns":[60,100],"reps":4}`
+	for body, want := range map[string]int{
+		`{"protocol":"sync","base":{"n":100,"k":2,"seed":1},"reps":1000000000000}`: http.StatusBadRequest,
+		union: http.StatusTooManyRequests,
+		`{"protocol":"sync","base":{"n":100,"k":2,"seed":1}}`: http.StatusTooManyRequests, // Plan's default of 5 reps
 	} {
-		if w := do(t, s, http.MethodPost, "/v1/sweeps?async=1", body); w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", body, w.Code, w.Body)
+		if w := do(t, s, http.MethodPost, "/v1/sweeps?async=1", body); w.Code != want {
+			t.Errorf("%s: status %d, want %d (%s)", body, w.Code, want, w.Body)
 		}
 	}
 	if got := s.lookupSweepCount(); got != 0 {
 		t.Fatalf("refused sweeps left %d registrations", got)
 	}
-	body := `{"protocol":"sync","base":{"n":100,"k":2,"seed":1},"ns":[60,100],"reps":2}`
-	if w := do(t, s, http.MethodPost, "/v1/sweeps?async=1", body); w.Code != http.StatusAccepted {
-		t.Fatalf("sweep at the bound: status %d, want 202 (%s)", w.Code, w.Body)
+	for _, body := range []string{
+		`{"protocol":"sync","base":{"n":100,"k":2,"seed":1},"ns":[60],"reps":4}`,
+		`{"protocol":"sync","base":{"n":100,"k":2,"seed":1},"ns":[100],"reps":4}`,
+	} {
+		if w := do(t, s, http.MethodPost, "/v1/sweeps?async=1", body); w.Code != http.StatusAccepted {
+			t.Fatalf("sweep at the queue bound: status %d, want 202 (%s)", w.Code, w.Body)
+		}
+		waitIdle(t, s)
 	}
-	waitIdle(t, s)
+	before := s.Stats()
+	if w := do(t, s, http.MethodPost, "/v1/sweeps?async=1", union); w.Code != http.StatusAccepted {
+		t.Fatalf("cached sweep above the queue bound: status %d, want 202 (%s)", w.Code, w.Body)
+	}
+	after := s.Stats()
+	if after.JobsComputed != before.JobsComputed || after.JobsCached != before.JobsCached+8 {
+		t.Fatalf("cached union: computed %d -> %d, cached %d -> %d; want no computation and 8 cache hits",
+			before.JobsComputed, after.JobsComputed, before.JobsCached, after.JobsCached)
+	}
 }

@@ -128,7 +128,7 @@ func (c *Cache) Put(key string, blob []byte) error {
 		return nil
 	}
 	if c.w != nil {
-		c.w.put(c.path(key), cp)
+		c.w.submit(&fileWrite{path: c.path(key), blob: cp}, false)
 		return nil
 	}
 	return writeFileAtomic(c.path(key), cp, "cache entry")

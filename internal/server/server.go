@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"path/filepath"
 	"sort"
@@ -99,7 +100,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := NewStore(cfg.Dir)
+	store, err := newStore(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -111,9 +112,9 @@ func New(cfg Config) (*Server, error) {
 		sweeps:  make(map[string]*sweepState),
 		drainCh: make(chan struct{}),
 	}
-	if cfg.Dir != "" {
-		s.writer = newWriter()
-		cache.w, store.w = s.writer, s.writer
+	if store != nil {
+		s.writer = store.w
+		cache.w = store.w
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -169,7 +170,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // probe then replays finished jobs and only the rest is enqueued.
 func (s *Server) recoverSweeps() error {
 	for _, m := range s.store.LoadManifests() {
-		plan, keys, err := planSweep(m.Request)
+		plan, keys, err := planSweep(m.Request, math.MaxInt) // bounded when admitted
 		if err == nil {
 			_, _, err = s.registerSweep(m.Request, plan, keys)
 		}
@@ -318,7 +319,7 @@ func (s *Server) compute(ctx context.Context, protocol string, spec plurality.Sp
 		captures, suspended := 0, false
 		ck := plurality.CheckpointSpec{SnapshotAt: every, Every: every, Sink: func(sn *plurality.Snapshot) {
 			if blob, err := sn.Encode(); err == nil {
-				_ = s.store.SaveJobSnapshot(key, blob) // a failure only costs restart resume
+				s.store.SaveJobSnapshot(key, blob)
 			}
 			s.segmentsRun.Add(1)
 			captures++
@@ -462,7 +463,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // handleSweepSubmit registers a sweep and — unless ?async=1 asked for just
 // the ID — streams its cells as NDJSON, in grid order, as they complete.
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	req, plan, keys, err := admitSweep(r.Body, s.cfg.MaxBodyBytes, s.cfg.QueueCap)
+	// Any sweep the queue could take is admissible, and a larger one only
+	// runs if the cache holds enough of it (registerSweep answers 429).
+	req, plan, keys, err := admitSweep(r.Body, s.cfg.MaxBodyBytes, max(maxSweepJobs, s.cfg.QueueCap))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -26,16 +26,17 @@ type Manifest struct {
 // per-job checkpoint snapshots of in-flight cells. A nil *Store (no
 // persistence directory configured) is valid and makes every method a
 // no-op, so the serving paths never branch on persistence being enabled.
-// Manifests are always written before SaveManifest returns; a Server's
-// store hands snapshot writes to the server's write-behind writer.
+// Manifests are written before SaveManifest returns; snapshot writes go
+// through the store's write-behind writer, which its Server shares with
+// the result cache and closes on Shutdown.
 type Store struct {
 	dir string
-	w   *writer // nil writes snapshots synchronously
+	w   *writer
 }
 
-// NewStore opens (creating if needed) a store rooted at dir; dir "" returns
-// a nil store, meaning no persistence.
-func NewStore(dir string) (*Store, error) {
+// newStore opens (creating if needed) a store rooted at dir and starts its
+// writer; dir "" returns a nil store, meaning no persistence.
+func newStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, nil
 	}
@@ -44,7 +45,7 @@ func NewStore(dir string) (*Store, error) {
 			return nil, fmt.Errorf("server: creating store dir: %w", err)
 		}
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, w: newWriter()}, nil
 }
 
 // SaveManifest durably records a sweep submission (temp file + rename, so
@@ -88,18 +89,14 @@ func (s *Store) LoadManifests() []Manifest {
 	return out
 }
 
-// SaveJobSnapshot persists the latest checkpoint segment of an in-flight
+// SaveJobSnapshot queues the latest checkpoint segment of an in-flight
 // job under its cache key, replacing any earlier segment. blob must not
 // change afterwards.
-func (s *Store) SaveJobSnapshot(key string, blob []byte) error {
+func (s *Store) SaveJobSnapshot(key string, blob []byte) {
 	if s == nil {
-		return nil
+		return
 	}
-	if s.w != nil {
-		s.w.save(s.snapPath(key), blob)
-		return nil
-	}
-	return writeFileAtomic(s.snapPath(key), blob, "snapshot")
+	s.w.submit(&fileWrite{path: s.snapPath(key), blob: blob}, true)
 }
 
 // LoadJobSnapshot returns the persisted snapshot blob for a job, or nil. A
@@ -108,10 +105,8 @@ func (s *Store) LoadJobSnapshot(key string) []byte {
 	if s == nil {
 		return nil
 	}
-	if s.w != nil {
-		if b, ok := s.w.load(s.snapPath(key)); ok {
-			return b
-		}
+	if b, ok := s.w.load(s.snapPath(key)); ok {
+		return b
 	}
 	b, err := os.ReadFile(s.snapPath(key))
 	if err != nil {
@@ -121,16 +116,12 @@ func (s *Store) LoadJobSnapshot(key string) []byte {
 }
 
 // DeleteJobSnapshot removes a job's snapshot once the job has completed
-// (its result now lives in the cache).
+// (its result now lives in the cache), cancelling a save still queued.
 func (s *Store) DeleteJobSnapshot(key string) {
 	if s == nil {
 		return
 	}
-	if s.w != nil {
-		s.w.remove(s.snapPath(key))
-		return
-	}
-	os.Remove(s.snapPath(key))
+	s.w.submit(&fileWrite{path: s.snapPath(key), del: true}, true)
 }
 
 func (s *Store) snapPath(key string) string {

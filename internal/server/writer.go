@@ -38,11 +38,11 @@ type writer struct {
 	done   chan struct{}
 }
 
-// fileWrite publishes blob at path, or removes path when del is set.
+// fileWrite publishes blob at path, or removes path when del is set. blob
+// must not change once submitted.
 type fileWrite struct {
 	path string
 	blob []byte
-	what string // what the error messages call the file
 	del  bool
 }
 
@@ -53,25 +53,9 @@ func newWriter() *writer {
 	return w
 }
 
-// put queues a cache entry. blob must not change afterwards.
-func (w *writer) put(path string, blob []byte) {
-	w.submit(&fileWrite{path: path, blob: blob, what: "cache entry"}, false)
-}
-
-// save queues a job snapshot, replacing a write of path still in the
-// queue. blob must not change afterwards.
-func (w *writer) save(path string, blob []byte) {
-	w.submit(&fileWrite{path: path, blob: blob, what: "snapshot"}, true)
-}
-
-// remove queues the removal of a job snapshot, cancelling a save of path
-// still in the queue.
-func (w *writer) remove(path string) {
-	w.submit(&fileWrite{path: path, del: true}, true)
-}
-
-// submit queues op, coalescing it into a queued write of the same path
-// when coalesce is set. After close it writes inline instead.
+// submit queues op. With coalesce set (job snapshots) op replaces a write
+// of the same path still in the queue, so a newer save wins and a delete
+// cancels a queued save. After close it writes inline instead.
 func (w *writer) submit(op *fileWrite, coalesce bool) {
 	w.mu.Lock()
 	if coalesce {
@@ -173,7 +157,7 @@ func (op *fileWrite) apply() {
 		os.Remove(op.path)
 		return
 	}
-	_ = writeFileAtomic(op.path, op.blob, op.what)
+	_ = writeFileAtomic(op.path, op.blob, "file")
 }
 
 // writeFileAtomic publishes blob at path through a temp file and a rename,
