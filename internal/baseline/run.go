@@ -141,23 +141,6 @@ func intLog2(n int) int {
 	return l
 }
 
-func initialState(cfg *Config, rng *xrand.RNG) ([]opinion.Opinion, opinion.Opinion) {
-	var cols []opinion.Opinion
-	if cfg.Assignment != nil {
-		cols = make([]opinion.Opinion, cfg.N)
-		copy(cols, cfg.Assignment)
-	} else {
-		alpha := cfg.Alpha
-		if alpha < 1 {
-			alpha = 1
-		}
-		cols = opinion.PlantedBias(cfg.N, cfg.K, alpha, rng.SplitNamed("assignment"))
-	}
-	counts := opinion.CountOf(cols, cfg.K)
-	plurality, _ := counts.TopTwo()
-	return cols, opinion.Opinion(plurality)
-}
-
 // RunSync drives the rule in synchronous rounds: every node samples and
 // updates simultaneously against the previous round's state.
 func RunSync(rule Rule, cfg Config) (*Result, error) {
@@ -165,7 +148,7 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	rng := xrand.New(cfg.Seed)
-	cols, plurality := initialState(&cfg, rng)
+	cols, _, plurality := opinion.Initial(cfg.N, cfg.K, cfg.Assignment, cfg.Alpha, rng)
 	adv, crash, err := startAdversary(&cfg, cols)
 	if err != nil {
 		return nil, err
@@ -351,7 +334,7 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	rng := xrand.New(cfg.Seed)
-	cols, plurality := initialState(&cfg, rng)
+	cols, _, plurality := opinion.Initial(cfg.N, cfg.K, cfg.Assignment, cfg.Alpha, rng)
 	adv, crash, err := startAdversary(&cfg, cols)
 	if err != nil {
 		return nil, err

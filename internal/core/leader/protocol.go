@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math"
 
-	"plurality/internal/adversary"
+	"plurality/internal/core/asyncrun"
 	"plurality/internal/core/syncgen"
 	"plurality/internal/metrics"
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
+	"plurality/internal/snap"
 	"plurality/internal/topo"
 	"plurality/internal/xrand"
 )
@@ -49,86 +50,52 @@ type PhaseEvent struct {
 
 // Result captures one asynchronous single-leader run.
 type Result struct {
-	// Outcome summarizes correctness and hitting times (virtual time).
-	Outcome metrics.Outcome
-	// Trajectory holds the periodic snapshots.
-	Trajectory metrics.Trajectory
-	// EndTime is the virtual time at termination.
-	EndTime float64
-	// Events is the number of simulator events processed.
-	Events uint64
+	// Summary is what every asynchronous run reports: outcome,
+	// trajectory, end time, events, final counts, time-out and adversary
+	// counters.
+	asyncrun.Summary
 	// PhaseLog records every leader phase/generation change.
 	PhaseLog []PhaseEvent
-	// FinalCounts are the opinion counts at termination.
-	FinalCounts opinion.Counts
 	// InitialPlurality is the opinion that was initially dominant.
 	InitialPlurality opinion.Opinion
 	// C1 is the steps-per-time-unit constant the run used.
 	C1 float64
 	// GStar is the generation cap the run used.
 	GStar int
-	// TimedOut reports that MaxTime was hit before full consensus.
-	TimedOut bool
 	// TotalLeaderMessages counts every message that reached the leader
 	// (0-signals, gen-signals and state reads), and PeakLeaderLoad the
 	// maximum number of those per time unit — the §4.5 bottleneck metric
 	// that motivates the decentralized protocol.
 	TotalLeaderMessages uint64
 	PeakLeaderLoad      float64
-	// AdvCounters tallies the adversary's actions (zero for honest runs).
-	AdvCounters adversary.Counters
 }
 
-// Typed event kinds of the single-leader engine (see HandleEvent). All
-// scheduler state of a run is typed — the cold-path actions (periodic
-// recorder, deadline watchdog, crash injection) are events too — which is
-// what makes the pending event queue plain data and a run checkpointable
-// mid-flight.
+// The single-leader engine's own event kinds (see HandleEvent); the tick
+// and the cold kinds are the run frame's (asyncrun.Kind*).
 const (
-	// evTick is one Poisson tick of node ev.Node.
-	evTick int32 = iota
 	// evSignal is an i-signal (i = ev.A) arriving at the leader.
-	evSignal
+	evSignal int32 = 1
 	// evComplete is node ev.Node's channels to samples ev.A and ev.B
 	// completing.
-	evComplete
-	// evRecord is the periodic trajectory recorder; it reschedules itself
-	// every cfg.RecordEvery time steps and stops the run on consensus or
-	// deadline.
-	evRecord
-	// evDeadline is the hard MaxTime watchdog, independent of the recorder
-	// cadence.
-	evDeadline
-	// evCrash applies the crash-adversary actions due now: a one-shot
-	// fail-stop of the victim pool, or one churn toggle (see
-	// internal/adversary).
-	evCrash
-	// evAdvDeliver delivers a message the delay adversary held back: A is
-	// the payload-arena slot holding the original event.
-	evAdvDeliver
+	evComplete int32 = 2
 )
 
 // runState bundles the mutable simulation state of one run.
 type runState struct {
+	asyncrun.Frame
 	cfg     Config
-	sm      *sim.Simulator
-	clocks  *sim.Clocks
 	tickFn  func(int)         // rs.tick bound once so Fire calls allocate nothing
 	bs      topo.BatchSampler // cfg.Topo's bulk path, resolved once
 	scratch *topo.Scratch     // batch-sampling buffers (per-worker under RunBatch)
-	lat     sim.Latency
-	tickR   *xrand.RNG // sampling randomness (targets)
-	latR    *xrand.RNG // latency randomness
+	tickR   *xrand.RNG        // sampling randomness (targets)
 
-	cols   []opinion.Opinion
 	gens   []int32
 	locked []bool
 	seenG  []int32 // l.gen stored at the previous leader contact
 	seenP  []bool  // l.prop stored at the previous leader contact
 
-	colorCount opinion.Counts
-	genCount   []int
-	maxGen     int
+	genCount []int
+	maxGen   int
 
 	leaderGen  int
 	leaderProp bool
@@ -150,26 +117,7 @@ type runState struct {
 	peakLoad   uint64
 
 	res        *Result
-	plurality  opinion.Opinion
-	mono       bool
-	monoAt     float64
 	totalTicks uint64
-
-	// crash is the run's crash set; consensus is detected against its
-	// survivor count. Honest runs keep every node up.
-	crash adversary.Crashes
-
-	// adv is the run's adversary (nil for honest runs — the nil check is
-	// the only cost the hot path pays) and payload the side-arena delayed
-	// messages park their original event in.
-	adv     *adversary.State
-	payload *sim.PayloadArena
-
-	// maxTime is the effective abort horizon and rec the trajectory
-	// recorder; both live on the state so the evRecord/evDeadline handlers
-	// can reach them.
-	maxTime float64
-	rec     *metrics.Recorder
 }
 
 // Run executes Algorithms 2 and 3 under cfg.
@@ -178,24 +126,11 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	root := xrand.New(cfg.Seed)
-
-	cols := make([]opinion.Opinion, cfg.N)
-	if cfg.Assignment != nil {
-		copy(cols, cfg.Assignment)
-	} else {
-		alpha := cfg.Alpha
-		if alpha < 1 {
-			alpha = 1
-		}
-		cols = opinion.PlantedBias(cfg.N, cfg.K, alpha, root.SplitNamed("assignment"))
-	}
-	initCounts := opinion.CountOf(cols, cfg.K)
-	pl, _ := initCounts.TopTwo()
-	alphaHat := initCounts.Bias()
+	cols, initCounts, pl := opinion.Initial(cfg.N, cfg.K, cfg.Assignment, cfg.Alpha, root)
 
 	gStar := cfg.GStar
 	if gStar <= 0 {
-		gStar = syncgen.GenerationBudget(cfg.N, alphaHat) + 2
+		gStar = syncgen.GenerationBudget(cfg.N, initCounts.Bias()) + 2
 	}
 	maxTime := cfg.MaxTime
 	if maxTime <= 0 {
@@ -208,100 +143,54 @@ func Run(cfg Config) (*Result, error) {
 		scratch = &topo.Scratch{}
 	}
 	rs := &runState{
-		cfg:        cfg,
-		sm:         sim.New(),
-		bs:         topo.Batch(cfg.Topo),
-		scratch:    scratch,
-		lat:        cfg.Latency,
-		tickR:      root.SplitNamed("ticks"),
-		latR:       root.SplitNamed("latency"),
-		cols:       cols,
-		gens:       make([]int32, cfg.N),
-		locked:     make([]bool, cfg.N),
-		seenG:      make([]int32, cfg.N),
-		seenP:      make([]bool, cfg.N),
-		colorCount: initCounts,
-		genCount:   make([]int, gStar+1),
-		leaderGen:  1,
-		c3Ticks:    int(cfg.C3 * float64(cfg.N)),
-		genThresh:  int(math.Ceil(cfg.GenFraction * float64(cfg.N))),
-		gStar:      gStar,
-		propSeen:   make([]bool, gStar+2),
-		plurality:  opinion.Opinion(pl),
+		Frame:     asyncrun.Frame{Cols: cols, Counts: initCounts, Plurality: pl},
+		cfg:       cfg,
+		bs:        topo.Batch(cfg.Topo),
+		scratch:   scratch,
+		tickR:     root.SplitNamed("ticks"),
+		gens:      make([]int32, cfg.N),
+		locked:    make([]bool, cfg.N),
+		seenG:     make([]int32, cfg.N),
+		seenP:     make([]bool, cfg.N),
+		genCount:  make([]int, gStar+1),
+		leaderGen: 1,
+		c3Ticks:   int(cfg.C3 * float64(cfg.N)),
+		genThresh: int(math.Ceil(cfg.GenFraction * float64(cfg.N))),
+		gStar:     gStar,
+		propSeen:  make([]bool, gStar+2),
 		res: &Result{
-			InitialPlurality: opinion.Opinion(pl),
+			InitialPlurality: pl,
 			C1:               cfg.C1,
 			GStar:            gStar,
+			PhaseLog:         []PhaseEvent{{Time: 0, Gen: 1, Phase: PhaseTwoChoices}},
 		},
 	}
 	rs.genCount[0] = cfg.N
-	rs.maxTime = maxTime
-	rs.crash = adversary.NewCrashes(cfg.N)
-	rs.res.PhaseLog = append(rs.res.PhaseLog,
-		PhaseEvent{Time: 0, Gen: 1, Phase: PhaseTwoChoices})
-	restoring := cfg.Ckpt.Restoring()
-	adv, err := adversary.Start(cfg.Adv, cfg.N, initCounts, true)
-	if err != nil {
+	rs.tickFn = rs.tick
+	if err := rs.Start(rs, root, asyncrun.Config{
+		N: cfg.N, K: cfg.K, Latency: cfg.Latency, MaxTime: maxTime, RecordEvery: cfg.RecordEvery,
+		Eps: cfg.Eps, DiscardTrajectory: cfg.DiscardTrajectory, Observe: cfg.Observe,
+		Adv: cfg.Adv, Ckpt: cfg.Ckpt, Ctx: cfg.Ctx, Reserve: 3*cfg.N + 64, Point: rs.point,
+	}); err != nil {
 		return nil, fmt.Errorf("leader: %w", err)
 	}
-	if adv != nil {
-		rs.adv = adv
-		rs.payload = &sim.PayloadArena{}
-		if at := adv.NextCrashAt(); at >= 0 && !restoring {
-			rs.sm.Schedule(at, sim.Event{Kind: evCrash})
-		}
-	}
-
-	// The nodes' Poisson clocks, run as one superposed process.
-	rs.tickFn = rs.tick
-	rs.sm.SetHandler(rs)
-	rs.sm.Reserve(3*cfg.N + 64)
-	clockR := root.SplitNamed("clocks")
-	rs.clocks = sim.NewClocks(rs.sm, clockR, cfg.N, 1, evTick)
-	rs.rec = metrics.NewRecorder(cfg.Eps, cfg.DiscardTrajectory, cfg.Observe)
-	if restoring {
+	if cfg.Ckpt.Restoring() {
 		// Deterministic setup above sized every slice; now overwrite all
 		// mutable state (event heap included) from the captured payload.
-		if err := rs.restore(cfg.Ckpt.Restore, cfg.Ckpt.Perturb); err != nil {
-			return nil, err
+		if err := rs.Restore(snap.NewDecoder(cfg.Ckpt.Restore), rs.layout, rs.check, rs.validEvent, cfg.Ckpt.Perturb); err != nil {
+			return nil, fmt.Errorf("leader: %w", err)
 		}
-	} else {
-		rs.clocks.StartAll()
-		// Periodic recorder + termination watchdog, both typed events so
-		// the pending queue stays plain data (see evRecord/evDeadline).
-		rs.record()
-		rs.sm.ScheduleAfter(cfg.RecordEvery, sim.Event{Kind: evRecord})
-		// Hard deadline, independent of the recorder cadence.
-		rs.sm.Schedule(maxTime, sim.Event{Kind: evDeadline})
+		rs.tickR.Perturb(cfg.Ckpt.Perturb)
 	}
-
-	if err := rs.runSim(cfg.Ctx); err != nil {
+	if err := rs.Run(rs.capture); err != nil {
 		return nil, err
 	}
 
-	rs.res.EndTime = rs.sm.Now()
-	rs.res.Events = rs.sm.Processed()
-	if rs.adv != nil {
-		rs.res.AdvCounters = rs.adv.Counters
-	}
 	if rs.loadCount > rs.peakLoad {
 		rs.peakLoad = rs.loadCount
 	}
 	rs.res.PeakLeaderLoad = float64(rs.peakLoad)
-	rs.res.FinalCounts = opinion.CountOf(rs.cols, cfg.K)
-	// Ensure the final state is in the trajectory exactly once more (the
-	// stop path records before stopping, but a monochromatic flip between
-	// recordings would otherwise be missed).
-	if last, ok := rs.rec.Last(); !ok || last.Time < rs.res.EndTime {
-		rs.record()
-	}
-	rs.res.Trajectory = rs.rec.Trajectory()
-	rs.res.Outcome = rs.rec.Outcome(rs.res.FinalCounts, rs.plurality)
-	if rs.mono {
-		// Tighten the consensus time to the exact flip moment.
-		rs.res.Outcome.FullConsensus = true
-		rs.res.Outcome.ConsensusTime = rs.monoAt
-	}
+	rs.res.Summary = rs.Finish()
 	return rs.res, nil
 }
 
@@ -309,94 +198,33 @@ func Run(cfg Config) (*Result, error) {
 // run spends nearly all its time in, so every case is allocation-free.
 func (rs *runState) HandleEvent(ev sim.Event) {
 	switch ev.Kind {
-	case evTick:
-		rs.clocks.Fire(ev.Node, rs.tickFn)
+	case asyncrun.KindTick:
+		rs.Clocks.Fire(ev.Node, rs.tickFn)
 	case evSignal:
 		rs.leaderSignal(int(ev.A))
 	case evComplete:
 		rs.complete(int(ev.Node), int(ev.A), int(ev.B))
-	case evRecord:
-		rs.record()
-		if rs.mono {
-			rs.sm.Stop()
-			return
-		}
-		if rs.sm.Now() >= rs.maxTime {
-			rs.res.TimedOut = true
-			rs.sm.Stop()
-			return
-		}
-		rs.sm.ScheduleAfter(rs.cfg.RecordEvery, sim.Event{Kind: evRecord})
-	case evDeadline:
-		if rs.sm.Now() < rs.maxTime {
-			// The horizon was extended after this watchdog was queued (a
-			// resumed run may override MaxTime); re-arm at the new deadline.
-			rs.sm.Schedule(rs.maxTime, sim.Event{Kind: evDeadline})
-			return
-		}
-		if !rs.mono {
-			rs.record()
-			rs.res.TimedOut = true
-			rs.sm.Stop()
-		}
-	case evCrash:
-		if next := rs.crash.Apply(rs.adv, rs.sm.Now(), rs.noteCrash); next >= 0 {
-			rs.sm.Schedule(next, sim.Event{Kind: evCrash})
-		}
-		// Survivors may already be unanimous.
-		for _, cnt := range rs.colorCount {
-			if cnt == rs.crash.Alive && rs.crash.Alive > 0 && !rs.mono {
-				rs.mono = true
-				rs.monoAt = rs.sm.Now()
-			}
-		}
-	case evAdvDeliver:
-		rs.HandleEvent(rs.payload.Take(ev.A))
+	default:
+		rs.Frame.Handle(ev)
 	}
 }
 
-// record appends one trajectory snapshot at the current virtual time.
-func (rs *runState) record() {
-	p := metrics.Snapshot(rs.sm.Now(), rs.cols, rs.cfg.K, rs.plurality)
+// point adds the generation fields to a recorded trajectory point.
+func (rs *runState) point(p *metrics.Point) {
 	p.MaxGen = rs.maxGen
 	p.MaxGenFrac = float64(rs.genCount[rs.maxGen]) / float64(rs.cfg.N)
-	rs.rec.Append(p)
-}
-
-// noteCrash moves a crashed (down) or recovered node's color out of or
-// back into the survivor tallies.
-func (rs *runState) noteCrash(v int, down bool) {
-	if down {
-		rs.colorCount[rs.cols[v]]--
-	} else {
-		rs.colorCount[rs.cols[v]]++
-	}
-}
-
-// sendMsg schedules a protocol message, giving the delay adversary a chance
-// to stretch the delivery: a delayed message parks the original event in the
-// payload arena and is re-dispatched by evAdvDeliver. Honest runs take the
-// plain path (one nil check, no extra draws).
-func (rs *runState) sendMsg(d float64, ev sim.Event) {
-	if rs.adv != nil {
-		if extra := rs.adv.DelayExtra(rs.lat); extra > 0 {
-			rs.sm.ScheduleAfter(d+extra, sim.Event{Kind: evAdvDeliver, A: rs.payload.Put(ev)})
-			return
-		}
-	}
-	rs.sm.ScheduleAfter(d, ev)
 }
 
 // tick handles one Poisson tick of node v (Algorithm 2 lines 1-3).
 func (rs *runState) tick(v int) {
-	if rs.mono || rs.crash.Down[v] {
+	if rs.Mono || rs.Crash.Down[v] {
 		return
 	}
 	rs.totalTicks++
 	// Line 1: 0-signal to the leader; fire-and-forget with latency.
 	// SignalLoss (an extension; 0 in the paper's model) may drop it.
-	if rs.cfg.SignalLoss == 0 || !rs.latR.Bernoulli(rs.cfg.SignalLoss) {
-		rs.sendMsg(rs.lat.Sample(rs.latR), sim.Event{Kind: evSignal})
+	if rs.cfg.SignalLoss == 0 || !rs.LatR.Bernoulli(rs.cfg.SignalLoss) {
+		rs.SendMsg(rs.Lat.Sample(rs.LatR), sim.Event{Kind: evSignal})
 	}
 	// Line 2: locked nodes do nothing else.
 	if rs.locked[v] {
@@ -409,9 +237,9 @@ func (rs *runState) tick(v int) {
 	vs, out := rs.scratch.Buffers(2)
 	vs[0], vs[1] = int32(v), int32(v)
 	rs.bs.SampleNeighbors(rs.tickR, vs, out)
-	d := math.Max(rs.lat.Sample(rs.latR), rs.lat.Sample(rs.latR)) +
-		rs.lat.Sample(rs.latR)
-	rs.sendMsg(d, sim.Event{Kind: evComplete, Node: int32(v), A: out[0], B: out[1]})
+	d := math.Max(rs.Lat.Sample(rs.LatR), rs.Lat.Sample(rs.LatR)) +
+		rs.Lat.Sample(rs.LatR)
+	rs.SendMsg(d, sim.Event{Kind: evComplete, Node: int32(v), A: out[0], B: out[1]})
 }
 
 // complete handles the established channels of node v (Algorithm 2 lines
@@ -420,7 +248,7 @@ func (rs *runState) complete(v, a, b int) {
 	// The event runs atomically, so the lock can drop on entry: it only
 	// gates future tick events.
 	rs.locked[v] = false
-	if rs.mono || rs.crash.Down[v] {
+	if rs.Mono || rs.Crash.Down[v] {
 		return
 	}
 	// Reading (gen, prop) is one more request the leader serves.
@@ -429,13 +257,13 @@ func (rs *runState) complete(v, a, b int) {
 	// usable state from them. The drop adversary loses replies the same
 	// way, and Byzantine liars answer with the lie target instead of their
 	// true opinion.
-	aUp, bUp := !rs.crash.Down[a], !rs.crash.Down[b]
-	colA, colB := rs.cols[a], rs.cols[b]
-	if rs.adv != nil {
-		aUp = aUp && !rs.adv.DropMessage()
-		bUp = bUp && !rs.adv.DropMessage()
-		colA = opinion.Opinion(rs.adv.Lie(a, int32(colA)))
-		colB = opinion.Opinion(rs.adv.Lie(b, int32(colB)))
+	aUp, bUp := !rs.Crash.Down[a], !rs.Crash.Down[b]
+	colA, colB := rs.Cols[a], rs.Cols[b]
+	if rs.Adv != nil {
+		aUp = aUp && !rs.Adv.DropMessage()
+		bUp = bUp && !rs.Adv.DropMessage()
+		colA = opinion.Opinion(rs.Adv.Lie(a, int32(colA)))
+		colB = opinion.Opinion(rs.Adv.Lie(b, int32(colB)))
 	}
 	lGen, lProp := rs.leaderGen, rs.leaderProp
 	if int(rs.seenG[v]) != lGen || rs.seenP[v] != lProp {
@@ -485,16 +313,16 @@ func (rs *runState) setNode(v int, col opinion.Opinion, gen int32) {
 		panic(fmt.Sprintf("leader: node generation %d exceeds leader generation %d",
 			gen, rs.leaderGen))
 	}
-	old := rs.cols[v]
+	old := rs.Cols[v]
 	oldGen := rs.gens[v]
-	rs.cols[v] = col
+	rs.Cols[v] = col
 	rs.gens[v] = gen
 	if old != col {
-		rs.colorCount[old]--
-		rs.colorCount[col]++
-		if rs.colorCount[col] == rs.crash.Alive && !rs.mono {
-			rs.mono = true
-			rs.monoAt = rs.sm.Now()
+		rs.Counts[old]--
+		rs.Counts[col]++
+		if rs.Counts[col] == rs.Crash.Alive && !rs.Mono {
+			rs.Mono = true
+			rs.MonoAt = rs.Sim.Now()
 		}
 	}
 	if gen != oldGen {
@@ -504,8 +332,8 @@ func (rs *runState) setNode(v int, col opinion.Opinion, gen int32) {
 			rs.maxGen = int(gen)
 		}
 		if gen > oldGen {
-			if rs.cfg.SignalLoss == 0 || !rs.latR.Bernoulli(rs.cfg.SignalLoss) {
-				rs.sendMsg(rs.lat.Sample(rs.latR),
+			if rs.cfg.SignalLoss == 0 || !rs.LatR.Bernoulli(rs.cfg.SignalLoss) {
+				rs.SendMsg(rs.Lat.Sample(rs.LatR),
 					sim.Event{Kind: evSignal, A: int32(gen)})
 			}
 		}
@@ -516,7 +344,7 @@ func (rs *runState) setNode(v int, col opinion.Opinion, gen int32) {
 // leader, bucketed by time unit for the §4.5 congestion metric.
 func (rs *runState) leaderMessage() {
 	rs.res.TotalLeaderMessages++
-	bucket := int32(rs.sm.Now() / rs.cfg.C1)
+	bucket := int32(rs.Sim.Now() / rs.cfg.C1)
 	if bucket != rs.loadBucket {
 		if rs.loadCount > rs.peakLoad {
 			rs.peakLoad = rs.loadCount
@@ -530,7 +358,7 @@ func (rs *runState) leaderMessage() {
 // leaderSignal processes one arriving i-signal at the leader (Algorithm 3).
 func (rs *runState) leaderSignal(i int) {
 	rs.leaderMessage()
-	if rs.mono {
+	if rs.Mono {
 		return
 	}
 	if i == 0 {
@@ -539,7 +367,7 @@ func (rs *runState) leaderSignal(i int) {
 			rs.leaderProp = true
 			rs.propSeen[rs.leaderGen] = true
 			rs.res.PhaseLog = append(rs.res.PhaseLog, PhaseEvent{
-				Time: rs.sm.Now(), Gen: rs.leaderGen, Phase: PhasePropagation})
+				Time: rs.Sim.Now(), Gen: rs.leaderGen, Phase: PhasePropagation})
 		}
 	}
 	if i == rs.leaderGen {
@@ -550,7 +378,7 @@ func (rs *runState) leaderSignal(i int) {
 			rs.leaderSize = 0
 			rs.leaderProp = false
 			rs.res.PhaseLog = append(rs.res.PhaseLog, PhaseEvent{
-				Time: rs.sm.Now(), Gen: rs.leaderGen, Phase: PhaseTwoChoices})
+				Time: rs.Sim.Now(), Gen: rs.leaderGen, Phase: PhaseTwoChoices})
 		}
 	}
 }

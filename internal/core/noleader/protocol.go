@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"math"
 
-	"plurality/internal/adversary"
 	"plurality/internal/cluster"
+	"plurality/internal/core/asyncrun"
 	"plurality/internal/core/syncgen"
 	"plurality/internal/metrics"
 	"plurality/internal/opinion"
-	"plurality/internal/sim"
 	"plurality/internal/snap"
 	"plurality/internal/topo"
 	"plurality/internal/xrand"
@@ -57,40 +56,31 @@ type GenPhases struct {
 	FirstPropagation, LastPropagation float64
 }
 
-// Result captures one decentralized run.
+// Result captures one decentralized run. Its Summary covers the
+// consensus phase: times are virtual time with clustering excluded.
 type Result struct {
-	// Outcome summarizes correctness and hitting times of the consensus
-	// phase (virtual time, clustering excluded).
-	Outcome metrics.Outcome
-	// Trajectory holds the consensus-phase snapshots.
-	Trajectory metrics.Trajectory
+	// Summary is what every asynchronous run reports: outcome,
+	// trajectory, end time, events, final counts, time-out and adversary
+	// counters.
+	asyncrun.Summary
 	// Clustering is the structure the consensus phase ran on.
 	Clustering *cluster.Clustering
 	// PhaseSpans records the Figure 2 marks per generation.
 	PhaseSpans []GenPhases
-	// EndTime is the consensus-phase virtual time at termination, and
-	// ClusteringTime the formation time that preceded it.
-	EndTime        float64
+	// ClusteringTime is the formation time that preceded the consensus
+	// phase.
 	ClusteringTime float64
-	// Events is the number of consensus-phase simulator events.
-	Events uint64
-	// FinalCounts are the opinion counts at termination.
-	FinalCounts opinion.Counts
 	// InitialPlurality is the opinion that was initially dominant.
 	InitialPlurality opinion.Opinion
 	// C1 is the steps-per-unit constant used, GStar the generation cap.
 	C1    float64
 	GStar int
-	// TimedOut reports that MaxTime was hit before full consensus.
-	TimedOut bool
 	// TotalLeaderMessages counts messages reaching any cluster leader, and
 	// PeakLeaderLoad the maximum any single leader served per time unit —
 	// the §4.5 congestion metric. The decentralized design exists so this
 	// stays polylog(n) where the single leader's is Θ(n).
 	TotalLeaderMessages uint64
 	PeakLeaderLoad      float64
-	// AdvCounters tallies the adversary's actions (zero for honest runs).
-	AdvCounters adversary.Counters
 }
 
 // Run forms clusters and then executes Algorithms 4 and 5 under cfg.
@@ -131,22 +121,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Initial opinions.
-	cols := make([]opinion.Opinion, cfg.N)
-	if cfg.Assignment != nil {
-		copy(cols, cfg.Assignment)
-	} else {
-		alpha := cfg.Alpha
-		if alpha < 1 {
-			alpha = 1
-		}
-		cols = opinion.PlantedBias(cfg.N, cfg.K, alpha, root.SplitNamed("assignment"))
-	}
-	initCounts := opinion.CountOf(cols, cfg.K)
-	pl, _ := initCounts.TopTwo()
-	alphaHat := initCounts.Bias()
+	cols, initCounts, pl := opinion.Initial(cfg.N, cfg.K, cfg.Assignment, cfg.Alpha, root)
 	gStar := cfg.GStar
 	if gStar <= 0 {
-		gStar = syncgen.GenerationBudget(cfg.N, alphaHat) + 2
+		gStar = syncgen.GenerationBudget(cfg.N, initCounts.Bias()) + 2
 	}
 	maxTime := cfg.MaxTime
 	if maxTime <= 0 {
@@ -160,29 +138,24 @@ func Run(cfg Config) (*Result, error) {
 		scratch = &topo.Scratch{}
 	}
 	rs := &consensusState{
+		Frame:     asyncrun.Frame{Cols: cols, Counts: initCounts, Plurality: pl},
 		cfg:       cfg,
 		cl:        cl,
-		sm:        sim.New(),
 		bs:        topo.Batch(cfg.Topo),
 		scratch:   scratch,
 		smp:       root.SplitNamed("sampling"),
-		latR:      root.SplitNamed("latency"),
-		cols:      cols,
 		gens:      make([]int32, cfg.N),
 		finished:  make([]bool, cfg.N),
 		locked:    make([]bool, cfg.N),
 		tmpGen:    make([]int32, cfg.N),
 		tmpState:  make([]int8, cfg.N),
-		counts:    initCounts,
-		crash:     adversary.NewCrashes(cfg.N),
 		leaderIdx: make([]int32, cfg.N),
 		gStar:     gStar,
-		plurality: opinion.Opinion(pl),
 		phase:     map[int]*GenPhases{},
 		res: &Result{
 			Clustering:       cl,
 			ClusteringTime:   cl.EndTime,
-			InitialPlurality: opinion.Opinion(pl),
+			InitialPlurality: pl,
 			C1:               cfg.C1,
 			GStar:            gStar,
 		},
@@ -216,51 +189,31 @@ func Run(cfg Config) (*Result, error) {
 		rs.res.TimedOut = true
 		rs.res.FinalCounts = initCounts
 		rs.res.Outcome = metrics.EvalOutcome(metrics.Trajectory{
-			metrics.Snapshot(0, cols, cfg.K, rs.plurality)},
-			initCounts, rs.plurality, cfg.Eps)
+			metrics.Snapshot(0, cols, cfg.K, pl)}, initCounts, pl, cfg.Eps)
 		return rs.res, nil
 	}
 
-	adv, err := adversary.Start(cfg.Adv, cfg.N, initCounts, true)
-	if err != nil {
+	rs.tickFn = rs.tick
+	if err := rs.Start(rs, root, asyncrun.Config{
+		N: cfg.N, K: cfg.K, Latency: cfg.Latency, MaxTime: maxTime, RecordEvery: cfg.RecordEvery,
+		Eps: cfg.Eps, DiscardTrajectory: cfg.DiscardTrajectory, Observe: cfg.Observe,
+		Adv: cfg.Adv, Ckpt: cfg.Ckpt, Ctx: cfg.Ctx, Reserve: 3*cfg.N + 64, Point: rs.point,
+	}); err != nil {
 		return nil, fmt.Errorf("noleader: %w", err)
 	}
-	if adv != nil {
-		rs.adv = adv
-		rs.payload = &sim.PayloadArena{}
-		if at := adv.NextCrashAt(); at >= 0 && restoreC == nil {
-			rs.sm.Schedule(at, sim.Event{Kind: evCrash})
-		}
-	}
-
-	rs.maxTime = maxTime
-	rs.tickFn = rs.tick
-	rs.sm.SetHandler(rs)
-	rs.sm.Reserve(3*cfg.N + 64)
-	clockR := root.SplitNamed("clocks")
-	rs.clocks = sim.NewClocks(rs.sm, clockR, cfg.N, 1, evTick)
-	rs.rec = metrics.NewRecorder(cfg.Eps, cfg.DiscardTrajectory, cfg.Observe)
 	if restoreC != nil {
 		// Deterministic setup above sized every slice; now overwrite all
-		// mutable state (event heap included) from the captured payload.
-		if err := rs.restore(restoreC, cfg.Ckpt.Perturb); err != nil {
-			return nil, err
+		// mutable state (event heap included) from the captured payload,
+		// which restoreC holds right after the embedded clustering.
+		if err := rs.Restore(restoreC, rs.layout, rs.check, rs.validEvent, cfg.Ckpt.Perturb); err != nil {
+			return nil, fmt.Errorf("noleader: %w", err)
 		}
-	} else {
-		rs.clocks.StartAll()
-		// Periodic recorder + termination watchdog, both typed events so
-		// the pending queue stays plain data (see evRecord/evDeadline).
-		rs.record()
-		rs.sm.ScheduleAfter(cfg.RecordEvery, sim.Event{Kind: evRecord})
-		rs.sm.Schedule(maxTime, sim.Event{Kind: evDeadline})
+		rs.smp.Perturb(cfg.Ckpt.Perturb)
 	}
-
-	if err := rs.runSim(cfg.Ctx); err != nil {
+	if err := rs.Run(rs.capture); err != nil {
 		return nil, err
 	}
 
-	rs.res.EndTime = rs.sm.Now()
-	rs.res.Events = rs.sm.Processed()
 	// Fold the still-open time-unit buckets into the running peak.
 	for _, c := range rs.loadCount {
 		if c > rs.peakLoad {
@@ -268,26 +221,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	rs.res.PeakLeaderLoad = float64(rs.peakLoad)
-	rs.res.FinalCounts = opinion.CountOf(rs.cols, cfg.K)
-	if last, ok := rs.rec.Last(); !ok || last.Time < rs.res.EndTime {
-		rs.record()
-	}
-	rs.res.Trajectory = rs.rec.Trajectory()
-	rs.res.Outcome = rs.rec.Outcome(rs.res.FinalCounts, rs.plurality)
-	if rs.adv != nil {
-		rs.res.AdvCounters = rs.adv.Counters
-	}
-	if rs.mono {
-		rs.res.Outcome.FullConsensus = true
-		rs.res.Outcome.ConsensusTime = rs.monoAt
-		if rs.crash.Alive < cfg.N && rs.crash.Alive > 0 {
-			// Survivor consensus: crashed nodes hold stale colors, so the
-			// count-based Outcome cannot see the winner; read it off the
-			// first survivor instead.
-			rs.res.Outcome.Winner, _ = rs.crash.Winner(func(v int) opinion.Opinion { return rs.cols[v] })
-			rs.res.Outcome.PluralityWon = rs.res.Outcome.Winner == rs.plurality
-		}
-	}
+	rs.res.Summary = rs.Finish()
 	// Flatten the phase map into ordered spans.
 	for g := 1; g <= gStar+1; g++ {
 		if ph, ok := rs.phase[g]; ok {

@@ -1,7 +1,6 @@
 package noleader
 
 import (
-	"context"
 	"fmt"
 
 	"plurality/internal/opinion"
@@ -17,27 +16,20 @@ import (
 // constants (C1, G*, thresholds, leader slot order) are recomputed at
 // restore from the same seed.
 
-// runSim drives the consensus kernel through the shared checkpoint barrier
-// (sim.RunCheckpointed); Ckpt.At is consensus-phase virtual time, and a
-// run that stops before reaching it takes no snapshot.
-func (rs *consensusState) runSim(ctx context.Context) error {
-	return sim.RunCheckpointed(ctx, rs.sm, rs.cfg.Ckpt, rs.capture)
-}
-
 // layout runs the consensus phase's mutable state through c, in blob order
 // after the embedded clustering.
 func (rs *consensusState) layout(c *snap.Codec) {
-	rs.sm.Layout(c)
-	rs.clocks.Layout(c)
+	rs.Sim.Layout(c)
+	rs.Clocks.Layout(c)
 	c.RNG(rs.smp)
-	c.RNG(rs.latR)
-	opinion.SliceLayout(c, &rs.cols, rs.cfg.K)
+	c.RNG(rs.LatR)
+	opinion.SliceLayout(c, &rs.Cols, rs.cfg.K)
 	snap.Words(c, &rs.gens)
 	c.Bools(&rs.finished)
 	c.Bools(&rs.locked)
 	snap.Words(c, &rs.tmpGen)
 	snap.Words(c, &rs.tmpState)
-	opinion.CountsLayout(c, &rs.counts, rs.cfg.K)
+	opinion.CountsLayout(c, &rs.Counts, rs.cfg.K)
 	c.Int(&rs.maxGen)
 	snap.Words(c, &rs.lGen)
 	snap.Words(c, &rs.lState)
@@ -46,20 +38,20 @@ func (rs *consensusState) layout(c *snap.Codec) {
 	snap.Words(c, &rs.loadBucket)
 	snap.Words(c, &rs.loadCount)
 	c.U64(&rs.peakLoad)
-	c.Bool(&rs.mono)
-	c.F64(&rs.monoAt)
+	c.Bool(&rs.Mono)
+	c.F64(&rs.MonoAt)
 	rs.phaseLayout(c)
 	c.U64(&rs.res.TotalLeaderMessages)
-	c.Bool(&rs.res.TimedOut)
-	rs.rec.Layout(c, rs.sm.Now())
+	c.Bool(&rs.TimedOut)
+	rs.Rec.Layout(c, rs.Sim.Now())
 	// Adversarial runs append the crash flags, the adversary state and the
 	// delayed-message arena; the suffix's presence is a pure function of
 	// the Config, so capture and restore agree on it and honest blobs
 	// decode unchanged.
-	if rs.adv != nil {
-		rs.crash.Layout(c)
-		rs.adv.Layout(c)
-		rs.payload.Layout(c)
+	if rs.Adv != nil {
+		rs.Crash.Layout(c)
+		rs.Adv.Layout(c)
+		rs.Payload.Layout(c)
 	}
 }
 
@@ -105,35 +97,13 @@ func (rs *consensusState) capture() []byte {
 	return c.Bytes()
 }
 
-// restore overwrites the consensus phase's mutable state from a captured
-// payload, checks that it is a state the run could have reached, and
-// applies the divergence perturbation; c is positioned right after the
-// embedded clustering, which Run already decoded.
-func (rs *consensusState) restore(c *snap.Codec, perturb uint64) error {
-	rs.layout(c)
-	if err := c.Finish(); err != nil {
-		return fmt.Errorf("noleader: state: %w", err)
-	}
-	if err := rs.check(); err != nil {
-		return fmt.Errorf("noleader: %w: %s", snap.ErrCorrupt, err)
-	}
-	if perturb != 0 {
-		rs.smp.Perturb(perturb)
-		rs.latR.Perturb(perturb)
-		rs.clocks.Perturb(perturb)
-		if rs.adv != nil {
-			rs.adv.Perturb(perturb)
-		}
-	}
-	return nil
-}
-
-// check rejects a decoded state whose sizes, ids, generations or tallies
-// the run could never have reached, so the handlers, which index by them,
-// cannot panic.
+// check rejects a decoded state whose sizes, generations or leader
+// states the run could never have reached, so the handlers, which index
+// by them, cannot panic; the run frame checks the opinions and its own
+// event kinds.
 func (rs *consensusState) check() error {
 	n := rs.cfg.N
-	if len(rs.cols) != n || len(rs.gens) != n || len(rs.finished) != n || len(rs.locked) != n ||
+	if len(rs.gens) != n || len(rs.finished) != n || len(rs.locked) != n ||
 		len(rs.tmpGen) != n || len(rs.tmpState) != n {
 		return fmt.Errorf("node-state length mismatch (blob for a different N?)")
 	}
@@ -152,31 +122,19 @@ func (rs *consensusState) check() error {
 			return fmt.Errorf("leader state (%d, %d) outside [1, %d]×{1, 2, 3}", g, rs.lState[li], rs.gStar)
 		}
 	}
-	if !rs.counts.Tallies(rs.cols, rs.crash.Down) {
-		return fmt.Errorf("color counts disagree with survivor opinions")
-	}
-	inN := func(v int32) bool { return v >= 0 && int(v) < n }
-	valid := func(ev sim.Event) bool {
-		switch ev.Kind {
-		case evTick:
-			return inN(ev.Node)
-		case evSignal:
-			return inN(ev.Node) && ev.A >= 0 && int(ev.A) <= rs.gStar && validState(ev.B)
-		case evComplete:
-			return inN(ev.Node) && inN(ev.A) && inN(ev.B) && inN(ev.C)
-		case evRecord, evDeadline:
-			return true
-		case evCrash:
-			return rs.adv != nil
-		case evAdvDeliver:
-			return rs.payload.Holds(ev.A)
-		}
-		return false
-	}
-	if !sim.ValidPending(rs.sm, rs.payload, valid) {
-		return fmt.Errorf("pending event outside the run's kinds or node ids")
-	}
 	return nil
+}
+
+// validEvent reports whether a restored pending event of the engine's own
+// kinds is one the run could have scheduled.
+func (rs *consensusState) validEvent(ev sim.Event) bool {
+	switch ev.Kind {
+	case evSignal:
+		return rs.Nodes(ev.Node) && ev.A >= 0 && int(ev.A) <= rs.gStar && validState(ev.B)
+	case evComplete:
+		return rs.Nodes(ev.Node, ev.A, ev.B, ev.C)
+	}
+	return false
 }
 
 // validState reports whether s names a leader state.

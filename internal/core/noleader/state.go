@@ -3,8 +3,8 @@ package noleader
 import (
 	"math"
 
-	"plurality/internal/adversary"
 	"plurality/internal/cluster"
+	"plurality/internal/core/asyncrun"
 	"plurality/internal/metrics"
 	"plurality/internal/opinion"
 	"plurality/internal/sim"
@@ -12,30 +12,15 @@ import (
 	"plurality/internal/xrand"
 )
 
-// Typed event kinds of the decentralized consensus engine (see HandleEvent).
-// The cold-path actions (periodic recorder, deadline watchdog) are typed
-// events too, so the pending queue is plain data and the consensus phase is
-// checkpointable mid-flight.
+// The decentralized engine's own event kinds (see HandleEvent); the tick
+// and the cold kinds are the run frame's (asyncrun.Kind*).
 const (
-	// evTick is one Poisson tick of node ev.Node.
-	evTick int32 = iota
 	// evSignal is an (i, s, hasChanged)-signal arriving at leader ev.Node
 	// with i = ev.A, s = ev.B and hasChanged = ev.C != 0.
-	evSignal
+	evSignal int32 = 1
 	// evComplete is node ev.Node's channels to samples ev.A, ev.B, ev.C
 	// completing (Algorithm 4 lines 5-21).
-	evComplete
-	// evRecord is the periodic trajectory recorder; it reschedules itself
-	// every cfg.RecordEvery time steps.
-	evRecord
-	// evDeadline is the hard MaxTime watchdog.
-	evDeadline
-	// evCrash is one crash-adversary action: a one-shot fail-stop of the
-	// victim pool, or one churn toggle (see internal/adversary).
-	evCrash
-	// evAdvDeliver delivers a message the delay adversary held back: A is
-	// the payload-arena slot holding the original event.
-	evAdvDeliver
+	evComplete int32 = 2
 )
 
 // consensusState bundles the mutable state of the consensus phase. The
@@ -43,24 +28,20 @@ const (
 // participating leader, addressed through leaderIdx — so the hot signal
 // path is pure slice arithmetic with no map lookups or pointer chasing.
 type consensusState struct {
+	asyncrun.Frame
 	cfg     Config
 	cl      *cluster.Clustering
-	sm      *sim.Simulator
-	clocks  *sim.Clocks
 	tickFn  func(int)         // rs.tick bound once so Fire calls allocate nothing
 	bs      topo.BatchSampler // cfg.Topo's bulk path, resolved once
 	scratch *topo.Scratch     // batch-sampling buffers (per-worker under RunBatch)
 	smp     *xrand.RNG
-	latR    *xrand.RNG
 
-	cols     []opinion.Opinion
 	gens     []int32
 	finished []bool
 	locked   []bool
 	tmpGen   []int32 // leader gen stored at the previous own-leader contact
 	tmpState []int8  // leader state stored at the previous own-leader contact
 
-	counts opinion.Counts
 	maxGen int
 
 	// leaderIdx maps a node id to its dense leader slot, -1 for everything
@@ -84,36 +65,16 @@ type consensusState struct {
 	loadCount  []uint64
 	peakLoad   uint64
 
-	plurality opinion.Opinion
-	mono      bool
-	monoAt    float64
-
-	// crash is the run's crash set; consensus is detected against its
-	// survivor count. Honest runs keep every node up.
-	crash adversary.Crashes
-
-	// adv is the run's adversary (nil for honest runs — the nil check is
-	// the only cost the hot path pays) and payload the side-arena delayed
-	// messages park their original event in.
-	adv     *adversary.State
-	payload *sim.PayloadArena
-
 	phase map[int]*GenPhases
 	res   *Result
-
-	// maxTime is the effective abort horizon and rec the trajectory
-	// recorder; both live on the state so the evRecord/evDeadline handlers
-	// can reach them.
-	maxTime float64
-	rec     *metrics.Recorder
 }
 
 // HandleEvent dispatches the engine's typed events — the hot path of the
 // consensus phase; every case is allocation-free.
 func (rs *consensusState) HandleEvent(ev sim.Event) {
 	switch ev.Kind {
-	case evTick:
-		rs.clocks.Fire(ev.Node, rs.tickFn)
+	case asyncrun.KindTick:
+		rs.Clocks.Fire(ev.Node, rs.tickFn)
 	case evSignal:
 		rs.signal(int(ev.Node), int(ev.A), LeaderStateKind(ev.B), ev.C != 0)
 	case evComplete:
@@ -124,77 +85,14 @@ func (rs *consensusState) HandleEvent(ev sim.Event) {
 		myLeader := int(rs.cl.LeaderOf[v])
 		participates := myLeader >= 0 && rs.leaderIdx[myLeader] >= 0
 		rs.complete(v, int(ev.A), int(ev.B), int(ev.C), myLeader, participates)
-	case evRecord:
-		rs.record()
-		if rs.mono {
-			rs.sm.Stop()
-			return
-		}
-		if rs.sm.Now() >= rs.maxTime {
-			rs.res.TimedOut = true
-			rs.sm.Stop()
-			return
-		}
-		rs.sm.ScheduleAfter(rs.cfg.RecordEvery, sim.Event{Kind: evRecord})
-	case evDeadline:
-		if rs.sm.Now() < rs.maxTime {
-			// The horizon was extended after this watchdog was queued (a
-			// resumed run may override MaxTime); re-arm at the new deadline.
-			rs.sm.Schedule(rs.maxTime, sim.Event{Kind: evDeadline})
-			return
-		}
-		if !rs.mono {
-			rs.record()
-			rs.res.TimedOut = true
-			rs.sm.Stop()
-		}
-	case evCrash:
-		if next := rs.crash.Apply(rs.adv, rs.sm.Now(), rs.noteCrash); next >= 0 {
-			rs.sm.Schedule(next, sim.Event{Kind: evCrash})
-		}
-		// Survivors may already be unanimous.
-		for _, cnt := range rs.counts {
-			if cnt == rs.crash.Alive && rs.crash.Alive > 0 && !rs.mono {
-				rs.mono = true
-				rs.monoAt = rs.sm.Now()
-			}
-		}
-	case evAdvDeliver:
-		rs.HandleEvent(rs.payload.Take(ev.A))
+	default:
+		rs.Frame.Handle(ev)
 	}
 }
 
-// noteCrash moves a crashed (down) or recovered node's color out of or
-// back into the survivor tally. A crashed node also stops acting on ticks,
-// cannot be read when sampled and, if it is a cluster leader, stops
-// serving signals until it recovers.
-func (rs *consensusState) noteCrash(v int, down bool) {
-	if down {
-		rs.counts[rs.cols[v]]--
-	} else {
-		rs.counts[rs.cols[v]]++
-	}
-}
-
-// sendMsg schedules a protocol message, giving the delay adversary a chance
-// to stretch the delivery: a delayed message parks the original event in the
-// payload arena and is re-dispatched by evAdvDeliver. Honest runs take the
-// plain path (one nil check, no extra draws).
-func (rs *consensusState) sendMsg(d float64, ev sim.Event) {
-	if rs.adv != nil {
-		if extra := rs.adv.DelayExtra(rs.cfg.Latency); extra > 0 {
-			rs.sm.ScheduleAfter(d+extra, sim.Event{Kind: evAdvDeliver, A: rs.payload.Put(ev)})
-			return
-		}
-	}
-	rs.sm.ScheduleAfter(d, ev)
-}
-
-// record appends one trajectory snapshot at the current virtual time.
-func (rs *consensusState) record() {
-	p := metrics.Snapshot(rs.sm.Now(), rs.cols, rs.cfg.K, rs.plurality)
+// point adds the generation field to a recorded trajectory point.
+func (rs *consensusState) point(p *metrics.Point) {
 	p.MaxGen = rs.maxGen
-	rs.rec.Append(p)
 }
 
 // notePhase updates the Figure 2 marks for generation g entering state s.
@@ -232,7 +130,7 @@ func (rs *consensusState) setLeader(li int32, gen int32, s LeaderStateKind) {
 	if gen != rs.lGen[li] || int8(s) != rs.lState[li] {
 		rs.lGen[li] = gen
 		rs.lState[li] = int8(s)
-		rs.notePhase(int(gen), s, rs.sm.Now())
+		rs.notePhase(int(gen), s, rs.Sim.Now())
 	}
 }
 
@@ -240,7 +138,7 @@ func (rs *consensusState) setLeader(li int32, gen int32, s LeaderStateKind) {
 // time unit for the §4.5 congestion metric.
 func (rs *consensusState) leaderMessage(li int32) {
 	rs.res.TotalLeaderMessages++
-	bucket := int32(rs.sm.Now() / rs.cfg.C1)
+	bucket := int32(rs.Sim.Now() / rs.cfg.C1)
 	if bucket != rs.loadBucket[li] {
 		if rs.loadCount[li] > rs.peakLoad {
 			rs.peakLoad = rs.loadCount[li]
@@ -255,11 +153,11 @@ func (rs *consensusState) leaderMessage(li int32) {
 // (Algorithm 5).
 func (rs *consensusState) signal(l int, i int, s LeaderStateKind, hasChanged bool) {
 	li := rs.leaderIdx[l]
-	if li < 0 || rs.crash.Down[l] {
+	if li < 0 || rs.Crash.Down[l] {
 		return // crashed leaders serve nothing until they recover
 	}
 	rs.leaderMessage(li)
-	if rs.mono {
+	if rs.Mono {
 		return
 	}
 	// Lines 1-3: lexicographic adoption of fresher leader states. Only the
@@ -312,34 +210,34 @@ func (rs *consensusState) sendSignal(l int, i int, s LeaderStateKind, hasChanged
 	if hasChanged {
 		hc = 1
 	}
-	rs.sendMsg(rs.cfg.Latency.Sample(rs.latR),
+	rs.SendMsg(rs.Lat.Sample(rs.LatR),
 		sim.Event{Kind: evSignal, Node: int32(l), A: int32(i), B: int32(s), C: hc})
 }
 
 // setNode commits a color/generation update for node v.
 func (rs *consensusState) setNode(v int, col opinion.Opinion, gen int32) {
-	old := rs.cols[v]
-	rs.cols[v] = col
+	old := rs.Cols[v]
+	rs.Cols[v] = col
 	rs.gens[v] = gen
 	if int(gen) > rs.maxGen {
 		rs.maxGen = int(gen)
 	}
 	if old != col {
-		rs.counts[old]--
-		rs.counts[col]++
-		// counts tallies survivors only (noteCrash removes a victim's
-		// color), so unanimity is detected against aliveN; honest runs
-		// have aliveN == N and behave exactly as before.
-		if rs.counts[col] == rs.crash.Alive && rs.crash.Alive > 0 && !rs.mono {
-			rs.mono = true
-			rs.monoAt = rs.sm.Now()
+		rs.Counts[old]--
+		rs.Counts[col]++
+		// Counts tallies survivors only (the frame removes a victim's
+		// color when it crashes), so unanimity is detected against the
+		// survivor count; honest runs keep every node up.
+		if rs.Counts[col] == rs.Crash.Alive && rs.Crash.Alive > 0 && !rs.Mono {
+			rs.Mono = true
+			rs.MonoAt = rs.Sim.Now()
 		}
 	}
 }
 
 // tick handles one Poisson tick of node v (Algorithm 4).
 func (rs *consensusState) tick(v int) {
-	if rs.mono || rs.crash.Down[v] {
+	if rs.Mono || rs.Crash.Down[v] {
 		return
 	}
 	myLeader := int(rs.cl.LeaderOf[v])
@@ -362,10 +260,10 @@ func (rs *consensusState) tick(v int) {
 	rs.bs.SampleNeighbors(rs.smp, vs, out)
 	// Accumulated latency: three contacts in parallel, then own leader and
 	// v3's leader in parallel (§4.3).
-	lat := rs.cfg.Latency
-	three := math.Max(lat.Sample(rs.latR), math.Max(lat.Sample(rs.latR), lat.Sample(rs.latR)))
-	two := math.Max(lat.Sample(rs.latR), lat.Sample(rs.latR))
-	rs.sendMsg(three+two,
+	lat := rs.Lat
+	three := math.Max(lat.Sample(rs.LatR), math.Max(lat.Sample(rs.LatR), lat.Sample(rs.LatR)))
+	two := math.Max(lat.Sample(rs.LatR), lat.Sample(rs.LatR))
+	rs.SendMsg(three+two,
 		sim.Event{Kind: evComplete, Node: int32(v), A: out[0], B: out[1], C: out[2]})
 }
 
@@ -374,7 +272,7 @@ func (rs *consensusState) complete(v, v1, v2, v3, myLeader int, participates boo
 	// The event runs atomically, so the lock can drop on entry: it only
 	// gates future tick events.
 	rs.locked[v] = false
-	if rs.mono || rs.crash.Down[v] {
+	if rs.Mono || rs.Crash.Down[v] {
 		return
 	}
 	// Adversary view of the three sampled partners: a crashed or dropped
@@ -382,15 +280,15 @@ func (rs *consensusState) complete(v, v1, v2, v3, myLeader int, participates boo
 	// their color (generations stay truthful — lying about freshness is a
 	// different adversary). Honest runs see every partner up with its true
 	// color.
-	u1Up, u2Up, u3Up := !rs.crash.Down[v1], !rs.crash.Down[v2], !rs.crash.Down[v3]
-	col1, col2, col3 := rs.cols[v1], rs.cols[v2], rs.cols[v3]
-	if rs.adv != nil {
-		u1Up = u1Up && !rs.adv.DropMessage()
-		u2Up = u2Up && !rs.adv.DropMessage()
-		u3Up = u3Up && !rs.adv.DropMessage()
-		col1 = opinion.Opinion(rs.adv.Lie(v1, int32(col1)))
-		col2 = opinion.Opinion(rs.adv.Lie(v2, int32(col2)))
-		col3 = opinion.Opinion(rs.adv.Lie(v3, int32(col3)))
+	u1Up, u2Up, u3Up := !rs.Crash.Down[v1], !rs.Crash.Down[v2], !rs.Crash.Down[v3]
+	col1, col2, col3 := rs.Cols[v1], rs.Cols[v2], rs.Cols[v3]
+	if rs.Adv != nil {
+		u1Up = u1Up && !rs.Adv.DropMessage()
+		u2Up = u2Up && !rs.Adv.DropMessage()
+		u3Up = u3Up && !rs.Adv.DropMessage()
+		col1 = opinion.Opinion(rs.Adv.Lie(v1, int32(col1)))
+		col2 = opinion.Opinion(rs.Adv.Lie(v2, int32(col2)))
+		col3 = opinion.Opinion(rs.Adv.Lie(v3, int32(col3)))
 	}
 	// Line 5: a finished node pushes its final opinion (to the reachable
 	// partners; a push onto a crashed node would corrupt the survivor
@@ -407,7 +305,7 @@ func (rs *consensusState) complete(v, v1, v2, v3, myLeader int, participates boo
 			if !up {
 				continue
 			}
-			rs.setNode(u, rs.cols[v], rs.gens[u])
+			rs.setNode(u, rs.Cols[v], rs.gens[u])
 			rs.finished[u] = true
 		}
 		return
@@ -439,7 +337,7 @@ func (rs *consensusState) complete(v, v1, v2, v3, myLeader int, participates boo
 	}
 	l := int(rs.cl.LeaderOf[v3])
 	var li int32 = -1
-	if l >= 0 && !rs.crash.Down[l] {
+	if l >= 0 && !rs.Crash.Down[l] {
 		li = rs.leaderIdx[l]
 	}
 	if li < 0 {
@@ -498,7 +396,7 @@ func (rs *consensusState) complete(v, v1, v2, v3, myLeader int, participates boo
 		rs.sendSignal(myLeader, lGen, lState, false)
 	}
 	// Line 19: refresh the stored leader view from the own leader.
-	if ownLi := rs.leaderIdx[myLeader]; ownLi >= 0 && !rs.crash.Down[myLeader] {
+	if ownLi := rs.leaderIdx[myLeader]; ownLi >= 0 && !rs.Crash.Down[myLeader] {
 		rs.leaderMessage(ownLi)
 		rs.tmpGen[v] = rs.lGen[ownLi]
 		rs.tmpState[v] = rs.lState[ownLi]

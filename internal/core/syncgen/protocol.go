@@ -157,18 +157,7 @@ func Run(cfg Config) (*Result, error) {
 	cfg.Topo = tp
 
 	rng := xrand.New(cfg.Seed)
-	cols := make([]opinion.Opinion, cfg.N)
-	if cfg.Assignment != nil {
-		copy(cols, cfg.Assignment)
-	} else {
-		alpha := cfg.Alpha
-		if alpha < 1 {
-			alpha = 1
-		}
-		cols = opinion.PlantedBias(cfg.N, cfg.K, alpha, rng.SplitNamed("assignment"))
-	}
-	initCounts := opinion.CountOf(cols, cfg.K)
-	plurality, _ := initCounts.TopTwo()
+	cols, initCounts, plurality := opinion.Initial(cfg.N, cfg.K, cfg.Assignment, cfg.Alpha, rng)
 	alphaHat := initCounts.Bias()
 
 	gStar := cfg.GStar
@@ -208,13 +197,13 @@ func Run(cfg Config) (*Result, error) {
 		st.crash = adversary.NewCrashes(cfg.N)
 	}
 	bs := topo.Batch(cfg.Topo)
-	res := &Result{InitialPlurality: opinion.Opinion(plurality)}
+	res := &Result{InitialPlurality: plurality}
 	rec := metrics.NewRecorder(eps, cfg.DiscardTrajectory, cfg.Observe)
 	record := func(step int) {
 		// The tally's global color totals equal opinion.CountOf on the
 		// configuration, so the recorded Point is bit-identical to the
 		// historical per-snapshot recount.
-		p := metrics.SnapshotCounts(float64(step), st.tally.counts(), opinion.Opinion(plurality))
+		p := metrics.SnapshotCounts(float64(step), st.tally.counts(), plurality)
 		p.MaxGen = st.tally.maxGen
 		p.MaxGenFrac = float64(st.tally.genSize[st.tally.maxGen]) / float64(cfg.N)
 		rec.Append(p)
@@ -289,10 +278,10 @@ func Run(cfg Config) (*Result, error) {
 	// Result outlives it).
 	res.FinalCounts = append(opinion.Counts(nil), st.tally.counts()...)
 	res.Trajectory = rec.Trajectory()
-	res.Outcome = rec.Outcome(res.FinalCounts, opinion.Opinion(plurality))
+	res.Outcome = rec.Outcome(res.FinalCounts, plurality)
 	if st.adv != nil {
 		res.AdvCounters = st.adv.Counters
-		st.crash.SurvivorConsensus(&res.Outcome, st.colOf, float64(res.Steps), opinion.Opinion(plurality))
+		st.crash.SurvivorConsensus(&res.Outcome, st.colOf, float64(res.Steps), plurality)
 	}
 	return res, nil
 }

@@ -98,3 +98,21 @@ func fromCountsShuffled(counts []int, r *xrand.RNG) []Opinion {
 	xrand.ShuffleSlice(r, a)
 	return a
 }
+
+// Initial returns the starting opinions of an n-node run over k opinions,
+// their counts and the plurality opinion. It copies assign when that is
+// non-nil, so the run never mutates its caller's slice; otherwise it plants
+// PlantedBias (alpha raised to at least 1) from root's "assignment"
+// substream, the only draw it takes from root.
+func Initial(n, k int, assign []Opinion, alpha float64, root *xrand.RNG) ([]Opinion, Counts, Opinion) {
+	var cols []Opinion
+	if assign != nil {
+		cols = make([]Opinion, n)
+		copy(cols, assign)
+	} else {
+		cols = PlantedBias(n, k, max(alpha, 1), root.SplitNamed("assignment"))
+	}
+	counts := CountOf(cols, k)
+	pl, _ := counts.TopTwo()
+	return cols, counts, Opinion(pl)
+}

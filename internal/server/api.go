@@ -102,6 +102,9 @@ type Stats struct {
 	// PendingWrites counts the cache and snapshot file writes queued for
 	// the disk or in flight; 0 means the disk holds everything served.
 	PendingWrites int `json:"pending_writes"`
+	// WriteErrors counts the cache, snapshot and manifest writes that
+	// failed since boot; a store that stops persisting shows here.
+	WriteErrors uint64 `json:"write_errors"`
 }
 
 // streamTrailer is the final NDJSON line of a completed sweep stream.

@@ -145,6 +145,7 @@ func (s *Server) Stats() Stats {
 		QueuedJobs:      queued,
 		RunningJobs:     running,
 		PendingWrites:   s.writer.pending(),
+		WriteErrors:     s.writer.failed(),
 	}
 }
 
@@ -224,11 +225,9 @@ func (s *Server) registerSweep(req SweepRequest, plan *plurality.SweepPlan, keys
 		st.handles = handles
 	}
 	s.sweeps[id] = st
-	if err := s.store.SaveManifest(Manifest{ID: id, Request: req, Done: len(missing) == 0}); err != nil {
-		// The sweep still runs this boot; only restart durability degraded.
-		// Nothing sensible to do beyond serving what we have.
-		_ = err
-	}
+	// A failed manifest write only degrades restart durability: the sweep
+	// still runs this boot. It shows as a write error on /v1/stats.
+	s.writer.note(s.store.SaveManifest(Manifest{ID: id, Request: req, Done: len(missing) == 0}))
 	return st, http.StatusOK, nil
 }
 
@@ -259,9 +258,7 @@ func (s *Server) cellJob(st *sweepState, job int) harness.Job {
 		}
 		m := plurality.StandardMetrics(res)
 		if blob, err := encodeMetrics(m); err == nil {
-			if err := s.cache.Put(key, blob); err != nil {
-				_ = err // cache write failure only costs future reuse
-			}
+			s.writer.note(s.cache.Put(key, blob))
 		}
 		s.jobsComputed.Add(1)
 		s.finishJob(st, job, m, false)
@@ -273,9 +270,7 @@ func (s *Server) cellJob(st *sweepState, job int) harness.Job {
 // it was the sweep's last.
 func (s *Server) finishJob(st *sweepState, job int, m map[string]float64, cached bool) {
 	if st.jobDone(job, m, cached) {
-		if err := s.store.SaveManifest(Manifest{ID: st.id, Request: st.req, Done: true}); err != nil {
-			_ = err
-		}
+		s.writer.note(s.store.SaveManifest(Manifest{ID: st.id, Request: st.req, Done: true}))
 	}
 }
 
@@ -452,9 +447,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.jobsComputed.Add(1)
-	if err := s.cache.Put(key, blob); err != nil {
-		_ = err
-	}
+	s.writer.note(s.cache.Put(key, blob))
 	w.Header().Set("X-Plurality-Cache", "miss")
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(blob)

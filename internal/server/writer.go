@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // writeQueueCap bounds the writes a server holds for its disk at once.
@@ -27,8 +28,13 @@ const writeQueueCap = 256
 // job from an older snapshot or from scratch. Results are deterministic
 // either way.
 //
-// A nil *writer is valid: close and pending then do nothing.
+// Every failed store write — the writer's own, and the manifests and cache
+// entries its server writes inline — is counted in errs, the write_errors
+// of /v1/stats, so a full or read-only store does not fail silently.
+//
+// A nil *writer is valid: close, pending, note and failed then do nothing.
 type writer struct {
+	errs   atomic.Uint64
 	mu     sync.Mutex
 	cond   *sync.Cond // signalled on every change of queue, busy or closed
 	queue  []*fileWrite
@@ -70,7 +76,7 @@ func (w *writer) submit(op *fileWrite, coalesce bool) {
 	}
 	if w.closed {
 		w.mu.Unlock()
-		op.apply()
+		w.note(op.apply())
 		return
 	}
 	w.queue = append(w.queue, op)
@@ -140,7 +146,7 @@ func (w *writer) run() {
 		w.queue = w.queue[1:]
 		w.busy = op
 		w.mu.Unlock()
-		op.apply()
+		w.note(op.apply())
 		w.mu.Lock()
 		w.busy = nil
 		if w.snaps[op.path] == op {
@@ -150,14 +156,33 @@ func (w *writer) run() {
 	}
 }
 
-// apply performs the write. Errors are dropped: a lost cache entry only
-// costs a recomputation, a lost snapshot only a longer resume.
-func (op *fileWrite) apply() {
-	if op.del {
-		os.Remove(op.path)
-		return
+// note counts err, if any, as a failed store write. A failed write is
+// not retried: a lost cache entry only costs a recomputation, a lost
+// snapshot only a longer resume, a lost manifest the sweep's recovery.
+func (w *writer) note(err error) {
+	if w != nil && err != nil {
+		w.errs.Add(1)
 	}
-	_ = writeFileAtomic(op.path, op.blob, "file")
+}
+
+// failed returns the number of failed store writes.
+func (w *writer) failed() uint64 {
+	if w == nil {
+		return 0
+	}
+	return w.errs.Load()
+}
+
+// apply performs the write. Removing a file that is already gone is no
+// error.
+func (op *fileWrite) apply() error {
+	if op.del {
+		if err := os.Remove(op.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+		return nil
+	}
+	return writeFileAtomic(op.path, op.blob, "file")
 }
 
 // writeFileAtomic publishes blob at path through a temp file and a rename,

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -158,5 +160,54 @@ func TestWriterQueueBounded(t *testing.T) {
 		if _, err := os.Stat(c.path(fmt.Sprintf("%064x", i))); err != nil {
 			t.Fatalf("entry %d never reached disk: %v", i, err)
 		}
+	}
+}
+
+// TestWriteErrorsCounted pins that failed store writes show as
+// write_errors on /v1/stats. A regular file where the cache, snapshot and
+// manifest directories should be fails every write with ENOTDIR, even as
+// root; removing a snapshot that was never written is no error.
+func TestWriteErrorsCounted(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, Dir: dir})
+	writeErrors := func() uint64 {
+		t.Helper()
+		waitIdle(t, s)
+		var st Stats
+		if err := json.Unmarshal(do(t, s, http.MethodGet, "/v1/stats", "").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.WriteErrors
+	}
+	s.store.DeleteJobSnapshot("absent")
+	if n := writeErrors(); n != 0 {
+		t.Fatalf("removing an absent snapshot counted %d write errors", n)
+	}
+	for _, sub := range []string{"cas", "snaps", "sweeps"} {
+		p := filepath.Join(dir, sub)
+		if err := os.RemoveAll(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w := do(t, s, http.MethodPost, "/v1/runs", `{"protocol":"sync","spec":{"n":100,"k":2,"seed":1}}`); w.Code != http.StatusOK {
+		t.Fatalf("run: status %d (%s)", w.Code, w.Body)
+	}
+	if n := writeErrors(); n != 1 {
+		t.Fatalf("a run whose cache entry cannot be written counted %d write errors, want 1", n)
+	}
+	s.store.SaveJobSnapshot("job", []byte("state"))
+	if n := writeErrors(); n != 2 {
+		t.Fatalf("an unwritable snapshot brought the count to %d, want 2", n)
+	}
+	// The submission's manifest, the cell's cache entry and the manifest's
+	// Done bit.
+	if w := do(t, s, http.MethodPost, "/v1/sweeps?async=1", `{"protocol":"sync","base":{"n":100,"k":2,"seed":1},"reps":1}`); w.Code != http.StatusAccepted {
+		t.Fatalf("sweep: status %d (%s)", w.Code, w.Body)
+	}
+	if n := writeErrors(); n != 5 {
+		t.Fatalf("a one-cell sweep brought the count to %d, want 5", n)
 	}
 }

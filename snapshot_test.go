@@ -293,37 +293,54 @@ func TestResumeObserver(t *testing.T) {
 	}
 }
 
-// TestResumeHorizonExtension pins the long-horizon use case: a run that
-// timed out can be resumed past its original deadline.
+// TestResumeHorizonExtension pins the long-horizon use case for both
+// checkpointable asynchronous engines: a run that timed out can be resumed
+// past its original deadline, because the watchdog queued for the old
+// horizon re-arms at the new one.
 func TestResumeHorizonExtension(t *testing.T) {
-	spec := snapshotSpec()
-	spec.MaxTime = 6 // far too short for consensus at this size
-	ctx := context.Background()
-	short, err := Run(ctx, "leader", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !short.TimedOut {
-		t.Skip("short-horizon run unexpectedly converged")
-	}
-	cspec := spec
-	cspec.Checkpoint = CheckpointSpec{SnapshotAt: 3, Halt: true}
-	half, err := Run(ctx, "leader", cspec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if half.Snapshot == nil {
-		t.Fatal("no snapshot captured")
-	}
-	res, err := Resume(ctx, half.Snapshot, &ResumeOptions{MaxTime: 10_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TimedOut {
-		t.Errorf("resumed run still timed out at extended horizon (duration %g)", res.Duration)
-	}
-	if res.Duration <= spec.MaxTime {
-		t.Errorf("resumed run ended at %g, expected to pass the original deadline %g", res.Duration, spec.MaxTime)
+	for _, protocol := range []string{"leader", "decentralized"} {
+		t.Run(protocol, func(t *testing.T) {
+			spec := snapshotSpec()
+			spec.MaxTime = 6 // far too short for consensus at this size
+			ctx := context.Background()
+			short, err := Run(ctx, protocol, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !short.TimedOut {
+				t.Skip("short-horizon run unexpectedly converged")
+			}
+			cspec := spec
+			cspec.Checkpoint = CheckpointSpec{SnapshotAt: 3, Halt: true}
+			half, err := Run(ctx, protocol, cspec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if half.Snapshot == nil {
+				t.Fatal("no snapshot captured")
+			}
+			// A horizon still too short ends exactly at the new deadline: the
+			// watchdog queued for the old one re-armed there, where the
+			// recorder alone would stop the run at its next point past it.
+			const nearer = 7.5
+			near, err := Resume(ctx, half.Snapshot, &ResumeOptions{MaxTime: nearer})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !near.TimedOut || near.Duration != nearer {
+				t.Errorf("resumed to horizon %g: timed out %v at %g, want a time-out at the horizon", nearer, near.TimedOut, near.Duration)
+			}
+			res, err := Resume(ctx, half.Snapshot, &ResumeOptions{MaxTime: 10_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TimedOut {
+				t.Errorf("resumed run still timed out at extended horizon (duration %g)", res.Duration)
+			}
+			if res.Duration <= spec.MaxTime {
+				t.Errorf("resumed run ended at %g, expected to pass the original deadline %g", res.Duration, spec.MaxTime)
+			}
+		})
 	}
 }
 
