@@ -120,28 +120,30 @@ func adversaryGoldenSpec(adv AdversarySpec) Spec {
 // adversaryGolden maps "protocol/label" to the digest recorded when the
 // subsystem landed, and for the asynchronous engines and churn schedules
 // re-recorded at EngineEpoch 2 (superposed clock, ziggurat exponential).
+// The crash rows were re-recorded at EngineEpoch 3, when every engine
+// began to record and report the survivors' counts only.
 // Any change to adversary draw order, victim selection or engine
 // arithmetic under faults shows up here. Re-record with:
 //
 //	PLURALITY_GOLDEN_RECORD=1 go test -run TestAdversaryGolden -v .
 var adversaryGolden = map[string]string{
 	"3-majority/byzantine(f=0.15)":    "b629ee7d5e23a884d573179db02870113219077cde33e8bfbeffa6ae488f8597",
-	"3-majority/crash(f=0.2)":         "b0093e79a654fa1743e3b4a75667d14a06cc6955b692f0c325170dd78a2afff8",
-	"3-majority/crash(f=0.2,r=1)":     "a79ac30ffb1545dcdc8089a1bd8b3a152c19f5bc75459964f02919f8e65b155f",
+	"3-majority/crash(f=0.2)":         "f95a087b88a3205344d907a4f420646a35eec4f60999d4b1cd8f66678dae848f",
+	"3-majority/crash(f=0.2,r=1)":     "27291b99b1050c4d0afb0a7a35cd874f3e5af479f4cd3a91209ca56d4cbc09d6",
 	"3-majority/drop(f=0.3)":          "2254253292e3586ca390c00cb506c48e80f230f55d6fd0cc864f3f13808092a4",
 	"decentralized/byzantine(f=0.15)": "42dfb59a4a61d3775ccfdbdca34224c4e3159db5bde27b3e4a78ccb3c0866e0c",
-	"decentralized/crash(f=0.2)":      "321c6c7da1e61114caf41b8e97571ed1315fe2ebad8b6d945993c39c2c3da879",
-	"decentralized/crash(f=0.2,r=1)":  "a4f8bbc0817591eaba7f7631037dd1e1b232a943ec81e676388e7ceca87e164d",
+	"decentralized/crash(f=0.2)":      "0749f195d31a69c73ed2b4bac3177eef6bbcaef6f2b2fcf533367c5e2fcefc7d",
+	"decentralized/crash(f=0.2,r=1)":  "8ead9e78b258331c60e5bc8e7670bdde52406cdaf244ae32f6b6590b78d60e7e",
 	"decentralized/delay(f=0.5,x2)":   "71a689bd68717e254f2a5fb7cf3e5912caed364d390f61f0d83ab69e9975dfd8",
 	"decentralized/drop(f=0.3)":       "2cb64cf4efab06a9af60500edce8f11802f77496a29fecfca99d5a984ad9010e",
 	"leader/byzantine(f=0.15)":        "99b7d84ea562b75dc7c26598b42b681128536657de291ce5d07bfbd8adf160db",
-	"leader/crash(f=0.2)":             "4546ed73e962a886daa2214ff5918c2ebe00657e6f75f7a60a41a10ed545767e",
-	"leader/crash(f=0.2,r=1)":         "ef767e472045a12aff74a298611fdbac6707c03c15960bcc746c2783048f1cca",
+	"leader/crash(f=0.2)":             "ccea6590da99b2feb40c2791d759f8842aafa776df7f5ce12cf165a04337004f",
+	"leader/crash(f=0.2,r=1)":         "9b41749d8f60910b0e7f679afdcb11e55a581335cdadf3130ad68a29cf9a70d7",
 	"leader/delay(f=0.5,x2)":          "e1275370333d37a620d2849c51b30cdb77e5ad5defa0980559ce2c680b338c72",
 	"leader/drop(f=0.3)":              "31674182992814c15739f11bf730c3b52331879283f02798d3e43583cc14116d",
 	"sync/byzantine(f=0.15)":          "3e167fda88ed589bab65006f01ff8a80666028ef8e4926a7d5b879f2426b781b",
-	"sync/crash(f=0.2)":               "aca483ac065d050cd0a3a96751e7ecb8129650e4e52e40af609d125bdd875d31",
-	"sync/crash(f=0.2,r=1)":           "d5bbb62c88927d915cbf01087a6e86d166bba7c98093d65c583331e696757866",
+	"sync/crash(f=0.2)":               "3302cfa36c0d33b9775cb510ab22d2b538c7ab8ed639a332e2da6de228dc6647",
+	"sync/crash(f=0.2,r=1)":           "e6dc6434533858b04715977c5af2cb276fe50c0296a33e0de5831079f012cd30",
 	"sync/drop(f=0.3)":                "ab21dc27c3d8c9758f1396f05c781178c2e290ec9d579c966d0fe629c4930131",
 }
 
@@ -179,6 +181,61 @@ func TestAdversaryGolden(t *testing.T) {
 		if err := os.WriteFile(out, []byte(body), 0o644); err != nil {
 			t.Errorf("writing digest artifact: %v", err)
 		}
+	}
+}
+
+// TestConsensusCountsSurvivors checks that every engine records, stops and
+// reports on one population, the survivors: a run stops only in full
+// consensus or at its horizon, and one that reports full consensus ends on
+// a point where the dominant opinion holds every survivor, with final
+// counts that give the winner exactly the n − crashes + recoveries nodes
+// still up. It covers the adversarial matrix and the honest kernel matrix
+// (every node survives there).
+func TestConsensusCountsSurvivors(t *testing.T) {
+	type cell struct {
+		key  string
+		name string
+		spec Spec
+	}
+	var cells []cell
+	for _, c := range adversaryGoldenMatrix() {
+		cells = append(cells, cell{c.protocol + "/" + c.adv.Label(), c.protocol, adversaryGoldenSpec(c.adv)})
+	}
+	for _, name := range Protocols() {
+		for _, tp := range goldenTopologies {
+			spec := kernelGoldenSpec(tp)
+			cells = append(cells, cell{name + "/" + tp.ResolvedLabel(spec.N), name, spec})
+		}
+	}
+	for _, c := range cells {
+		t.Run(c.key, func(t *testing.T) {
+			res, err := Run(context.Background(), c.name, c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			survivors := c.spec.N - int(res.Stats["adv_crashes"]) + int(res.Stats["adv_recoveries"])
+			total := 0
+			for _, n := range res.FinalCounts {
+				total += n
+			}
+			if total > survivors {
+				t.Errorf("final counts %v hold %d nodes, but only %d survive", res.FinalCounts, total, survivors)
+			}
+			if !res.FullConsensus {
+				if !res.TimedOut {
+					t.Errorf("stopped at t=%v with neither full consensus nor a timeout (final counts %v)",
+						res.Duration, res.FinalCounts)
+				}
+				return
+			}
+			if last := res.Trajectory[len(res.Trajectory)-1]; last.TopFrac != 1 {
+				t.Errorf("full consensus, but the last point at t=%v has TopFrac %v", last.Time, last.TopFrac)
+			}
+			if got := res.FinalCounts[res.Winner]; got != survivors {
+				t.Errorf("full consensus on %d, but it holds %d of %d survivors (final counts %v)",
+					res.Winner, got, survivors, res.FinalCounts)
+			}
+		})
 	}
 }
 

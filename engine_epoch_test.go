@@ -14,6 +14,7 @@ import (
 var epochGoldens = map[int]string{
 	1: "dedef1bcc17aad22b9a67782e20c5bd62b1857d3780ab889e4b601407bbef628",
 	2: "8a891486bf46cf1b6a75b05bac3644419a0c7649067df303bcab4fd4c00598aa",
+	3: "7601563b97e58fa046d28662364f2d5c8b1744b8e4c3da62f6acf4d2efcefd66",
 }
 
 func goldenTablesDigest() string {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"plurality/internal/opinion"
 	"plurality/internal/sim"
 	"plurality/internal/snap"
 	"plurality/internal/xrand"
@@ -239,25 +238,5 @@ func TestCrashesDecodeRejectsInconsistentSection(t *testing.T) {
 	}
 	if _, err := decode(make([]bool, 5), 5); !errors.Is(err, snap.ErrCorrupt) {
 		t.Errorf("5 flags for 4 nodes: got %v, want ErrCorrupt", err)
-	}
-}
-
-// TestCrashesWinner pins survivor consensus: crashed nodes are ignored, a
-// disagreeing or undecided survivor is no consensus, and the lowest
-// survivor's opinion is reported either way.
-func TestCrashesWinner(t *testing.T) {
-	c := NewCrashes(3)
-	cols := []opinion.Opinion{2, 1, 1}
-	col := func(v int) opinion.Opinion { return cols[v] }
-	if w, ok := c.Winner(col); ok || w != 2 {
-		t.Errorf("disagreeing survivors: got (%d, %v), want (2, false)", w, ok)
-	}
-	c.Down[0], c.Alive = true, 2
-	if w, ok := c.Winner(col); !ok || w != 1 {
-		t.Errorf("agreeing survivors: got (%d, %v), want (1, true)", w, ok)
-	}
-	cols[1], cols[2] = opinion.None, opinion.None
-	if _, ok := c.Winner(col); ok {
-		t.Error("undecided survivors reported as consensus")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"plurality/internal/metrics"
 	"plurality/internal/opinion"
 	"plurality/internal/snap"
 	"plurality/internal/xrand"
@@ -82,46 +81,6 @@ func (c *Crashes) flip(s *State, v int, note func(int, bool)) {
 	if note != nil {
 		note(v, down)
 	}
-}
-
-// Winner returns the opinion of the lowest-numbered survivor, reading node
-// v's opinion through col, and whether every survivor holds it: survivor
-// consensus, which a count-based outcome cannot see because crashed nodes
-// keep stale opinions. With no survivor it returns (opinion.None, false);
-// an undecided survivor (opinion.None) is never a consensus.
-func (c *Crashes) Winner(col func(v int) opinion.Opinion) (opinion.Opinion, bool) {
-	w, seen := opinion.None, false
-	for v, down := range c.Down {
-		if down {
-			continue
-		}
-		o := col(v)
-		if !seen {
-			w, seen = o, true
-		}
-		if o != w || o == opinion.None {
-			return w, false
-		}
-	}
-	return w, seen
-}
-
-// SurvivorConsensus rewrites a round-based engine's outcome when the
-// survivors agree but the count-based outcome, which also counts crashed
-// nodes, saw no full consensus: the survivors' opinion wins at time at.
-func (c *Crashes) SurvivorConsensus(out *metrics.Outcome, col func(v int) opinion.Opinion,
-	at float64, plurality opinion.Opinion) {
-	if out.FullConsensus {
-		return
-	}
-	w, ok := c.Winner(col)
-	if !ok {
-		return
-	}
-	out.Winner = w
-	out.FullConsensus = true
-	out.ConsensusTime = at
-	out.PluralityWon = w == plurality
 }
 
 // Layout runs the crash section of an engine snapshot through c: the

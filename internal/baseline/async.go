@@ -31,9 +31,8 @@ type poissonState struct {
 	scratch  *topo.Scratch     // batch-sampling buffers (per-worker under RunBatch)
 	smp      *xrand.RNG
 
-	locked    []bool
-	undecided int
-	opBuf     [3]opinion.Opinion // rule.Samples() <= 3 for every built-in rule
+	locked []bool
+	opBuf  [3]opinion.Opinion // rule.Samples() <= 3 for every built-in rule
 }
 
 // HandleEvent dispatches the Poisson baseline's typed events.
@@ -48,35 +47,20 @@ func (ps *poissonState) HandleEvent(ev sim.Event) {
 	}
 }
 
-func (ps *poissonState) isMono() bool {
-	if ps.undecided > 0 {
-		return false
-	}
-	for _, c := range ps.Counts {
-		if c == ps.Counts.Total() && c > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 func (ps *poissonState) setNode(v int, c opinion.Opinion) {
 	old := ps.Cols[v]
 	if old == c {
 		return
 	}
 	ps.Cols[v] = c
-	if old == opinion.None {
-		ps.undecided--
-	} else {
+	if old != opinion.None {
 		ps.Counts[old]--
 	}
 	if c == opinion.None {
-		ps.undecided++
-	} else {
-		ps.Counts[c]++
+		return
 	}
-	if !ps.Mono && ps.isMono() {
+	ps.Counts[c]++
+	if ps.Counts[c] == ps.Crash.Alive && !ps.Mono {
 		ps.Mono = true
 		ps.MonoAt = ps.Sim.Now()
 	}
@@ -150,11 +134,6 @@ func RunPoisson(rule Rule, cfg Config, lat sim.Latency) (*Result, error) {
 		scratch:  cfg.scratch(),
 		smp:      root.SplitNamed("sampling"),
 		locked:   make([]bool, cfg.N),
-	}
-	for _, c := range cols {
-		if c == opinion.None {
-			ps.undecided++
-		}
 	}
 	ps.tickFn = ps.tick
 	if err := ps.Start(ps, root, asyncrun.Config{

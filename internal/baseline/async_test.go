@@ -137,13 +137,14 @@ func digestPoisson(res *Result) string {
 // closure kernel (recorded at commit 85af9cc): the typed event kernel must
 // replay these runs byte-for-byte. Re-recorded at plurality.EngineEpoch 2,
 // when the superposed clock and the ziggurat exponential changed the
-// streams on purpose.
+// streams on purpose, and undecided-state at EngineEpoch 3, when undecided
+// nodes joined the denominator of its recorded fractions.
 func TestRunPoissonGolden(t *testing.T) {
 	golden := map[string]string{
 		"pull-voting":     "7eecc7a20fed2ac83414208d0d175f00d6d1bbe5b8c8f60c8156d49434565b3f",
 		"two-choices":     "fb21504897c7ced7e9f318ce2873e74ea7942a304acd20dc72bdfa1407f96e78",
 		"3-majority":      "2304741182c345f2f6729fe468da37b1d2c54b0f38af94d726ea69bd1224257b",
-		"undecided-state": "e52428b608bfa962eee57a88828b5025e8341d796090fa656660f90d37abb6de",
+		"undecided-state": "001173ce967c7f0735582c2d71fc3e8b763a5971882cc7bc4bcb336f9970b7a6",
 	}
 	for name, want := range golden {
 		rule, err := NewRule(name, xrand.New(21))

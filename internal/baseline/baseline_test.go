@@ -3,7 +3,9 @@ package baseline
 import (
 	"testing"
 
+	"plurality/internal/metrics"
 	"plurality/internal/opinion"
+	"plurality/internal/snap"
 	"plurality/internal/topo"
 	"plurality/internal/xrand"
 )
@@ -85,6 +87,58 @@ func TestUndecidedRule(t *testing.T) {
 	}
 	if got := u.Update(1, []opinion.Opinion{opinion.None}); got != 1 {
 		t.Errorf("pulling undecided should keep: %d", got)
+	}
+}
+
+// TestUndecidedConsensusCountsEveryNode pins the population of the
+// undecided-state dynamics: an undecided node agrees with nobody, so full
+// consensus comes at the first round in which every node holds the winner,
+// and ε-convergence at the first round in which (1−ε)·n nodes, not (1−ε)
+// of the decided ones, hold the plurality. Each round's opinions are read
+// off a capture of the run, not off the recorder under test.
+func TestUndecidedConsensusCountsEveryNode(t *testing.T) {
+	const n, k = 10000, 4
+	cfg := Config{N: n, K: k, Alpha: 2, Seed: 1}
+	initial, _, plurality := opinion.Initial(n, k, nil, cfg.Alpha, xrand.New(cfg.Seed))
+	held := []opinion.Counts{opinion.CountOf(initial, k)} // held[r]: after round r
+	cfg.Ckpt = &snap.Checkpoint{At: 1, Every: 1, Sink: func(state []byte, _ float64, _ uint64) {
+		st := &roundsState{perTick: 1, k: k, stepRNG: xrand.New(0), rule: Undecided{},
+			rec: metrics.NewRecorder(0, true, nil)}
+		c := snap.NewDecoder(state)
+		st.layout(c)
+		if err := c.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, opinion.CountOf(st.cols, k))
+	}}
+	res, err := RunSync(Undecided{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The run captures every round but its last, which FinalCounts holds.
+	held = append(held, res.FinalCounts)
+	if len(held) != res.Rounds+1 {
+		t.Fatalf("%d rounds held for a run of %d", len(held)-1, res.Rounds)
+	}
+	first := func(pred func(opinion.Counts) bool) float64 {
+		for r, c := range held {
+			if pred(c) {
+				return float64(r)
+			}
+		}
+		return -1
+	}
+	out := res.Outcome
+	all := first(func(c opinion.Counts) bool { return c[out.Winner] == n })
+	if !out.FullConsensus || out.ConsensusTime != all {
+		t.Errorf("full consensus %v at round %v; every node first holds the winner at round %v",
+			out.FullConsensus, out.ConsensusTime, all)
+	}
+	eps := first(func(c opinion.Counts) bool { return float64(c[plurality]) >= (1-out.Eps)*n })
+	// Every round is recorded, so ε-convergence is that exact round.
+	if !out.EpsReached || out.EpsTime != eps {
+		t.Errorf("ε-convergence %v at round %v; (1−ε)·n nodes first hold the plurality at round %v",
+			out.EpsReached, out.EpsTime, eps)
 	}
 }
 

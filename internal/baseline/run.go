@@ -93,8 +93,8 @@ type Result struct {
 	Trajectory metrics.Trajectory
 	// Rounds is the number of (parallel) rounds executed.
 	Rounds int
-	// FinalCounts are the opinion counts at termination (undecided nodes
-	// are not counted).
+	// FinalCounts are the survivors' opinion counts at termination
+	// (undecided nodes hold no opinion and are not counted).
 	FinalCounts opinion.Counts
 	// InitialPlurality is the opinion that was initially dominant.
 	InitialPlurality opinion.Opinion
@@ -141,38 +141,72 @@ func intLog2(n int) int {
 	return l
 }
 
+// startRounds sets a round-based run up: the initial opinions, the
+// adversary and crash set, the step stream, the recorder and the survivor
+// tally. A resumed run restores its state from cfg.Ckpt and res.Rounds; a
+// fresh one records its first point. It returns the scheduler tick to
+// resume after, 0 on a fresh run; perTick is the ticks per recorded time
+// unit.
+func startRounds(rule Rule, cfg *Config, perTick int) (*roundsState, *Result, int, error) {
+	rng := xrand.New(cfg.Seed)
+	cols, initial, plurality := opinion.Initial(cfg.N, cfg.K, cfg.Assignment, cfg.Alpha, rng)
+	adv, err := adversary.Start(cfg.Adv, cfg.N, initial, false)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("baseline: %w", err)
+	}
+	st := &roundsState{perTick: perTick, k: cfg.K, cols: cols, stepRNG: rng.SplitNamed("steps"),
+		rule: rule, rec: metrics.NewRecorder(cfg.Eps, cfg.DiscardTrajectory, cfg.Observe),
+		adv: adv, crash: adversary.NewCrashes(cfg.N), plurality: plurality}
+	res := &Result{Rule: rule.Name(), InitialPlurality: plurality}
+	tick, restoring := 0, cfg.Ckpt.Restoring()
+	if restoring {
+		if tick, res.Rounds, err = st.restore(cfg.Ckpt.Restore, cfg.Ckpt.Perturb); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	// tally[o+1] counts the survivors holding opinion o and tally[0] the
+	// undecided ones, so a new opinion is tallied without a branch.
+	st.tally = make([]int, cfg.K+1)
+	st.counts = st.tally[1:]
+	for v, o := range st.cols {
+		if !st.crash.Down[v] {
+			st.tally[o+1]++
+		}
+	}
+	if !restoring {
+		st.record(0)
+	}
+	return st, res, tick, nil
+}
+
+// record appends the survivors' point at time t.
+func (st *roundsState) record(t float64) {
+	st.rec.Append(metrics.SnapshotCounts(t, st.counts, st.crash.Alive, st.plurality))
+}
+
+// finish reports the run over the survivors' counts.
+func (st *roundsState) finish(res *Result) *Result {
+	res.FinalCounts = st.counts
+	res.Trajectory = st.rec.Trajectory()
+	res.Outcome = st.rec.Outcome(st.counts, st.crash.Alive, st.plurality)
+	if st.adv != nil {
+		res.AdvCounters = st.adv.Counters
+	}
+	return res
+}
+
 // RunSync drives the rule in synchronous rounds: every node samples and
 // updates simultaneously against the previous round's state.
 func RunSync(rule Rule, cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	rng := xrand.New(cfg.Seed)
-	cols, _, plurality := opinion.Initial(cfg.N, cfg.K, cfg.Assignment, cfg.Alpha, rng)
-	adv, crash, err := startAdversary(&cfg, cols)
+	st, res, tick, err := startRounds(rule, &cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	next := make([]opinion.Opinion, cfg.N)
-	res := &Result{Rule: rule.Name(), InitialPlurality: plurality}
-	rec := metrics.NewRecorder(cfg.Eps, cfg.DiscardTrajectory, cfg.Observe)
-	record := func(round int) {
-		rec.Append(metrics.Snapshot(float64(round), cols, cfg.K, plurality))
-	}
-	st := &roundsState{perTick: 1, k: cfg.K, cols: cols, stepRNG: rng.SplitNamed("steps"),
-		rule: rule, rec: rec, adv: adv, crash: &crash}
-	stepRNG := st.stepRNG
-	startRound := 1
-	if ck := cfg.Ckpt; ck.Restoring() {
-		round, rounds, err := st.restore(ck.Restore, ck.Perturb)
-		if err != nil {
-			return nil, err
-		}
-		res.Rounds = rounds
-		startRound = round + 1
-	} else {
-		record(0)
-	}
+	cols, next := st.cols, make([]opinion.Opinion, cfg.N)
+	stepRNG, tally, adv, crash := st.stepRNG, st.tally, st.adv, &st.crash
 	due := cfg.Ckpt.Due()
 	nSamples := rule.Samples()
 	samples := make([]opinion.Opinion, nSamples)
@@ -189,13 +223,15 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 	if nSamples > 0 {
 		chunk = 4096 / nSamples
 	}
-	for round := startRound; round <= cfg.MaxRounds; round++ {
+	for round := tick + 1; round <= cfg.MaxRounds; round++ {
 		if cfg.cancelled() {
 			return nil, cfg.Ctx.Err()
 		}
 		if adv != nil {
 			crash.Apply(adv, float64(round), nil)
 		}
+		// The round recounts the survivors as it writes their opinions.
+		clear(tally)
 		for base := 0; base < cfg.N; base += chunk {
 			m := chunk
 			if base+m > cfg.N {
@@ -204,7 +240,7 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 			vs, out := sc.Buffers(m * nSamples)
 			if kern != nil {
 				stepRNG.FillInt32n(kern.bound, out)
-				kern.apply(cols, next, base, out)
+				kern.apply(cols, next, tally, base, out)
 				continue
 			}
 			for i := 0; i < m; i++ {
@@ -220,19 +256,23 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 					if observe(adv, crash.Down, cols, v, out[i*nSamples:(i+1)*nSamples], samples) {
 						next[v] = rule.Update(cols[v], samples)
 					}
-					continue
+					if crash.Down[v] {
+						continue
+					}
+				} else {
+					for s := 0; s < nSamples; s++ {
+						samples[s] = cols[out[i*nSamples+s]]
+					}
+					next[v] = rule.Update(cols[v], samples)
 				}
-				for s := 0; s < nSamples; s++ {
-					samples[s] = cols[out[i*nSamples+s]]
-				}
-				next[v] = rule.Update(cols[v], samples)
+				tally[next[v]+1]++
 			}
 		}
 		cols, next = next, cols
 		res.Rounds = round
-		done := settled(cols, cfg.K, adv, &crash)
+		done := st.counts.Unanimous(st.crash.Alive)
 		if round%cfg.RecordEvery == 0 || done {
-			record(round)
+			st.record(float64(round))
 		}
 		if ck := cfg.Ckpt; !done && float64(round) >= due {
 			ck.Sink(st.capture(round, res.Rounds, cols), float64(round), 0)
@@ -245,13 +285,7 @@ func RunSync(rule Rule, cfg Config) (*Result, error) {
 			break
 		}
 	}
-	res.FinalCounts = opinion.CountOf(cols, cfg.K)
-	res.Trajectory = rec.Trajectory()
-	res.Outcome = rec.Outcome(res.FinalCounts, plurality)
-	if adv != nil {
-		finishAdversarial(res, adv, &crash, cols, plurality)
-	}
-	return res, nil
+	return st.finish(res), nil
 }
 
 // syncKernel is RunSync's honest round on the complete graph and on regular
@@ -299,28 +333,37 @@ func (k *syncKernel) at(v, u int32) int32 {
 }
 
 // apply runs the rule for the chunk of nodes from base whose raw draws,
-// Samples() per node, are draws.
-func (k *syncKernel) apply(cols, next []opinion.Opinion, base int, draws []int32) {
+// Samples() per node, are draws, and tallies each new opinion o in
+// tally[o+1].
+func (k *syncKernel) apply(cols, next []opinion.Opinion, tally []int, base int, draws []int32) {
 	v := int32(base)
 	switch r := k.rule.(type) {
 	case PullVoting:
 		for _, u := range draws {
-			next[v] = pull(cols[v], cols[k.at(v, u)])
+			o := pull(cols[v], cols[k.at(v, u)])
+			next[v] = o
+			tally[o+1]++
 			v++
 		}
 	case Undecided:
 		for _, u := range draws {
-			next[v] = undecided(cols[v], cols[k.at(v, u)])
+			o := undecided(cols[v], cols[k.at(v, u)])
+			next[v] = o
+			tally[o+1]++
 			v++
 		}
 	case TwoChoices:
 		for i := 0; i+1 < len(draws); i, v = i+2, v+1 {
-			next[v] = twoChoices(cols[v], cols[k.at(v, draws[i])], cols[k.at(v, draws[i+1])])
+			o := twoChoices(cols[v], cols[k.at(v, draws[i])], cols[k.at(v, draws[i+1])])
+			next[v] = o
+			tally[o+1]++
 		}
 	case *ThreeMajority:
 		for i := 0; i+2 < len(draws); i, v = i+3, v+1 {
-			next[v] = threeMajority(cols[k.at(v, draws[i])], cols[k.at(v, draws[i+1])],
+			o := threeMajority(cols[k.at(v, draws[i])], cols[k.at(v, draws[i+1])],
 				cols[k.at(v, draws[i+2])], r.R)
+			next[v] = o
+			tally[o+1]++
 		}
 	}
 }
@@ -333,30 +376,19 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	rng := xrand.New(cfg.Seed)
-	cols, _, plurality := opinion.Initial(cfg.N, cfg.K, cfg.Assignment, cfg.Alpha, rng)
-	adv, crash, err := startAdversary(&cfg, cols)
+	st, res, tick, err := startRounds(rule, &cfg, cfg.N)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Rule: rule.Name(), InitialPlurality: plurality}
-	rec := metrics.NewRecorder(cfg.Eps, cfg.DiscardTrajectory, cfg.Observe)
-	record := func(round float64) {
-		rec.Append(metrics.Snapshot(round, cols, cfg.K, plurality))
-	}
-	st := &roundsState{perTick: cfg.N, k: cfg.K, cols: cols, stepRNG: rng.SplitNamed("steps"),
-		rule: rule, rec: rec, adv: adv, crash: &crash}
-	stepRNG := st.stepRNG
-	startIt := 1
-	if ck := cfg.Ckpt; ck.Restoring() {
-		it, rounds, err := st.restore(ck.Restore, ck.Perturb)
-		if err != nil {
-			return nil, err
+	cols, stepRNG, tally, adv, crash := st.cols, st.stepRNG, st.tally, st.adv, &st.crash
+	// A crashed node leaves the survivor tally with its frozen opinion and
+	// a recovered one comes back with it.
+	noteCrash := func(v int, down bool) {
+		if down {
+			tally[cols[v]+1]--
+		} else {
+			tally[cols[v]+1]++
 		}
-		res.Rounds = rounds
-		startIt = it + 1
-	} else {
-		record(0)
 	}
 	due := cfg.Ckpt.Due()
 	nSamples := rule.Samples()
@@ -364,7 +396,7 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 	bs := topo.Batch(cfg.Topo)
 	sc := cfg.scratch()
 	maxInteractions := cfg.MaxRounds * cfg.N
-	for it := startIt; it <= maxInteractions; it++ {
+	for it := tick + 1; it <= maxInteractions; it++ {
 		if it%cfg.N == 0 && cfg.cancelled() {
 			return nil, cfg.Ctx.Err()
 		}
@@ -372,7 +404,7 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 		// interaction's reads, so batching stops at the interaction
 		// boundary: one bulk call for the S sample draws.
 		if adv != nil {
-			crash.Apply(adv, float64(it)/float64(cfg.N), nil)
+			crash.Apply(adv, float64(it)/float64(cfg.N), noteCrash)
 		}
 		v := stepRNG.Intn(cfg.N)
 		vs, out := sc.Buffers(nSamples)
@@ -380,22 +412,26 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 			vs[i] = int32(v)
 		}
 		bs.SampleNeighbors(stepRNG, vs, out)
+		act := true
 		if adv != nil {
-			if observe(adv, crash.Down, cols, v, out, samples) {
-				cols[v] = rule.Update(cols[v], samples)
-			}
+			act = observe(adv, crash.Down, cols, v, out, samples)
 		} else {
 			for i := range samples {
 				samples[i] = cols[out[i]]
 			}
-			cols[v] = rule.Update(cols[v], samples)
+		}
+		if act {
+			o := rule.Update(cols[v], samples)
+			tally[cols[v]+1]--
+			tally[o+1]++
+			cols[v] = o
 		}
 		done := false
 		if it%(cfg.RecordEvery*cfg.N) == 0 {
 			round := float64(it) / float64(cfg.N)
 			res.Rounds = int(round)
-			record(round)
-			done = settled(cols, cfg.K, adv, &crash)
+			st.record(round)
+			done = st.counts.Unanimous(st.crash.Alive)
 		}
 		if ck := cfg.Ckpt; !done && float64(it) >= due*float64(cfg.N) {
 			at := float64(it) / float64(cfg.N)
@@ -409,26 +445,5 @@ func RunSequential(rule Rule, cfg Config) (*Result, error) {
 			break
 		}
 	}
-	res.FinalCounts = opinion.CountOf(cols, cfg.K)
-	res.Trajectory = rec.Trajectory()
-	res.Outcome = rec.Outcome(res.FinalCounts, plurality)
-	if adv != nil {
-		finishAdversarial(res, adv, &crash, cols, plurality)
-	}
-	return res, nil
-}
-
-func monochromatic(cols []opinion.Opinion, k int) bool {
-	var seen opinion.Opinion = opinion.None
-	for _, c := range cols {
-		if c == opinion.None {
-			return false
-		}
-		if seen == opinion.None {
-			seen = c
-		} else if c != seen {
-			return false
-		}
-	}
-	return true
+	return st.finish(res), nil
 }

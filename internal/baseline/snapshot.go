@@ -34,8 +34,15 @@ type roundsState struct {
 	stepRNG *xrand.RNG
 	rule    Rule
 	rec     *metrics.Recorder
-	adv     *adversary.State // nil for honest runs
-	crash   *adversary.Crashes
+	adv     *adversary.State  // nil for honest runs
+	crash   adversary.Crashes // every node up in an honest run
+
+	// tally is the survivors' opinion tally (see startRounds), rebuilt
+	// from cols rather than captured, counts its opinion part and
+	// plurality the initially dominant opinion.
+	tally     []int
+	counts    opinion.Counts
+	plurality opinion.Opinion
 }
 
 // layout runs a round-based run's state through c, in blob order. The cols

@@ -83,7 +83,7 @@ type Summary struct {
 	EndTime float64
 	// Events is the number of simulator events processed.
 	Events uint64
-	// FinalCounts are the opinion counts at termination.
+	// FinalCounts are the survivors' opinion counts at termination.
 	FinalCounts opinion.Counts
 	// TimedOut reports that MaxTime was hit before full consensus.
 	TimedOut bool
@@ -100,20 +100,22 @@ type Frame struct {
 	Lat    sim.Latency
 	LatR   *xrand.RNG // latency randomness
 
-	// Cols holds every node's opinion and Counts the survivors' tallies;
-	// Plurality is the initially dominant opinion.
+	// Cols holds every node's opinion and Counts the survivors' tallies,
+	// which the run records, stops on and reports; Plurality is the
+	// initially dominant opinion.
 	Cols      []opinion.Opinion
 	Counts    opinion.Counts
 	Plurality opinion.Opinion
 
-	// Mono is set once the survivors are unanimous, at time MonoAt;
-	// TimedOut once the horizon stopped the run first.
+	// Mono reports that the survivors are unanimous, since time MonoAt;
+	// TimedOut that the horizon stopped the run first.
 	Mono     bool
 	MonoAt   float64
 	TimedOut bool
 
-	// Crash is the run's crash set; consensus is detected against its
-	// survivor count. Honest runs keep every node up.
+	// Crash is the run's crash set; its survivor count is the population
+	// every record and the outcome measure against. Honest runs keep every
+	// node up.
 	Crash adversary.Crashes
 	// Adv is the run's adversary (nil for honest runs — the nil check is
 	// the only cost the hot path pays) and Payload the side-arena delayed
@@ -196,13 +198,14 @@ func (f *Frame) Handle(ev sim.Event) {
 		if next := f.Crash.Apply(f.Adv, f.Sim.Now(), f.noteCrash); next >= 0 {
 			f.Sim.Schedule(next, sim.Event{Kind: KindCrash})
 		}
-		// Survivors may already be unanimous.
-		for _, cnt := range f.Counts {
-			if cnt == f.Crash.Alive && f.Crash.Alive > 0 && !f.Mono {
-				f.Mono = true
-				f.MonoAt = f.Sim.Now()
-			}
+		// A crash can leave the survivors unanimous, and a node that
+		// recovers with a stale opinion ends their unanimity: the run then
+		// goes on until it is restored.
+		mono := f.Counts.Unanimous(f.Crash.Alive)
+		if mono && !f.Mono {
+			f.MonoAt = f.Sim.Now()
 		}
+		f.Mono = mono
 	case KindAdvDeliver:
 		f.h.HandleEvent(f.Payload.Take(ev.A))
 	}
@@ -210,7 +213,7 @@ func (f *Frame) Handle(ev sim.Event) {
 
 // record appends one trajectory point at the current virtual time.
 func (f *Frame) record() {
-	p := metrics.Snapshot(f.Sim.Now(), f.Cols, f.cfg.K, f.Plurality)
+	p := metrics.SnapshotCounts(f.Sim.Now(), f.Counts, f.Crash.Alive, f.Plurality)
 	if f.cfg.Point != nil {
 		f.cfg.Point(&p)
 	}
@@ -313,14 +316,13 @@ func (f *Frame) Nodes(ids ...int32) bool {
 
 // Finish records the final state unless the last point already holds it
 // (a monochromatic flip between recordings would otherwise be missed) and
-// reports the run. A unanimous run's consensus time is tightened to the
-// exact flip, and under crashes its winner is read off the survivors,
-// since crashed nodes keep stale opinions the counts still see.
+// reports the run over the survivors' counts. A unanimous run's consensus
+// time is tightened from the recording grid to the exact flip.
 func (f *Frame) Finish() Summary {
 	s := Summary{
 		EndTime:     f.Sim.Now(),
 		Events:      f.Sim.Processed(),
-		FinalCounts: opinion.CountOf(f.Cols, f.cfg.K),
+		FinalCounts: append(opinion.Counts(nil), f.Counts...),
 		TimedOut:    f.TimedOut,
 	}
 	if f.Adv != nil {
@@ -330,14 +332,9 @@ func (f *Frame) Finish() Summary {
 		f.record()
 	}
 	s.Trajectory = f.Rec.Trajectory()
-	s.Outcome = f.Rec.Outcome(s.FinalCounts, f.Plurality)
-	if f.Mono {
-		s.Outcome.FullConsensus = true
+	s.Outcome = f.Rec.Outcome(s.FinalCounts, f.Crash.Alive, f.Plurality)
+	if f.Mono && s.Outcome.FullConsensus {
 		s.Outcome.ConsensusTime = f.MonoAt
-		if f.Crash.Alive < f.cfg.N && f.Crash.Alive > 0 {
-			s.Outcome.Winner, _ = f.Crash.Winner(func(v int) opinion.Opinion { return f.Cols[v] })
-			s.Outcome.PluralityWon = s.Outcome.Winner == f.Plurality
-		}
 	}
 	return s
 }

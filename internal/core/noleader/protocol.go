@@ -188,8 +188,9 @@ func Run(cfg Config) (*Result, error) {
 		// Degenerate clustering: report a failed run rather than panic.
 		rs.res.TimedOut = true
 		rs.res.FinalCounts = initCounts
-		rs.res.Outcome = metrics.EvalOutcome(metrics.Trajectory{
-			metrics.Snapshot(0, cols, cfg.K, pl)}, initCounts, pl, cfg.Eps)
+		rec := metrics.NewRecorder(cfg.Eps, true, nil)
+		rec.Append(metrics.SnapshotCounts(0, initCounts, cfg.N, pl))
+		rs.res.Outcome = rec.Outcome(initCounts, cfg.N, pl)
 		return rs.res, nil
 	}
 

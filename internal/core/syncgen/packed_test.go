@@ -114,9 +114,6 @@ func checkTalliesAgree(t *testing.T, step int, a, b *tally) {
 	if a.maxGen != b.maxGen {
 		t.Fatalf("step %d: maxGen %d vs %d", step, a.maxGen, b.maxGen)
 	}
-	if a.monochromatic() != b.monochromatic() {
-		t.Fatalf("step %d: monochromatic %v vs %v", step, a.monochromatic(), b.monochromatic())
-	}
 	for g := 0; g <= a.gCap; g++ {
 		if a.genSize[g] != b.genSize[g] {
 			t.Fatalf("step %d: genSize[%d] %d vs %d", step, g, a.genSize[g], b.genSize[g])

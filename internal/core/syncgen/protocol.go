@@ -111,7 +111,7 @@ type Result struct {
 	TwoChoicesSteps []int
 	// Generations holds one event record per born generation.
 	Generations []GenEvent
-	// FinalCounts are the opinion counts at termination.
+	// FinalCounts are the survivors' opinion counts at termination.
 	FinalCounts opinion.Counts
 	// InitialPlurality is the opinion that was initially dominant.
 	InitialPlurality opinion.Opinion
@@ -193,17 +193,15 @@ func Run(cfg Config) (*Result, error) {
 	if st.adv, err = adversary.Start(cfg.Adv, cfg.N, initCounts, false); err != nil {
 		return nil, fmt.Errorf("syncgen: %w", err)
 	}
+	st.crash = adversary.NewCrashes(cfg.N)
 	if st.adv != nil {
-		st.crash = adversary.NewCrashes(cfg.N)
+		st.frozen, st.surv = make(opinion.Counts, cfg.K), make(opinion.Counts, cfg.K)
 	}
 	bs := topo.Batch(cfg.Topo)
 	res := &Result{InitialPlurality: plurality}
 	rec := metrics.NewRecorder(eps, cfg.DiscardTrajectory, cfg.Observe)
 	record := func(step int) {
-		// The tally's global color totals equal opinion.CountOf on the
-		// configuration, so the recorded Point is bit-identical to the
-		// historical per-snapshot recount.
-		p := metrics.SnapshotCounts(float64(step), st.tally.counts(), plurality)
+		p := metrics.SnapshotCounts(float64(step), st.counts(), st.crash.Alive, plurality)
 		p.MaxGen = st.tally.maxGen
 		p.MaxGenFrac = float64(st.tally.genSize[st.tally.maxGen]) / float64(cfg.N)
 		rec.Append(p)
@@ -246,17 +244,14 @@ func Run(cfg Config) (*Result, error) {
 		if twoChoices {
 			res.TwoChoicesSteps = append(res.TwoChoicesSteps, step)
 		}
-		var done bool
 		if st.adv != nil {
-			st.crash.Apply(st.adv, float64(step), nil)
+			st.crash.Apply(st.adv, float64(step), st.noteCrash)
 			st.stepAdversarial(stepRNG, bs, twoChoices)
-			st.noteGenerations(step, cfg.Gamma, res)
-			_, done = st.crash.Winner(st.colOf)
 		} else {
 			st.step(stepRNG, bs, twoChoices)
-			st.noteGenerations(step, cfg.Gamma, res)
-			done = st.monochromatic()
 		}
+		st.noteGenerations(step, cfg.Gamma, res)
+		done := st.counts().Unanimous(st.crash.Alive)
 		if step%cfg.RecordEvery == 0 || done {
 			record(step)
 		}
@@ -273,15 +268,13 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// The tally's totals are what CountOf would produce on the final
-	// configuration (copied: the state is about to go out of scope, but the
-	// Result outlives it).
-	res.FinalCounts = append(opinion.Counts(nil), st.tally.counts()...)
+	// The survivors' counts, copied: the state is about to go out of
+	// scope, but the Result outlives it.
+	res.FinalCounts = append(opinion.Counts(nil), st.counts()...)
 	res.Trajectory = rec.Trajectory()
-	res.Outcome = rec.Outcome(res.FinalCounts, plurality)
+	res.Outcome = rec.Outcome(res.FinalCounts, st.crash.Alive, plurality)
 	if st.adv != nil {
 		res.AdvCounters = st.adv.Counters
-		st.crash.SurvivorConsensus(&res.Outcome, st.colOf, float64(res.Steps), plurality)
 	}
 	return res, nil
 }

@@ -73,6 +73,14 @@ func (st *state) restore(stateBytes []byte, stepRNG *xrand.RNG,
 	if err := st.tally.rebuild(st.packed); err != nil {
 		return 0, 0, fmt.Errorf("syncgen: %w (blob for a different K or G*?)", err)
 	}
+	if st.frozen != nil {
+		clear(st.frozen)
+		for v, down := range st.crash.Down {
+			if down {
+				st.noteCrash(v, true)
+			}
+		}
+	}
 	res.Steps = step
 	if perturb != 0 {
 		stepRNG.Perturb(perturb)

@@ -55,9 +55,13 @@ type state struct {
 	tally    *tally
 	scratch  *topo.Scratch // batch-sampling buffers (per-worker under RunBatch)
 
-	// Adversary support (nil/empty for honest runs; see adversary.go).
-	adv   *adversary.State
-	crash adversary.Crashes
+	// Adversary support (see adversary.go): adv is nil and every node up
+	// in an honest run. frozen counts the crashed nodes' colours, which
+	// the tally still holds but the survivors do not, and surv is counts'
+	// scratch; both are nil in honest runs.
+	adv          *adversary.State
+	crash        adversary.Crashes
+	frozen, surv opinion.Counts
 }
 
 // newState packs the initial assignment (generation 0 throughout) and
@@ -107,6 +111,29 @@ func newState(cols []opinion.Opinion, k, gStar int, tp topo.Sampler, scratch *to
 // colOf returns node v's current color.
 func (st *state) colOf(v int) opinion.Opinion {
 	return opinion.Opinion(st.packed[v] & colMask)
+}
+
+// counts returns the survivors' colour counts: the tally's totals, less
+// the crashed nodes' frozen colours in an adversarial run. The slice is
+// live state, not a copy.
+func (st *state) counts() opinion.Counts {
+	if st.frozen == nil {
+		return st.tally.counts()
+	}
+	for c, t := range st.tally.counts() {
+		st.surv[c] = t - st.frozen[c]
+	}
+	return st.surv
+}
+
+// noteCrash moves a crashed (down) or recovered node's colour into or out
+// of the frozen counts.
+func (st *state) noteCrash(v int, down bool) {
+	if down {
+		st.frozen[st.colOf(v)]++
+	} else {
+		st.frozen[st.colOf(v)]--
+	}
 }
 
 // drawPartners stages the two partner draws of every node into
@@ -320,11 +347,6 @@ func (st *state) stepFused(r *xrand.RNG, tp topo.BatchSampler, twoChoices bool) 
 // genBias returns the color bias inside generation g (1 when empty).
 func (st *state) genBias(g int) float64 {
 	return st.tally.rowBias(g)
-}
-
-// monochromatic reports whether all nodes share one color.
-func (st *state) monochromatic() bool {
-	return st.tally.monochromatic()
 }
 
 // noteGenerations appends GenEvents for newly born generations and fills in

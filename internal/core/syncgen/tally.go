@@ -10,15 +10,14 @@ import (
 // This file implements the per-generation color tallies behind the packed
 // sync state. The engine needs three aggregate reads per step — the size of
 // each generation (the adaptive two-choices trigger), the color bias inside
-// a generation (GenEvent records), and whether the whole system is
-// monochromatic (termination) — and historically kept a dense genCol[g][k]
-// matrix for them. Dense rows are perfect at small k but waste
+// a generation (GenEvent records), and the per-color totals (recording and
+// termination) — and historically kept a dense genCol[g][k] matrix for
+// them. Dense rows are perfect at small k but waste
 // (G*+1)·k space and O(k) scan time per bias query once k approaches
 // n^(1/3), so the tally goes sparse above sparseTallyThreshold colors:
 // each generation then stores only its occupied (color, count) pairs, kept
 // sorted by color so every query is deterministic, plus the engine keeps
-// global per-color totals that make the monochromatic test O(1) in both
-// modes. The mode is a pure function of k, so capture and restore always
+// global per-color totals in both modes. The mode is a pure function of k, so capture and restore always
 // agree on it.
 
 // sparseTallyThreshold is the color-count bound above which the
@@ -39,11 +38,9 @@ type tally struct {
 	rows    []tallyRow // per-generation occupied colors; nil when dense
 	genSize []int
 	maxGen  int
-	// colTot[c] counts supporters of color c across all generations and
-	// colored how many colors have any: the O(1) monochromatic test. The
+	// colTot[c] counts supporters of color c across all generations; the
 	// opinion.Counts type lets the recorder consume it directly.
-	colTot  opinion.Counts
-	colored int
+	colTot opinion.Counts
 	// diff stages one synchronous step's (generation, color) deltas in dense
 	// mode: the step's fold loops do two branch-free adds per changed node
 	// into this small array and collapse() folds it into the aggregates once
@@ -133,7 +130,6 @@ func (t *tally) rebuild(packed []uint32) error {
 		}
 	}
 	t.maxGen = 0
-	t.colored = 0
 	for v, w := range packed {
 		g, c := int(w>>genShift), int(w&colMask)
 		if c >= t.k {
@@ -146,9 +142,6 @@ func (t *tally) rebuild(packed []uint32) error {
 		t.genSize[g]++
 		if g > t.maxGen {
 			t.maxGen = g
-		}
-		if t.colTot[c] == 0 {
-			t.colored++
 		}
 		t.colTot[c]++
 	}
@@ -169,16 +162,8 @@ func (t *tally) moveWord(old, new uint32) {
 	if g > t.maxGen {
 		t.maxGen = g
 	}
-	if oc != c {
-		t.colTot[oc]--
-		if t.colTot[oc] == 0 {
-			t.colored--
-		}
-		if t.colTot[c] == 0 {
-			t.colored++
-		}
-		t.colTot[c]++
-	}
+	t.colTot[oc]--
+	t.colTot[c]++
 }
 
 // rowDiffFor returns generation g's staged scratch row, allocating (or
@@ -203,7 +188,7 @@ func (t *tally) rowDiffFor(g int) []int32 {
 // ascending, the sorted row is walked alongside, and the merged entries are
 // rebuilt without any per-entry search. Zero results are dropped (the
 // eager-removal invariant) and every global aggregate — generation size,
-// per-color totals, the colored count and the maxGen watermark — folds from
+// per-color totals and the maxGen watermark — folds from
 // the same pass.
 func (t *tally) mergeRow(g int) {
 	d := t.rowDiff[g]
@@ -236,14 +221,7 @@ func (t *tally) mergeRow(g int) {
 			nv = append(nv, val)
 		}
 		gs += int(delta)
-		tot := t.colTot[c]
-		ntot := tot + int(delta)
-		t.colTot[c] = ntot
-		if tot == 0 && ntot != 0 {
-			t.colored++
-		} else if tot != 0 && ntot == 0 {
-			t.colored--
-		}
+		t.colTot[c] += int(delta)
 	}
 	row.keys = append(row.keys[:0], nk...)
 	row.vals = append(row.vals[:0], nv...)
@@ -261,9 +239,8 @@ func (t *tally) mergeRow(g int) {
 // at a time — so the scan is bounded by the occupied prefix, not G*.
 // Sparse mode merges each touched generation's scratch row (mergeRow). In
 // both modes the result is identical to having moveWord-ed every staged
-// transition: per-cell deltas are plain sums, and colTot's zero-crossing
-// updates are symmetric, so the order the cells fold in cannot change where
-// colored ends up.
+// transition: per-cell deltas are plain sums, so the order the cells fold
+// in cannot change the result.
 func (t *tally) collapse() {
 	if t.sparse {
 		for _, g := range t.diffGens {
@@ -291,14 +268,7 @@ func (t *tally) collapse() {
 			}
 			t.dense[base+c] = nv
 			gs += int(d)
-			tot := t.colTot[c]
-			ntot := tot + int(d)
-			t.colTot[c] = ntot
-			if tot == 0 && ntot != 0 {
-				t.colored++
-			} else if tot != 0 && ntot == 0 {
-				t.colored--
-			}
+			t.colTot[c] += int(d)
 		}
 		t.genSize[g] += gs
 	}
@@ -395,9 +365,6 @@ func (t *tally) count(g, c int) int {
 	}
 	return 0
 }
-
-// monochromatic reports whether at most one color has supporters anywhere.
-func (t *tally) monochromatic() bool { return t.colored <= 1 }
 
 // counts returns the live global per-color totals (not a copy) — the
 // recorder's replacement for re-counting the configuration every snapshot.

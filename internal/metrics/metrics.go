@@ -17,11 +17,13 @@ type Point struct {
 	// Time is virtual time: rounds for synchronous protocols, continuous
 	// simulator time (in time steps) for asynchronous ones.
 	Time float64
-	// TopFrac is the fraction of nodes holding the currently dominant
-	// opinion.
+	// TopFrac is the fraction of the population holding the currently
+	// dominant opinion. The population is the survivors (every node in an
+	// honest run), undecided nodes included, so TopFrac is 1 exactly when
+	// every survivor holds one opinion.
 	TopFrac float64
-	// PluralityFrac is the fraction of nodes holding the *initial*
-	// plurality opinion (the one that is supposed to win).
+	// PluralityFrac is the fraction of the population holding the
+	// *initial* plurality opinion (the one that is supposed to win).
 	PluralityFrac float64
 	// Bias is the current multiplicative bias between the two dominant
 	// opinions.
@@ -46,17 +48,6 @@ func (tr *Trajectory) Append(p Point) {
 	*tr = append(*tr, p)
 }
 
-// FirstTime returns the earliest recorded time at which pred holds, or
-// (0, false) if it never does.
-func (tr Trajectory) FirstTime(pred func(Point) bool) (float64, bool) {
-	for _, p := range tr {
-		if pred(p) {
-			return p.Time, true
-		}
-	}
-	return 0, false
-}
-
 // Last returns the final snapshot; ok is false when the trajectory is empty.
 func (tr Trajectory) Last() (Point, bool) {
 	if len(tr) == 0 {
@@ -72,7 +63,9 @@ type Outcome struct {
 	// PluralityWon reports whether Winner equals the initial plurality
 	// opinion — the correctness criterion of plurality consensus.
 	PluralityWon bool
-	// FullConsensus reports whether every node held Winner at termination.
+	// FullConsensus reports whether every survivor held Winner at
+	// termination (every node in an honest run; an undecided node never
+	// agrees).
 	FullConsensus bool
 	// ConsensusTime is the first recorded time of full consensus (valid
 	// only when FullConsensus is true).
@@ -102,53 +95,20 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("winner=%d (%s), %s, %s", o.Winner, status, eps, full)
 }
 
-// EvalOutcome builds an Outcome from the trajectory, the final opinion
-// counts, and the initial plurality opinion. eps defines ε-convergence; the
-// hitting times are read from the trajectory (so the recording resolution
-// bounds their accuracy).
-func EvalOutcome(tr Trajectory, final opinion.Counts, initialPlurality opinion.Opinion, eps float64) Outcome {
-	winner, _ := final.TopTwo()
-	out := Outcome{
-		Winner:       opinion.Opinion(winner),
-		PluralityWon: opinion.Opinion(winner) == initialPlurality,
-		Eps:          eps,
-	}
-	total := final.Total()
-	if total > 0 && final[winner] == total {
-		out.FullConsensus = true
-		if t, ok := tr.FirstTime(func(p Point) bool { return p.TopFrac >= 1 }); ok {
-			out.ConsensusTime = t
-		} else if last, ok := tr.Last(); ok {
-			out.ConsensusTime = last.Time
-		}
-	}
-	if t, ok := tr.FirstTime(func(p Point) bool { return p.PluralityFrac >= 1-eps }); ok {
-		out.EpsReached = true
-		out.EpsTime = t
-	}
-	return out
-}
-
-// Snapshot builds a Point at the given time from an assignment, support size
-// k and the initial plurality opinion. Generation fields are left zero;
-// generation-aware protocols fill them in afterwards.
-func Snapshot(t float64, a []opinion.Opinion, k int, initialPlurality opinion.Opinion) Point {
-	return SnapshotCounts(t, opinion.CountOf(a, k), initialPlurality)
-}
-
-// SnapshotCounts is Snapshot for engines that already maintain the opinion
-// counts incrementally (the synchronous engine's packed-state tallies): it
-// skips the O(n) recount and builds the Point from the counts directly,
-// computing exactly what Snapshot would — so switching an engine from
-// Snapshot to SnapshotCounts never moves a recorded trajectory.
-func SnapshotCounts(t float64, c opinion.Counts, initialPlurality opinion.Opinion) Point {
+// SnapshotCounts builds the Point at time t of a population of population
+// nodes whose opinions tally to c, with initialPlurality the opinion that
+// is supposed to win. The population is the run's survivors, all n nodes
+// in an honest run; an undecided node belongs to it but holds no opinion,
+// so it counts in the fractions' denominator and in no count of c.
+// Generation fields are left zero; generation-aware protocols fill them in
+// afterwards.
+func SnapshotCounts(t float64, c opinion.Counts, population int, initialPlurality opinion.Opinion) Point {
 	top, _ := c.TopTwo()
-	total := c.Total()
 	p := Point{Time: t, Bias: c.Bias()}
-	if total > 0 {
-		p.TopFrac = float64(c[top]) / float64(total)
+	if population > 0 {
+		p.TopFrac = float64(c[top]) / float64(population)
 		if int(initialPlurality) >= 0 && int(initialPlurality) < len(c) {
-			p.PluralityFrac = float64(c[initialPlurality]) / float64(total)
+			p.PluralityFrac = float64(c[initialPlurality]) / float64(population)
 		}
 	}
 	return p

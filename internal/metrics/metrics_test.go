@@ -27,22 +27,6 @@ func TestTrajectoryAppendOutOfOrderPanics(t *testing.T) {
 	tr.Append(Point{Time: 4})
 }
 
-func TestFirstTime(t *testing.T) {
-	tr := Trajectory{
-		{Time: 1, TopFrac: 0.5},
-		{Time: 2, TopFrac: 0.8},
-		{Time: 3, TopFrac: 0.95},
-	}
-	got, ok := tr.FirstTime(func(p Point) bool { return p.TopFrac >= 0.8 })
-	if !ok || got != 2 {
-		t.Fatalf("FirstTime = %v, %v", got, ok)
-	}
-	_, ok = tr.FirstTime(func(p Point) bool { return p.TopFrac >= 2 })
-	if ok {
-		t.Fatal("impossible predicate reported as hit")
-	}
-}
-
 func TestLast(t *testing.T) {
 	var tr Trajectory
 	if _, ok := tr.Last(); ok {
@@ -55,14 +39,22 @@ func TestLast(t *testing.T) {
 	}
 }
 
-func TestEvalOutcomeFullConsensus(t *testing.T) {
-	tr := Trajectory{
+// outcomeOf feeds pts to a recorder evaluating ε-convergence against eps
+// and returns its outcome over the final counts of a population.
+func outcomeOf(pts []Point, final opinion.Counts, population int, eps float64) Outcome {
+	rec := NewRecorder(eps, true, nil)
+	for _, p := range pts {
+		rec.Append(p)
+	}
+	return rec.Outcome(final, population, 0)
+}
+
+func TestRecorderFullConsensus(t *testing.T) {
+	out := outcomeOf([]Point{
 		{Time: 0, TopFrac: 0.6, PluralityFrac: 0.6},
 		{Time: 5, TopFrac: 0.99, PluralityFrac: 0.99},
 		{Time: 9, TopFrac: 1, PluralityFrac: 1},
-	}
-	final := opinion.Counts{100, 0, 0}
-	out := EvalOutcome(tr, final, 0, 0.01)
+	}, opinion.Counts{100, 0, 0}, 100, 0.01)
 	if !out.PluralityWon {
 		t.Error("plurality should have won")
 	}
@@ -74,10 +66,8 @@ func TestEvalOutcomeFullConsensus(t *testing.T) {
 	}
 }
 
-func TestEvalOutcomePluralityLost(t *testing.T) {
-	tr := Trajectory{{Time: 0, TopFrac: 1, PluralityFrac: 0}}
-	final := opinion.Counts{0, 50}
-	out := EvalOutcome(tr, final, 0, 0.1)
+func TestRecorderPluralityLost(t *testing.T) {
+	out := outcomeOf([]Point{{Time: 0, TopFrac: 1, PluralityFrac: 0}}, opinion.Counts{0, 50}, 50, 0.1)
 	if out.PluralityWon {
 		t.Error("plurality marked as won although opinion 1 prevailed")
 	}
@@ -89,12 +79,12 @@ func TestEvalOutcomePluralityLost(t *testing.T) {
 	}
 }
 
-func TestEvalOutcomeNoConsensus(t *testing.T) {
-	tr := Trajectory{{Time: 0, TopFrac: 0.6, PluralityFrac: 0.6}}
-	final := opinion.Counts{60, 40}
-	out := EvalOutcome(tr, final, 0, 0.01)
+// TestRecorderUndecidedIsNoConsensus pins the population: undecided nodes
+// hold no opinion, so decided nodes that all agree are no full consensus.
+func TestRecorderUndecidedIsNoConsensus(t *testing.T) {
+	out := outcomeOf([]Point{{Time: 0, TopFrac: 0.6, PluralityFrac: 0.6}}, opinion.Counts{60, 0}, 100, 0.01)
 	if out.FullConsensus {
-		t.Error("no consensus expected")
+		t.Error("40 undecided nodes reported as full consensus")
 	}
 	if out.EpsReached {
 		t.Error("eps-convergence not expected")
@@ -105,8 +95,7 @@ func TestEvalOutcomeNoConsensus(t *testing.T) {
 }
 
 func TestSnapshot(t *testing.T) {
-	a := []opinion.Opinion{0, 0, 0, 1}
-	p := Snapshot(2.5, a, 2, 0)
+	p := SnapshotCounts(2.5, opinion.Counts{3, 1}, 4, 0)
 	if p.Time != 2.5 {
 		t.Errorf("Time = %v", p.Time)
 	}
@@ -116,11 +105,14 @@ func TestSnapshot(t *testing.T) {
 	if p.Bias != 3 {
 		t.Errorf("Bias = %v", p.Bias)
 	}
+	// An undecided node is in the population's denominator.
+	if p := SnapshotCounts(0, opinion.Counts{6, 0}, 8, 0); p.TopFrac != 0.75 || p.PluralityFrac != 0.75 {
+		t.Errorf("fracs = %v/%v, want 0.75 with 2 of 8 nodes undecided", p.TopFrac, p.PluralityFrac)
+	}
 }
 
 func TestSnapshotTracksPluralityNotTop(t *testing.T) {
-	a := []opinion.Opinion{1, 1, 1, 0}
-	p := Snapshot(0, a, 2, 0)
+	p := SnapshotCounts(0, opinion.Counts{1, 3}, 4, 0)
 	if p.TopFrac != 0.75 {
 		t.Errorf("TopFrac = %v", p.TopFrac)
 	}

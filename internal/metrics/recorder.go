@@ -67,20 +67,19 @@ func (r *Recorder) Last() (Point, bool) { return r.last, r.has }
 // Trajectory returns the accumulated snapshots (nil when discarding).
 func (r *Recorder) Trajectory() Trajectory { return r.traj }
 
-// Outcome summarizes the recorded run, equivalently to EvalOutcome on the
-// full trajectory: full consensus is decided by the final counts, its time
-// is the first recorded monochromatic snapshot (falling back to the last
-// recorded time), and ε-convergence is the first snapshot with a 1−ε
-// plurality fraction.
-func (r *Recorder) Outcome(final opinion.Counts, initialPlurality opinion.Opinion) Outcome {
+// Outcome summarizes the recorded run from the final counts of a
+// population of population nodes (see SnapshotCounts): full consensus is
+// one count equal to the population, its time is the first recorded
+// monochromatic snapshot (falling back to the last recorded time), and
+// ε-convergence is the first snapshot with a 1−ε plurality fraction.
+func (r *Recorder) Outcome(final opinion.Counts, population int, initialPlurality opinion.Opinion) Outcome {
 	winner, _ := final.TopTwo()
 	out := Outcome{
 		Winner:       opinion.Opinion(winner),
 		PluralityWon: opinion.Opinion(winner) == initialPlurality,
 		Eps:          r.eps,
 	}
-	total := final.Total()
-	if total > 0 && final[winner] == total {
+	if final.Unanimous(population) {
 		out.FullConsensus = true
 		if r.consHit {
 			out.ConsensusTime = r.consTime

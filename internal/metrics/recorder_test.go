@@ -17,24 +17,6 @@ func recorderPoints() []Point {
 	}
 }
 
-func TestRecorderMatchesEvalOutcome(t *testing.T) {
-	final := opinion.Counts{10, 0}
-	var tr Trajectory
-	rec := NewRecorder(0.1, false, nil)
-	for _, p := range recorderPoints() {
-		tr.Append(p)
-		rec.Append(p)
-	}
-	want := EvalOutcome(tr, final, 0, 0.1)
-	got := rec.Outcome(final, 0)
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("recorder outcome %+v != EvalOutcome %+v", got, want)
-	}
-	if !reflect.DeepEqual(rec.Trajectory(), tr) {
-		t.Error("accumulated trajectory differs")
-	}
-}
-
 func TestRecorderDiscardKeepsOutcome(t *testing.T) {
 	final := opinion.Counts{10, 0}
 	keep := NewRecorder(0.1, false, nil)
@@ -46,7 +28,10 @@ func TestRecorderDiscardKeepsOutcome(t *testing.T) {
 	if drop.Trajectory() != nil {
 		t.Error("discarding recorder accumulated points")
 	}
-	if !reflect.DeepEqual(keep.Outcome(final, 0), drop.Outcome(final, 0)) {
+	if !reflect.DeepEqual(keep.Trajectory(), Trajectory(recorderPoints())) {
+		t.Error("accumulated trajectory differs from the appended points")
+	}
+	if !reflect.DeepEqual(keep.Outcome(final, 10, 0), drop.Outcome(final, 10, 0)) {
 		t.Error("discarding changed the outcome")
 	}
 	if last, ok := drop.Last(); !ok || last.Time != 3 {
@@ -68,7 +53,7 @@ func TestRecorderSinkSeesEveryPoint(t *testing.T) {
 func TestRecorderNoConsensus(t *testing.T) {
 	rec := NewRecorder(0.5, false, nil)
 	rec.Append(Point{Time: 0, TopFrac: 0.6, PluralityFrac: 0.6})
-	out := rec.Outcome(opinion.Counts{6, 4}, 0)
+	out := rec.Outcome(opinion.Counts{6, 4}, 10, 0)
 	if out.FullConsensus {
 		t.Error("full consensus without monochromatic counts")
 	}

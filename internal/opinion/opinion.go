@@ -33,13 +33,19 @@ func CountOf(a []Opinion, k int) Counts {
 	return c
 }
 
-// Total returns the number of counted nodes.
-func (c Counts) Total() int {
-	t := 0
-	for _, v := range c {
-		t += v
+// Unanimous reports whether one opinion is held by all of a non-empty
+// population of the given size: the termination test of every engine,
+// which counts undecided nodes in the population but in no opinion.
+func (c Counts) Unanimous(population int) bool {
+	if population <= 0 {
+		return false
 	}
-	return t
+	for _, v := range c {
+		if v == population {
+			return true
+		}
+	}
+	return false
 }
 
 // TopTwo returns the indices of the most- and second-most-supported

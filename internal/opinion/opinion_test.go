@@ -17,8 +17,22 @@ func TestCountOf(t *testing.T) {
 			t.Fatalf("counts %v, want %v", c, want)
 		}
 	}
-	if c.Total() != 6 {
-		t.Fatalf("Total() = %d, want 6 (None skipped)", c.Total())
+}
+
+func TestUnanimous(t *testing.T) {
+	for _, tc := range []struct {
+		c          Counts
+		population int
+		want       bool
+	}{
+		{Counts{0, 4, 0}, 4, true},
+		{Counts{0, 3, 0}, 4, false}, // one node undecided
+		{Counts{1, 3, 0}, 4, false},
+		{Counts{0, 0}, 0, false}, // no survivor
+	} {
+		if got := tc.c.Unanimous(tc.population); got != tc.want {
+			t.Errorf("%v.Unanimous(%d) = %v, want %v", tc.c, tc.population, got, tc.want)
+		}
 	}
 }
 
@@ -140,8 +154,8 @@ func TestPlantedGapExact(t *testing.T) {
 	r := xrand.New(4)
 	a := PlantedGap(1003, 3, 100, r)
 	c := CountOf(a, 3)
-	if c.Total() != 1003 {
-		t.Fatalf("total %d, want 1003", c.Total())
+	if total := c[0] + c[1] + c[2]; total != 1003 {
+		t.Fatalf("total %d, want 1003", total)
 	}
 	f, s := c.TopTwo()
 	if f != 0 {

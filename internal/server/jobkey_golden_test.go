@@ -20,51 +20,51 @@ func TestJobKeyGolden(t *testing.T) {
 		run, cell      string
 	}{
 		{"complete/implicit", "sync", plurality.Spec{N: 100, K: 2, Seed: 1},
-			"b34caaea746651a72fdee6843178ca3e6097ac628d3602a2960eaadadd5f464a",
-			"34b88b04b49267e013f4098dd14c4d4255d4e7a0f68841a25e96dce879d16db3"},
+			"846d22b0f9a77e19f542179e6f36609836de96979d2e48d5cf708a1ebd23b2f9",
+			"68bdc94a9ca4106a13d2d7e1ab9d1b892f0abef6d888fdb6207889958404984b"},
 		{"complete/explicit-defaults", "sync", plurality.Spec{N: 100, K: 2, Seed: 1, Alpha: 1,
 			Latency:  plurality.LatencySpec{Kind: "exp", Mean: 1},
 			Topology: plurality.TopologySpec{Kind: plurality.TopologyComplete},
 			Sync:     plurality.SyncOptions{Gamma: 0.5}},
-			"b34caaea746651a72fdee6843178ca3e6097ac628d3602a2960eaadadd5f464a",
-			"34b88b04b49267e013f4098dd14c4d4255d4e7a0f68841a25e96dce879d16db3"},
+			"846d22b0f9a77e19f542179e6f36609836de96979d2e48d5cf708a1ebd23b2f9",
+			"68bdc94a9ca4106a13d2d7e1ab9d1b892f0abef6d888fdb6207889958404984b"},
 		{"ring", "leader", plurality.Spec{N: 200, K: 3, Alpha: 2, Seed: 7,
 			Topology: plurality.TopologySpec{Kind: plurality.TopologyRing, Width: 2}},
-			"580f899a79998ef623659d508e59d7fdfdeb8694395f7079e964d5732f6c3469",
-			"3c4badbbcb673f08076ffeadd0ed15dad34d38e63b81fb1a5daf497e776af90b"},
+			"bed4e3b3530946e3d3e8697f1b2b44e27d88215a49e71fc99f6099791e935cfe",
+			"d6433da689715a71b588eaec70c522d2e5b0227d5e88e71227dc404c3cb9c447"},
 		{"torus", "3-majority", plurality.Spec{N: 900, K: 3, Alpha: 1.5, Seed: 11,
 			Topology: plurality.TopologySpec{Kind: plurality.TopologyTorus}},
-			"61a2990952ef95275491291c44d85ae24f3c8902cc4d2fad8bf2f8708ecf1d7b",
-			"5af24ca009f43e15a45bd26e5e3ef53720a45870b2c4eb32c05caa3d911cbed9"},
+			"9401de7f8bb2c026b9832684fe73d348ec36262676669bcd57d71da26f990656",
+			"0d9d683f7f6b87d1ad65584af0c867a3bcab0cb262e30d44aa116676058e66fd"},
 		{"random-regular", "3-majority", plurality.Spec{N: 1000, K: 2, Alpha: 2, Seed: 3,
 			Topology: rr},
-			"3695f437b99c5ef88567b592330dd4dde791a0c386de56dcce484b7b3a68e428",
-			"3ff11e3fec65c837a911a951d93e58e7273912cdcc1fa6ed6243a2144eb8917c"},
+			"88ec3394ed6fa2c273f0680e521566900fcc307be7f09d7eccfb8933369f4b40",
+			"a30fdac92c93a5d85fc90d23649588c11e80cfa3b4cf37702e6c2d1676c712df"},
 		{"random-regular/graph-seed", "3-majority", plurality.Spec{N: 1000, K: 2, Alpha: 2, Seed: 3,
 			Topology: plurality.TopologySpec{Kind: plurality.TopologyRandomRegular, Degree: 8, GraphSeed: 42}},
-			"b543a9212a41266d4e9e078fc1992ff9fcd5bc95fbf215c3de4ab319c2394c38",
-			"d9720208eba916a955eb10c384a0f250b3d8ad23c014b48dd169e01cf5380ee4"},
+			"46152fdc1b5e623cc0d3a85e3add9a6f89d650dd80fef654254fa4c92b04a7d3",
+			"763dd093857605950ca19f7da8f4b8613e3f7645a11fe5b927cc1d6fcc19a6e6"},
 		{"erdos-renyi", "sync", plurality.Spec{N: 500, K: 3, Alpha: 2, Seed: 5,
 			Topology: er},
-			"a8b45d446c154914af564097cf5ec566ae1086d59aed6514b16f59967a8d1f98",
-			"092f5dc64b187b7a275ed3518b91b2b89d7f7d44be2bc87ba58a02b2d345c839"},
+			"48400743e2c2c25fc0a7c22bff25ba734f5de9237ef1a1af8ea236e5a5c2ab14",
+			"186708225f804a33e4687ca7032eda9ee60c42ff83552182f95a172096808fd2"},
 		{"erdos-renyi/graph-seed/default-p", "leader", plurality.Spec{N: 500, K: 3, Alpha: 2, Seed: 5,
 			Topology: plurality.TopologySpec{Kind: plurality.TopologyErdosRenyi, GraphSeed: 9}},
-			"966077e49fcea624236b65a3ace28bc57895a536db5222a5b1da3f452a3db156",
-			"a370aa814b0f981c75bf3c0b024cdf5285e272408fb3179b2e60e7b872be1519"},
+			"ff6659d5dd40547f99e0ba34be5f0f19f21a8930fe2d71a78444e595886d3c0f",
+			"479cba27215fdd8c534e99379296628b9edd3933662ae2129fbff55f778408f8"},
 		{"assignment", "sync", plurality.Spec{N: 10, K: 3, Seed: 2, Alpha: 4,
 			Assignment: []int{0, 0, 0, 0, 1, 1, 1, 2, 2, 0}},
-			"27132fb98db15acc1edde0ce98bc7eded838b7864ae374ac34e530601f97f212",
-			"51ba38aa8f08abe39b5494e0e1fd5d9d7d7a7451292a329d604135a04e3bda2e"},
+			"cace2fe9e768d905ccee3768e9a0cde42c82bfe9d8658edce76f0d9c70fc8b0c",
+			"35b89c7fd36a999b303649578b986308fc073de2f583a9592489000fd0690ac2"},
 		{"crash", "leader", plurality.Spec{N: 300, K: 2, Alpha: 2, Seed: 13,
 			Adversary: plurality.AdversarySpec{Kind: plurality.AdversaryCrash, Fraction: 0.2, At: 1, Seed: 17}},
-			"7f1006b3372fd326362e498f455a5a3373591344ae25ccb72519779258e75b2e",
-			"198dce3ab32a708bc786deda5f94260b144d04fe4c3b51e485889eaa1b78a21c"},
+			"6badffe750ec790d76827fd1e47c9fd0d85ba7a5f8e0b0bc4daedec8899a52ad",
+			"4c8e19d149eb910fe8b2b62d811a99578a23c05a2ea1f199dddf7ca0c8d995d2"},
 		{"delay", "decentralized", plurality.Spec{N: 300, K: 2, Alpha: 2, Seed: 19, MaxTime: 50,
 			Latency:   plurality.LatencySpec{Kind: "erlang"},
 			Adversary: plurality.AdversarySpec{Kind: plurality.AdversaryDelay}},
-			"d85069ded3dc12d584f346c6dcd083c3e9a08dc285bb1ef9e400c81f04e04bf6",
-			"2e50d61d3ecdec664d3d351f265a44410ec8b93d62030f8c44aa820a469ac1a2"},
+			"dead62d9903a52d3cfb36b08c6b05ae07dccad86ab6f8f300788713d1ad4e8ed",
+			"cb2d8ac2bba5993a75f7e16e62659bbb2457ee8a177e02bff7fc6385903df3fc"},
 	}
 	for _, c := range cases {
 		for _, d := range []struct{ domain, want string }{{"run", c.run}, {"cell", c.cell}} {
@@ -97,7 +97,7 @@ func TestJobKeyGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := sweepID(plan.Protocol, plan.Reps, keys), "7d03c9c1356bd0df"; got != want {
+	if got, want := sweepID(plan.Protocol, plan.Reps, keys), "36c8e7a7dec026e5"; got != want {
 		t.Errorf("sweep ID = %s, want %s", got, want)
 	}
 }

@@ -20,6 +20,8 @@ import (
 // decentralized columns were re-recorded once at EngineEpoch 2, when the
 // superposed Poisson clock and the ziggurat exponential changed their
 // streams on purpose; TestDistributionGolden checks that their law held.
+// The undecided-state row was re-recorded at EngineEpoch 3, when undecided
+// nodes joined the population its fractions and consensus count.
 //
 // To re-record after an intentional, reviewed behaviour change:
 //
@@ -87,9 +89,9 @@ var kernelGolden = map[string]string{
 	"two-choices/complete":                "628021f8f8fbf377d9077b8e749662a5ee3236fb41c765f24c9bcc778bb6bf2c",
 	"two-choices/random-regular(d=4)":     "4cd9bceb4dcc56be27a74803e91fc09341b4dc59a8424b1506979a761e1fe54c",
 	"two-choices/torus(24x25)":            "6eeb839b5f7e372bb56dbc7f24764999ede8edf05a657cb4b330c44bc3ba0762",
-	"undecided-state/complete":            "29a1291680315ffa4d41f89876252809d19911dba883db25621fdbe7e196e910",
-	"undecided-state/random-regular(d=4)": "bdd5b344543f16a14d298b508c25b76a3d49fa4245d824f08dbb47b97e60ddd2",
-	"undecided-state/torus(24x25)":        "1522f4111651cef470b89c6378f3444234504e87578fc184708fbb3b1d2367e4",
+	"undecided-state/complete":            "6e9bbbccaf78208929c11942240ecda362a6cdcd493d545f67663e1114bf55cf",
+	"undecided-state/random-regular(d=4)": "c825be5835691fd87f901f42518d5ec315030f4acfab1c02fbe76cf7520f89ea",
+	"undecided-state/torus(24x25)":        "02eefd76e6c8814d182e6238cdf1323a7163165d0350b939143af785f64c0462",
 }
 
 // TestSnapshotRoundtrip pins the checkpoint subsystem's core guarantee on

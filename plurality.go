@@ -9,12 +9,14 @@ import (
 
 // EngineEpoch versions the engines' behaviour. Two builds with the same
 // epoch return bit-identical Results for every protocol and Spec. It is
-// bumped in any change that moves an RNG stream or the event order on
-// purpose, and it is part of every cache key pluralityd computes, so a
-// stored result never outlives the engines that produced it. Epoch 2
-// replaced the per-node Poisson clocks by one superposed clock and drew
-// exponentials with a ziggurat.
-const EngineEpoch = 2
+// bumped in any change that moves an RNG stream, the event order or what a
+// Result reports on purpose, and it is part of every cache key pluralityd
+// computes, so a stored result never outlives the engines that produced
+// it. Epoch 2 replaced the per-node Poisson clocks by one superposed clock
+// and drew exponentials with a ziggurat. Epoch 3 records, stops and
+// reports every run on its survivors' counts, with undecided nodes in the
+// population.
+const EngineEpoch = 3
 
 // Baselines lists the available baseline rules: "pull-voting",
 // "two-choices", "3-majority", "undecided-state". Each is also a registered

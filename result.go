@@ -10,7 +10,11 @@ import (
 // TrajectoryPoint is one recorded snapshot of a run. Time is measured in
 // synchronous rounds for the round-based protocols ("sync" and the baseline
 // rules), and in virtual time steps (one expected Poisson tick per node per
-// step) for the asynchronous ones.
+// step) for the asynchronous ones. TopFrac and PluralityFrac are the
+// fractions of the survivors (every node unless an adversary crashed some)
+// holding the dominant and the initially dominant opinion; an undecided
+// node counts in the denominator and holds neither, so TopFrac is 1
+// exactly when every survivor agrees.
 type TrajectoryPoint struct {
 	Time          float64
 	TopFrac       float64
@@ -26,11 +30,12 @@ type Result struct {
 	// PluralityWon reports whether Winner is the initially dominant
 	// opinion — the correctness criterion of plurality consensus.
 	PluralityWon bool
-	// FullConsensus reports whether every node held Winner at termination,
-	// and ConsensusTime when that first happened.
+	// FullConsensus reports whether every survivor (every node unless an
+	// adversary crashed some) held Winner at termination, and ConsensusTime
+	// when that first happened. An undecided node never agrees.
 	FullConsensus bool
 	ConsensusTime float64
-	// EpsReached reports whether a 1−Eps fraction of nodes held the
+	// EpsReached reports whether a 1−Eps fraction of the survivors held the
 	// initial plurality opinion at some recorded time, and EpsTime the
 	// first such time (Theorem 13's ε-convergence).
 	EpsReached bool
@@ -40,7 +45,8 @@ type Result struct {
 	Duration float64
 	// TimedOut reports that the run hit its horizon before full consensus.
 	TimedOut bool
-	// FinalCounts are the per-opinion supporter counts at termination.
+	// FinalCounts are the survivors' per-opinion supporter counts at
+	// termination; undecided nodes hold no opinion and are not counted.
 	FinalCounts []int
 	// Trajectory holds the recorded snapshots.
 	Trajectory []TrajectoryPoint

@@ -523,8 +523,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // mid-run, or to how it writes it, shows up here even when the final
 // Result does not move. The variant rows add the sequential scheduler, the
 // crash flags with the churning adversary's state, and the delay
-// adversary's parked-message arena. Re-record (after a reviewed change
-// only) with
+// adversary's parked-message arena. The undecided-state and crash rows
+// were re-recorded at EngineEpoch 3, whose recorder holds survivor
+// fractions with undecided nodes in the denominator. Re-record (after a
+// reviewed change only) with
 //
 //	PLURALITY_GOLDEN_RECORD=1 go test -run TestSnapshotBlobGolden -v .
 var snapshotBlobGolden = map[string]string{
@@ -540,11 +542,11 @@ var snapshotBlobGolden = map[string]string{
 	"pull-voting/complete@3":                    "bf6b9e3e25393a321e7d968ee948c3f7b88111a0a4be9982d59462758d2e1976",
 	"two-choices/complete@3":                    "a22411ae3f5e24722c49dc45dceb3df62a37056c6f9595f420e66d877d5d213a",
 	"3-majority/complete@3":                     "c1421122c7af7853ab40f28b0237ec68205291a0d3d3ea5f2bbb7d501615ca86",
-	"undecided-state/complete@3":                "1a7213f4929e778a57b31ca4ff8dfbb73becb4cfcc7717bd9d9c9cea2acb573e",
+	"undecided-state/complete@3":                "a0185d87bf3f7cb90c565b0eb614a914947539e7de1edcd572382777d15548d4",
 	"3-majority/complete/sequential@3":          "221ae733d67123dd10c3993c73578e60f092698557bf8cfc8b00a9acc1572d14",
-	"sync/complete/crash(f=0.2,r=1)@3":          "70cbdb483d65dcc75bdd85bf9b0e8ed838c71e156c1f9a2225f02a5a27d4f403",
-	"3-majority/complete/crash(f=0.2,r=1)@3":    "640395a5dec9e19c311f2fd8703a477fa29ab58969726750d0346f637b89f204",
-	"leader/complete/crash(f=0.2,r=1)@37":       "88fa969d0e6b7f21846e13237d23dc1959f1e9e14bbd625d03eaa33137ccad8a",
+	"sync/complete/crash(f=0.2,r=1)@3":          "365f5fc624cc6ea8529ef8eaf0dff01435f8ddf3ceac052919db31bbc47c40a4",
+	"3-majority/complete/crash(f=0.2,r=1)@3":    "c59b44d0af72bb80eee4bd072b89b66e3e2a41dced804e6cc815ab302dbd1ac6",
+	"leader/complete/crash(f=0.2,r=1)@37":       "dd3bd39e004c590807b54123dc08ba65f2e768a3e7b60d644a23d20083564ef4",
 	"leader/complete/delay(f=0.3,x2)@37":        "0c5ba0ded73ac770488783d6431f5a0959c66bee2c75543ca1118ed9b235ab4f",
 	"decentralized/complete/delay(f=0.3,x2)@37": "37220030a470749eba771dd31c751d4df1470cd2cfc50c8f613c728d56096bed",
 }

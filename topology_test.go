@@ -16,7 +16,9 @@ import (
 // clique fast path consumes randomness exactly like the historical
 // per-engine sampleOther helpers, so introducing the topology layer is not
 // allowed to move a single draw. The leader and decentralized hashes were
-// re-recorded at EngineEpoch 2 (superposed clock, ziggurat exponential).
+// re-recorded at EngineEpoch 2 (superposed clock, ziggurat exponential),
+// and undecided-state's at EngineEpoch 3, when undecided nodes joined the
+// population its fractions and consensus are measured against.
 var goldenHashes = map[string]string{
 	"sync":            "00f7ef3a569a0d877556379109344cdcd5b54f4842872e9aa50197e5f86e9505",
 	"leader":          "9a9b98b96b21b7b3c6f81f0bb712ffcf92670a6392f1bb933a7fb3b45315e22a",
@@ -24,7 +26,7 @@ var goldenHashes = map[string]string{
 	"pull-voting":     "20a91b27636f72ddd13c2c143268d15792eee198e267b80d98f5fd4b124b8a39",
 	"two-choices":     "e3d3942182f57f1f4ba64b58bed26d3db1d384469b7b7e28cf03818248331482",
 	"3-majority":      "c6c2f4ff1642dcfbd59f633e58a30dc25d2ec280138ad9a5cb3a248958097262",
-	"undecided-state": "ceba1991420ee1d1062294bce71070dacd2b2cd7f1c539ebd00a65a029663789",
+	"undecided-state": "20c0d60004979677308151520710957e26c1a14d9c7319b34ecfed32c58c15a3",
 }
 
 // goldenSpec is the instance the hashes were captured with.
