@@ -29,11 +29,11 @@ import (
 // (1001–1040), and a family-wise significance of 0.01, Bonferroni-split
 // over the three comparisons of every spec. A failure must be investigated;
 // it is never fixed by changing the seeds or re-recording. Re-record only
-// when an engine's law is meant to change. The leader/crash rows were
-// re-recorded alone at EngineEpoch 3, when ε-convergence began to count
-// survivors only; it had counted the crashed nodes' stale opinions and was
-// never reached. Their consensus times and wins are bit-identical to the
-// epoch-2 engines' own. To re-record:
+// when an engine's law is meant to change. Only the ε column of the
+// leader/crash rows was re-recorded, at EngineEpoch 3, when ε-convergence
+// began to count survivors only; it had counted the crashed nodes' stale
+// opinions and was never reached. Their consensus times and wins are still
+// the first recording's. To re-record:
 //
 //	PLURALITY_DISTRIBUTION_RECORD=1 go test -run TestDistributionGolden .
 const (

@@ -156,7 +156,10 @@ func startRounds(rule Rule, cfg *Config, perTick int) (*roundsState, *Result, in
 	}
 	st := &roundsState{perTick: perTick, k: cfg.K, cols: cols, stepRNG: rng.SplitNamed("steps"),
 		rule: rule, rec: metrics.NewRecorder(cfg.Eps, cfg.DiscardTrajectory, cfg.Observe),
-		adv: adv, crash: adversary.NewCrashes(cfg.N), plurality: plurality}
+		adv: adv, crash: adversary.Crashes{Alive: cfg.N}, plurality: plurality}
+	if adv != nil {
+		st.crash = adversary.NewCrashes(cfg.N)
+	}
 	res := &Result{Rule: rule.Name(), InitialPlurality: plurality}
 	tick, restoring := 0, cfg.Ckpt.Restoring()
 	if restoring {
@@ -169,7 +172,7 @@ func startRounds(rule Rule, cfg *Config, perTick int) (*roundsState, *Result, in
 	st.tally = make([]int, cfg.K+1)
 	st.counts = st.tally[1:]
 	for v, o := range st.cols {
-		if !st.crash.Down[v] {
+		if adv == nil || !st.crash.Down[v] {
 			st.tally[o+1]++
 		}
 	}

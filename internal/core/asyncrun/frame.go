@@ -333,7 +333,10 @@ func (f *Frame) Finish() Summary {
 	}
 	s.Trajectory = f.Rec.Trajectory()
 	s.Outcome = f.Rec.Outcome(s.FinalCounts, f.Crash.Alive, f.Plurality)
-	if f.Mono && s.Outcome.FullConsensus {
+	// Mono holds only while one count equals the survivor population: the
+	// engines set it then, the crash handler recomputes it, and no node
+	// moves while it holds. So Outcome has judged the run a full consensus.
+	if f.Mono {
 		s.Outcome.ConsensusTime = f.MonoAt
 	}
 	return s

@@ -193,8 +193,9 @@ func Run(cfg Config) (*Result, error) {
 	if st.adv, err = adversary.Start(cfg.Adv, cfg.N, initCounts, false); err != nil {
 		return nil, fmt.Errorf("syncgen: %w", err)
 	}
-	st.crash = adversary.NewCrashes(cfg.N)
+	st.crash = adversary.Crashes{Alive: cfg.N}
 	if st.adv != nil {
+		st.crash = adversary.NewCrashes(cfg.N)
 		st.frozen, st.surv = make(opinion.Counts, cfg.K), make(opinion.Counts, cfg.K)
 	}
 	bs := topo.Batch(cfg.Topo)
