@@ -59,10 +59,11 @@ func (rs *refState) step(r *xrand.RNG, tp topo.Sampler, gCap int, twoChoices boo
 }
 
 // TestPackedStateEquivalence steps the packed engine and the unpacked
-// reference in lockstep over every topology kind — identity block order
-// (complete, ring) and permuted block order (torus, CSR) both take their
-// real code paths — and demands the full configuration match word-for-word
-// after every round, two-choices and propagation rounds interleaved.
+// reference in lockstep over every topology kind — the complete graph's raw
+// draws and the other graphs' SampleNeighbors draws — at n=3000, so every
+// step crosses a stepChunk boundary, and demands the full configuration
+// match word-for-word after every round, two-choices and propagation rounds
+// interleaved.
 func TestPackedStateEquivalence(t *testing.T) {
 	const n, k, gStar, steps = 3000, 6, 7, 40
 	ring, err := topo.NewRing(n, 3)
@@ -84,7 +85,7 @@ func TestPackedStateEquivalence(t *testing.T) {
 	for kind, tp := range tops {
 		t.Run(kind, func(t *testing.T) {
 			cols := opinion.PlantedBias(n, k, 2, xrand.New(7))
-			st := newState(cols, k, gStar, tp, nil)
+			st := newState(cols, k, gStar, nil)
 			ref := newRefState(cols)
 			rPacked, rRef := xrand.New(99), xrand.New(99)
 			bs := topo.Batch(tp)
@@ -147,8 +148,8 @@ func TestSparseDenseTallyEquivalence(t *testing.T) {
 	}
 	cols := opinion.PlantedBias(n, k, 3, xrand.New(5))
 	tp := topo.NewComplete(n)
-	stSparse := newState(cols, k, gStar, tp, nil)
-	stDense := newState(cols, k, gStar, tp, nil)
+	stSparse := newState(cols, k, gStar, nil)
+	stDense := newState(cols, k, gStar, nil)
 	stDense.tally = newTallyMode(k, gStar, false)
 	if err := stDense.tally.rebuild(stDense.packed); err != nil {
 		t.Fatal(err)
@@ -180,7 +181,7 @@ func TestLargeKStress(t *testing.T) {
 	const n, k, gStar, steps = 100000, 1000, 8, 12
 	cols := opinion.PlantedBias(n, k, 2, xrand.New(3))
 	tp := topo.NewComplete(n)
-	st := newState(cols, k, gStar, tp, nil)
+	st := newState(cols, k, gStar, nil)
 	if !st.tally.sparse {
 		t.Fatalf("k = %d must select the sparse tally (threshold %d)", k, sparseTallyThreshold)
 	}
@@ -202,7 +203,7 @@ func TestLargeKStress(t *testing.T) {
 	var res Result
 	rec := metrics.NewRecorder(0.1, true, nil)
 	blob := st.capture(steps, steps+1, r, rec, &res)
-	st2 := newState(cols, k, gStar, tp, nil)
+	st2 := newState(cols, k, gStar, nil)
 	rec2 := metrics.NewRecorder(0.1, true, nil)
 	if _, _, err := st2.restore(blob, xrand.New(0), rec2, &Result{}, 0); err != nil {
 		t.Fatalf("sparse restore: %v", err)

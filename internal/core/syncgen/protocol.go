@@ -189,7 +189,7 @@ func Run(cfg Config) (*Result, error) {
 		eps = 1 / (l2 * l2)
 	}
 
-	st := newState(cols, cfg.K, gStar, cfg.Topo, cfg.Scratch)
+	st := newState(cols, cfg.K, gStar, cfg.Scratch)
 	if st.adv, err = adversary.Start(cfg.Adv, cfg.N, initCounts, false); err != nil {
 		return nil, fmt.Errorf("syncgen: %w", err)
 	}
@@ -247,10 +247,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if st.adv != nil {
 			st.crash.Apply(st.adv, float64(step), st.noteCrash)
-			st.stepAdversarial(stepRNG, bs, twoChoices)
-		} else {
-			st.step(stepRNG, bs, twoChoices)
 		}
+		st.step(stepRNG, bs, twoChoices)
 		st.noteGenerations(step, cfg.Gamma, res)
 		done := st.counts().Unanimous(st.crash.Alive)
 		if step%cfg.RecordEvery == 0 || done {

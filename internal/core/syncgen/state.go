@@ -9,18 +9,13 @@ import (
 	"plurality/internal/xrand"
 )
 
-// stepChunk is the number of nodes whose partner pairs are batch-drawn at
-// a time: 2·stepChunk draws per SampleNeighbors call, sized so the vs
-// scratch stays cache-resident while the per-call dispatch cost is fully
-// amortized. Chunking affects only how the draws are grouped, never the
-// stream: by the scalar-equivalence invariant the drawn partners are
-// byte-identical for any chunk size.
+// stepChunk is the number of nodes step draws partners for and then updates
+// at a time: 2·stepChunk draws per chunk, sized so the partner scratch
+// (16 KiB) and the chunk's delta buffers stay cache-resident while the
+// per-chunk dispatch cost is fully amortized. Chunking affects only how the
+// draws are grouped, never the stream: by the scalar-equivalence invariant
+// the drawn partners are byte-identical for any chunk size.
 const stepChunk = 2048
-
-// blockTarget is the cache-block size of the step's apply stage: 8192
-// packed words are 32 KiB of node state, so one block plus its partner
-// halo stays L1/L2-resident while its gathers execute.
-const blockTarget = 8192
 
 // The packed node state: one uint32 word per node, generation in the high
 // byte and color in the low 24 bits. A partner gather then touches one
@@ -40,15 +35,12 @@ const (
 // incremental tallies, so per-step bookkeeping stays O(n) and generation
 // statistics are O(1) to read.
 type state struct {
-	n, k     int
-	gCap     int      // highest representable generation (G*)
-	packed   []uint32 // current configuration, one word per node
-	next     []uint32 // scratch for the synchronous update
-	partners []int32  // staged partner draws: nodes 2v, 2v+1 (id order); nil until drawPartners
-	order    []int32  // cache-blocked traversal order; nil = identity
-	blockOff []int32  // block boundaries (into order, or node-id ranges)
-	// Per-block change buffers: the apply loop stages (old, new) word pairs
-	// of the nodes it changed and the tally folds them at the block
+	n, k   int
+	gCap   int      // highest representable generation (G*)
+	packed []uint32 // current configuration, one word per node
+	next   []uint32 // scratch for the synchronous update
+	// Per-chunk change buffers: the apply loop stages (old, new) word pairs
+	// of the nodes it changed and the tally folds them at the chunk
 	// boundary, keeping tally branches out of the gather loop.
 	deltaOld []uint32
 	deltaNew []uint32
@@ -64,22 +56,22 @@ type state struct {
 	frozen, surv opinion.Counts
 }
 
-// newState packs the initial assignment (generation 0 throughout) and
-// prepares the blocked traversal for the run's topology. tp may be nil in
-// unit tests, which keeps the identity order.
-func newState(cols []opinion.Opinion, k, gStar int, tp topo.Sampler, scratch *topo.Scratch) *state {
+// newState packs the initial assignment (generation 0 throughout).
+func newState(cols []opinion.Opinion, k, gStar int, scratch *topo.Scratch) *state {
 	n := len(cols)
 	if scratch == nil {
 		scratch = &topo.Scratch{}
 	}
 	st := &state{
-		n:       n,
-		k:       k,
-		gCap:    gStar,
-		packed:  make([]uint32, n),
-		next:    make([]uint32, n),
-		tally:   newTally(k, gStar),
-		scratch: scratch,
+		n:        n,
+		k:        k,
+		gCap:     gStar,
+		packed:   make([]uint32, n),
+		next:     make([]uint32, n),
+		deltaOld: make([]uint32, stepChunk),
+		deltaNew: make([]uint32, stepChunk),
+		tally:    newTally(k, gStar),
+		scratch:  scratch,
 	}
 	for v, c := range cols {
 		st.packed[v] = uint32(c)
@@ -88,23 +80,6 @@ func newState(cols []opinion.Opinion, k, gStar int, tp topo.Sampler, scratch *to
 		// The caller validated the assignment; a bad word here is a bug.
 		panic(err)
 	}
-	if tp != nil {
-		st.order, st.blockOff = topo.BlockOrder(tp, blockTarget)
-	} else {
-		st.blockOff = []int32{0}
-		for v := blockTarget; v < n; v += blockTarget {
-			st.blockOff = append(st.blockOff, int32(v))
-		}
-		st.blockOff = append(st.blockOff, int32(n))
-	}
-	maxBlock := 0
-	for b := 1; b < len(st.blockOff); b++ {
-		if size := int(st.blockOff[b] - st.blockOff[b-1]); size > maxBlock {
-			maxBlock = size
-		}
-	}
-	st.deltaOld = make([]uint32, maxBlock)
-	st.deltaNew = make([]uint32, maxBlock)
 	return st
 }
 
@@ -136,89 +111,7 @@ func (st *state) noteCrash(v int, down bool) {
 	}
 }
 
-// drawPartners stages the two partner draws of every node into
-// st.partners, in node-id order — node 0's pair, then node 1's, … — which
-// consumes the RNG stream exactly as the historical per-node scalar draws,
-// so golden digests are unaffected. The apply stage is then free to walk
-// the nodes in any order it likes. The array is allocated on the first
-// call: the fused step never stages its draws.
-func (st *state) drawPartners(r *xrand.RNG, tp topo.BatchSampler) {
-	n := st.n
-	if st.partners == nil {
-		st.partners = make([]int32, 2*n)
-	}
-	for base := 0; base < n; base += stepChunk {
-		m := stepChunk
-		if base+m > n {
-			m = n - base
-		}
-		vs, _ := st.scratch.Buffers(2 * m)
-		for i := 0; i < m; i++ {
-			v := int32(base + i)
-			vs[2*i] = v
-			vs[2*i+1] = v
-		}
-		tp.SampleNeighbors(r, vs, st.partners[2*base:2*(base+m)])
-	}
-}
-
-// step executes one synchronous round of Algorithm 1 as a staged pipeline:
-// partner pairs are batch-drawn in node-id order, then the two-choices /
-// propagation rules are applied against the *previous* configuration,
-// folding per-generation tally deltas at block boundaries. Topologies whose
-// locality order is the identity (complete, ring, small grids) take the
-// fused path, where the draw and apply stages interleave chunk by chunk and
-// the partner indices never leave the L1-resident scratch buffer; permuted
-// orders stage all draws first and then walk the blocked order. Either way
-// the RNG stream is consumed in node-id order (the scalar-equivalence
-// invariant makes the chunking invisible), updates read only the previous
-// words, and the tally deltas commute — so both paths produce byte-identical
-// results and differ purely in memory traffic.
-func (st *state) step(r *xrand.RNG, tp topo.BatchSampler, twoChoices bool) {
-	if st.order == nil {
-		st.stepFused(r, tp, twoChoices)
-		return
-	}
-	st.drawPartners(r, tp)
-	packed, next, partners := st.packed, st.next, st.partners
-	deltaOld, deltaNew := st.deltaOld, st.deltaNew
-	gCap := uint32(st.gCap)
-	for b := 1; b < len(st.blockOff); b++ {
-		lo, hi := int(st.blockOff[b-1]), int(st.blockOff[b])
-		nd := 0
-		for _, v32 := range st.order[lo:hi] {
-			v := int(v32)
-			w := packed[v]
-			wa := packed[partners[2*v]]
-			wb := packed[partners[2*v+1]]
-			// wlog gen(a) >= gen(b) (Algorithm 1 line 2).
-			if wa>>genShift < wb>>genShift {
-				wa, wb = wb, wa
-			}
-			nw := w
-			if twoChoices && wa == wb &&
-				w>>genShift <= wa>>genShift && wa>>genShift < gCap {
-				// Two-choices promotion (line 3-5): equal partner
-				// words mean equal generations and equal colors.
-				nw = wa + genUnit
-			} else if wa>>genShift > w>>genShift {
-				// Propagation (line 6-8).
-				nw = wa
-			}
-			next[v] = nw
-			if nw != w {
-				deltaOld[nd] = w
-				deltaNew[nd] = nw
-				nd++
-			}
-		}
-		st.foldDeltas(nd)
-	}
-	st.tally.collapse()
-	st.packed, st.next = st.next, st.packed
-}
-
-// foldDeltas folds one block's staged (old, new) word pairs into the tally.
+// foldDeltas folds one chunk's staged (old, new) word pairs into the tally.
 // Node generations are monotone under both rules, so maxGen only moves up
 // and the deltas replace the historical full zero-and-recount pass. Both
 // modes stage two indexed adds per changed node — into the dense diff
@@ -244,17 +137,22 @@ func (st *state) foldDeltas(nd int) {
 	}
 }
 
-// stepFused is the identity-order variant of step: each stepChunk-sized
-// chunk of nodes has its partner pair drawn and applied before the next
-// chunk draws, so the partner indices live entirely in the scratch buffer
-// (16 KiB) instead of round-tripping through the full 2n-element partners
-// array. The draw stream is still node-id order — chunk c draws nodes
-// [c·stepChunk, (c+1)·stepChunk) in order — so it is byte-identical to the
-// staged path. On the complete graph the chunk holds raw Intn(n-1) draws,
-// which the apply loop maps past the node itself; other graphs fill it
-// with neighbours through SampleNeighbors, and noSelf turns that map into
-// the identity.
-func (st *state) stepFused(r *xrand.RNG, tp topo.BatchSampler, twoChoices bool) {
+// step executes one synchronous round of Algorithm 1, stepChunk nodes at a
+// time: each chunk has its partner pairs drawn and then applied before the
+// next chunk draws, so the partner indices never leave the scratch buffer.
+// The draw stream is node-id order — chunk c draws nodes
+// [c·stepChunk, (c+1)·stepChunk) in order — so by the scalar-equivalence
+// invariant it is the stream of per-node scalar draws. On the complete
+// graph the chunk holds raw Intn(n-1) draws, which the apply loop maps past
+// the node itself; other graphs fill it with neighbours through
+// SampleNeighbors, and noSelf turns that map into the identity. The rules
+// read only the previous words; each chunk's tally deltas fold at its end
+// and collapse folds the step's into the aggregates once. In an
+// adversarial run adversarialChunk draws and applies each chunk instead:
+// the check is once per chunk, ahead of the honest draw, which keeps the
+// honest kernels' compiled loops as they were before adversaries joined
+// this loop.
+func (st *state) step(r *xrand.RNG, tp topo.BatchSampler, twoChoices bool) {
 	n := st.n
 	packed, next := st.packed, st.next
 	deltaOld, deltaNew := st.deltaOld, st.deltaNew
@@ -268,6 +166,10 @@ func (st *state) stepFused(r *xrand.RNG, tp topo.BatchSampler, twoChoices bool) 
 		m := stepChunk
 		if base+m > n {
 			m = n - base
+		}
+		if st.adv != nil {
+			st.adversarialChunk(r, tp, complete, base, m, twoChoices)
+			continue
 		}
 		vs, out := st.scratch.Buffers(2 * m)
 		if complete {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"plurality/internal/adversary"
 	"plurality/internal/opinion"
 	"plurality/internal/topo"
 	"plurality/internal/xrand"
@@ -287,14 +288,14 @@ func TestScheduleKindString(t *testing.T) {
 	}
 }
 
-// BenchmarkStep measures the staged step pipeline (batch partner draws +
-// delta tallies); CI's bench-smoke job asserts 0 B/op on it under the name
-// BenchmarkSyncStep below.
+// BenchmarkStep measures one chunked step (batch partner draws + delta
+// tallies) on the complete graph; CI's bench-smoke job asserts 0 B/op on
+// the per-topology rows of BenchmarkSyncStep below.
 func BenchmarkStep(b *testing.B) {
 	r := xrand.New(1)
 	cols := opinion.PlantedBias(10000, 8, 2, r)
 	tp := topo.NewComplete(len(cols))
-	st := newState(cols, 8, 5, tp, nil)
+	st := newState(cols, 8, 5, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.step(r, tp, i%10 == 0)
@@ -302,8 +303,9 @@ func BenchmarkStep(b *testing.B) {
 }
 
 // BenchmarkSyncStep pins the batched synchronous hot loop on every
-// reference topology kind: one full n-node step per iteration, zero
-// allocations after the state warms up (asserted by CI).
+// reference topology kind, and under the drop adversary (f=0.3) on the
+// complete graph: one full n-node step per iteration, zero allocations
+// after the state warms up (asserted by CI).
 func BenchmarkSyncStep(b *testing.B) {
 	const n = 10000 // 100x100: factorable for the torus
 	mk := func(b *testing.B) map[string]topo.Sampler {
@@ -325,20 +327,31 @@ func BenchmarkSyncStep(b *testing.B) {
 			"torus": torus, "random-regular": reg,
 		}
 	}
-	for kind, tp := range mk(b) {
-		b.Run(kind, func(b *testing.B) {
-			r := xrand.New(1)
-			cols := opinion.PlantedBias(n, 8, 2, r)
-			st := newState(cols, 8, 6, tp, nil)
-			bs := topo.Batch(tp)
-			st.step(r, bs, false) // warm the scratch buffers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.step(r, bs, i%10 == 0)
+	run := func(b *testing.B, tp topo.Sampler, adv adversary.Config) {
+		r := xrand.New(1)
+		cols := opinion.PlantedBias(n, 8, 2, r)
+		st := newState(cols, 8, 6, nil)
+		if adv.Kind != adversary.None {
+			var err error
+			if st.adv, err = adversary.Start(adv, n, st.counts(), false); err != nil {
+				b.Fatal(err)
 			}
-		})
+			st.crash = adversary.NewCrashes(n)
+		}
+		bs := topo.Batch(tp)
+		st.step(r, bs, false) // warm the scratch buffers
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st.step(r, bs, i%10 == 0)
+		}
 	}
+	for kind, tp := range mk(b) {
+		b.Run(kind, func(b *testing.B) { run(b, tp, adversary.Config{}) })
+	}
+	b.Run("drop-complete", func(b *testing.B) {
+		run(b, topo.NewComplete(n), adversary.Config{Kind: adversary.Drop, Fraction: 0.3, Seed: 1})
+	})
 }
 
 func BenchmarkRunN10k(b *testing.B) {
@@ -361,7 +374,7 @@ func BenchmarkSyncStepLargeK(b *testing.B) {
 	r := xrand.New(1)
 	cols := opinion.PlantedBias(n, k, 2, r)
 	tp := topo.NewComplete(n)
-	st := newState(cols, k, 8, tp, nil)
+	st := newState(cols, k, 8, nil)
 	if !st.tally.sparse {
 		b.Fatalf("k = %d must select the sparse tally", k)
 	}

@@ -44,8 +44,7 @@ type tally struct {
 	// diff stages one synchronous step's (generation, color) deltas in dense
 	// mode: the step's fold loops do two branch-free adds per changed node
 	// into this small array and collapse() folds it into the aggregates once
-	// per step, replacing a moveWord call per node. nil in sparse mode,
-	// all-zero between steps.
+	// per step. nil in sparse mode, all-zero between steps.
 	diff []int32
 	// Sparse-mode staging: rowDiff[g] is a k-wide scratch row allocated the
 	// first time a step's fold touches generation g (diffGens lists them,
@@ -148,24 +147,6 @@ func (t *tally) rebuild(packed []uint32) error {
 	return nil
 }
 
-// moveWord folds one node's transition from packed word old to packed word
-// new into every aggregate. The fold is a sum of commutative deltas, so the
-// order nodes are folded in — node-id or cache-blocked — cannot change the
-// resulting tally.
-func (t *tally) moveWord(old, new uint32) {
-	og, oc := int(old>>genShift), int(old&colMask)
-	g, c := int(new>>genShift), int(new&colMask)
-	t.dec(og, oc)
-	t.inc(g, c)
-	t.genSize[og]--
-	t.genSize[g]++
-	if g > t.maxGen {
-		t.maxGen = g
-	}
-	t.colTot[oc]--
-	t.colTot[c]++
-}
-
 // rowDiffFor returns generation g's staged scratch row, allocating (or
 // recycling) it on first touch within a step.
 func (t *tally) rowDiffFor(g int) []int32 {
@@ -238,9 +219,8 @@ func (t *tally) mergeRow(g int) {
 // can have staged deltas — node generations are monotone and grow one step
 // at a time — so the scan is bounded by the occupied prefix, not G*.
 // Sparse mode merges each touched generation's scratch row (mergeRow). In
-// both modes the result is identical to having moveWord-ed every staged
-// transition: per-cell deltas are plain sums, so the order the cells fold
-// in cannot change the result.
+// both modes per-cell deltas are plain sums, so neither the order the
+// cells fold in nor the chunk they were staged in can change the result.
 func (t *tally) collapse() {
 	if t.sparse {
 		for _, g := range t.diffGens {
@@ -295,24 +275,6 @@ func (t *tally) inc(g, c int) {
 	copy(row.vals[i+1:], row.vals[i:])
 	row.keys[i] = int32(c)
 	row.vals[i] = 1
-}
-
-// dec removes one supporter of color c from generation g.
-func (t *tally) dec(g, c int) {
-	if !t.sparse {
-		t.dense[g*t.k+c]--
-		return
-	}
-	row := &t.rows[g]
-	i, ok := row.find(int32(c))
-	if !ok {
-		panic(fmt.Sprintf("syncgen: tally underflow at generation %d color %d", g, c))
-	}
-	row.vals[i]--
-	if row.vals[i] == 0 {
-		row.keys = append(row.keys[:i], row.keys[i+1:]...)
-		row.vals = append(row.vals[:i], row.vals[i+1:]...)
-	}
 }
 
 // find locates color c in the row, returning its index when present or the

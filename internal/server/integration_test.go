@@ -149,7 +149,9 @@ func TestIntegrationSweepServeStreamCache(t *testing.T) {
 
 			// Fresh process over the same store: recovery sees the done
 			// manifest, the cache probe replays every job, and the stream is
-			// byte-identical — the content-addressed cache at work.
+			// byte-identical — the content-addressed cache at work. A's
+			// write-behind writer must have stored every entry first.
+			waitIdle(t, srvA)
 			srvB := newTestServer(t, Config{Dir: dir, Workers: 4})
 			tsB := httptest.NewServer(srvB.Handler())
 			defer tsB.Close()
@@ -220,7 +222,7 @@ func TestIntegrationRestartResume(t *testing.T) {
 	}
 
 	// Every job runs one segment and suspends; none completes.
-	waitIdleAny(t, srvA)
+	waitIdle(t, srvA)
 	if st := srvA.lookupSweep(status.ID).status(); st.DoneJobs != 0 {
 		t.Fatalf("testMaxSegments=1 let %d jobs complete", st.DoneJobs)
 	}
@@ -263,7 +265,7 @@ func TestIntegrationRestartResume(t *testing.T) {
 	// restarting: server B never ran a job's first segment from scratch
 	// (it would have re-persisted a fresh round-2 snapshot either way, so
 	// the observable proof is the snapshot files are consumed)...
-	waitIdleAny(t, srvB)
+	waitIdle(t, srvB)
 	snaps, err = filepath.Glob(filepath.Join(dir, "snaps", "*.snap"))
 	if err != nil {
 		t.Fatal(err)
@@ -280,22 +282,6 @@ func TestIntegrationRestartResume(t *testing.T) {
 	}
 	if err := json.Unmarshal(mb, &m); err != nil || !m.Done {
 		t.Fatalf("manifest not marked done after completion: %s", mb)
-	}
-}
-
-func waitIdleAny(t *testing.T, s *Server) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := s.Stats()
-		if st.QueuedJobs == 0 && st.RunningJobs == 0 && st.PendingWrites == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never went idle (%d queued, %d running, %d pending writes)",
-				st.QueuedJobs, st.RunningJobs, st.PendingWrites)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -272,12 +272,18 @@ func (s *Server) lookupSweepCount() int {
 }
 
 // waitIdle blocks until the pool has no queued or running jobs and the
-// writer no pending writes.
+// writer no pending writes, failing the test after 30 seconds.
 func waitIdle(t *testing.T, s *Server) {
 	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if st := s.Stats(); st.QueuedJobs == 0 && st.RunningJobs == 0 && st.PendingWrites == 0 {
+		st := s.Stats()
+		if st.QueuedJobs == 0 && st.RunningJobs == 0 && st.PendingWrites == 0 {
 			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never went idle (%d queued, %d running, %d pending writes)",
+				st.QueuedJobs, st.RunningJobs, st.PendingWrites)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -444,7 +450,7 @@ func TestManifestWithShardsResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestServer(t, Config{Dir: dir, Workers: 2})
-	waitIdleAny(t, s)
+	waitIdle(t, s)
 	if got := s.Stats().JobsComputed; got != 2 {
 		t.Fatalf("recovered sweep computed %d jobs, want 2", got)
 	}
@@ -486,7 +492,7 @@ func TestRunCacheSharedAcrossShardCounts(t *testing.T) {
 		}
 	}
 	s := newTestServer(t, Config{Dir: dir, Workers: 2, CheckpointEvery: 8})
-	waitIdleAny(t, s)
+	waitIdle(t, s)
 	if got := s.Stats().JobsComputed; got != 2 {
 		t.Fatalf("two manifests differing only in shards computed %d jobs, want 2", got)
 	}

@@ -6,8 +6,8 @@ import (
 )
 
 // This file implements the bulk draw primitives behind the repository's
-// batched sampling fast paths (topo.BatchSampler, the synchronous engine's
-// staged step pipeline). Every Fill* function is defined by one invariant:
+// batched sampling fast paths (topo.BatchSampler, the synchronous round
+// kernels' chunked draws). Every Fill* function is defined by one invariant:
 //
 //	Filling a slice of length m consumes the generator stream exactly as m
 //	scalar calls of the corresponding method would, and writes the exact

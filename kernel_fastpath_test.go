@@ -23,8 +23,8 @@ type samplerOnly struct{ topo.Sampler }
 // path: each run on a real graph must produce the same result JSON and the
 // same mid-run snapshot bytes as the run on the same graph behind
 // samplerOnly. The sizes cover n below one draw chunk, n not a multiple of
-// any chunk, and n above the cache-blocking threshold. Ring and torus runs
-// check that the identity-order and blocked paths still agree.
+// any chunk, and n spanning five chunks. Ring and torus runs check that
+// their SampleNeighbors draws agree with the scalar fallback.
 func TestRoundKernelFastPathEquivalence(t *testing.T) {
 	const k, rounds, captureAt = 3, 24, 9
 	for _, n := range []int{1000, 5005, 10005} {
