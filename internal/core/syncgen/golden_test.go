@@ -43,7 +43,7 @@ func digestSyncResult(res *Result) string {
 }
 
 // TestSyncStepGolden pins the synchronous round loop on the runs no other
-// golden reaches: honest runs on a torus and on CSR graphs above 8192
+// golden reaches: honest runs on a torus and on CSR graphs at about 2·10⁴
 // nodes, and every sync adversary on the complete graph and on a
 // random-regular graph at n=5005, where one adversarial step spans three
 // partner-draw chunks. Each cell pins its Result and the state captured

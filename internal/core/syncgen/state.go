@@ -148,10 +148,10 @@ func (st *state) foldDeltas(nd int) {
 // SampleNeighbors, and noSelf turns that map into the identity. The rules
 // read only the previous words; each chunk's tally deltas fold at its end
 // and collapse folds the step's into the aggregates once. In an
-// adversarial run adversarialChunk draws and applies each chunk instead:
-// the check is once per chunk, ahead of the honest draw, which keeps the
-// honest kernels' compiled loops as they were before adversaries joined
-// this loop.
+// adversarial run adversarialChunk draws and applies each chunk instead.
+// That check sits once per chunk and ahead of the honest draw: placed
+// after it, the call changes the honest kernels' register allocation and
+// adds stack reloads to their per-node loops.
 func (st *state) step(r *xrand.RNG, tp topo.BatchSampler, twoChoices bool) {
 	n := st.n
 	packed, next := st.packed, st.next
