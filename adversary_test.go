@@ -121,7 +121,8 @@ func adversaryGoldenSpec(adv AdversarySpec) Spec {
 // subsystem landed, and for the asynchronous engines and churn schedules
 // re-recorded at EngineEpoch 2 (superposed clock, ziggurat exponential).
 // The crash rows were re-recorded at EngineEpoch 3, when every engine
-// began to record and report the survivors' counts only.
+// began to record and report the survivors' counts only, and the leader and
+// decentralized rows at EngineEpoch 4, when their ε-times became exact.
 // Any change to adversary draw order, victim selection or engine
 // arithmetic under faults shows up here. Re-record with:
 //
@@ -132,15 +133,15 @@ var adversaryGolden = map[string]string{
 	"3-majority/crash(f=0.2,r=1)":     "27291b99b1050c4d0afb0a7a35cd874f3e5af479f4cd3a91209ca56d4cbc09d6",
 	"3-majority/drop(f=0.3)":          "2254253292e3586ca390c00cb506c48e80f230f55d6fd0cc864f3f13808092a4",
 	"decentralized/byzantine(f=0.15)": "42dfb59a4a61d3775ccfdbdca34224c4e3159db5bde27b3e4a78ccb3c0866e0c",
-	"decentralized/crash(f=0.2)":      "0749f195d31a69c73ed2b4bac3177eef6bbcaef6f2b2fcf533367c5e2fcefc7d",
-	"decentralized/crash(f=0.2,r=1)":  "8ead9e78b258331c60e5bc8e7670bdde52406cdaf244ae32f6b6590b78d60e7e",
-	"decentralized/delay(f=0.5,x2)":   "71a689bd68717e254f2a5fb7cf3e5912caed364d390f61f0d83ab69e9975dfd8",
-	"decentralized/drop(f=0.3)":       "2cb64cf4efab06a9af60500edce8f11802f77496a29fecfca99d5a984ad9010e",
+	"decentralized/crash(f=0.2)":      "35939822890600b665c96d09058757bd97c62668a1e0b833daa658a85b0d52ab",
+	"decentralized/crash(f=0.2,r=1)":  "70edf28e52b332369e0112efae950bd5429a7300223832dc16d3c007e22703dd",
+	"decentralized/delay(f=0.5,x2)":   "303746723587030f3e69a3edc4b608754557391ad382dba70328ecc805fbd1fb",
+	"decentralized/drop(f=0.3)":       "ba33ca0ad08aa375d4ab22ec22a71f2f38f33c983f7a892a3e576a37efabb783",
 	"leader/byzantine(f=0.15)":        "99b7d84ea562b75dc7c26598b42b681128536657de291ce5d07bfbd8adf160db",
-	"leader/crash(f=0.2)":             "ccea6590da99b2feb40c2791d759f8842aafa776df7f5ce12cf165a04337004f",
-	"leader/crash(f=0.2,r=1)":         "9b41749d8f60910b0e7f679afdcb11e55a581335cdadf3130ad68a29cf9a70d7",
-	"leader/delay(f=0.5,x2)":          "e1275370333d37a620d2849c51b30cdb77e5ad5defa0980559ce2c680b338c72",
-	"leader/drop(f=0.3)":              "31674182992814c15739f11bf730c3b52331879283f02798d3e43583cc14116d",
+	"leader/crash(f=0.2)":             "ab61f2a881d7c77f01a3cbadeb9e06f3d53d4ee861416b76c47a028e63f28ce1",
+	"leader/crash(f=0.2,r=1)":         "a4a415e252e9e8cf794d87358a8a02d803acfae7e0e29eeec656cc804828caae",
+	"leader/delay(f=0.5,x2)":          "54c085b77039f26c1f952b084b5af5f278f706399e2ec6709638709554b8547d",
+	"leader/drop(f=0.3)":              "3e6ce41b8be616056211de455abb6b4d725bf095828cb2cd4cccff7810634fab",
 	"sync/byzantine(f=0.15)":          "3e167fda88ed589bab65006f01ff8a80666028ef8e4926a7d5b879f2426b781b",
 	"sync/crash(f=0.2)":               "3302cfa36c0d33b9775cb510ab22d2b538c7ab8ed639a332e2da6de228dc6647",
 	"sync/crash(f=0.2,r=1)":           "e6dc6434533858b04715977c5af2cb276fe50c0296a33e0de5831079f012cd30",

@@ -29,11 +29,17 @@ import (
 // (1001–1040), and a family-wise significance of 0.01, Bonferroni-split
 // over the three comparisons of every spec. A failure must be investigated;
 // it is never fixed by changing the seeds or re-recording. Re-record only
-// when an engine's law is meant to change. Only the ε column of the
-// leader/crash rows was re-recorded, at EngineEpoch 3, when ε-convergence
-// began to count survivors only; it had counted the crashed nodes' stale
-// opinions and was never reached. Their consensus times and wins are still
-// the first recording's. To re-record:
+// when an engine's law is meant to change. Two re-records touched the ε
+// column only; every consensus time and win is still the first
+// recording's. At EngineEpoch 3 the leader/crash rows' ε column, when
+// ε-convergence began to count survivors only (it had counted the crashed
+// nodes' stale opinions and was never reached). At EngineEpoch 4 the ε
+// column of the four asynchronous specs, when the engines began to note
+// the ε-hit at the count change that makes it instead of at the next
+// record point, which had put every ε-time on a grid of the run's C1: on
+// those seeds the consensus times and wins stayed identical and every
+// ε-time moved earlier (TestExactEpsTime pins the new times). To
+// re-record:
 //
 //	PLURALITY_DISTRIBUTION_RECORD=1 go test -run TestDistributionGolden .
 const (

@@ -48,21 +48,9 @@ func (ps *poissonState) HandleEvent(ev sim.Event) {
 }
 
 func (ps *poissonState) setNode(v int, c opinion.Opinion) {
-	old := ps.Cols[v]
-	if old == c {
-		return
-	}
-	ps.Cols[v] = c
-	if old != opinion.None {
-		ps.Counts[old]--
-	}
-	if c == opinion.None {
-		return
-	}
-	ps.Counts[c]++
-	if ps.Counts[c] == ps.Crash.Alive && !ps.Mono {
-		ps.Mono = true
-		ps.MonoAt = ps.Sim.Now()
+	if old := ps.Cols[v]; old != c {
+		ps.Cols[v] = c
+		ps.Recolor(old, c)
 	}
 }
 

@@ -29,6 +29,37 @@ func TestRunPoissonConvergence(t *testing.T) {
 	}
 }
 
+// TestRunPoissonExactEpsTime checks that the Poisson runner notes the
+// ε-hit where a count changes: at or before the first recorded point that
+// meets 1−ε, and strictly before it on every rule here, whose counts cross
+// between record points.
+func TestRunPoissonExactEpsTime(t *testing.T) {
+	for _, name := range []string{"two-choices", "3-majority", "undecided-state"} {
+		rule, err := NewRule(name, xrand.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunPoisson(rule, Config{N: 1000, K: 3, Alpha: 2, Seed: 5, RecordEvery: 2}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := res.Outcome
+		first := -1.0
+		for _, p := range res.Trajectory {
+			if p.PluralityFrac >= 1-out.Eps {
+				first = p.Time
+				break
+			}
+		}
+		if first < 0 {
+			t.Fatalf("%s: no recorded point reached 1−ε", name)
+		}
+		if !out.EpsReached || out.EpsTime >= first {
+			t.Errorf("%s: ε reached %t at t=%v, first point at 1−ε t=%v", name, out.EpsReached, out.EpsTime, first)
+		}
+	}
+}
+
 func TestRunPoissonPluralityWins(t *testing.T) {
 	r := xrand.New(2)
 	rule, _ := NewRule("3-majority", r)

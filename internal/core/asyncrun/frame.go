@@ -71,6 +71,10 @@ type Config struct {
 	// Point, when non-nil, adds the engine's own fields to every recorded
 	// trajectory point.
 	Point func(*metrics.Point)
+	// NoteCrash, when non-nil, is told of every node that crashes (down)
+	// or recovers, after the frame has moved its opinion, so the engine
+	// can move the node's own state out of or back into its tallies.
+	NoteCrash func(v int, down bool)
 }
 
 // Summary is what every asynchronous run reports; Finish fills it.
@@ -157,8 +161,10 @@ func (f *Frame) Start(h sim.EventHandler, root *xrand.RNG, cfg Config) error {
 	f.Sim.Reserve(cfg.Reserve)
 	f.Clocks = sim.NewClocks(f.Sim, root.SplitNamed("clocks"), cfg.N, 1, KindTick)
 	f.Rec = metrics.NewRecorder(cfg.Eps, cfg.DiscardTrajectory, cfg.Observe)
+	f.Rec.ExactEps()
 	if !restoring {
 		f.Clocks.StartAll()
+		f.checkEps()
 		f.record()
 		f.Sim.ScheduleAfter(cfg.RecordEvery, sim.Event{Kind: KindRecord})
 		f.Sim.Schedule(cfg.MaxTime, sim.Event{Kind: KindDeadline})
@@ -200,12 +206,14 @@ func (f *Frame) Handle(ev sim.Event) {
 		}
 		// A crash can leave the survivors unanimous, and a node that
 		// recovers with a stale opinion ends their unanimity: the run then
-		// goes on until it is restored.
+		// goes on until it is restored. A crash can also lift the initial
+		// plurality's share to 1−ε.
 		mono := f.Counts.Unanimous(f.Crash.Alive)
 		if mono && !f.Mono {
 			f.MonoAt = f.Sim.Now()
 		}
 		f.Mono = mono
+		f.checkEps()
 	case KindAdvDeliver:
 		f.h.HandleEvent(f.Payload.Take(ev.A))
 	}
@@ -221,13 +229,43 @@ func (f *Frame) record() {
 }
 
 // noteCrash moves a crashed (down) or recovered node's opinion out of or
-// back into the survivor tallies.
+// back into the survivor tallies, then tells the engine.
 func (f *Frame) noteCrash(v int, down bool) {
 	if down {
 		f.Counts[f.Cols[v]]--
 	} else {
 		f.Counts[f.Cols[v]]++
 	}
+	if f.cfg.NoteCrash != nil {
+		f.cfg.NoteCrash(v, down)
+	}
+}
+
+// Recolor moves one survivor from opinion old to col in the tallies (the
+// undecided opinion.None is in none) and notes the moment the move
+// reaches: the survivors' unanimity (Mono) and the initial plurality's
+// ε-hit. Every opinion change of a run goes through it, so both times are
+// exact, not the next record point's.
+func (f *Frame) Recolor(old, col opinion.Opinion) {
+	if old != opinion.None {
+		f.Counts[old]--
+	}
+	if col == opinion.None {
+		return
+	}
+	f.Counts[col]++
+	if f.Counts[col] == f.Crash.Alive && !f.Mono {
+		f.Mono = true
+		f.MonoAt = f.Sim.Now()
+	}
+	if col == f.Plurality {
+		f.checkEps()
+	}
+}
+
+// checkEps notes the ε-hit if the survivors' counts have reached it now.
+func (f *Frame) checkEps() {
+	f.Rec.CheckEps(f.Sim.Now(), f.Counts[f.Plurality], f.Crash.Alive)
 }
 
 // SendMsg schedules a protocol message d after now, giving the delay

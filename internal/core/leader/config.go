@@ -74,7 +74,8 @@ type Config struct {
 	Eps float64
 	// CheckInvariants enables the §3.2 invariant assertions (node
 	// generation never exceeds the leader's; no two-choices promotion into
-	// a generation after its propagation phase started). Panics on
+	// a generation after its propagation phase started) and recounts the
+	// survivors in the top generation at every recorded point. Panics on
 	// violation; meant for tests.
 	CheckInvariants bool
 	// SignalLoss drops each 0-signal and gen-signal independently with

@@ -281,6 +281,30 @@ func TestSignalLossTolerated(t *testing.T) {
 	}
 }
 
+// TestMaxGenFracCountsSurvivors pins the top generation's share under
+// crashes (f=0.2, one-shot and churning): every recorded point holds at
+// most the survivors, and CheckInvariants recounts the survivors in the
+// top generation at each one.
+func TestMaxGenFracCountsSurvivors(t *testing.T) {
+	for _, adv := range []adversary.Config{
+		{Kind: adversary.Crash, Fraction: 0.2, Seed: 17},
+		{Kind: adversary.Crash, Fraction: 0.2, Rate: 1, Seed: 17},
+	} {
+		res, err := Run(Config{N: 2000, K: 3, Alpha: 2, Seed: 1001, RecordEvery: 1, Adv: adv, CheckInvariants: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AdvCounters.Crashes == 0 {
+			t.Fatalf("%+v: no node crashed", adv)
+		}
+		for _, p := range res.Trajectory {
+			if p.MaxGenFrac > 1 {
+				t.Fatalf("%+v: MaxGenFrac %v > 1 at t=%v", adv, p.MaxGenFrac, p.Time)
+			}
+		}
+	}
+}
+
 func TestCrashFaultTolerance(t *testing.T) {
 	// 30% of nodes fail-stop mid-run; the survivors must still reach
 	// unanimity on the plurality opinion (consensus semantics are

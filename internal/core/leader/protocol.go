@@ -96,6 +96,9 @@ type runState struct {
 
 	genCount []int
 	maxGen   int
+	// downGen counts the crashed nodes of each generation, which genCount
+	// still holds but the survivors do not; nil in honest runs.
+	downGen []int
 
 	leaderGen  int
 	leaderProp bool
@@ -171,8 +174,12 @@ func Run(cfg Config) (*Result, error) {
 		N: cfg.N, K: cfg.K, Latency: cfg.Latency, MaxTime: maxTime, RecordEvery: cfg.RecordEvery,
 		Eps: cfg.Eps, DiscardTrajectory: cfg.DiscardTrajectory, Observe: cfg.Observe,
 		Adv: cfg.Adv, Ckpt: cfg.Ckpt, Ctx: cfg.Ctx, Reserve: 3*cfg.N + 64, Point: rs.point,
+		NoteCrash: rs.noteCrash,
 	}); err != nil {
 		return nil, fmt.Errorf("leader: %w", err)
+	}
+	if rs.Adv != nil {
+		rs.downGen = make([]int, gStar+1)
 	}
 	if cfg.Ckpt.Restoring() {
 		// Deterministic setup above sized every slice; now overwrite all
@@ -181,6 +188,11 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("leader: %w", err)
 		}
 		rs.tickR.Perturb(cfg.Ckpt.Perturb)
+		for v, down := range rs.Crash.Down {
+			if down {
+				rs.noteCrash(v, true)
+			}
+		}
 	}
 	if err := rs.Run(rs.capture); err != nil {
 		return nil, err
@@ -209,10 +221,39 @@ func (rs *runState) HandleEvent(ev sim.Event) {
 	}
 }
 
-// point adds the generation fields to a recorded trajectory point.
+// point adds the generation fields to a recorded trajectory point: the
+// highest generation present and the survivors' share in it.
 func (rs *runState) point(p *metrics.Point) {
 	p.MaxGen = rs.maxGen
-	p.MaxGenFrac = float64(rs.genCount[rs.maxGen]) / float64(rs.cfg.N)
+	top := rs.genCount[rs.maxGen]
+	if rs.downGen != nil {
+		top -= rs.downGen[rs.maxGen]
+	}
+	if rs.Crash.Alive > 0 {
+		p.MaxGenFrac = float64(top) / float64(rs.Crash.Alive)
+	}
+	if rs.cfg.CheckInvariants {
+		recount := 0
+		for v, g := range rs.gens {
+			if int(g) == rs.maxGen && !rs.Crash.Down[v] {
+				recount++
+			}
+		}
+		if recount != top {
+			panic(fmt.Sprintf("leader: %d survivors in generation %d, the tally says %d", recount, rs.maxGen, top))
+		}
+	}
+}
+
+// noteCrash moves a crashed (down) or recovered node's generation out of
+// or back into the survivors' share; a crashed node keeps its generation.
+// Only adversarial runs crash nodes.
+func (rs *runState) noteCrash(v int, down bool) {
+	if down {
+		rs.downGen[rs.gens[v]]++
+	} else {
+		rs.downGen[rs.gens[v]]--
+	}
 }
 
 // tick handles one Poisson tick of node v (Algorithm 2 lines 1-3).
@@ -318,12 +359,7 @@ func (rs *runState) setNode(v int, col opinion.Opinion, gen int32) {
 	rs.Cols[v] = col
 	rs.gens[v] = gen
 	if old != col {
-		rs.Counts[old]--
-		rs.Counts[col]++
-		if rs.Counts[col] == rs.Crash.Alive && !rs.Mono {
-			rs.Mono = true
-			rs.MonoAt = rs.Sim.Now()
-		}
+		rs.Recolor(old, col)
 	}
 	if gen != oldGen {
 		rs.genCount[oldGen]--

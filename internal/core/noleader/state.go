@@ -223,15 +223,7 @@ func (rs *consensusState) setNode(v int, col opinion.Opinion, gen int32) {
 		rs.maxGen = int(gen)
 	}
 	if old != col {
-		rs.Counts[old]--
-		rs.Counts[col]++
-		// Counts tallies survivors only (the frame removes a victim's
-		// color when it crashes), so unanimity is detected against the
-		// survivor count; honest runs keep every node up.
-		if rs.Counts[col] == rs.Crash.Alive && rs.Crash.Alive > 0 && !rs.Mono {
-			rs.Mono = true
-			rs.MonoAt = rs.Sim.Now()
-		}
+		rs.Recolor(old, col)
 	}
 }
 

@@ -48,7 +48,8 @@ func digestSyncResult(res *Result) string {
 // random-regular graph at n=5005, where one adversarial step spans three
 // partner-draw chunks. Each cell pins its Result and the state captured
 // after step syncStepCapture. The table is local to this test and not part
-// of the EngineEpoch pin.
+// of the EngineEpoch pin. The four crash cells were re-recorded at
+// EngineEpoch 4, when MaxGenFrac began to count survivors only.
 //
 // To re-record after an intentional, reviewed behaviour change:
 //
@@ -73,13 +74,13 @@ func TestSyncStepGolden(t *testing.T) {
 		{"honest/er", "er", 20000, adversary.Config{},
 			"bf6695305a8fb18e2f63bc694bc8ef728471f2d0bb6ce952717f2a37ad6313cf", "f282efbc2236d9a40606d836914749a6f67c3648e2347cd9b6f7f54ac200dee9"},
 		{"churn/complete", "complete", 5005, churn,
-			"639a6f61318c3d6d1c8cbc6627fcad87afc6da8ae91d2a625d7b4bdbd9713ee3", "25f1a6e1afa8b7ea4ed6cf0fbb071a8f8c4246afd187efe89ef4675f2cfb7c2f"},
+			"5f7fdf1f3401cd6743aadf2007e0d9c30a699225058c6bbcc5efeb21079a6407", "b12e369f33a7e2c2c3eae52bced9ad91c91db453ee29c341cc9f94b51fbf81c9"},
 		{"churn/rr8", "rr8", 5005, churn,
-			"c0d8736e501ce82b7fcd6bd205dd329b58cd733a3cd35d38cedb011eed2c0bdd", "0860eb43c0790bc97bd959e32e4ec4ea02a981c4a1a6f063d1cc5d51d453ea1e"},
+			"1e0fe93fd85a26666f8e4762e3fd081b4ceff9ba71b97bd4286937e239efdc02", "5472b9cbce505fde8712fa077bcb1193427d357ecf3b17515bc6baf9c4a8c621"},
 		{"crash/complete", "complete", 5005, oneShot,
-			"c4598bd22d64da1eb750e66dc42aff6412e1db43324ac2e90f0a50eb0170bca1", "9835bc44d3730af7cc7e94b5453f43ca144c033b94cd6de4042c18552674fc12"},
+			"09e3fa4280c308506fc22f5132a3f48e44ce7b918e93eecd3c3a72f51ceb0271", "076e08fccbe169290540767e8eebc1b10caab8f3bf5fe2b605a8c9751da6a3e9"},
 		{"crash/rr8", "rr8", 5005, oneShot,
-			"379b25a56607f58fc5d8b9bee919a3dc13df5270c1658e35deb2f3050db4ca19", "497064c1e8c4108128f3c9ba3cc4296009cc060abdc8a941ee5a9021578593be"},
+			"a15c9f9e61e8969233fb96ef2851b958ac5858ed3dfae6d5d8c05b9fd2cf5783", "9fd73e39d1e2d50be77873cf3b21841136884ad76d02d19978db7c6ce5e25e37"},
 		{"drop/complete", "complete", 5005, drop,
 			"c60cf0c6caa37b9feb1d6ddbf5cebeb990da32262549de37b1567d1b71d552c2", "97c5174d2630d63c22b5bf1e4838e5c955757e7b7da5bd818b9311c7836d81c6"},
 		{"drop/rr8", "rr8", 5005, drop,

@@ -197,6 +197,7 @@ func Run(cfg Config) (*Result, error) {
 	if st.adv != nil {
 		st.crash = adversary.NewCrashes(cfg.N)
 		st.frozen, st.surv = make(opinion.Counts, cfg.K), make(opinion.Counts, cfg.K)
+		st.frozenGen = make([]int, gStar+1)
 	}
 	bs := topo.Batch(cfg.Topo)
 	res := &Result{InitialPlurality: plurality}
@@ -204,7 +205,9 @@ func Run(cfg Config) (*Result, error) {
 	record := func(step int) {
 		p := metrics.SnapshotCounts(float64(step), st.counts(), st.crash.Alive, plurality)
 		p.MaxGen = st.tally.maxGen
-		p.MaxGenFrac = float64(st.tally.genSize[st.tally.maxGen]) / float64(cfg.N)
+		if st.crash.Alive > 0 {
+			p.MaxGenFrac = float64(st.topGenSize()) / float64(st.crash.Alive)
+		}
 		rec.Append(p)
 	}
 	stepRNG := rng.SplitNamed("steps")

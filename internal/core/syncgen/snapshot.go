@@ -75,6 +75,7 @@ func (st *state) restore(stateBytes []byte, stepRNG *xrand.RNG,
 	}
 	if st.frozen != nil {
 		clear(st.frozen)
+		clear(st.frozenGen)
 		for v, down := range st.crash.Down {
 			if down {
 				st.noteCrash(v, true)

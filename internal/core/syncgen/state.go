@@ -48,12 +48,14 @@ type state struct {
 	scratch  *topo.Scratch // batch-sampling buffers (per-worker under RunBatch)
 
 	// Adversary support (see adversary.go): adv is nil and every node up
-	// in an honest run. frozen counts the crashed nodes' colours, which
-	// the tally still holds but the survivors do not, and surv is counts'
-	// scratch; both are nil in honest runs.
+	// in an honest run. frozen counts the crashed nodes' colours and
+	// frozenGen their generations, which the tally still holds but the
+	// survivors do not, and surv is counts' scratch; all three are nil in
+	// honest runs.
 	adv          *adversary.State
 	crash        adversary.Crashes
 	frozen, surv opinion.Counts
+	frozenGen    []int
 }
 
 // newState packs the initial assignment (generation 0 throughout).
@@ -101,14 +103,27 @@ func (st *state) counts() opinion.Counts {
 	return st.surv
 }
 
-// noteCrash moves a crashed (down) or recovered node's colour into or out
-// of the frozen counts.
+// noteCrash moves a crashed (down) or recovered node's colour and
+// generation into or out of the frozen counts.
 func (st *state) noteCrash(v int, down bool) {
+	g := st.packed[v] >> genShift
 	if down {
 		st.frozen[st.colOf(v)]++
+		st.frozenGen[g]++
 	} else {
 		st.frozen[st.colOf(v)]--
+		st.frozenGen[g]--
 	}
+}
+
+// topGenSize returns the number of survivors in the highest generation
+// present.
+func (st *state) topGenSize() int {
+	g := st.tally.maxGen
+	if st.frozenGen == nil {
+		return st.tally.genSize[g]
+	}
+	return st.tally.genSize[g] - st.frozenGen[g]
 }
 
 // foldDeltas folds one chunk's staged (old, new) word pairs into the tally.

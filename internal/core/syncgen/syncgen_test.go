@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"plurality/internal/adversary"
+	"plurality/internal/metrics"
 	"plurality/internal/opinion"
+	"plurality/internal/snap"
 	"plurality/internal/topo"
 	"plurality/internal/xrand"
 )
@@ -384,5 +386,60 @@ func BenchmarkSyncStepLargeK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.step(r, bs, i%10 == 0)
+	}
+}
+
+// TestMaxGenFracCountsSurvivors pins the top generation's share under
+// crashes (f=0.2, one-shot and churning): every recorded point holds at
+// most the survivors, and at every step the run captures (each recorded
+// step but the last), MaxGenFrac equals a recount of the survivors in the
+// top generation, read from the captured state.
+func TestMaxGenFracCountsSurvivors(t *testing.T) {
+	const n, k, gStar = 3000, 4, 12
+	for _, adv := range []adversary.Config{
+		{Kind: adversary.Crash, Fraction: 0.2, At: 2, Seed: 41},
+		{Kind: adversary.Crash, Fraction: 0.2, Rate: 1, Seed: 41},
+	} {
+		var blobs [][]byte
+		res, err := Run(Config{N: n, K: k, Alpha: 1.5, Seed: 31, GStar: gStar, Adv: adv,
+			Ckpt: &snap.Checkpoint{At: 1, Every: 1, Sink: func(state []byte, _ float64, _ uint64) {
+				blobs = append(blobs, append([]byte(nil), state...))
+			}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.Trajectory {
+			if p.MaxGenFrac > 1 {
+				t.Fatalf("%+v: MaxGenFrac %v > 1 at step %v", adv, p.MaxGenFrac, p.Time)
+			}
+		}
+		if len(blobs) != len(res.Trajectory)-2 {
+			t.Fatalf("%+v: %d captures for %d recorded points", adv, len(blobs), len(res.Trajectory))
+		}
+		for _, blob := range blobs {
+			// Rebuild the captured state the way a resumed Run does.
+			st := newState(make([]opinion.Opinion, n), k, gStar, nil)
+			if st.adv, err = adversary.Start(adv, n, make(opinion.Counts, k), false); err != nil {
+				t.Fatal(err)
+			}
+			st.crash = adversary.NewCrashes(n)
+			st.frozen, st.surv, st.frozenGen = make(opinion.Counts, k), make(opinion.Counts, k), make([]int, gStar+1)
+			rec := metrics.NewRecorder(0.01, true, nil)
+			step, _, err := st.restore(blob, xrand.New(0), rec, &Result{}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, _ := rec.Last()
+			top := 0
+			for v, w := range st.packed {
+				if int(w>>genShift) == p.MaxGen && !st.crash.Down[v] {
+					top++
+				}
+			}
+			if want := float64(top) / float64(st.crash.Alive); p.MaxGenFrac != want || p.Time != float64(step) {
+				t.Fatalf("%+v step %d: MaxGenFrac %v at t=%v, recount %d/%d survivors = %v",
+					adv, step, p.MaxGenFrac, p.Time, top, st.crash.Alive, want)
+			}
+		}
 	}
 }

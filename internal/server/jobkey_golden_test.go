@@ -20,51 +20,51 @@ func TestJobKeyGolden(t *testing.T) {
 		run, cell      string
 	}{
 		{"complete/implicit", "sync", plurality.Spec{N: 100, K: 2, Seed: 1},
-			"846d22b0f9a77e19f542179e6f36609836de96979d2e48d5cf708a1ebd23b2f9",
-			"68bdc94a9ca4106a13d2d7e1ab9d1b892f0abef6d888fdb6207889958404984b"},
+			"03489463715067c532a64d53e03ef313685b443de871b52e1fa1fe75fb4faee2",
+			"402a224547bce055e6ffd68ccf933fa64d7c389c2cac974ff91936bac8b51780"},
 		{"complete/explicit-defaults", "sync", plurality.Spec{N: 100, K: 2, Seed: 1, Alpha: 1,
 			Latency:  plurality.LatencySpec{Kind: "exp", Mean: 1},
 			Topology: plurality.TopologySpec{Kind: plurality.TopologyComplete},
 			Sync:     plurality.SyncOptions{Gamma: 0.5}},
-			"846d22b0f9a77e19f542179e6f36609836de96979d2e48d5cf708a1ebd23b2f9",
-			"68bdc94a9ca4106a13d2d7e1ab9d1b892f0abef6d888fdb6207889958404984b"},
+			"03489463715067c532a64d53e03ef313685b443de871b52e1fa1fe75fb4faee2",
+			"402a224547bce055e6ffd68ccf933fa64d7c389c2cac974ff91936bac8b51780"},
 		{"ring", "leader", plurality.Spec{N: 200, K: 3, Alpha: 2, Seed: 7,
 			Topology: plurality.TopologySpec{Kind: plurality.TopologyRing, Width: 2}},
-			"bed4e3b3530946e3d3e8697f1b2b44e27d88215a49e71fc99f6099791e935cfe",
-			"d6433da689715a71b588eaec70c522d2e5b0227d5e88e71227dc404c3cb9c447"},
+			"bd5f91ddd2a043c6720037a63f09ebede962df17d82610db014b98911c7a4d1b",
+			"1934a16fc9e0a7d8971ae409fd45fbdc6efb23a756b19176605af9ff81ab1059"},
 		{"torus", "3-majority", plurality.Spec{N: 900, K: 3, Alpha: 1.5, Seed: 11,
 			Topology: plurality.TopologySpec{Kind: plurality.TopologyTorus}},
-			"9401de7f8bb2c026b9832684fe73d348ec36262676669bcd57d71da26f990656",
-			"0d9d683f7f6b87d1ad65584af0c867a3bcab0cb262e30d44aa116676058e66fd"},
+			"790bdba45e9a0a01a83fd8e7a73e7a7e6da9e20bc229ec2e84c5b59b41b12ef8",
+			"38f4c0c07fbc8537f5e5374963ec696dfa300f2136d97e8099bb72dec3430c5e"},
 		{"random-regular", "3-majority", plurality.Spec{N: 1000, K: 2, Alpha: 2, Seed: 3,
 			Topology: rr},
-			"88ec3394ed6fa2c273f0680e521566900fcc307be7f09d7eccfb8933369f4b40",
-			"a30fdac92c93a5d85fc90d23649588c11e80cfa3b4cf37702e6c2d1676c712df"},
+			"ec400470cf5de3a4ca0f080e86f83a5855ec64f2860ea89a767a3c532f7bfc26",
+			"6469f4974731c10398b767dbcdf23583661fd6a6e892ba99d62e2c92fd8a07c9"},
 		{"random-regular/graph-seed", "3-majority", plurality.Spec{N: 1000, K: 2, Alpha: 2, Seed: 3,
 			Topology: plurality.TopologySpec{Kind: plurality.TopologyRandomRegular, Degree: 8, GraphSeed: 42}},
-			"46152fdc1b5e623cc0d3a85e3add9a6f89d650dd80fef654254fa4c92b04a7d3",
-			"763dd093857605950ca19f7da8f4b8613e3f7645a11fe5b927cc1d6fcc19a6e6"},
+			"3cffaa1bd2402f0ec9a98b54ab7c4dca8f19f0665eb84aa17fec5a19ab91b242",
+			"5916c96f6f21f59349fda5d0e4fa442025e0b3c068093d700d1fa6e072ba6428"},
 		{"erdos-renyi", "sync", plurality.Spec{N: 500, K: 3, Alpha: 2, Seed: 5,
 			Topology: er},
-			"48400743e2c2c25fc0a7c22bff25ba734f5de9237ef1a1af8ea236e5a5c2ab14",
-			"186708225f804a33e4687ca7032eda9ee60c42ff83552182f95a172096808fd2"},
+			"18870b27bacd92dfef3fa1414ae7c30b88aa28e4c7c9f522af1f6eb0b2e49e26",
+			"aaf1787b2acddbfa4c6c47234f27f5cc16660431ccc47fe5b646c8b8627598d9"},
 		{"erdos-renyi/graph-seed/default-p", "leader", plurality.Spec{N: 500, K: 3, Alpha: 2, Seed: 5,
 			Topology: plurality.TopologySpec{Kind: plurality.TopologyErdosRenyi, GraphSeed: 9}},
-			"ff6659d5dd40547f99e0ba34be5f0f19f21a8930fe2d71a78444e595886d3c0f",
-			"479cba27215fdd8c534e99379296628b9edd3933662ae2129fbff55f778408f8"},
+			"8ed0cf2d31b62fde318bd9bec68bc0fc05b5a0c813653b3e000de1ee972eaa5c",
+			"6eb631ab5a73e48a01565518db8d2be229e7362139ae1ad425291abfc42dee76"},
 		{"assignment", "sync", plurality.Spec{N: 10, K: 3, Seed: 2, Alpha: 4,
 			Assignment: []int{0, 0, 0, 0, 1, 1, 1, 2, 2, 0}},
-			"cace2fe9e768d905ccee3768e9a0cde42c82bfe9d8658edce76f0d9c70fc8b0c",
-			"35b89c7fd36a999b303649578b986308fc073de2f583a9592489000fd0690ac2"},
+			"169a030c9f0728595eb2ecf0435eaaac263164352819abb7b7fb22e58bc6cb4c",
+			"c140ea5eebda1c85f7a4dce2326614d7818b4cbfee5208a53fb931790473f364"},
 		{"crash", "leader", plurality.Spec{N: 300, K: 2, Alpha: 2, Seed: 13,
 			Adversary: plurality.AdversarySpec{Kind: plurality.AdversaryCrash, Fraction: 0.2, At: 1, Seed: 17}},
-			"6badffe750ec790d76827fd1e47c9fd0d85ba7a5f8e0b0bc4daedec8899a52ad",
-			"4c8e19d149eb910fe8b2b62d811a99578a23c05a2ea1f199dddf7ca0c8d995d2"},
+			"d53a85ba1ddbd474e3a2dad22bef94bc45d2200752d3779811251a3a04d72161",
+			"d465423321b1a3f12f1757981fb3736655eda656643212baea76f48d4d5a28bd"},
 		{"delay", "decentralized", plurality.Spec{N: 300, K: 2, Alpha: 2, Seed: 19, MaxTime: 50,
 			Latency:   plurality.LatencySpec{Kind: "erlang"},
 			Adversary: plurality.AdversarySpec{Kind: plurality.AdversaryDelay}},
-			"dead62d9903a52d3cfb36b08c6b05ae07dccad86ab6f8f300788713d1ad4e8ed",
-			"cb2d8ac2bba5993a75f7e16e62659bbb2457ee8a177e02bff7fc6385903df3fc"},
+			"455fa9e5723de48b87f4644f096397531011812b26d200a1b0bc23d371df8883",
+			"46c4fad6200f25f09530ed4124c499153c835a6dc1c5becd7b395e32338513ee"},
 	}
 	for _, c := range cases {
 		for _, d := range []struct{ domain, want string }{{"run", c.run}, {"cell", c.cell}} {
@@ -97,7 +97,7 @@ func TestJobKeyGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := sweepID(plan.Protocol, plan.Reps, keys), "36c8e7a7dec026e5"; got != want {
+	if got, want := sweepID(plan.Protocol, plan.Reps, keys), "c30bad7d70a1747f"; got != want {
 		t.Errorf("sweep ID = %s, want %s", got, want)
 	}
 }

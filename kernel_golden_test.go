@@ -21,7 +21,9 @@ import (
 // superposed Poisson clock and the ziggurat exponential changed their
 // streams on purpose; TestDistributionGolden checks that their law held.
 // The undecided-state row was re-recorded at EngineEpoch 3, when undecided
-// nodes joined the population its fractions and consensus count.
+// nodes joined the population its fractions and consensus count, and the
+// leader and decentralized rows that reach ε at EngineEpoch 4, when their
+// ε-times became exact.
 //
 // To re-record after an intentional, reviewed behaviour change:
 //
@@ -74,10 +76,10 @@ var kernelGolden = map[string]string{
 	"3-majority/complete":                 "992ed5c605d38e2c3ea43e72a08eddb6c5bd00fb1db9f9d79fffecd315c23c83",
 	"3-majority/random-regular(d=4)":      "be3712502dde1f907bbb1778da9ab326cc71650775c450f06636a246d76c0c34",
 	"3-majority/torus(24x25)":             "e176f59095e4c57b5ae87b8d0d7344af9ddd9bb6ffea9c613ca7a6ec0652cf7d",
-	"decentralized/complete":              "a6b2609074f8113cae8dc464c0443d80a22e420d597ac3b029189597110e0829",
-	"decentralized/random-regular(d=4)":   "5c31abf1cde1c6133812b89f5849b93dfcb5bccbc414707ef17b206e723cc651",
-	"decentralized/torus(24x25)":          "d72987ceed4c3150c0be0e54bc55c6ab5c1ffb43e70167c3b946e9e0affc7b39",
-	"leader/complete":                     "300f24d85ea0e9ed923c89cf64b1af3cf9af302260fc7001085215cd9f6eca5f",
+	"decentralized/complete":              "20899d8cfa328893e11ae7a60aa98c2365af3654b6d57e981a36b6e13761adba",
+	"decentralized/random-regular(d=4)":   "288119d54c620e3c7f15558aea2a3d493784cd4a2ce5317219e6aed1e6eb2de2",
+	"decentralized/torus(24x25)":          "2fb9da15890f6027bd20d249f07c9dee28e6701d999618f905802225f6874007",
+	"leader/complete":                     "a00d86f75695d437a781090e0d40c55fca96ef2c96cccf343e27bee1eb0c4618",
 	"leader/random-regular(d=4)":          "d54b09536b2c982cfb5a90393ebbd608f821b2b5c4f1a3ac71d7f6e0fd0a7c65",
 	"leader/torus(24x25)":                 "c477e639e927913b22997b53b626918499d3501eef1f9470c0541ecd20dfad2f",
 	"pull-voting/complete":                "8dfd1d68305755fd34a6c9d4ccd3218fb00ff1d48b20923dc27cd1ac22abb206",

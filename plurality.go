@@ -15,8 +15,9 @@ import (
 // it. Epoch 2 replaced the per-node Poisson clocks by one superposed clock
 // and drew exponentials with a ziggurat. Epoch 3 records, stops and
 // reports every run on its survivors' counts, with undecided nodes in the
-// population.
-const EngineEpoch = 3
+// population. Epoch 4 notes an asynchronous run's ε-hit at the count
+// change that makes it and measures MaxGenFrac against the survivors.
+const EngineEpoch = 4
 
 // Baselines lists the available baseline rules: "pull-voting",
 // "two-choices", "3-majority", "undecided-state". Each is also a registered

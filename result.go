@@ -36,8 +36,10 @@ type Result struct {
 	FullConsensus bool
 	ConsensusTime float64
 	// EpsReached reports whether a 1−Eps fraction of the survivors held the
-	// initial plurality opinion at some recorded time, and EpsTime the
-	// first such time (Theorem 13's ε-convergence).
+	// initial plurality opinion, and EpsTime the first time they did
+	// (Theorem 13's ε-convergence). Asynchronous protocols report the exact
+	// time of the opinion change or crash that got there; round-based ones
+	// the first recorded round.
 	EpsReached bool
 	EpsTime    float64
 	Eps        float64

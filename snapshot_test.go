@@ -525,7 +525,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // crash flags with the churning adversary's state, and the delay
 // adversary's parked-message arena. The undecided-state and crash rows
 // were re-recorded at EngineEpoch 3, whose recorder holds survivor
-// fractions with undecided nodes in the denominator. Re-record (after a
+// fractions with undecided nodes in the denominator, and the crash rows of
+// sync and leader at EngineEpoch 4, whose MaxGenFrac counts survivors
+// only. Re-record (after a
 // reviewed change only) with
 //
 //	PLURALITY_GOLDEN_RECORD=1 go test -run TestSnapshotBlobGolden -v .
@@ -544,9 +546,9 @@ var snapshotBlobGolden = map[string]string{
 	"3-majority/complete@3":                     "c1421122c7af7853ab40f28b0237ec68205291a0d3d3ea5f2bbb7d501615ca86",
 	"undecided-state/complete@3":                "a0185d87bf3f7cb90c565b0eb614a914947539e7de1edcd572382777d15548d4",
 	"3-majority/complete/sequential@3":          "221ae733d67123dd10c3993c73578e60f092698557bf8cfc8b00a9acc1572d14",
-	"sync/complete/crash(f=0.2,r=1)@3":          "365f5fc624cc6ea8529ef8eaf0dff01435f8ddf3ceac052919db31bbc47c40a4",
+	"sync/complete/crash(f=0.2,r=1)@3":          "5f49703f4b2851f54053071154cb0e21b9130e578f0b5bbd06ede4ffaf5cf508",
 	"3-majority/complete/crash(f=0.2,r=1)@3":    "c59b44d0af72bb80eee4bd072b89b66e3e2a41dced804e6cc815ab302dbd1ac6",
-	"leader/complete/crash(f=0.2,r=1)@37":       "dd3bd39e004c590807b54123dc08ba65f2e768a3e7b60d644a23d20083564ef4",
+	"leader/complete/crash(f=0.2,r=1)@37":       "7c9f28d103f802f4084e13118ed31dc1e2552b970d40f442006c6af3f13f0347",
 	"leader/complete/delay(f=0.3,x2)@37":        "0c5ba0ded73ac770488783d6431f5a0959c66bee2c75543ca1118ed9b235ab4f",
 	"decentralized/complete/delay(f=0.3,x2)@37": "37220030a470749eba771dd31c751d4df1470cd2cfc50c8f613c728d56096bed",
 }

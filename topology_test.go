@@ -17,12 +17,13 @@ import (
 // per-engine sampleOther helpers, so introducing the topology layer is not
 // allowed to move a single draw. The leader and decentralized hashes were
 // re-recorded at EngineEpoch 2 (superposed clock, ziggurat exponential),
-// and undecided-state's at EngineEpoch 3, when undecided nodes joined the
-// population its fractions and consensus are measured against.
+// undecided-state's at EngineEpoch 3, when undecided nodes joined the
+// population its fractions and consensus are measured against, and the
+// leader and decentralized hashes again at EngineEpoch 4 (exact ε-times).
 var goldenHashes = map[string]string{
 	"sync":            "00f7ef3a569a0d877556379109344cdcd5b54f4842872e9aa50197e5f86e9505",
-	"leader":          "9a9b98b96b21b7b3c6f81f0bb712ffcf92670a6392f1bb933a7fb3b45315e22a",
-	"decentralized":   "1aeb99fa1398d784347843037d1196986dd8f31ab01ec7403bb7df197e2f9bd1",
+	"leader":          "6963ad41347e415a5deb7915e2b7e6cdb94b1fbb6e942cee8122e0b1731213b3",
+	"decentralized":   "dba56d97175fe2f87ba262e619f063e0230bca6a771a15c001fe1450707ea899",
 	"pull-voting":     "20a91b27636f72ddd13c2c143268d15792eee198e267b80d98f5fd4b124b8a39",
 	"two-choices":     "e3d3942182f57f1f4ba64b58bed26d3db1d384469b7b7e28cf03818248331482",
 	"3-majority":      "c6c2f4ff1642dcfbd59f633e58a30dc25d2ec280138ad9a5cb3a248958097262",
