@@ -122,7 +122,8 @@ func adversaryGoldenSpec(adv AdversarySpec) Spec {
 // re-recorded at EngineEpoch 2 (superposed clock, ziggurat exponential).
 // The crash rows were re-recorded at EngineEpoch 3, when every engine
 // began to record and report the survivors' counts only, and the leader and
-// decentralized rows at EngineEpoch 4, when their ε-times became exact.
+// decentralized rows at EngineEpoch 4, when their ε-times became exact and
+// C1 became one estimate per latency law.
 // Any change to adversary draw order, victim selection or engine
 // arithmetic under faults shows up here. Re-record with:
 //
@@ -132,16 +133,16 @@ var adversaryGolden = map[string]string{
 	"3-majority/crash(f=0.2)":         "f95a087b88a3205344d907a4f420646a35eec4f60999d4b1cd8f66678dae848f",
 	"3-majority/crash(f=0.2,r=1)":     "27291b99b1050c4d0afb0a7a35cd874f3e5af479f4cd3a91209ca56d4cbc09d6",
 	"3-majority/drop(f=0.3)":          "2254253292e3586ca390c00cb506c48e80f230f55d6fd0cc864f3f13808092a4",
-	"decentralized/byzantine(f=0.15)": "42dfb59a4a61d3775ccfdbdca34224c4e3159db5bde27b3e4a78ccb3c0866e0c",
-	"decentralized/crash(f=0.2)":      "35939822890600b665c96d09058757bd97c62668a1e0b833daa658a85b0d52ab",
-	"decentralized/crash(f=0.2,r=1)":  "70edf28e52b332369e0112efae950bd5429a7300223832dc16d3c007e22703dd",
-	"decentralized/delay(f=0.5,x2)":   "303746723587030f3e69a3edc4b608754557391ad382dba70328ecc805fbd1fb",
-	"decentralized/drop(f=0.3)":       "ba33ca0ad08aa375d4ab22ec22a71f2f38f33c983f7a892a3e576a37efabb783",
-	"leader/byzantine(f=0.15)":        "99b7d84ea562b75dc7c26598b42b681128536657de291ce5d07bfbd8adf160db",
-	"leader/crash(f=0.2)":             "ab61f2a881d7c77f01a3cbadeb9e06f3d53d4ee861416b76c47a028e63f28ce1",
-	"leader/crash(f=0.2,r=1)":         "a4a415e252e9e8cf794d87358a8a02d803acfae7e0e29eeec656cc804828caae",
-	"leader/delay(f=0.5,x2)":          "54c085b77039f26c1f952b084b5af5f278f706399e2ec6709638709554b8547d",
-	"leader/drop(f=0.3)":              "3e6ce41b8be616056211de455abb6b4d725bf095828cb2cd4cccff7810634fab",
+	"decentralized/byzantine(f=0.15)": "fae12e87604b92e36618f232cba76be5fe628e162d5475bf455721f6bc45db51",
+	"decentralized/crash(f=0.2)":      "a4a0e99987162fc1e2f85e7543ce0b14ba7a7d0f8631b19c0fa8ecb07638468a",
+	"decentralized/crash(f=0.2,r=1)":  "2db142fad199192df03bd0fc8c1a5eacdfa28cbde9ef63b76c97f845e95b2db3",
+	"decentralized/delay(f=0.5,x2)":   "2a474d943d126be5675cbe593d650e8883ed6576eccb0fa56998a773ceb631a8",
+	"decentralized/drop(f=0.3)":       "39d11c914f789b921ac2806310dfc24f125f93dc880975f1713ccc03a0e3c68a",
+	"leader/byzantine(f=0.15)":        "1c2272e8da7aedae61501c5cd0ff22100df5ca494b8c10998c9ee2b8cc0b167e",
+	"leader/crash(f=0.2)":             "d5d4b674c224a3e4c3f404013a7bfd175b2c699ec550724d9d1a04b24ac2e6dc",
+	"leader/crash(f=0.2,r=1)":         "d8f8a58c91ac7b2e91085d181e6f2d154139fb48d230b579221632f6e650ff8c",
+	"leader/delay(f=0.5,x2)":          "b068602b8dca400a677876cca7625f31137063c6e3584939f905a7ba59e9e6f9",
+	"leader/drop(f=0.3)":              "d30cb4f07331444ecd3fa03859a0a583884a6860e32c6027f819ee298eaea80d",
 	"sync/byzantine(f=0.15)":          "3e167fda88ed589bab65006f01ff8a80666028ef8e4926a7d5b879f2426b781b",
 	"sync/crash(f=0.2)":               "3302cfa36c0d33b9775cb510ab22d2b538c7ab8ed639a332e2da6de228dc6647",
 	"sync/crash(f=0.2,r=1)":           "e6dc6434533858b04715977c5af2cb276fe50c0296a33e0de5831079f012cd30",

@@ -190,19 +190,39 @@ func TestMinTheoremBias(t *testing.T) {
 }
 
 func TestEstimateTimeUnit(t *testing.T) {
-	u, err := EstimateTimeUnit(LatencySpec{}, 1)
+	u, err := EstimateTimeUnit(LatencySpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u < 5 || u > 15 {
 		t.Errorf("time unit %v for exp(1), want ~10", u)
 	}
-	slow, err := EstimateTimeUnit(LatencySpec{Mean: 10}, 1)
+	slow, err := EstimateTimeUnit(LatencySpec{Mean: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if slow < 5*u {
 		t.Errorf("time unit %v for mean-10 latency, want ~10× the mean-1 value %v", slow, u)
+	}
+}
+
+// TestTimeUnitIsOnePerLatency pins that C1 belongs to the latency law:
+// leader runs on two seeds report the same Stats["c1"], and it is
+// EstimateTimeUnit's value for their latency.
+func TestTimeUnitIsOnePerLatency(t *testing.T) {
+	lat := LatencySpec{Kind: "exp", Mean: 2}
+	want, err := EstimateTimeUnit(lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{3, 4} {
+		res, err := Run(ctx, "leader", Spec{N: 300, K: 2, Alpha: 2, Seed: seed, MaxTime: 5, Latency: lat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Stats["c1"]; got != want {
+			t.Errorf("seed %d: Stats[\"c1\"] = %v, EstimateTimeUnit = %v", seed, got, want)
+		}
 	}
 }
 

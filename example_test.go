@@ -80,7 +80,7 @@ func ExamplePlantedBias() {
 
 // Interpreting asynchronous results in the paper's time units.
 func ExampleEstimateTimeUnit() {
-	unit, err := plurality.EstimateTimeUnit(plurality.LatencySpec{Kind: "exp", Mean: 1}, 1)
+	unit, err := plurality.EstimateTimeUnit(plurality.LatencySpec{Kind: "exp", Mean: 1})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -44,9 +44,10 @@ type Config struct {
 	// Its size must equal N. The leader channel is unaffected: 0- and
 	// gen-signals reach the leader on any topology.
 	Topo topo.Sampler
-	// C1 is the number of time steps per time unit; default the measured
-	// 0.9-quantile of T3 = T'2 + T1 + T'2 for the configured latency
-	// (§3.1). It only affects the derived C3 default and reporting.
+	// C1 is the number of time steps per time unit; default TimeUnit of
+	// the configured latency, the 0.9-quantile of T3 = T'2 + T1 + T'2
+	// (§3.1). It only affects the derived C3, RecordEvery and MaxTime
+	// defaults and reporting.
 	C1 float64
 	// C3 is the 0-signal count threshold (divided by N) after which the
 	// leader allows propagation; default 2·C1, making the two-choices
@@ -133,7 +134,7 @@ func (cfg *Config) normalize() error {
 		return fmt.Errorf("leader: GenFraction %v outside (0,1)", cfg.GenFraction)
 	}
 	if cfg.C1 <= 0 {
-		cfg.C1 = EstimateC1(cfg.Latency, cfg.Seed)
+		cfg.C1 = TimeUnit(cfg.Latency)
 	}
 	if cfg.C3 <= 0 {
 		cfg.C3 = 2 * cfg.C1
@@ -151,8 +152,9 @@ func (cfg *Config) normalize() error {
 	return nil
 }
 
-// EstimateC1 returns the single-leader time unit C1, with accumulated
-// latency T'2 = max(T2,T2) + T2.
-func EstimateC1(lat sim.Latency, seed uint64) float64 {
-	return sim.EstimateC1(lat, seed, "c1-estimate", 2, 1)
+// TimeUnit returns the single-leader time unit C1 of latency law lat,
+// with accumulated latency T'2 = max(T2,T2) + T2: one estimate per law and
+// process (sim.EstimateC1), the same for every run and seed.
+func TimeUnit(lat sim.Latency) float64 {
+	return sim.EstimateC1(lat, 2, 1)
 }

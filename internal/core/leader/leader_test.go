@@ -231,7 +231,7 @@ func TestEstimateC1MatchesGammaBound(t *testing.T) {
 	// by the Γ(7, β) majorant, so measured C1 must be at most the majorant
 	// quantile, and within a sane factor of it.
 	for _, rate := range []float64{0.5, 1, 2} {
-		got := EstimateC1(sim.ExpLatency{Rate: rate}, 1)
+		got := TimeUnit(sim.ExpLatency{Rate: rate})
 		beta := math.Min(1, rate)
 		bound := xrand.GammaQuantile(7, beta, 0.9)
 		if got > bound {
@@ -243,11 +243,21 @@ func TestEstimateC1MatchesGammaBound(t *testing.T) {
 	}
 }
 
+// TestEstimateC1Deterministic pins that C1 belongs to the latency law:
+// every call returns the same value, and runs on different seeds use it.
 func TestEstimateC1Deterministic(t *testing.T) {
-	a := EstimateC1(sim.ExpLatency{Rate: 1}, 7)
-	b := EstimateC1(sim.ExpLatency{Rate: 1}, 7)
-	if a != b {
-		t.Fatalf("EstimateC1 not deterministic: %v vs %v", a, b)
+	a := TimeUnit(sim.ExpLatency{Rate: 1})
+	if b := TimeUnit(sim.ExpLatency{Rate: 1}); a != b {
+		t.Fatalf("TimeUnit not deterministic: %v vs %v", a, b)
+	}
+	for _, seed := range []uint64{7, 8} {
+		res, err := Run(Config{N: 200, K: 2, Alpha: 2, Seed: seed, MaxTime: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.C1 != a {
+			t.Errorf("seed %d: run used C1 %v, TimeUnit is %v", seed, res.C1, a)
+		}
 	}
 }
 

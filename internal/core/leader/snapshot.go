@@ -16,7 +16,8 @@ import (
 // result and the trajectory recorder — while everything derivable from the
 // Config (thresholds, the planted assignment, the victim set, the topology)
 // is recomputed at restore from the same seed, keeping blobs small and
-// version drift detectable.
+// version drift detectable. C1 is the latency law's one estimate, which a
+// restore looks up like a fresh run.
 
 // layout runs the run's mutable state through c, in blob order.
 func (rs *runState) layout(c *snap.Codec) {

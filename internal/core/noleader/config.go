@@ -45,9 +45,9 @@ type Config struct {
 	// Cluster optionally overrides the clustering parameters; N, Latency,
 	// Topo and Seed are filled in from this Config.
 	Cluster cluster.Params
-	// C1 is the steps-per-time-unit constant; default the measured
-	// 0.9-quantile of the multi-leader waiting time T3 with
-	// T'2 = max(T2,T2,T2) + max(T2,T2) (§4.3).
+	// C1 is the steps-per-time-unit constant; default TimeUnit of the
+	// configured latency, the 0.9-quantile of the multi-leader waiting time
+	// T3 with T'2 = max(T2,T2,T2) + max(T2,T2) (§4.3).
 	C1 float64
 	// TwoChoicesUnits is the length of the two-choices phase in time units
 	// (the paper's C2 = Cbr + 1 + 2/C1 shape); default 3.5.
@@ -117,7 +117,7 @@ func (cfg *Config) normalize() error {
 	}
 	cfg.Topo = tp
 	if cfg.C1 <= 0 {
-		cfg.C1 = EstimateC1(cfg.Latency, cfg.Seed)
+		cfg.C1 = TimeUnit(cfg.Latency)
 	}
 	if cfg.TwoChoicesUnits <= 0 {
 		cfg.TwoChoicesUnits = 3.5
@@ -148,8 +148,9 @@ func (cfg *Config) normalize() error {
 	return nil
 }
 
-// EstimateC1 returns the multi-leader time unit C1, with accumulated
-// latency T'2 = max(T2,T2,T2) + max(T2,T2).
-func EstimateC1(lat sim.Latency, seed uint64) float64 {
-	return sim.EstimateC1(lat, seed, "c1-estimate-multi", 3, 2)
+// TimeUnit returns the multi-leader time unit C1 of latency law lat, with
+// accumulated latency T'2 = max(T2,T2,T2) + max(T2,T2): one estimate per
+// law and process (sim.EstimateC1), the same for every run and seed.
+func TimeUnit(lat sim.Latency) float64 {
+	return sim.EstimateC1(lat, 3, 2)
 }

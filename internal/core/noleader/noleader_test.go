@@ -216,7 +216,7 @@ func TestEstimateC1MultiAboveSingle(t *testing.T) {
 	// The multi-leader accumulated latency max-of-3 + max-of-2 dominates
 	// the single-leader max-of-2 + one, so its C1 must be at least as big.
 	lat := sim.ExpLatency{Rate: 1}
-	multi := EstimateC1(lat, 1)
+	multi := TimeUnit(lat)
 	r := xrand.New(1).SplitNamed("cmp")
 	const samples = 40000
 	xs := make([]float64, samples)

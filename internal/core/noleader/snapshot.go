@@ -13,8 +13,9 @@ import (
 // every mutable word of the consensus phase, so a restored run skips
 // formation entirely — the warm-start property that makes resumed
 // long-horizon runs O(n) instead of O(clustering replay). Config-derived
-// constants (C1, G*, thresholds, leader slot order) are recomputed at
-// restore from the same seed.
+// constants (G*, thresholds, leader slot order) are recomputed at restore
+// from the same seed; C1 is the latency law's one estimate, which a
+// restore looks up like a fresh run.
 
 // layout runs the consensus phase's mutable state through c, in blob order
 // after the embedded clustering.

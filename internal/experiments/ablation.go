@@ -39,11 +39,9 @@ func Ablations(o Opts) *harness.Table {
 				Seed:        mergeSeed(o.Seed+1500, rep),
 			}
 			if c3Mult > 0 {
-				// C3 is expressed relative to C1; estimate C1 the same way
-				// the protocol will so the ratio is exact.
-				c1 := leader.EstimateC1(sim.ExpLatency{Rate: 1}, cfg.Seed)
-				cfg.C1 = c1
-				cfg.C3 = c3Mult * c1
+				// C3 is expressed relative to C1, which the run takes from
+				// the same per-latency estimate, so the ratio is exact.
+				cfg.C3 = c3Mult * leader.TimeUnit(sim.ExpLatency{Rate: 1})
 			}
 			res, err := leader.Run(cfg)
 			if err != nil {

@@ -17,8 +17,11 @@ import (
 // latency 1/λ. Three series are produced: the analytic quantile of the
 // Γ(7, β) majorant used in Remark 14, the Monte-Carlo quantile of the exact
 // single-leader T3 = max(T2,T2)+T2 + T1 + max(T2,T2)+T2, and the
-// multi-leader variant of §4.3. The paper's plot grows linearly in 1/λ on a
-// log-log scale; the log-log slope is appended to the caption.
+// multi-leader variant of §4.3. Both quantiles are the engines' own C1
+// (leader.TimeUnit, noleader.TimeUnit: 10⁶ draws, one cell per latency);
+// only the mean_T3 column is replicated over seeds. The paper's plot grows
+// linearly in 1/λ on a log-log scale; the log-log slope is appended to the
+// caption.
 func Figure1(o Opts) *harness.Table {
 	o = o.normalize()
 	points := 13
@@ -39,13 +42,10 @@ func Figure1(o Opts) *harness.Table {
 		cells := map[string]*stats.Summary{
 			"gamma_majorant": singleCell(xrand.GammaQuantile(7, beta, 0.9)),
 		}
-		exact := &stats.Summary{}
-		multi := &stats.Summary{}
+		exact := leader.TimeUnit(lat)
 		meanT3 := &stats.Summary{}
 		for rep := 0; rep < o.Reps; rep++ {
 			seed := mergeSeed(o.Seed+100, uint64(rep))
-			exact.Add(leader.EstimateC1(lat, seed))
-			multi.Add(noleader.EstimateC1(lat, seed))
 			// Example 15's closed form E[T3] = 1 + 3/λ: measure the mean of
 			// one accumulated latency plus a tick gap... the paper counts
 			// E(T3) = 1 + 3/λ for T3 = T1 + T'2 with E[T'2] = 3/(2λ)+... we
@@ -59,13 +59,13 @@ func Figure1(o Opts) *harness.Table {
 			}
 			meanT3.Add(sum / n)
 		}
-		cells["exact_T3_q90"] = exact
-		cells["multi_leader_q90"] = multi
+		cells["exact_T3_q90"] = singleCell(exact)
+		cells["multi_leader_q90"] = singleCell(noleader.TimeUnit(lat))
 		cells["mean_T3"] = meanT3
 		cells["paper_mean_1p3overlambda"] = singleCell(1 + 3/lambda)
 		t.Append(map[string]float64{"inv_lambda": il}, cells)
 		xs = append(xs, il)
-		ys = append(ys, exact.Mean())
+		ys = append(ys, exact)
 	}
 	if len(xs) >= 2 {
 		t.Caption += "\n" + fitLine("log(exact_T3_q90) ~ log(1/λ)", stats.LogLogFit(xs, ys))

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"plurality/internal/stats"
 	"plurality/internal/xrand"
@@ -95,21 +96,54 @@ func (l ErlangLatency) Mean() float64 { return float64(l.K) / l.Rate }
 // Name returns a human-readable identifier.
 func (l ErlangLatency) Name() string { return fmt.Sprintf("erlang(k=%d,λ=%g)", l.K, l.Rate) }
 
+// c1Samples is the number of Monte-Carlo draws behind each C1.
+const c1Samples = 1_000_000
+
+// c1Key identifies one C1: a latency law (a comparable Latency value, as
+// every Latency of this package is) and the fan-ins of T'2.
+type c1Key struct {
+	lat  Latency
+	a, b int
+}
+
+// c1Entry is one memoized C1, computed by the first caller of its key.
+type c1Entry struct {
+	once sync.Once
+	c1   float64
+}
+
+// c1Memo maps a c1Key to its *c1Entry, for the life of the process.
+var c1Memo sync.Map
+
 // EstimateC1 returns the paper's time unit C1, the 0.9-quantile of the
 // waiting time T3 = T'2 + T1 + T'2 between two completed operations
 // (Remark 14, Example 15). T1 is the Exp(1) tick gap and T'2, the
 // accumulated latency of one operation, is the max of a latency draws plus
-// the max of b more. It is estimated by Monte-Carlo from the stream label
-// of seed, so it is deterministic in (lat, seed, label, a, b). For
+// the max of b more. C1 is a property of the latency law, so it is
+// estimated once per process for each (lat, a, b), by c1Samples
+// Monte-Carlo draws from one fixed stream, and every later call returns
+// the same value; concurrent callers wait for the one estimate. For
 // exponential latencies the single-leader shape agrees with the paper's
-// Γ(7, β) majorant within sampling error (experiments E1 and E11).
-//
+// Γ(7, β) majorant (experiments E1 and E11).
+func EstimateC1(lat Latency, a, b int) float64 {
+	k := c1Key{lat, a, b}
+	e, ok := c1Memo.Load(k)
+	if !ok {
+		e, _ = c1Memo.LoadOrStore(k, new(c1Entry))
+	}
+	ent := e.(*c1Entry)
+	ent.once.Do(func() { ent.c1 = estimateC1(lat, c1Stream(), c1Samples, a, b) })
+	return ent.c1
+}
+
+// c1Stream returns the fixed stream every C1 estimate draws from.
+func c1Stream() *xrand.RNG { return xrand.New(0) }
+
+// estimateC1 is EstimateC1's Monte-Carlo estimate from samples draws of r.
 // Exp latencies take a batched path that returns the scalar loop's
 // estimate bit for bit; the scalar loop is the reference for every other
 // distribution.
-func EstimateC1(lat Latency, seed uint64, label string, a, b int) float64 {
-	r := xrand.New(seed).SplitNamed(label)
-	const samples = 40000
+func estimateC1(lat Latency, r *xrand.RNG, samples, a, b int) float64 {
 	xs := make([]float64, samples)
 	if el, ok := lat.(ExpLatency); ok {
 		fillT3Exp(r, el.Rate, a, b, xs)
@@ -129,7 +163,7 @@ func EstimateC1(lat Latency, seed uint64, label string, a, b int) float64 {
 	return stats.Select(xs, int(0.9*float64(samples)))
 }
 
-// fillT3Exp fills xs with EstimateC1's T3 draws for Exp(rate) latencies. It
+// fillT3Exp fills xs with estimateC1's T3 draws for Exp(rate) latencies. It
 // draws each sample's 2(a+b)+1 variates, in the scalar loop's order, as
 // Exp(1) values by xrand.FillExp; a latency is its Exp(1) value divided by
 // rate, bit for bit. Rounded division by a positive rate is monotone, so the

@@ -1,24 +1,29 @@
 package sim
 
-import "testing"
+import (
+	"sync"
+	"testing"
 
-// c1Shapes are the engines' T'2 fan-ins and stream labels.
+	"plurality/internal/xrand"
+)
+
+// c1Shapes are the engines' T'2 fan-ins.
 var c1Shapes = []struct {
-	name  string
-	label string
-	a, b  int
+	name string
+	a, b int
 }{
-	{"leader", "c1-estimate", 2, 1},
-	{"decentralized", "c1-estimate-multi", 3, 2},
+	{"leader", 2, 1},
+	{"decentralized", 3, 2},
 }
 
-// scalarExp is an exponential latency that EstimateC1 does not recognise
+// scalarExp is an exponential latency that estimateC1 does not recognise
 // as ExpLatency, so it takes the scalar loop.
 type scalarExp struct{ ExpLatency }
 
 // TestEstimateC1BatchedMatchesScalar pins that the batched draw path for
 // exponential latencies returns the scalar loop's estimate bit for bit, for
-// both engines' shapes, over 200 seeds per rate (20 under -short).
+// both engines' shapes, over 200 streams of 40,000 draws per rate (20
+// under -short).
 func TestEstimateC1BatchedMatchesScalar(t *testing.T) {
 	seeds := uint64(200)
 	if testing.Short() {
@@ -29,8 +34,8 @@ func TestEstimateC1BatchedMatchesScalar(t *testing.T) {
 			for _, rate := range []float64{0.5, 1, 3.7} {
 				for seed := uint64(0); seed < seeds; seed++ {
 					lat := ExpLatency{Rate: rate}
-					got := EstimateC1(lat, seed, sh.label, sh.a, sh.b)
-					want := EstimateC1(scalarExp{lat}, seed, sh.label, sh.a, sh.b)
+					got := estimateC1(lat, xrand.New(seed), 40000, sh.a, sh.b)
+					want := estimateC1(scalarExp{lat}, xrand.New(seed), 40000, sh.a, sh.b)
 					if got != want {
 						t.Fatalf("λ=%v seed %d: batched C1 %v, scalar %v", rate, seed, got, want)
 					}
@@ -40,15 +45,45 @@ func TestEstimateC1BatchedMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestEstimateC1Memo pins the memo: concurrent first calls for one law
+// all get the one estimate from the fixed stream, distinct laws and
+// shapes get their own, and a later call returns the same value.
+func TestEstimateC1Memo(t *testing.T) {
+	lat := ExpLatency{Rate: 0.8}
+	want := estimateC1(lat, c1Stream(), c1Samples, 2, 1)
+	got := make([]float64, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = EstimateC1(lat, 2, 1)
+		}()
+	}
+	wg.Wait()
+	for i, c1 := range got {
+		if c1 != want {
+			t.Fatalf("caller %d: C1 %v, want the fixed-stream estimate %v", i, c1, want)
+		}
+	}
+	if c1 := EstimateC1(ExpLatency{Rate: 0.8}, 2, 1); c1 != want {
+		t.Errorf("later call: C1 %v, want %v", c1, want)
+	}
+	if multi := EstimateC1(lat, 3, 2); multi <= want {
+		t.Errorf("decentralized shape C1 %v not above the leader's %v", multi, want)
+	}
+	if slow := EstimateC1(ExpLatency{Rate: 0.4}, 2, 1); slow <= want {
+		t.Errorf("C1 %v at λ=0.4 not above %v at λ=0.8", slow, want)
+	}
+}
+
 // BenchmarkEstimateC1 times one C1 estimate per engine shape with Exp(1)
-// latencies, the cost every asynchronous run pays in its setup.
+// latencies, the one-off cost of a latency law's first run in a process.
 func BenchmarkEstimateC1(b *testing.B) {
 	for _, sh := range c1Shapes {
 		b.Run(sh.name, func(b *testing.B) {
-			seed := uint64(0)
 			for b.Loop() {
-				EstimateC1(ExpLatency{Rate: 1}, seed, sh.label, sh.a, sh.b)
-				seed++
+				estimateC1(ExpLatency{Rate: 1}, c1Stream(), c1Samples, sh.a, sh.b)
 			}
 		})
 	}

@@ -22,8 +22,8 @@ import (
 // streams on purpose; TestDistributionGolden checks that their law held.
 // The undecided-state row was re-recorded at EngineEpoch 3, when undecided
 // nodes joined the population its fractions and consensus count, and the
-// leader and decentralized rows that reach ε at EngineEpoch 4, when their
-// ε-times became exact.
+// leader and decentralized rows at EngineEpoch 4, when their ε-times became
+// exact and C1 became one estimate per latency law.
 //
 // To re-record after an intentional, reviewed behaviour change:
 //
@@ -76,12 +76,12 @@ var kernelGolden = map[string]string{
 	"3-majority/complete":                 "992ed5c605d38e2c3ea43e72a08eddb6c5bd00fb1db9f9d79fffecd315c23c83",
 	"3-majority/random-regular(d=4)":      "be3712502dde1f907bbb1778da9ab326cc71650775c450f06636a246d76c0c34",
 	"3-majority/torus(24x25)":             "e176f59095e4c57b5ae87b8d0d7344af9ddd9bb6ffea9c613ca7a6ec0652cf7d",
-	"decentralized/complete":              "20899d8cfa328893e11ae7a60aa98c2365af3654b6d57e981a36b6e13761adba",
-	"decentralized/random-regular(d=4)":   "288119d54c620e3c7f15558aea2a3d493784cd4a2ce5317219e6aed1e6eb2de2",
-	"decentralized/torus(24x25)":          "2fb9da15890f6027bd20d249f07c9dee28e6701d999618f905802225f6874007",
-	"leader/complete":                     "a00d86f75695d437a781090e0d40c55fca96ef2c96cccf343e27bee1eb0c4618",
-	"leader/random-regular(d=4)":          "d54b09536b2c982cfb5a90393ebbd608f821b2b5c4f1a3ac71d7f6e0fd0a7c65",
-	"leader/torus(24x25)":                 "c477e639e927913b22997b53b626918499d3501eef1f9470c0541ecd20dfad2f",
+	"decentralized/complete":              "9f82335a7c093b9ea0c96fdbace326e7ca114d64416b4da9ea40c8996e471ee3",
+	"decentralized/random-regular(d=4)":   "aa884d3f30a0b80eccf4fa3e3054209a0646fd32fd7a64b0ea9948a541d30dac",
+	"decentralized/torus(24x25)":          "9eb55128a423ea6807529d7d3ef57fb4f3c655c301f0eb148a1494ec862a3f71",
+	"leader/complete":                     "b7da7e19caa3fdc6ceb79ac3b6b9f1373367d53029f2d5439e5d5303eced3dcb",
+	"leader/random-regular(d=4)":          "f897af8f4c526da70bedf0aca2ccded7a4154805b759595bf409db09cc11143b",
+	"leader/torus(24x25)":                 "7f43ed8919d9b7d6dc30b19c7412b7970c45537b0cca0c584a43dbc1d6ddd21d",
 	"pull-voting/complete":                "8dfd1d68305755fd34a6c9d4ccd3218fb00ff1d48b20923dc27cd1ac22abb206",
 	"pull-voting/random-regular(d=4)":     "8a614c6116bce8e2e684bced311a2c86e9a6e5036e0e921b7052b94221cd1d8b",
 	"pull-voting/torus(24x25)":            "eeef76668d13374243d0f0d0f26f80f06fa0c05aeafb9480a1f4e5dbdfcc0c0f",

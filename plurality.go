@@ -16,7 +16,8 @@ import (
 // and drew exponentials with a ziggurat. Epoch 3 records, stops and
 // reports every run on its survivors' counts, with undecided nodes in the
 // population. Epoch 4 notes an asynchronous run's ε-hit at the count
-// change that makes it and measures MaxGenFrac against the survivors.
+// change that makes it, measures MaxGenFrac against the survivors, and
+// takes C1 from one estimate per latency law instead of one per run.
 const EngineEpoch = 4
 
 // Baselines lists the available baseline rules: "pull-voting",
@@ -38,13 +39,15 @@ func minBias(n, k int) float64 {
 }
 
 // EstimateTimeUnit returns the paper's C1 — the number of time steps per
-// time unit, F⁻¹(0.9) of the waiting time T3 — for the given latency spec,
-// estimated deterministically from seed. Useful for interpreting the
-// asynchronous Result times in time units.
-func EstimateTimeUnit(spec LatencySpec, seed uint64) (float64, error) {
+// time unit, F⁻¹(0.9) of the waiting time T3 — for the given latency spec:
+// exactly the C1 every "leader" run with that latency uses, whatever its
+// seed (Result.Stats["c1"]). It is a property of the latency law,
+// estimated once per process. Useful for interpreting the asynchronous
+// Result times in time units.
+func EstimateTimeUnit(spec LatencySpec) (float64, error) {
 	lat, err := spec.build()
 	if err != nil {
 		return 0, err
 	}
-	return leader.EstimateC1(lat, seed), nil
+	return leader.TimeUnit(lat), nil
 }

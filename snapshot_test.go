@@ -525,21 +525,22 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // crash flags with the churning adversary's state, and the delay
 // adversary's parked-message arena. The undecided-state and crash rows
 // were re-recorded at EngineEpoch 3, whose recorder holds survivor
-// fractions with undecided nodes in the denominator, and the crash rows of
-// sync and leader at EngineEpoch 4, whose MaxGenFrac counts survivors
-// only. Re-record (after a
+// fractions with undecided nodes in the denominator, and at EngineEpoch 4
+// the sync crash row, whose MaxGenFrac counts survivors only, and every
+// leader and decentralized row, whose C1 is one estimate per latency law.
+// Re-record (after a
 // reviewed change only) with
 //
 //	PLURALITY_GOLDEN_RECORD=1 go test -run TestSnapshotBlobGolden -v .
 var snapshotBlobGolden = map[string]string{
-	"decentralized/complete@37":                 "5ca7c268b5d362873cc291298bdad1de4e3fa003c56db8d5cee7ba50fb29c1fa",
-	"decentralized/complete@5.5":                "00eae4aa59aa3dd0aa2e18f84c0687b653f6692eebc8f7742fb8ba77134abf93",
-	"decentralized/random-regular(d=4)@37":      "66c46a33855035808c65a2a5d84be7b2da7621c8f982415a30b25fce92127fe4",
-	"decentralized/random-regular(d=4)@5.5":     "b12b9dbe2f38e9c6c06b1cc77d338972a188c619a4454354fd8ba8ab6c2b5452",
-	"leader/complete@37":                        "1487bb7e027a7b9a836326198fafb6dbb9d2a7abbf2929302b38133b9a1f7ec7",
-	"leader/complete@5.5":                       "90987934b3e74f75c0239397452ae583d2d0cb2e77ba204a662e789b447fc7b3",
-	"leader/random-regular(d=4)@37":             "1ce4463e8526f69e099130a9e42442727fea7c53ebf30dff8cd561ea54bbaa8c",
-	"leader/random-regular(d=4)@5.5":            "0df1616f4ee30055b23da34aa7ad2afea90bdb4630de041f26959d5ebef90025",
+	"decentralized/complete@37":                 "53a656098e9397e1aa8cc2e3b22d370682fb9980043f30db4a46142a5afc5bef",
+	"decentralized/complete@5.5":                "c805392e66b95fd1cce47ec6e597dd3505d1bf74dabc1d2cd5672f12003dfd4d",
+	"decentralized/random-regular(d=4)@37":      "c821977cb8616aa69424db7636a6dd04834c934b1ad58c071aee9434518ece43",
+	"decentralized/random-regular(d=4)@5.5":     "e15a0aabf6bb63bdc2183b8900e85fe6aa4c61dac5ae116842cc3439f6fe28eb",
+	"leader/complete@37":                        "88b2cdfacd8da9f4218d3bbd27033a991232615b4820354107a0b3946cbfe166",
+	"leader/complete@5.5":                       "36ff1ca0c1ea7ec926f9df69d0fb9597ef2f6c6f83e8963e5732e8a48a2a81ac",
+	"leader/random-regular(d=4)@37":             "136edf743bea0dac9a0ed96e9e659cc3a97828fcd1725efa5c4f1b58521afcb7",
+	"leader/random-regular(d=4)@5.5":            "464d209717dbcafd026452b667f7f7c4698583244581ede74d89d8b63a2963bc",
 	"sync/complete@3":                           "752312fc3d28fc453d499fd272573b1af309925460e9a338c1407796649429db",
 	"pull-voting/complete@3":                    "bf6b9e3e25393a321e7d968ee948c3f7b88111a0a4be9982d59462758d2e1976",
 	"two-choices/complete@3":                    "a22411ae3f5e24722c49dc45dceb3df62a37056c6f9595f420e66d877d5d213a",
@@ -548,9 +549,9 @@ var snapshotBlobGolden = map[string]string{
 	"3-majority/complete/sequential@3":          "221ae733d67123dd10c3993c73578e60f092698557bf8cfc8b00a9acc1572d14",
 	"sync/complete/crash(f=0.2,r=1)@3":          "5f49703f4b2851f54053071154cb0e21b9130e578f0b5bbd06ede4ffaf5cf508",
 	"3-majority/complete/crash(f=0.2,r=1)@3":    "c59b44d0af72bb80eee4bd072b89b66e3e2a41dced804e6cc815ab302dbd1ac6",
-	"leader/complete/crash(f=0.2,r=1)@37":       "7c9f28d103f802f4084e13118ed31dc1e2552b970d40f442006c6af3f13f0347",
-	"leader/complete/delay(f=0.3,x2)@37":        "0c5ba0ded73ac770488783d6431f5a0959c66bee2c75543ca1118ed9b235ab4f",
-	"decentralized/complete/delay(f=0.3,x2)@37": "37220030a470749eba771dd31c751d4df1470cd2cfc50c8f613c728d56096bed",
+	"leader/complete/crash(f=0.2,r=1)@37":       "f4ea6e9f0523340a34a1dab051361cf8a202b03cdafb2bc01e333de75704a96a",
+	"leader/complete/delay(f=0.3,x2)@37":        "c3f7740a9f0e508652495d9d648fb650c58b3a8b25bbdb72cd827e3ceb6ebd74",
+	"decentralized/complete/delay(f=0.3,x2)@37": "475873b22e1ba69a36a31736987c99bfcd4ef521b75910d11da80767965d7ac8",
 }
 
 // blobGoldenRow is one capture of TestSnapshotBlobGolden.
