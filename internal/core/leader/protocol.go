@@ -97,7 +97,7 @@ type runState struct {
 	genCount []int
 	maxGen   int
 	// downGen counts the crashed nodes of each generation, which genCount
-	// still holds but the survivors do not; nil in honest runs.
+	// still holds but the survivors do not.
 	downGen []int
 
 	leaderGen  int
@@ -156,6 +156,7 @@ func Run(cfg Config) (*Result, error) {
 		seenG:     make([]int32, cfg.N),
 		seenP:     make([]bool, cfg.N),
 		genCount:  make([]int, gStar+1),
+		downGen:   make([]int, gStar+1),
 		leaderGen: 1,
 		c3Ticks:   int(cfg.C3 * float64(cfg.N)),
 		genThresh: int(math.Ceil(cfg.GenFraction * float64(cfg.N))),
@@ -177,9 +178,6 @@ func Run(cfg Config) (*Result, error) {
 		NoteCrash: rs.noteCrash,
 	}); err != nil {
 		return nil, fmt.Errorf("leader: %w", err)
-	}
-	if rs.Adv != nil {
-		rs.downGen = make([]int, gStar+1)
 	}
 	if cfg.Ckpt.Restoring() {
 		// Deterministic setup above sized every slice; now overwrite all
@@ -225,10 +223,7 @@ func (rs *runState) HandleEvent(ev sim.Event) {
 // highest generation present and the survivors' share in it.
 func (rs *runState) point(p *metrics.Point) {
 	p.MaxGen = rs.maxGen
-	top := rs.genCount[rs.maxGen]
-	if rs.downGen != nil {
-		top -= rs.downGen[rs.maxGen]
-	}
+	top := rs.genCount[rs.maxGen] - rs.downGen[rs.maxGen]
 	if rs.Crash.Alive > 0 {
 		p.MaxGenFrac = float64(top) / float64(rs.Crash.Alive)
 	}
@@ -247,7 +242,6 @@ func (rs *runState) point(p *metrics.Point) {
 
 // noteCrash moves a crashed (down) or recovered node's generation out of
 // or back into the survivors' share; a crashed node keeps its generation.
-// Only adversarial runs crash nodes.
 func (rs *runState) noteCrash(v int, down bool) {
 	if down {
 		rs.downGen[rs.gens[v]]++
