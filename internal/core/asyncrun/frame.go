@@ -161,10 +161,8 @@ func (f *Frame) Start(h sim.EventHandler, root *xrand.RNG, cfg Config) error {
 	f.Sim.Reserve(cfg.Reserve)
 	f.Clocks = sim.NewClocks(f.Sim, root.SplitNamed("clocks"), cfg.N, 1, KindTick)
 	f.Rec = metrics.NewRecorder(cfg.Eps, cfg.DiscardTrajectory, cfg.Observe)
-	f.Rec.ExactEps()
 	if !restoring {
 		f.Clocks.StartAll()
-		f.checkEps()
 		f.record()
 		f.Sim.ScheduleAfter(cfg.RecordEvery, sim.Event{Kind: KindRecord})
 		f.Sim.Schedule(cfg.MaxTime, sim.Event{Kind: KindDeadline})

@@ -16,7 +16,6 @@ import (
 type Recorder struct {
 	eps     float64
 	discard bool
-	exact   bool // the engine sets the ε hit by CheckEps (ExactEps)
 	sink    func(Point)
 
 	traj Trajectory
@@ -36,17 +35,12 @@ func NewRecorder(eps float64, discard bool, sink func(Point)) *Recorder {
 	return &Recorder{eps: eps, discard: discard, sink: sink}
 }
 
-// ExactEps hands the ε hit to the engine: Append stops testing the points
-// it records, and the engine calls CheckEps wherever its counts change,
-// which finds the crossing at or before any record point could. The
-// asynchronous engines take it; round-based engines keep the test at their
-// record points.
-func (r *Recorder) ExactEps() { r.exact = true }
-
 // CheckEps notes ε-convergence at time t, unless it is already noted, when
 // plural of population survivors hold the initial plurality opinion. The
-// test is SnapshotCounts' PluralityFrac against 1−ε, float for float, so a
-// record point at the same counts would agree.
+// asynchronous engines call it wherever their counts change, so their hit
+// is exact rather than the next record point's. The test is
+// SnapshotCounts' PluralityFrac against 1−ε, float for float, so Append's
+// test at the same counts agrees and never notes a hit first.
 func (r *Recorder) CheckEps(t float64, plural, population int) {
 	if !r.epsHit && population > 0 && float64(plural)/float64(population) >= 1-r.eps {
 		r.epsHit = true
@@ -65,7 +59,7 @@ func (r *Recorder) Append(p Point) {
 		r.consHit = true
 		r.consTime = p.Time
 	}
-	if !r.exact && !r.epsHit && p.PluralityFrac >= 1-r.eps {
+	if !r.epsHit && p.PluralityFrac >= 1-r.eps {
 		r.epsHit = true
 		r.epsTime = p.Time
 	}
@@ -90,8 +84,8 @@ func (r *Recorder) Trajectory() Trajectory { return r.traj }
 // population of population nodes (see SnapshotCounts): full consensus is
 // one count equal to the population, its time is the first recorded
 // monochromatic snapshot (falling back to the last recorded time), and
-// ε-convergence is the first snapshot with a 1−ε plurality fraction, or
-// under ExactEps the first CheckEps that saw one.
+// ε-convergence is the first snapshot or CheckEps with a 1−ε plurality
+// fraction.
 func (r *Recorder) Outcome(final opinion.Counts, population int, initialPlurality opinion.Opinion) Outcome {
 	winner, _ := final.TopTwo()
 	out := Outcome{

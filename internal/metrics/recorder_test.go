@@ -73,17 +73,14 @@ func TestRecorderOutOfOrderPanics(t *testing.T) {
 	rec.Append(Point{Time: 1})
 }
 
-// TestRecorderExactEps pins the engine-owned ε-hit: under ExactEps,
-// Append leaves the hit alone and CheckEps sets it once, with the record
-// point's test, never for an empty population.
-func TestRecorderExactEps(t *testing.T) {
+// TestRecorderCheckEps pins the count-change ε-hit: CheckEps sets it once,
+// at 1−ε, with the record point's test, never for an empty population.
+func TestRecorderCheckEps(t *testing.T) {
 	rec := NewRecorder(0.1, true, nil)
-	rec.ExactEps()
-	rec.Append(Point{Time: 1, TopFrac: 1, PluralityFrac: 1})
 	rec.CheckEps(2, 0, 0)
 	rec.CheckEps(3, 89, 100)
 	if out := rec.Outcome(opinion.Counts{89, 11}, 100, 0); out.EpsReached {
-		t.Fatalf("ε reached at t=%v below 1−ε or from a record point", out.EpsTime)
+		t.Fatalf("ε reached at t=%v below 1−ε", out.EpsTime)
 	}
 	rec.CheckEps(4, 90, 100)
 	rec.CheckEps(5, 100, 100)
