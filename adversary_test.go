@@ -133,16 +133,16 @@ var adversaryGolden = map[string]string{
 	"3-majority/crash(f=0.2)":         "f95a087b88a3205344d907a4f420646a35eec4f60999d4b1cd8f66678dae848f",
 	"3-majority/crash(f=0.2,r=1)":     "27291b99b1050c4d0afb0a7a35cd874f3e5af479f4cd3a91209ca56d4cbc09d6",
 	"3-majority/drop(f=0.3)":          "2254253292e3586ca390c00cb506c48e80f230f55d6fd0cc864f3f13808092a4",
-	"decentralized/byzantine(f=0.15)": "fae12e87604b92e36618f232cba76be5fe628e162d5475bf455721f6bc45db51",
-	"decentralized/crash(f=0.2)":      "a4a0e99987162fc1e2f85e7543ce0b14ba7a7d0f8631b19c0fa8ecb07638468a",
-	"decentralized/crash(f=0.2,r=1)":  "2db142fad199192df03bd0fc8c1a5eacdfa28cbde9ef63b76c97f845e95b2db3",
-	"decentralized/delay(f=0.5,x2)":   "2a474d943d126be5675cbe593d650e8883ed6576eccb0fa56998a773ceb631a8",
-	"decentralized/drop(f=0.3)":       "39d11c914f789b921ac2806310dfc24f125f93dc880975f1713ccc03a0e3c68a",
-	"leader/byzantine(f=0.15)":        "1c2272e8da7aedae61501c5cd0ff22100df5ca494b8c10998c9ee2b8cc0b167e",
-	"leader/crash(f=0.2)":             "d5d4b674c224a3e4c3f404013a7bfd175b2c699ec550724d9d1a04b24ac2e6dc",
-	"leader/crash(f=0.2,r=1)":         "d8f8a58c91ac7b2e91085d181e6f2d154139fb48d230b579221632f6e650ff8c",
-	"leader/delay(f=0.5,x2)":          "b068602b8dca400a677876cca7625f31137063c6e3584939f905a7ba59e9e6f9",
-	"leader/drop(f=0.3)":              "d30cb4f07331444ecd3fa03859a0a583884a6860e32c6027f819ee298eaea80d",
+	"decentralized/byzantine(f=0.15)": "8aaf7c7494a7b6899fe415b33af97fb4804732dd794c8c7dd663cbde927ce2ea",
+	"decentralized/crash(f=0.2)":      "77fd5f16cb92a042d42fb8917443678dbaf9eb0707dd3244d1fba069aae9612a",
+	"decentralized/crash(f=0.2,r=1)":  "a45f1c463fc025c2ce29d19136bbe397dabb02dc769b018f77739a8da39c1129",
+	"decentralized/delay(f=0.5,x2)":   "9ac033883fed013ec1e5519952d0d866bfb647bf5fede7c66361df12948687f8",
+	"decentralized/drop(f=0.3)":       "18351853e5524c9a33315154f7144e0d08fa9c1045dad6e701b2d22c97c7f2dc",
+	"leader/byzantine(f=0.15)":        "f9478a1c939061ef333be33ce634b05aba1e6cadc0dc4b07f26031a147667762",
+	"leader/crash(f=0.2)":             "5e4b56fe5371ba480b4e06f1275dc980603df6dc4212a079d36939bba155ea19",
+	"leader/crash(f=0.2,r=1)":         "98bd2d5a1047df7f2e81c2b22dcfc85abc504eeb8da796049f3f41c9113a4b41",
+	"leader/delay(f=0.5,x2)":          "874f08a32631c776d8535dda5c98dcf1c35be90d0fb34d2a24b5c70674d8814f",
+	"leader/drop(f=0.3)":              "ddc5acdf4672b6d1bb8c5de36ad3c56692f1270277fc2c2cdb201c128784556f",
 	"sync/byzantine(f=0.15)":          "3e167fda88ed589bab65006f01ff8a80666028ef8e4926a7d5b879f2426b781b",
 	"sync/crash(f=0.2)":               "3302cfa36c0d33b9775cb510ab22d2b538c7ab8ed639a332e2da6de228dc6647",
 	"sync/crash(f=0.2,r=1)":           "e6dc6434533858b04715977c5af2cb276fe50c0296a33e0de5831079f012cd30",

@@ -28,8 +28,13 @@ import (
 // version-4 blob that carries the per-shard section is rejected instead of
 // being misread as a serial payload — the serial layout is unchanged;
 // version 6 replaced the per-node Poisson clocks' section, n generators and
-// n stop flags, by the superposed clock's one generator).
-const SnapshotFormatVersion = 6
+// n stop flags, by the superposed clock's one generator; version 7 marks
+// the change of what a leader or decentralized restore derives from its
+// blob: C1, and with it C3, the record interval and the horizon, is the
+// latency law's one value, not the estimate from the run's seed a version-6
+// blob was captured under, so such a blob would go on under different
+// parameters).
+const SnapshotFormatVersion = 7
 
 // snapshotMagic is the 8-byte blob signature.
 const snapshotMagic = "PLURSNAP"

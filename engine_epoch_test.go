@@ -15,7 +15,7 @@ var epochGoldens = map[int]string{
 	1: "dedef1bcc17aad22b9a67782e20c5bd62b1857d3780ab889e4b601407bbef628",
 	2: "8a891486bf46cf1b6a75b05bac3644419a0c7649067df303bcab4fd4c00598aa",
 	3: "7601563b97e58fa046d28662364f2d5c8b1744b8e4c3da62f6acf4d2efcefd66",
-	4: "2b572ccce5f60d95e8d2e499b124d4882c5f58c73666b35b977e25edf3ada027",
+	4: "8ecd8dd772b250b903c73571343fbb60c1b0261e89a5a0012c0d6e3088da2442",
 }
 
 func goldenTablesDigest() string {

@@ -96,8 +96,16 @@ func (l ErlangLatency) Mean() float64 { return float64(l.K) / l.Rate }
 // Name returns a human-readable identifier.
 func (l ErlangLatency) Name() string { return fmt.Sprintf("erlang(k=%d,λ=%g)", l.K, l.Rate) }
 
-// c1Samples is the number of Monte-Carlo draws behind each C1.
-const c1Samples = 1_000_000
+// c1Samples is the number of Monte-Carlo draws behind each C1: the
+// smallest of 50,000, 100,000 and 200,000 with which TestDistributionGolden
+// passes against the per-run estimates (40,000 draws each) it was recorded
+// with. Its relative standard deviation across streams is about 0.2%.
+const c1Samples = 50_000
+
+// c1MemoCap bounds the memo. A served spec's latency reaches it from
+// outside the program, so past the cap an unseen law is estimated on every
+// call instead of stored: the value is the same, only its cost repeats.
+const c1MemoCap = 256
 
 // c1Key identifies one C1: a latency law (a comparable Latency value, as
 // every Latency of this package is) and the fan-ins of T'2.
@@ -112,26 +120,37 @@ type c1Entry struct {
 	c1   float64
 }
 
-// c1Memo maps a c1Key to its *c1Entry, for the life of the process.
-var c1Memo sync.Map
+// c1Memo maps a c1Key to its entry, for the life of the process; c1Mu
+// guards the map, not the estimates.
+var (
+	c1Mu   sync.Mutex
+	c1Memo = map[c1Key]*c1Entry{}
+)
 
 // EstimateC1 returns the paper's time unit C1, the 0.9-quantile of the
 // waiting time T3 = T'2 + T1 + T'2 between two completed operations
 // (Remark 14, Example 15). T1 is the Exp(1) tick gap and T'2, the
 // accumulated latency of one operation, is the max of a latency draws plus
 // the max of b more. C1 is a property of the latency law, so it is
-// estimated once per process for each (lat, a, b), by c1Samples
-// Monte-Carlo draws from one fixed stream, and every later call returns
-// the same value; concurrent callers wait for the one estimate. For
-// exponential latencies the single-leader shape agrees with the paper's
-// Γ(7, β) majorant (experiments E1 and E11).
+// estimated by c1Samples Monte-Carlo draws from one fixed stream, once per
+// process for each (lat, a, b) while the memo holds fewer than c1MemoCap
+// laws; every call returns the same value, and concurrent callers wait for
+// the one estimate. Only runs that repeat a law in one process gain: the
+// first run of a law pays the estimate, a little more than the 40,000
+// per-run draws it replaces. For exponential latencies the single-leader
+// shape agrees with the paper's Γ(7, β) majorant (experiments E1 and E11).
 func EstimateC1(lat Latency, a, b int) float64 {
 	k := c1Key{lat, a, b}
-	e, ok := c1Memo.Load(k)
-	if !ok {
-		e, _ = c1Memo.LoadOrStore(k, new(c1Entry))
+	c1Mu.Lock()
+	ent, ok := c1Memo[k]
+	if !ok && len(c1Memo) < c1MemoCap {
+		ent = new(c1Entry)
+		c1Memo[k] = ent
 	}
-	ent := e.(*c1Entry)
+	c1Mu.Unlock()
+	if ent == nil {
+		return estimateC1(lat, c1Stream(), c1Samples, a, b)
+	}
 	ent.once.Do(func() { ent.c1 = estimateC1(lat, c1Stream(), c1Samples, a, b) })
 	return ent.c1
 }

@@ -77,6 +77,36 @@ func TestEstimateC1Memo(t *testing.T) {
 	}
 }
 
+// TestEstimateC1MemoBounded pins the memo's bound: past c1MemoCap laws
+// the memo stops growing, and a law it does not hold still gets the
+// fixed-stream estimate.
+func TestEstimateC1MemoBounded(t *testing.T) {
+	c1Mu.Lock()
+	saved := c1Memo
+	c1Memo = map[c1Key]*c1Entry{}
+	c1Mu.Unlock()
+	defer func() {
+		c1Mu.Lock()
+		c1Memo = saved
+		c1Mu.Unlock()
+	}()
+	const laws = c1MemoCap + 8
+	for i := range laws {
+		EstimateC1(ExpLatency{Rate: 1 + float64(i)/laws}, 2, 1)
+	}
+	c1Mu.Lock()
+	held := len(c1Memo)
+	c1Mu.Unlock()
+	if held != c1MemoCap {
+		t.Fatalf("memo holds %d laws after %d distinct ones, want the cap %d", held, laws, c1MemoCap)
+	}
+	lat := ExpLatency{Rate: 0.3}
+	want := estimateC1(lat, c1Stream(), c1Samples, 2, 1)
+	if c1 := EstimateC1(lat, 2, 1); c1 != want {
+		t.Errorf("law past the cap: C1 %v, want the fixed-stream estimate %v", c1, want)
+	}
+}
+
 // BenchmarkEstimateC1 times one C1 estimate per engine shape with Exp(1)
 // latencies, the one-off cost of a latency law's first run in a process.
 func BenchmarkEstimateC1(b *testing.B) {

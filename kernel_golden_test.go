@@ -76,12 +76,12 @@ var kernelGolden = map[string]string{
 	"3-majority/complete":                 "992ed5c605d38e2c3ea43e72a08eddb6c5bd00fb1db9f9d79fffecd315c23c83",
 	"3-majority/random-regular(d=4)":      "be3712502dde1f907bbb1778da9ab326cc71650775c450f06636a246d76c0c34",
 	"3-majority/torus(24x25)":             "e176f59095e4c57b5ae87b8d0d7344af9ddd9bb6ffea9c613ca7a6ec0652cf7d",
-	"decentralized/complete":              "9f82335a7c093b9ea0c96fdbace326e7ca114d64416b4da9ea40c8996e471ee3",
-	"decentralized/random-regular(d=4)":   "aa884d3f30a0b80eccf4fa3e3054209a0646fd32fd7a64b0ea9948a541d30dac",
-	"decentralized/torus(24x25)":          "9eb55128a423ea6807529d7d3ef57fb4f3c655c301f0eb148a1494ec862a3f71",
-	"leader/complete":                     "b7da7e19caa3fdc6ceb79ac3b6b9f1373367d53029f2d5439e5d5303eced3dcb",
-	"leader/random-regular(d=4)":          "f897af8f4c526da70bedf0aca2ccded7a4154805b759595bf409db09cc11143b",
-	"leader/torus(24x25)":                 "7f43ed8919d9b7d6dc30b19c7412b7970c45537b0cca0c584a43dbc1d6ddd21d",
+	"decentralized/complete":              "d35ff9690395657c28acaf2884b517115ee007e2c553f0c4b528a1f4335a535c",
+	"decentralized/random-regular(d=4)":   "1f57065c76ff5482479c58fda5c811d2b53aa7f0d00fdd0af1a8ed69cfb42a91",
+	"decentralized/torus(24x25)":          "546a41c949a41ffe5d58898d6180f5e18d0bd8baef347fd78de1ab457f9fce66",
+	"leader/complete":                     "55b20a091c113d9512d45c4b46d7c73e313ad626704c2739c306d1cadbd2bffe",
+	"leader/random-regular(d=4)":          "39b3c70835b919893817d52efb4f8d31bf0b3e8deca755cf246484dc7accd005",
+	"leader/torus(24x25)":                 "e33d507834ab81a0891faf2422d8e0c5825325525ec81372856bd223ab42c8c7",
 	"pull-voting/complete":                "8dfd1d68305755fd34a6c9d4ccd3218fb00ff1d48b20923dc27cd1ac22abb206",
 	"pull-voting/random-regular(d=4)":     "8a614c6116bce8e2e684bced311a2c86e9a6e5036e0e921b7052b94221cd1d8b",
 	"pull-voting/torus(24x25)":            "eeef76668d13374243d0f0d0f26f80f06fa0c05aeafb9480a1f4e5dbdfcc0c0f",

@@ -41,11 +41,12 @@ func snapshotSpec() Spec { return Spec{N: 300, K: 3, Alpha: 2, Seed: 42} }
 // TestSnapshotVersionRejected pins that a blob recorded under any other
 // format version fails with ErrSnapshotVersion, not a misparse: a newer one;
 // version 4, whose leader and decentralized blobs could carry a per-shard
-// payload section that the current engines no longer read; and version 5,
-// whose clock sections hold one generator per node.
+// payload section that the current engines no longer read; version 5,
+// whose clock sections hold one generator per node; and version 6, whose
+// leader and decentralized runs took C1 from their own seed.
 func TestSnapshotVersionRejected(t *testing.T) {
 	sn, _ := captureSnapshot(t, "leader", snapshotSpec())
-	for _, v := range []int{4, 5, SnapshotFormatVersion + 1} {
+	for _, v := range []int{4, 5, 6, SnapshotFormatVersion + 1} {
 		other := *sn
 		other.meta.FormatVersion = v
 		blob, err := other.Encode()
@@ -533,25 +534,25 @@ func FuzzDecodeSnapshot(f *testing.F) {
 //
 //	PLURALITY_GOLDEN_RECORD=1 go test -run TestSnapshotBlobGolden -v .
 var snapshotBlobGolden = map[string]string{
-	"decentralized/complete@37":                 "53a656098e9397e1aa8cc2e3b22d370682fb9980043f30db4a46142a5afc5bef",
-	"decentralized/complete@5.5":                "c805392e66b95fd1cce47ec6e597dd3505d1bf74dabc1d2cd5672f12003dfd4d",
-	"decentralized/random-regular(d=4)@37":      "c821977cb8616aa69424db7636a6dd04834c934b1ad58c071aee9434518ece43",
-	"decentralized/random-regular(d=4)@5.5":     "e15a0aabf6bb63bdc2183b8900e85fe6aa4c61dac5ae116842cc3439f6fe28eb",
-	"leader/complete@37":                        "88b2cdfacd8da9f4218d3bbd27033a991232615b4820354107a0b3946cbfe166",
-	"leader/complete@5.5":                       "36ff1ca0c1ea7ec926f9df69d0fb9597ef2f6c6f83e8963e5732e8a48a2a81ac",
-	"leader/random-regular(d=4)@37":             "136edf743bea0dac9a0ed96e9e659cc3a97828fcd1725efa5c4f1b58521afcb7",
-	"leader/random-regular(d=4)@5.5":            "464d209717dbcafd026452b667f7f7c4698583244581ede74d89d8b63a2963bc",
-	"sync/complete@3":                           "752312fc3d28fc453d499fd272573b1af309925460e9a338c1407796649429db",
-	"pull-voting/complete@3":                    "bf6b9e3e25393a321e7d968ee948c3f7b88111a0a4be9982d59462758d2e1976",
-	"two-choices/complete@3":                    "a22411ae3f5e24722c49dc45dceb3df62a37056c6f9595f420e66d877d5d213a",
-	"3-majority/complete@3":                     "c1421122c7af7853ab40f28b0237ec68205291a0d3d3ea5f2bbb7d501615ca86",
-	"undecided-state/complete@3":                "a0185d87bf3f7cb90c565b0eb614a914947539e7de1edcd572382777d15548d4",
-	"3-majority/complete/sequential@3":          "221ae733d67123dd10c3993c73578e60f092698557bf8cfc8b00a9acc1572d14",
-	"sync/complete/crash(f=0.2,r=1)@3":          "5f49703f4b2851f54053071154cb0e21b9130e578f0b5bbd06ede4ffaf5cf508",
-	"3-majority/complete/crash(f=0.2,r=1)@3":    "c59b44d0af72bb80eee4bd072b89b66e3e2a41dced804e6cc815ab302dbd1ac6",
-	"leader/complete/crash(f=0.2,r=1)@37":       "f4ea6e9f0523340a34a1dab051361cf8a202b03cdafb2bc01e333de75704a96a",
-	"leader/complete/delay(f=0.3,x2)@37":        "c3f7740a9f0e508652495d9d648fb650c58b3a8b25bbdb72cd827e3ceb6ebd74",
-	"decentralized/complete/delay(f=0.3,x2)@37": "475873b22e1ba69a36a31736987c99bfcd4ef521b75910d11da80767965d7ac8",
+	"decentralized/complete@37":                 "0ef28a15a3df09f64bb23fe22b7a6a4cc862cdfc28afb7075bbeb6aea4701243",
+	"decentralized/complete@5.5":                "9798739105d51ea0e83226129922d9f83425481ff7d6972a0ac494e687b62536",
+	"decentralized/random-regular(d=4)@37":      "22a791ab5df1e0ce6dbdf5dfd87ca4b94e75fe4b8fe9b2267581fdc1f6eb8062",
+	"decentralized/random-regular(d=4)@5.5":     "8126982fe228fb5097cc467e2433cbd71b8ea9d9efea9e873643997bc6f24acd",
+	"leader/complete@37":                        "7d546bbfa1f2706ec50568745df39d5d4210f49ab908120c269444924c572ec7",
+	"leader/complete@5.5":                       "abd80184a0995c1d7bafaad6ca4bf81f5ae8080b981a4ff11f8d00ac034d0c46",
+	"leader/random-regular(d=4)@37":             "078b0fb9de2b44702afc7da879543d385bf72f9465ad12f39769d67171a21037",
+	"leader/random-regular(d=4)@5.5":            "4d12ddbb05fa6d0353f7e06b930e9706ffbdcb751465bc842137757b72e7d711",
+	"sync/complete@3":                           "01e931fcd59200a79fb4e4d61c2d6d5a2ce70de8cfc5dd8558397dacf60a42c3",
+	"pull-voting/complete@3":                    "2053b8b3c1e657c405f6eae9edcbe4cd755cf29370f4032af8e110cd3b21879f",
+	"two-choices/complete@3":                    "7ab970ba14ab1511c6e1e3758df35285612de71e3406f68cb41f4c820e809b24",
+	"3-majority/complete@3":                     "026732bfb9ca81ad55c8ccb57a3c4f12321c4a84fd11800f9971baf3818f684c",
+	"undecided-state/complete@3":                "9cbd406dd2ba3208fb7ba72d7c832d5595f7ce9a7926af3bf745583071142af8",
+	"3-majority/complete/sequential@3":          "c510255f59c0cad0184bd1e18595d528723bd2fd5fb2cca34ff441257b9717b7",
+	"sync/complete/crash(f=0.2,r=1)@3":          "f28aba925a913362f2b0a75b2a23cab268754745363e4e8463978fe09cc4fe66",
+	"3-majority/complete/crash(f=0.2,r=1)@3":    "dd8ad2805f8371e480399755038fa4006148d4c3752ef748b4fc2d1eb066c777",
+	"leader/complete/crash(f=0.2,r=1)@37":       "bc4c5728555b5774d6919a4d218815c26a60ae34520f732e618908c2f4ee55cf",
+	"leader/complete/delay(f=0.3,x2)@37":        "48cf2d5f06abed1bfdd26aeb815e234c42c76f7ec06d6d12fb4b0617cd841142",
+	"decentralized/complete/delay(f=0.3,x2)@37": "abbcdcc4367750c576aebffd2d4cb7a4615198cb958f6208578198a974af1389",
 }
 
 // blobGoldenRow is one capture of TestSnapshotBlobGolden.

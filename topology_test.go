@@ -23,8 +23,8 @@ import (
 // one C1 per latency law).
 var goldenHashes = map[string]string{
 	"sync":            "00f7ef3a569a0d877556379109344cdcd5b54f4842872e9aa50197e5f86e9505",
-	"leader":          "6de3d8b1c050b5b0b091d0b565a9cfda47d1c6ab3da8bc115f5663c0b999261c",
-	"decentralized":   "2ab6836f46a901921e7d3d8a2f4f73175e2e027ec2714a8542d0a188e95d310d",
+	"leader":          "7130e1bba13764e49172a0106eec8c5d1c9b276e6c6c73662d31e2cbb30bdebd",
+	"decentralized":   "87372959dd11b692784e146da18380a2144c424753ba0f9ed293a0c99f469f55",
 	"pull-voting":     "20a91b27636f72ddd13c2c143268d15792eee198e267b80d98f5fd4b124b8a39",
 	"two-choices":     "e3d3942182f57f1f4ba64b58bed26d3db1d384469b7b7e28cf03818248331482",
 	"3-majority":      "c6c2f4ff1642dcfbd59f633e58a30dc25d2ec280138ad9a5cb3a248958097262",
