@@ -18,7 +18,7 @@ import (
 // quantile is ≈ 10.53/β, which is also what the paper's own Figure 1 plots.
 // The table reports both, so its output shows the discrepancy. C1 is a
 // property of the latency law: c1_measured and bound_holds are one cell
-// per λ, the engines' own C1 (leader.TimeUnit, 10⁶ Monte-Carlo draws);
+// per λ, the engines' own C1 (leader.TimeUnit, 50,000 Monte-Carlo draws);
 // only the Example 15 mean is replicated over seeds.
 func C1Constants(o Opts) *harness.Table {
 	o = o.normalize()

@@ -18,7 +18,7 @@ import (
 // Γ(7, β) majorant used in Remark 14, the Monte-Carlo quantile of the exact
 // single-leader T3 = max(T2,T2)+T2 + T1 + max(T2,T2)+T2, and the
 // multi-leader variant of §4.3. Both quantiles are the engines' own C1
-// (leader.TimeUnit, noleader.TimeUnit: 10⁶ draws, one cell per latency);
+// (leader.TimeUnit, noleader.TimeUnit: 50,000 draws, one cell per latency);
 // only the mean_T3 column is replicated over seeds. The paper's plot grows
 // linearly in 1/λ on a log-log scale; the log-log slope is appended to the
 // caption.

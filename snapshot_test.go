@@ -528,8 +528,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // were re-recorded at EngineEpoch 3, whose recorder holds survivor
 // fractions with undecided nodes in the denominator, and at EngineEpoch 4
 // the sync crash row, whose MaxGenFrac counts survivors only, and every
-// leader and decentralized row, whose C1 is one estimate per latency law.
-// Re-record (after a
+// leader and decentralized row, whose C1 is one estimate per latency law;
+// then every row, when SnapshotFormatVersion went to 7. Re-record (after a
 // reviewed change only) with
 //
 //	PLURALITY_GOLDEN_RECORD=1 go test -run TestSnapshotBlobGolden -v .
