@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"plurality/internal/sim"
@@ -198,10 +199,16 @@ func TestBroadcastSlowLatency(t *testing.T) {
 	}
 }
 
-func BenchmarkFormN2000(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Form(Params{N: 2000, Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkForm times one formation at n=2000 and at n=10⁴, the size the
+// decentralized-1e4 benchmark workload forms.
+func BenchmarkForm(b *testing.B) {
+	for _, n := range []int{2000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Form(Params{N: n, Seed: uint64(i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
