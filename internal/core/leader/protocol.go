@@ -272,7 +272,7 @@ func (rs *runState) tick(v int) {
 	vs, out := rs.scratch.Buffers(2)
 	vs[0], vs[1] = int32(v), int32(v)
 	rs.bs.SampleNeighbors(rs.tickR, vs, out)
-	d := math.Max(rs.Lat.Sample(rs.LatR), rs.Lat.Sample(rs.LatR)) +
+	d := max(rs.Lat.Sample(rs.LatR), rs.Lat.Sample(rs.LatR)) +
 		rs.Lat.Sample(rs.LatR)
 	rs.SendMsg(d, sim.Event{Kind: evComplete, Node: int32(v), A: out[0], B: out[1]})
 }

@@ -253,8 +253,8 @@ func (rs *consensusState) tick(v int) {
 	// Accumulated latency: three contacts in parallel, then own leader and
 	// v3's leader in parallel (§4.3).
 	lat := rs.Lat
-	three := math.Max(lat.Sample(rs.LatR), math.Max(lat.Sample(rs.LatR), lat.Sample(rs.LatR)))
-	two := math.Max(lat.Sample(rs.LatR), lat.Sample(rs.LatR))
+	three := max(lat.Sample(rs.LatR), max(lat.Sample(rs.LatR), lat.Sample(rs.LatR)))
+	two := max(lat.Sample(rs.LatR), lat.Sample(rs.LatR))
 	rs.SendMsg(three+two,
 		sim.Event{Kind: evComplete, Node: int32(v), A: out[0], B: out[1], C: out[2]})
 }
